@@ -162,7 +162,7 @@ def _cmd_correlate(args) -> int:
     if args.mode == "closed":
         if args.which != "I":
             raise _UsageError("--mode closed evaluates the model I closed forms")
-        _write_text(args.out, _closed_sweep_text(g_values))
+        _write_text(args.out, models.closed_form_sweep_text(g_values))
         return EXIT_OK
     if args.mode == "ring" and args.n_sites is None:
         raise _UsageError("--mode ring requires --n-sites")
@@ -182,13 +182,6 @@ def _cmd_correlate(args) -> int:
             lines.append(f"{_fmt(row['g'])},{r_txt},{row['channel']},{v_txt},{row['flag']}")
         _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
-
-
-def _closed_sweep_text(g_values) -> str:
-    lines = ["g,quantity,value"]
-    for g, q, v in models.closed_form_sweep_rows(g_values):
-        lines.append(f"{_fmt(g)},{q},{_fmt(v)}")
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_genstate(args) -> int:

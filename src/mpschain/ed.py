@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parent import LocalHamiltonian, chain_apply
+from .parent import LocalHamiltonian, _local_dim, chain_apply
 
 #: Hard ceiling for dense diagonalization (full spectra, kernel counts).
 DEFAULT_DENSE_MAX_SITES = 8
@@ -62,11 +62,7 @@ class ChainOperator:
 
     @property
     def d(self) -> int:
-        k = self.local.k
-        d = round(self.local.dim ** (1.0 / k))
-        if d**k != self.local.dim:
-            raise ValueError("local dimension is not a clean power")
-        return d
+        return _local_dim(self.local.dim, self.local.k)
 
     @property
     def dim(self) -> int:
@@ -98,9 +94,7 @@ def _embed_window(hmat: np.ndarray, d: int, n_sites: int, start: int, k: int) ->
 def dense_chain(local_matrix: np.ndarray, k: int, n_sites: int) -> np.ndarray:
     """Dense periodic chain sum of an arbitrary k-site matrix (Kronecker embedding)."""
     h = np.asarray(local_matrix)
-    d = round(h.shape[0] ** (1.0 / k))
-    if d**k != h.shape[0]:
-        raise ValueError("local dimension is not a clean power")
+    d = _local_dim(h.shape[0], k)
     if n_sites > dense_max_sites():
         raise ValueError(f"n_sites {n_sites} exceeds the dense cap {dense_max_sites()}")
     out = np.zeros((d**n_sites, d**n_sites), dtype=h.dtype)
@@ -167,14 +161,8 @@ def spectrum(op: ChainOperator) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(dense_matrix(op)))
 
 
-def kernel_dimension(op: ChainOperator, tol: float = 1e-8) -> int:
-    """Number of eigenvalues at most tol, with a spectral-gap sanity check.
-
-    The first eigenvalue above the count must be at least 100 * tol away,
-    otherwise the count is ambiguous and AmbiguousKernelError reports the
-    candidate range instead of a silent number.
-    """
-    w = spectrum(op)
+def _kernel_count(w: np.ndarray, tol: float) -> int:
+    """Number of entries of the sorted spectrum w at most tol, gap-checked as in kernel_dimension."""
     count = int(np.sum(w <= tol))
     if count < len(w) and w[count] < 100 * tol:
         high = int(np.sum(w <= 100 * tol))
@@ -184,12 +172,25 @@ def kernel_dimension(op: ChainOperator, tol: float = 1e-8) -> int:
     return count
 
 
-def overlap_with_kernel(op: ChainOperator, state: np.ndarray, tol: float = 1e-10) -> float:
-    """Residual ||H state|| / ||state||; at most tol certifies kernel membership."""
+def kernel_dimension(op: ChainOperator, tol: float = 1e-8) -> int:
+    """Number of eigenvalues at most tol, with a spectral-gap sanity check.
+
+    The first eigenvalue above the count must be at least 100 * tol away,
+    otherwise the count is ambiguous and AmbiguousKernelError reports the
+    candidate range instead of a silent number.
+    """
+    return _kernel_count(spectrum(op), tol)
+
+
+def overlap_with_kernel(op: ChainOperator, state: np.ndarray) -> float:
+    """Residual ||H state|| / ||state||.
+
+    Zero means the state lies in the kernel; the caller compares the residual
+    against its own threshold.
+    """
     state = np.asarray(state)
     if state.shape != (op.dim,):
         raise ValueError(f"state must have length {op.dim}")
-    del tol  # interface threshold for callers; the residual itself is returned
     nrm = np.linalg.norm(state)
     if nrm == 0.0:
         raise ValueError("zero state has no kernel residual")
@@ -200,7 +201,7 @@ def report(op: ChainOperator, kernel_tol: float = 1e-8) -> dict:
     """Spectrum/degeneracy summary as a JSON-ready dictionary."""
     w = spectrum(op)
     try:
-        kdim: int | list[int] = kernel_dimension(op, kernel_tol)
+        kdim: int | list[int] = _kernel_count(w, kernel_tol)
     except AmbiguousKernelError as exc:
         kdim = [exc.low, exc.high]
     return {

@@ -294,63 +294,56 @@ def expectation_xx(psi: PsiN, r: int) -> Fraction:
 # Thermodynamic limits
 
 
-def _dominant_projector_data() -> tuple[list[tuple[float, np.ndarray]], float, float]:
-    v_float = V_EXACT.astype(float)
-    projs = linalg.dominant_projectors(v_float)
+def _dominant_bracket(r: int, channel: str) -> float:
+    """Dominant-eigenvalue contraction of the k = 0 arc split of corr_zz/corr_xx.
+
+    Both extreme eigenvalues of V are kept with their even-N sign weights; the
+    result is normalized by the dominant multiplicity.
+    """
+    v = V_EXACT.astype(float)
+    projs = linalg.dominant_projectors(v)
     lmax = max(abs(lam) for lam, _ in projs)
     mult = sum(np.trace(p).real for _, p in projs)
-    return [(lam.real, p.real) for lam, p in projs], lmax, mult
+    vmid = np.linalg.matrix_power(v / lmax, r - 2)
+    if channel == "zz":
+        u = U_EXACT.astype(float)
+        middle = u @ vmid @ u / lmax**2
+        power = r
+    elif channel == "xx":
+        x1 = X1_EXACT.astype(float)
+        x2 = X2_EXACT.astype(float)
+        middle = (x2 @ vmid @ x1 + x1 @ vmid @ x2) / (2 * lmax)
+        power = r - 1
+    else:
+        raise ValueError("channel must be 'zz' or 'xx'")
+    return sum(np.sign(lam.real) ** power * np.trace(p.real @ middle) for lam, p in projs) / mult
 
 
 def thermo_corr_finite(n_sites: int, zeros: int, r: int, channel: str) -> float:
     """Dominant-eigenvalue approximation of corr_zz/corr_xx at large even N.
 
-    Keeps the k = 0 arc split and both extreme eigenvectors of V with the
-    even-N sign weights; used to exhibit the limit laws at finite N.
+    The arc-split prefactor C(N-r, n)/C(N, n) (zz) or C(N-r, n-1)/C(N, n) (xx)
+    times the dominant bracket; used to exhibit the limit laws at finite N.
     """
     _check_nnr(n_sites, zeros, r)
-    projs, lmax, mult = _dominant_projector_data()
-    if channel == "zz":
-        u = U_EXACT.astype(float)
-        vmid = np.linalg.matrix_power(V_EXACT.astype(float) / lmax, r - 2)
-        middle = u @ vmid @ u / lmax**2
-        prefactor = comb(n_sites - r, zeros) / comb(n_sites, zeros)
-        power = r
-    elif channel == "xx":
-        x1 = X1_EXACT.astype(float)
-        x2 = X2_EXACT.astype(float)
-        vmid = np.linalg.matrix_power(V_EXACT.astype(float) / lmax, r - 2)
-        middle = (x2 @ vmid @ x1 + x1 @ vmid @ x2) / (2 * lmax)
-        prefactor = comb(n_sites - r, zeros - 1) / comb(n_sites, zeros)
-        power = r - 1
-    else:
-        raise ValueError("channel must be 'zz' or 'xx'")
-    bracket = sum(np.sign(lam) ** power * np.trace(p @ middle) for lam, p in projs) / mult
+    bracket = _dominant_bracket(r, channel)
+    inner_zeros = zeros if channel == "zz" else zeros - 1
+    prefactor = comb(n_sites - r, inner_zeros) / comb(n_sites, zeros)
     return float(prefactor * bracket)
 
 
 def thermo_corr(zeros: int, r: int, channel: str) -> float:
     """N -> infinity limit (n fixed) of the psi_n two-point functions.
 
-    zz tends to -1/2 at r = 2 and to 0 beyond; xx tends to 0 for every r
-    because its arc-split prefactor scales as n/N.  Both values are computed
-    from the dominant-eigenvalue contraction, not hard-coded.
+    The limit of the arc-split prefactor (1 for zz, 0 for xx, which scales as
+    n/N) times the dominant bracket: zz tends to -1/2 at r = 2 and to 0
+    beyond; xx tends to 0 for every r while its bracket stays finite.
     """
     _require_even("zeros", zeros)
     if r < 2:
         raise ValueError("operator sites are 1 and r with r >= 2")
-    projs, lmax, mult = _dominant_projector_data()
-    if channel == "zz":
-        u = U_EXACT.astype(float)
-        vmid = np.linalg.matrix_power(V_EXACT.astype(float) / lmax, r - 2)
-        middle = u @ vmid @ u / lmax**2
-        # C(N-r, n) / C(N, n) -> 1
-        return float(sum(np.sign(lam) ** r * np.trace(p @ middle) for lam, p in projs) / mult)
-    if channel == "xx":
-        # the arc-split prefactor C(N-r, n-1)/C(N, n) ~ n/N kills the limit;
-        # the bracket itself stays finite
-        return 0.0
-    raise ValueError("channel must be 'zz' or 'xx'")
+    bracket = _dominant_bracket(r, channel)
+    return float((1.0 if channel == "zz" else 0.0) * bracket)
 
 
 def degeneracy_lower_bound(n_sites: int) -> int:

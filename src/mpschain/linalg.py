@@ -84,35 +84,6 @@ def null_space(m, tol: float = DEFAULT_NULL_TOL) -> list[np.ndarray]:
     return [phase_fix(vh[i].conj()) for i in range(rank, a.shape[1])]
 
 
-def eig_all(m) -> list[tuple[complex, np.ndarray]]:
-    """All eigenpairs of a square matrix, right eigenvectors, complex allowed.
-
-    Pairs are sorted by descending magnitude (ties broken by real part, then
-    imaginary part) and eigenvectors carry the phase_fix convention.
-    """
-    a = _as_square(m)
-    try:
-        vals, vecs = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise EigenConvergenceError(f"eigensolver did not converge on {a.shape} input: {exc}") from exc
-    order = sorted(range(len(vals)), key=lambda i: (-abs(vals[i]), -vals[i].real, -vals[i].imag))
-    return [(complex(vals[i]), phase_fix(vecs[:, i])) for i in order]
-
-
-def dominant_eigs(m, rel_tol: float = 1e-9) -> list[tuple[complex, np.ndarray]]:
-    """All eigenpairs whose magnitude is within rel_tol of the spectral radius.
-
-    Equal-magnitude families are returned whole; the result is never a strict
-    subset of a degenerate-magnitude set.  Raises ZeroSpectrumError when the
-    whole spectrum vanishes.
-    """
-    pairs = eig_all(m)
-    top = max(abs(lam) for lam, _ in pairs)
-    if top == 0.0:
-        raise ZeroSpectrumError("all-zero spectrum: no dominant eigenvalue")
-    return [(lam, v) for lam, v in pairs if abs(lam) >= (1.0 - rel_tol) * top]
-
-
 def dominant_projectors(m, rel_tol: float = 1e-9) -> list[tuple[complex, np.ndarray]]:
     """Spectral projectors of the dominant eigenvalues of m.
 
@@ -150,10 +121,6 @@ def dominant_projectors(m, rel_tol: float = 1e-9) -> list[tuple[complex, np.ndar
     return out
 
 
-def _trace_power_squaring(a: np.ndarray, n: int):
-    return np.trace(np.linalg.matrix_power(a, n))
-
-
 def trace_power(m, n: int):
     """tr(m**n) for integer n >= 1.
 
@@ -172,7 +139,7 @@ def trace_power(m, n: int):
     if np.isfinite(cond) and cond < _EIG_COND_LIMIT:
         tot = np.sum(vals**n)
     else:
-        tot = _trace_power_squaring(a, n)
+        tot = np.trace(np.linalg.matrix_power(a, n))
     if not np.iscomplexobj(a):
         return float(tot.real) if np.iscomplexobj(np.asarray(tot)) else float(tot)
     return complex(tot)

@@ -419,9 +419,15 @@ def closed_form_sweep_rows(g_values) -> list[tuple[float, str, float]]:
     return rows
 
 
-def write_closed_form_sweep(path, g_values) -> None:
+def closed_form_sweep_text(g_values) -> str:
     """CSV of the model I closed forms, one row per (g, quantity), 17 significant digits."""
+    lines = ["g,quantity,value"]
+    for g, q, v in closed_form_sweep_rows(g_values):
+        lines.append(f"{g:.17g},{q},{v:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def write_closed_form_sweep(path, g_values) -> None:
+    """Write closed_form_sweep_text(g_values) to path."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("g,quantity,value\n")
-        for g, q, v in closed_form_sweep_rows(g_values):
-            fh.write(f"{g:.17g},{q},{v:.17g}\n")
+        fh.write(closed_form_sweep_text(g_values))

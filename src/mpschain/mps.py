@@ -110,7 +110,7 @@ class MpsFamily:
 
 @dataclass(frozen=True)
 class TransferOperator:
-    """A D_bra*D_ket square operator built from one or two families."""
+    """A D^2 x D^2 transfer operator of one family, plain or observable-dressed."""
 
     kind: str
     matrix: np.ndarray = field(repr=False)
@@ -145,26 +145,6 @@ def dressed_transfer(mps: MpsFamily, obs: SpinObservable) -> TransferOperator:
     return TransferOperator(f"dressed:{obs.name}", e)
 
 
-def mixed_transfer(bra: MpsFamily, ket: MpsFamily, obs: SpinObservable | None = None) -> TransferOperator:
-    """Mixed operator between two families on the same physical space.
-
-    Returns sum_i conj(A_i) (x) B_i, or sum_ij conj(A_i) (x) B_j <i|O|j> when
-    an observable is given; the bra family supplies the conjugated factor.
-    """
-    if bra.d != ket.d:
-        raise ValueError(f"physical dimensions differ: {bra.d} != {ket.d}")
-    a = bra.matrix_stack()
-    b = ket.matrix_stack()
-    if obs is None:
-        e = sum(np.kron(a[i].conj(), b[i]) for i in range(bra.d))
-        return TransferOperator("mixed", e)
-    if obs.dim != bra.d:
-        raise ValueError(f"observable dimension {obs.dim} != physical dimension {bra.d}")
-    o = obs.matrix
-    e = sum(o[i, j] * np.kron(a[i].conj(), b[j]) for i in range(bra.d) for j in range(bra.d))
-    return TransferOperator(f"mixed:{obs.name}", e)
-
-
 def _real_or_raise(value, what: str, tol: float = 1e-12):
     if np.iscomplexobj(np.asarray(value)):
         scale = max(1.0, abs(value))
@@ -182,12 +162,18 @@ def ring_norm_sq(mps: MpsFamily, n_sites: int) -> float:
     return _real_or_raise(linalg.trace_power(e, n_sites), "tr(E^N)")
 
 
-def _ring_ratio(mps: MpsFamily, dressed: list[tuple[TransferOperator, int]], n_sites: int) -> float:
-    """tr(D_1 E^{p_1} D_2 E^{p_2} ...) / tr(E^N), rescaled to avoid overflow."""
+def _scaled_transfer(mps: MpsFamily) -> tuple[np.ndarray, float]:
+    """E and its spectral radius rho; every transfer step is rescaled as E / rho."""
     e = transfer(mps).matrix
     rho = linalg.spectral_radius(e)
     if rho == 0.0:
         raise DegenerateNormError("transfer operator has zero spectral radius")
+    return e, rho
+
+
+def _ring_ratio(mps: MpsFamily, dressed: list[tuple[TransferOperator, int]], n_sites: int) -> float:
+    """tr(D_1 E^{p_1} D_2 E^{p_2} ...) / tr(E^N), rescaled to avoid overflow."""
+    e, rho = _scaled_transfer(mps)
     eh = e / rho
     den = np.trace(np.linalg.matrix_power(eh, n_sites))
     if abs(den) < 1e-12:
@@ -249,10 +235,7 @@ def _thermo_contract(e: np.ndarray, middle: np.ndarray, extra_power: int, osc_to
 
 def thermo_one_point(mps: MpsFamily, obs: SpinObservable) -> float:
     """N -> infinity limit of ring_one_point, taken along even N."""
-    e = transfer(mps).matrix
-    rho = linalg.spectral_radius(e)
-    if rho == 0.0:
-        raise DegenerateNormError("transfer operator has zero spectral radius")
+    e, rho = _scaled_transfer(mps)
     middle = dressed_transfer(mps, obs).matrix / rho
     return _thermo_contract(e, middle, extra_power=1)
 
@@ -266,10 +249,7 @@ def thermo_two_point(mps: MpsFamily, obs1: SpinObservable, obs2: SpinObservable,
     """
     if r < 1:
         raise ValueError("separation must be >= 1")
-    e = transfer(mps).matrix
-    rho = linalg.spectral_radius(e)
-    if rho == 0.0:
-        raise DegenerateNormError("transfer operator has zero spectral radius")
+    e, rho = _scaled_transfer(mps)
     eh = e / rho
     middle = (
         (dressed_transfer(mps, obs1).matrix / rho)
@@ -279,26 +259,28 @@ def thermo_two_point(mps: MpsFamily, obs1: SpinObservable, obs2: SpinObservable,
     return _thermo_contract(e, middle, extra_power=r + 1)
 
 
+def _words(mps: MpsFamily, k: int, cap: int, what: str) -> np.ndarray:
+    """The (d^k, D, D) stack of k-site words A_{i_1}...A_{i_k}, i_1 the most significant digit."""
+    if mps.d**k > cap:
+        raise CapExceededError(f"{mps.d}**{k} exceeds the {what} cap {cap}")
+    mats = mps.matrix_stack()
+    words = np.eye(mps.D, dtype=mats.dtype)[None]
+    for _ in range(k):
+        words = np.einsum("wab,ibc->wiac", words, mats).reshape(-1, mps.D, mps.D)
+    return words
+
+
 def amplitudes(mps: MpsFamily, n_sites: int, cap: int = DEFAULT_AMPLITUDE_CAP) -> dict[tuple[str, ...], complex]:
     """Full amplitude map of the ring state by direct trace of matrix words.
 
     The brute-force oracle used throughout the test suite.  Keys are tuples of
     labels, site 1 first; values are tr(A_{i_1} ... A_{i_N}).
     """
-    if mps.d**n_sites > cap:
-        raise CapExceededError(f"{mps.d}**{n_sites} exceeds the amplitude cap {cap}")
-    mats = mps.matrix_stack()
-    words = np.eye(mps.D, dtype=mats.dtype)[None]
-    for _ in range(n_sites):
-        words = np.einsum("wab,ibc->wiac", words, mats).reshape(-1, mps.D, mps.D)
-    traces = np.trace(words, axis1=1, axis2=2)
-    configs = product(mps.labels, repeat=n_sites)
-    if not np.iscomplexobj(traces):
-        return {cfg: float(t) for cfg, t in zip(configs, traces)}
-    return {cfg: complex(t) for cfg, t in zip(configs, traces)}
+    traces = amplitudes_vector(mps, n_sites, cap)
+    scalar = complex if np.iscomplexobj(traces) else float
+    return {cfg: scalar(t) for cfg, t in zip(product(mps.labels, repeat=n_sites), traces)}
 
 
 def amplitudes_vector(mps: MpsFamily, n_sites: int, cap: int = DEFAULT_AMPLITUDE_CAP) -> np.ndarray:
     """The amplitude map as a d^N vector, site 1 the most significant digit."""
-    amps = amplitudes(mps, n_sites, cap=cap)
-    return np.array(list(amps.values()))
+    return np.trace(_words(mps, n_sites, cap, "amplitude"), axis1=1, axis2=2)

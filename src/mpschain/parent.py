@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from . import linalg
-from .mps import CapExceededError, DegenerateNormError, MpsFamily, amplitudes_vector, transfer
+from .mps import DegenerateNormError, MpsFamily, _scaled_transfer, _words, amplitudes_vector
 
 
 class InvalidModelError(ValueError):
@@ -97,13 +97,7 @@ def word_matrix(mps: MpsFamily, k: int, cap: int = 3**10) -> np.ndarray:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if mps.d**k > cap:
-        raise CapExceededError(f"{mps.d}**{k} exceeds the word-matrix cap {cap}")
-    mats = mps.matrix_stack()
-    words = np.eye(mps.D, dtype=mats.dtype)[None]
-    for _ in range(k):
-        words = np.einsum("wab,ibc->wiac", words, mats).reshape(-1, mps.D, mps.D)
-    return words.reshape(mps.d**k, mps.D * mps.D).T
+    return _words(mps, k, cap, "word-matrix").reshape(mps.d**k, mps.D * mps.D).T
 
 
 def _canonical_subspace_basis(vectors: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
@@ -182,16 +176,8 @@ def reduced_density(mps: MpsFamily, k: int, n_sites: int, cap: int = 3**10) -> n
     """
     if not 1 <= k < n_sites:
         raise ValueError("need 1 <= k < n_sites")
-    if mps.d**k > cap:
-        raise CapExceededError(f"{mps.d}**{k} exceeds the cap {cap}")
-    mats = mps.matrix_stack()
-    words = np.eye(mps.D, dtype=mats.dtype)[None]
-    for _ in range(k):
-        words = np.einsum("wab,ibc->wiac", words, mats).reshape(-1, mps.D, mps.D)
-    e = transfer(mps).matrix
-    rho_sp = linalg.spectral_radius(e)
-    if rho_sp == 0.0:
-        raise DegenerateNormError("transfer operator has zero spectral radius")
+    words = _words(mps, k, cap, "reduced-density")
+    e, rho_sp = _scaled_transfer(mps)
     env = np.linalg.matrix_power(e / rho_sp, n_sites - k).reshape(mps.D, mps.D, mps.D, mps.D)
     rho = np.einsum("Iab,Jcd,bdac->IJ", words.conj(), words, env)
     tr = np.trace(rho)
@@ -203,14 +189,20 @@ def reduced_density(mps: MpsFamily, k: int, n_sites: int, cap: int = 3**10) -> n
     return rho
 
 
+def _local_dim(size: int, k: int) -> int:
+    """The physical dimension d of a k-site operator of size d^k."""
+    d = round(size ** (1.0 / k))
+    if d**k != size:
+        raise ValueError("local dimension is not a clean k-th root of the operator size")
+    return d
+
+
 def chain_apply(h: LocalHamiltonian, n_sites: int, state: np.ndarray) -> np.ndarray:
     """Apply H = sum_l h_{l..l+k-1} (periodic windows) to a d^N vector, matrix-free."""
     k = h.k
     if n_sites < k:
         raise ValueError(f"n_sites must be >= k = {k}")
-    d = round(h.dim ** (1.0 / k))
-    if d**k != h.dim:
-        raise ValueError("local dimension is not a clean k-th root of the operator size")
+    d = _local_dim(h.dim, k)
     state = np.asarray(state)
     if state.shape != (d**n_sites,):
         raise ValueError(f"state must have length {d**n_sites}, got {state.shape}")

@@ -154,6 +154,54 @@ def test_report_payload():
     json.dumps(rep)
 
 
+def test_report_diagonalizes_once(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    ed.report(ChainOperator(4, models.model_II_hamiltonian()))
+    assert len(calls) == 1
+
+
+def _soft_gap_local():
+    # the local eigenvalue 5e-8 sits between tol = 1e-8 and 100 tol
+    soft = np.diag([0.0, 0.0, 0.0, 5e-8])
+    return LocalHamiltonian(k=2, matrix=soft, couplings=(5e-8,),
+                            basis=NullSpaceBasis(k=2, vectors=(), tol=0.0))
+
+
+def test_report_kernel_dim_matches_kernel_dimension():
+    for op in (ChainOperator(4, models.model_II_hamiltonian()), ChainOperator(4, models.limit_hamiltonian_h1())):
+        assert ed.report(op)["kernel_dim"] == ed.kernel_dimension(op)
+    op = ChainOperator(4, _soft_gap_local())
+    with pytest.raises(AmbiguousKernelError) as err:
+        ed.kernel_dimension(op)
+    assert err.value.low < err.value.high
+    assert ed.report(op)["kernel_dim"] == [err.value.low, err.value.high]
+
+
+_NOT_A_POWER = LocalHamiltonian(k=2, matrix=np.eye(10), couplings=tuple([1.0] * 10),
+                                basis=NullSpaceBasis(k=2, vectors=(), tol=0.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: parent.chain_apply(_NOT_A_POWER, 4, np.ones(10**2)),
+        lambda: ChainOperator(4, _NOT_A_POWER).d,
+        lambda: ed.dense_chain(np.eye(10), 2, 4),
+    ],
+    ids=["chain_apply", "ChainOperator.d", "dense_chain"],
+)
+def test_local_dimension_must_be_a_clean_power(call):
+    with pytest.raises(ValueError, match="local dimension"):
+        call()
+
+
 def test_env_cap_override(monkeypatch):
     monkeypatch.setenv("MPSCHAIN_MAX_SITES", "5")
     assert ed.dense_max_sites() == 5

@@ -67,59 +67,44 @@ def test_null_space_rejects_empty():
         linalg.null_space(np.zeros((0, 3)))
 
 
-def test_eig_all_diagonal():
-    vals = [lam for lam, _ in linalg.eig_all(np.diag([2.0, 1.0]))]
-    assert np.allclose(sorted(v.real for v in vals), [1, 2])
+def test_dominant_projectors_equal_magnitude_family():
+    out = linalg.dominant_projectors(np.diag([3.0, -3.0, 1.0]), 1e-9)
+    assert [lam for lam, _ in out] == [3.0, -3.0]
+    assert np.allclose(out[0][1], np.diag([1.0, 0.0, 0.0]), atol=1e-12)
+    assert np.allclose(out[1][1], np.diag([0.0, 1.0, 0.0]), atol=1e-12)
 
 
-def test_eig_all_adjacency_matrix():
-    a = np.array([[1.0, 1, 1], [1, 0, 1], [1, 1, 1]])
-    vals = sorted((lam.real for lam, _ in linalg.eig_all(a)))
-    assert np.allclose(vals, [1 - np.sqrt(3), 0.0, 1 + np.sqrt(3)], atol=1e-12)
-
-
-def test_eig_all_returns_right_eigenvectors():
-    m = RNG.standard_normal((5, 5))
-    for lam, v in linalg.eig_all(m):
-        assert np.linalg.norm(m @ v - lam * v) < 1e-10
-
-
-def test_dominant_eigs_equal_magnitude_family():
-    out = linalg.dominant_eigs(np.diag([3.0, -3.0, 1.0]), 1e-9)
-    assert sorted(lam.real for lam, _ in out) == [-3.0, 3.0]
-
-
-def test_dominant_eigs_complex_phase_family_kept_whole():
+def test_dominant_projectors_complex_phase_family_kept_whole():
     # three eigenvalues of equal magnitude 2 at phases 0, +-2pi/3
     w = np.exp(2j * np.pi / 3)
     m = np.diag([2.0 + 0j, 2 * w, 2 * np.conj(w), 1.0])
-    assert len(linalg.dominant_eigs(m)) == 3
+    assert len(linalg.dominant_projectors(m)) == 3
 
 
-def test_dominant_eigs_model_ii_v():
+def test_dominant_projectors_model_ii_v():
     from mpschain.genstate import V_EXACT
 
-    out = linalg.dominant_eigs(V_EXACT.astype(float))
+    out = linalg.dominant_projectors(V_EXACT.astype(float))
     vals = sorted(lam.real for lam, _ in out)
     assert np.allclose(vals, [-np.sqrt(2), np.sqrt(2)], atol=1e-12)
-    plus = [v for lam, v in out if lam.real > 0][0]
+    plus = [p for lam, p in out if lam.real > 0][0]
     expected = np.zeros(9)
     expected[0] = 0.5
     expected[4] = 0.5 * np.sqrt(2)
     expected[8] = 0.5
-    assert np.max(np.abs(plus - expected)) < 1e-12
+    assert np.max(np.abs(plus - np.outer(expected, expected))) < 1e-12
 
 
-def test_dominant_eigs_model_i_unique():
+def test_dominant_projectors_model_i_unique():
     from mpschain.mps import transfer
 
     e = transfer(models.model_I(1.0)).matrix
-    assert len(linalg.dominant_eigs(e)) == 1
+    assert len(linalg.dominant_projectors(e)) == 1
 
 
-def test_dominant_eigs_zero_matrix():
+def test_dominant_projectors_zero_matrix():
     with pytest.raises(linalg.ZeroSpectrumError):
-        linalg.dominant_eigs(np.zeros((3, 3)))
+        linalg.dominant_projectors(np.zeros((3, 3)))
 
 
 def test_dominant_projectors_traces_are_multiplicities():

@@ -261,3 +261,17 @@ def test_closed_form_sweep_csv(tmp_path):
     assert row[1] == "sz2"
     reparsed = f"{float(row[2]):.17g}"
     assert reparsed == row[2]
+
+
+def test_closed_form_sweep_text_is_the_cli_and_file_output(tmp_path, capsys):
+    from mpschain import cli
+
+    assert cli.main(["correlate", "--which", "I", "--channel", "sz2", "--mode", "closed",
+                     "--g-sweep", "0.1", "3.0", "30"]) == 0
+    printed = capsys.readouterr().out
+    g_values = [float(x) for x in np.linspace(0.1, 3.0, 30)]
+    text = models.closed_form_sweep_text(g_values)
+    assert text == printed
+    path = tmp_path / "sweep.csv"
+    models.write_closed_form_sweep(path, g_values)
+    assert path.read_bytes() == text.encode("utf-8")

@@ -4,7 +4,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from mpschain import models, spin
+from mpschain import models, parent, spin
 from mpschain.mps import (
     CapExceededError,
     DegenerateNormError,
@@ -14,7 +14,6 @@ from mpschain.mps import (
     amplitudes,
     amplitudes_vector,
     dressed_transfer,
-    mixed_transfer,
     ring_norm_sq,
     ring_one_point,
     ring_two_point,
@@ -110,25 +109,6 @@ def test_dressed_model_ii_sz_and_sz2():
 def test_dressed_dimension_mismatch():
     with pytest.raises(ValueError):
         dressed_transfer(models.model_II(1.0), spin.identity(2))
-
-
-def test_mixed_reduces_to_plain_and_dressed():
-    fam = models.model_II(1.1)
-    assert np.allclose(mixed_transfer(fam, fam).matrix, transfer(fam).matrix)
-    assert np.allclose(mixed_transfer(fam, fam, spin.sz()).matrix, dressed_transfer(fam, spin.sz()).matrix)
-
-
-def test_mixed_sx_between_two_parameters():
-    g, h = 0.7, 1.9
-    xm = models.model_II(1.0).matrices["1"] + models.model_II(1.0).matrices["-1"]
-    expected = (g * np.kron(np.eye(3), xm) + h * np.kron(xm, np.eye(3))) / sqrt(2)
-    got = mixed_transfer(models.model_II(g), models.model_II(h), spin.sx()).matrix
-    assert np.allclose(got, expected, atol=1e-14)
-
-
-def test_mixed_zero_observable():
-    fam = models.model_II(1.0)
-    assert not mixed_transfer(fam, fam, spin.zero()).matrix.any()
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +266,31 @@ def test_amplitudes_cyclic_invariance_exact():
 def test_amplitudes_cap():
     with pytest.raises(CapExceededError):
         amplitudes(models.model_II(1.0), 11)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: parent.word_matrix(models.model_II(1.0), 3, cap=26),
+        lambda: parent.reduced_density(models.model_II(1.0), 3, 6, cap=26),
+    ],
+    ids=["word_matrix", "reduced_density"],
+)
+def test_word_enumerations_respect_cap(build):
+    with pytest.raises(CapExceededError):
+        build()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_amplitudes_vector_is_the_amplitude_map(dtype):
+    rng = np.random.default_rng(17)
+    mats = {lab: rng.standard_normal((3, 3)) for lab in ("a", "b", "c")}
+    if dtype is complex:
+        mats = {lab: m + 1j * rng.standard_normal((3, 3)) for lab, m in mats.items()}
+    fam = MpsFamily(d=3, D=3, labels=("a", "b", "c"), matrices=mats)
+    vec = amplitudes_vector(fam, 5)
+    assert vec.dtype == np.dtype(dtype)
+    assert np.array_equal(vec, np.array(list(amplitudes(fam, 5).values())))
 
 
 def test_gauge_invariance_of_correlators():
