@@ -1,14 +1,14 @@
 """Independent exact-diagonalization oracle on the full d^N Hilbert space.
 
-Dense operators are assembled from Kronecker products, independently of the
-tensor-contraction path in parent.chain_apply, so the two routes check each
-other.  Basis convention, fixed package-wide: site 1 is the most significant
-digit and the physical order is the family label order (1, 0, -1 for spin-1).
+Dense operators are assembled by scattering the local term into each window,
+independently of the tensor-contraction path in parent.chain_apply, so the two
+routes check each other.  Basis convention, fixed package-wide: site 1 is the
+most significant digit and the physical order is the family label order
+(1, 0, -1 for spin-1).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,21 +16,9 @@ import numpy as np
 from .parent import LocalHamiltonian, _local_dim, chain_apply
 
 #: Hard ceiling for dense diagonalization (full spectra, kernel counts).
-DEFAULT_DENSE_MAX_SITES = 8
+DENSE_MAX_SITES = 8
 #: Hard ceiling for matrix-free iterative work.
-DEFAULT_ITER_MAX_SITES = 12
-
-_ENV_CAP = "MPSCHAIN_MAX_SITES"
-
-
-def dense_max_sites() -> int:
-    cap = os.environ.get(_ENV_CAP)
-    return min(int(cap), DEFAULT_DENSE_MAX_SITES) if cap else DEFAULT_DENSE_MAX_SITES
-
-
-def iter_max_sites() -> int:
-    cap = os.environ.get(_ENV_CAP)
-    return int(cap) if cap else DEFAULT_ITER_MAX_SITES
+ITER_MAX_SITES = 12
 
 
 class AmbiguousKernelError(RuntimeError):
@@ -73,40 +61,39 @@ class ChainOperator:
             return True
         if self.mode == "matrix-free":
             return False
-        return self.n_sites <= dense_max_sites()
+        return self.n_sites <= DENSE_MAX_SITES
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         return chain_apply(self.local, self.n_sites, state)
 
 
-def _embed_window(hmat: np.ndarray, d: int, n_sites: int, start: int, k: int) -> np.ndarray:
-    """Dense embedding of a k-site term on sites start..start+k-1 (mod n_sites)."""
-    sites = [(start + j) % n_sites for j in range(k)]
-    big = np.kron(hmat, np.eye(d ** (n_sites - k)))
-    # axis j of the kron result is the j-th window site followed by the rest
-    order = sites + [s for s in range(n_sites) if s not in sites]
-    inv = np.argsort(order)
-    tensor = big.reshape((d,) * (2 * n_sites))
-    perm = list(inv) + [n_sites + int(i) for i in inv]
-    return tensor.transpose(perm).reshape(d**n_sites, d**n_sites)
-
-
 def dense_chain(local_matrix: np.ndarray, k: int, n_sites: int) -> np.ndarray:
-    """Dense periodic chain sum of an arbitrary k-site matrix (Kronecker embedding)."""
+    """Dense periodic chain sum of an arbitrary k-site matrix (window scatter).
+
+    The nonzero entries of h (x) 1 are taken once; each window relabels their
+    basis indices so that its k sites lead, and adds them into the output.
+    """
     h = np.asarray(local_matrix)
     d = _local_dim(h.shape[0], k)
-    if n_sites > dense_max_sites():
-        raise ValueError(f"n_sites {n_sites} exceeds the dense cap {dense_max_sites()}")
+    if n_sites > DENSE_MAX_SITES:
+        raise ValueError(f"n_sites {n_sites} exceeds the dense cap {DENSE_MAX_SITES}")
+    rest = np.arange(d ** (n_sites - k))
+    r, c = np.nonzero(h)
+    rows = (r[:, None] * rest.size + rest).ravel()
+    cols = (c[:, None] * rest.size + rest).ravel()
+    vals = np.repeat(h[r, c], rest.size)
+    index = np.arange(d**n_sites).reshape((d,) * n_sites)
     out = np.zeros((d**n_sites, d**n_sites), dtype=h.dtype)
-    for start in range(n_sites - k + 1):
-        out += np.kron(np.eye(d**start), np.kron(h, np.eye(d ** (n_sites - start - k))))
-    for start in range(n_sites - k + 1, n_sites):
-        out += _embed_window(h, d, n_sites, start, k)
+    for start in range(n_sites):
+        sites = [(start + j) % n_sites for j in range(k)]
+        # inv maps an index of h (x) 1 (window sites first) to the chain index
+        inv = index.transpose(sites + [s for s in range(n_sites) if s not in sites]).ravel()
+        out[inv[rows], inv[cols]] += vals
     return out
 
 
 def dense_matrix(op: ChainOperator) -> np.ndarray:
-    """Explicit d^N x d^N matrix of the chain, built by Kronecker embedding."""
+    """Explicit d^N x d^N matrix of the chain, built by window scatter."""
     return dense_chain(op.local.matrix, op.local.k, op.n_sites)
 
 
@@ -149,8 +136,8 @@ def _lanczos_smallest(matvec, dim: int, max_iter: int = 400, tol: float = 1e-11,
 
 def ground_energy(op: ChainOperator) -> float:
     """Smallest eigenvalue, dense below the dense cap and Lanczos above it."""
-    if op.n_sites > iter_max_sites():
-        raise ValueError(f"n_sites {op.n_sites} exceeds the iterative cap {iter_max_sites()}")
+    if op.n_sites > ITER_MAX_SITES:
+        raise ValueError(f"n_sites {op.n_sites} exceeds the iterative cap {ITER_MAX_SITES}")
     if op.is_dense():
         return float(np.linalg.eigvalsh(dense_matrix(op))[0])
     return _lanczos_smallest(op.apply, op.dim)

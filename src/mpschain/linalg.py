@@ -15,10 +15,6 @@ import scipy.linalg
 # the split invariant under rescaling of the input.
 DEFAULT_NULL_TOL = 1e-10
 
-# Condition-number threshold above which trace_power falls back from the
-# eigendecomposition path to repeated squaring.
-_EIG_COND_LIMIT = 1e8
-
 
 class ZeroSpectrumError(ValueError):
     """Raised when a dominant-eigenvalue query is made on an all-zero spectrum."""
@@ -122,27 +118,12 @@ def dominant_projectors(m, rel_tol: float = 1e-9) -> list[tuple[complex, np.ndar
 
 
 def trace_power(m, n: int):
-    """tr(m**n) for integer n >= 1.
-
-    Uses the eigendecomposition when the eigenvector matrix is well
-    conditioned and falls back to repeated squaring otherwise; the two paths
-    agree to 1e-10 relative on the operators this package produces.
-    """
+    """tr(m**n) for integer n >= 1, by repeated squaring (exact for defective m)."""
     a = _as_square(m)
     if n < 1:
         raise ValueError("n must be >= 1")
-    try:
-        vals, vecs = np.linalg.eig(a)
-        cond = np.linalg.cond(vecs)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if np.isfinite(cond) and cond < _EIG_COND_LIMIT:
-        tot = np.sum(vals**n)
-    else:
-        tot = np.trace(np.linalg.matrix_power(a, n))
-    if not np.iscomplexobj(a):
-        return float(tot.real) if np.iscomplexobj(np.asarray(tot)) else float(tot)
-    return complex(tot)
+    tot = np.trace(np.linalg.matrix_power(a, n))
+    return complex(tot) if np.iscomplexobj(a) else float(tot)
 
 
 def spectral_radius(m) -> float:

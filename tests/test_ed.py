@@ -202,15 +202,28 @@ def test_local_dimension_must_be_a_clean_power(call):
         call()
 
 
-def test_env_cap_override(monkeypatch):
-    monkeypatch.setenv("MPSCHAIN_MAX_SITES", "5")
-    assert ed.dense_max_sites() == 5
-    assert ed.iter_max_sites() == 5
-    op = ChainOperator(6, models.model_II_hamiltonian())
-    with pytest.raises(ValueError):
-        ed.ground_energy(op)
-    monkeypatch.delenv("MPSCHAIN_MAX_SITES")
-    assert ed.dense_max_sites() == 8
+def test_site_caps_refuse_before_allocating():
+    import tracemalloc
+
+    h = models.model_II_hamiltonian()
+    dense = ChainOperator(9, h, mode="dense")
+    calls = [
+        lambda: ed.dense_chain(h.matrix, 2, 9),
+        lambda: ed.spectrum(dense),
+        lambda: ed.kernel_dimension(dense),
+        lambda: ed.ground_energy(dense),
+        lambda: ed.ground_energy(ChainOperator(13, h, mode="matrix-free")),
+    ]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            tracemalloc.reset_peak()
+            with pytest.raises(ValueError, match="exceeds the"):
+                call()
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    assert not ChainOperator(9, h).is_dense()
 
 
 def test_chain_operator_validation():
@@ -220,10 +233,29 @@ def test_chain_operator_validation():
         ChainOperator(4, models.model_II_hamiltonian(), mode="bogus")
 
 
-def test_wraparound_embedding_matches_contraction():
-    # independent check of the boundary window on an asymmetric local term
-    local = local_hamiltonian_from_vectors([np.eye(9)[1]], k=2)  # |1,0><1,0|
-    op = ChainOperator(4, local)
-    dense = ed.dense_matrix(op)
-    v = RNG.standard_normal(81)
-    assert np.max(np.abs(dense @ v - op.apply(v))) < 1e-12
+def _seeded_term(seed, size, complex_=False, symmetric=True):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((size, size))
+    if complex_:
+        a = a + 1j * rng.standard_normal((size, size))
+    return a + a.conj().T if symmetric else a
+
+
+@pytest.mark.parametrize(
+    "h, k",
+    [
+        (local_hamiltonian_from_vectors([np.eye(9)[1]], k=2).matrix, 2),  # |1,0><1,0|, asymmetric windows
+        (models.model_I_hamiltonian(2.5).matrix, 2),
+        (_seeded_term(3, 9, complex_=True), 2),
+        (_seeded_term(4, 27), 3),
+        (_seeded_term(5, 4, symmetric=False), 2),
+    ],
+    ids=["ket10", "model_I_g2.5", "complex_hermitian", "real_symmetric_k3", "random_d2"],
+)
+def test_wraparound_embedding_matches_contraction(h, k):
+    # the dense builder equals chain_apply column by column, bit for bit, every window included
+    d = round(h.shape[0] ** (1 / k))
+    local = LocalHamiltonian(k=k, matrix=h, couplings=(), basis=NullSpaceBasis(k=k, vectors=(), tol=0.0))
+    for n in range(k, 7):
+        columns = [parent.chain_apply(local, n, e) for e in np.eye(d**n)]
+        assert np.array_equal(ed.dense_chain(h, k, n), np.stack(columns, axis=1))

@@ -135,8 +135,8 @@ def test_trace_power_matches_explicit_product():
             assert abs(linalg.trace_power(m, n) - explicit) < 1e-10 * max(1.0, abs(explicit))
 
 
-def test_trace_power_paths_agree():
-    # defective-ish matrix forces the squaring path; diagonalizable uses eig
+def test_trace_power_defective_matrix():
+    # a Jordan block has no eigenbasis; repeated squaring is exact on it
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
     assert linalg.trace_power(jordan, 6) == pytest.approx(2.0, abs=1e-10)
 

@@ -127,6 +127,16 @@ def test_h1_action():
             assert np.linalg.norm(h1.matrix @ v) < 1e-14
 
 
+def test_h1_is_sz2_minus_one_squared():
+    sz2_minus_1 = spin.SZ2 - spin.ID3
+    assert np.allclose(models.limit_hamiltonian_h1().matrix, np.kron(sz2_minus_1, sz2_minus_1), atol=1e-14)
+
+
+def test_h2_is_biquadratic_minus_one():
+    ss = (np.kron(spin.SX, spin.SX) + np.kron(spin.SY, spin.SY) + np.kron(spin.SZ, spin.SZ)).real
+    assert np.allclose(models.limit_hamiltonian_h2().matrix, ss @ ss - np.eye(9), atol=1e-12)
+
+
 def test_h2_is_su2_scalar():
     h2 = models.limit_hamiltonian_h2()
     for op in (spin.SZ, spin.SX, (spin.SY).astype(complex)):
