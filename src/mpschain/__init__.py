@@ -7,7 +7,7 @@ exact-diagonalization oracle.
 """
 
 from . import ed, genstate, linalg, models, mps, parent, spin, symmetry
-from .mps import MpsFamily, TransferOperator
+from .mps import MpsFamily, TransferOperator, TransferSpectrum
 from .spin import SpinObservable
 
 __version__ = "0.1.0"
@@ -16,6 +16,7 @@ __all__ = [
     "MpsFamily",
     "SpinObservable",
     "TransferOperator",
+    "TransferSpectrum",
     "ed",
     "genstate",
     "linalg",

@@ -16,9 +16,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import ed, genstate, linalg, models, parent, spin, symmetry
-from .mps import (
+# The ring_* and thermo_* functions are no longer called here (correlator rows
+# go through one TransferSpectrum per family).  They stay bound in this
+# namespace because the self-test of benchmarks/tracing.py uses them as its
+# example of names bound by `from .mps import` that the tracer must wrap.
+from .mps import (  # noqa: F401
     MpsFamily,
     OscillatoryLimitError,
+    TransferSpectrum,
     ring_one_point,
     ring_two_point,
     thermo_one_point,
@@ -123,13 +128,13 @@ def _correlate_rows(args, fam_for, g_values) -> list[dict]:
     rows = []
     r_values = list(range(args.r_min, args.r_max + 1))
     for g in g_values:
-        fam = fam_for(g)
+        spectrum = TransferSpectrum(fam_for(g))
         if args.channel in _ONE_POINT:
             obs = _ONE_POINT[args.channel]()
             if args.mode == "ring":
-                val = ring_one_point(fam, obs, args.n_sites)
+                val = spectrum.ring_one_point(obs, args.n_sites)
             else:
-                val = thermo_one_point(fam, obs)
+                val = spectrum.thermo_one_point(obs)
             rows.append({"g": g, "r": None, "channel": args.channel, "value": val, "flag": ""})
             continue
         obs = _TWO_POINT[args.channel]()
@@ -137,9 +142,9 @@ def _correlate_rows(args, fam_for, g_values) -> list[dict]:
             flag = ""
             try:
                 if args.mode == "ring":
-                    val = ring_two_point(fam, obs, obs, r, args.n_sites)
+                    val = spectrum.ring_two_point(obs, obs, r, args.n_sites)
                 else:
-                    val = thermo_two_point(fam, obs, obs, r)
+                    val = spectrum.thermo_two_point(obs, obs, r)
             except OscillatoryLimitError:
                 val, flag = None, "oscillatory"
             rows.append({"g": g, "r": r, "channel": args.channel, "value": val, "flag": flag})
@@ -245,17 +250,17 @@ def _suite_formulas(g_values) -> list[dict]:
     checks = []
     for g in g_values:
         cf = models.closed_form_correlators_I(g)
-        fam = models.model_I(g)
+        spectrum = TransferSpectrum(models.model_I(g))
         checks.append(_check(f"model I g={g:g} <Sz^2> closed vs transfer",
-                             abs(cf.sz2 - thermo_one_point(fam, spin.sz2())), 1e-8))
+                             abs(cf.sz2 - spectrum.thermo_one_point(spin.sz2())), 1e-8))
         checks.append(_check(f"model I g={g:g} <Sx^2> closed vs transfer",
-                             abs(cf.sx2 - thermo_one_point(fam, spin.sx2())), 1e-8))
+                             abs(cf.sx2 - spectrum.thermo_one_point(spin.sx2())), 1e-8))
         checks.append(_check(f"model I g={g:g} G_par vs adjacent zz",
-                             abs(cf.g_par - thermo_two_point(fam, spin.sz(), spin.sz(), 1)), 1e-8))
-    fam1 = models.model_I(1.0)
+                             abs(cf.g_par - spectrum.thermo_two_point(spin.sz(), spin.sz(), 1)), 1e-8))
+    spectrum1 = TransferSpectrum(models.model_I(1.0))
     rs = np.arange(2, 13)
-    zz = np.array([thermo_two_point(fam1, spin.sz(), spin.sz(), int(r)) for r in rs])
-    xx = np.array([thermo_two_point(fam1, spin.sx(), spin.sx(), int(r)) for r in rs])
+    zz = np.array([spectrum1.thermo_two_point(spin.sz(), spin.sz(), int(r)) for r in rs])
+    xx = np.array([spectrum1.thermo_two_point(spin.sx(), spin.sx(), int(r)) for r in rs])
     xi_par = -1.0 / np.polyfit(rs, np.log(np.abs(zz)), 1)[0]
     xi_perp = -1.0 / np.polyfit(rs, np.log(np.abs(xx)), 1)[0]
     cf1 = models.closed_form_correlators_I(1.0)

@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from . import linalg
-from .mps import DegenerateNormError, MpsFamily, _scaled_transfer, _words, amplitudes_vector
+from .mps import DegenerateNormError, MpsFamily, TransferSpectrum, _words, amplitudes_vector
 
 
 class InvalidModelError(ValueError):
@@ -177,8 +177,7 @@ def reduced_density(mps: MpsFamily, k: int, n_sites: int, cap: int = 3**10) -> n
     if not 1 <= k < n_sites:
         raise ValueError("need 1 <= k < n_sites")
     words = _words(mps, k, cap, "reduced-density")
-    e, rho_sp = _scaled_transfer(mps)
-    env = np.linalg.matrix_power(e / rho_sp, n_sites - k).reshape(mps.D, mps.D, mps.D, mps.D)
+    env = np.linalg.matrix_power(TransferSpectrum(mps).scaled, n_sites - k).reshape(mps.D, mps.D, mps.D, mps.D)
     rho = np.einsum("Iab,Jcd,bdac->IJ", words.conj(), words, env)
     tr = np.trace(rho)
     if abs(tr) < 1e-12:

@@ -16,9 +16,10 @@ from math import log, sqrt
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mpschain import ed, genstate, linalg, models, parent, spin, symmetry
-from mpschain.mps import amplitudes, thermo_one_point, thermo_two_point
+from mpschain.mps import TransferSpectrum, amplitudes, thermo_one_point, thermo_two_point
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -76,6 +77,45 @@ def test_criterion_3_model_i_closed_forms():
     assert worst <= 1e-8
     assert g1_ok
     assert xi_ok
+
+
+def _spectral_xi(spectrum: TransferSpectrum, obs) -> float:
+    """-1/ln|lambda_k/lambda_1| for the slowest subleading eigenvalue the O-O correlator sees.
+
+    The correlator is sum_k (lambda_k/lambda_1)^(r-1) tr(P_1 E_O P_k E_O) / lambda_1^2
+    over eigenvalue groups k; groups whose weight vanishes do not decay into it.
+    """
+    vals, vl, vr = scipy.linalg.eig(spectrum.e, left=True, right=True)
+    groups: list[list[int]] = []
+    for i in np.argsort(-np.abs(vals)):
+        for grp in groups:
+            if abs(vals[i] - vals[grp[0]]) <= 1e-9 * spectrum.rho:
+                grp.append(int(i))
+                break
+        else:
+            groups.append([int(i)])
+    p1 = sum(p for _, p in spectrum.projectors)
+    e_o = spectrum.dressed(obs)
+    for grp in groups[1:]:
+        right, left_h = vr[:, grp], vl[:, grp].conj().T
+        p_k = right @ np.linalg.inv(left_h @ right) @ left_h
+        if abs(np.trace(p1 @ e_o @ p_k @ e_o)) > 1e-12:
+            return -1.0 / log(abs(vals[grp[0]]) / spectrum.rho)
+    raise AssertionError("no subleading eigenvalue carries weight")
+
+
+@pytest.mark.parametrize("g", [0.3, 0.5, 1.0, 2.0, 2.7])
+def test_criterion_3_spectral_correlation_lengths(g):
+    # the exact counterpart of criterion 3's pinned 1e-3 polyfit: the decay
+    # eigenvalues of the transfer spectrum reproduce the closed-form lengths
+    cf = models.closed_form_correlators_I(g)
+    spectrum = TransferSpectrum(models.model_I(g))
+    dev_par = abs(_spectral_xi(spectrum, spin.sz()) - cf.xi_par)
+    dev_perp = abs(_spectral_xi(spectrum, spin.sx()) - cf.xi_perp)
+    ok = dev_par <= 1e-12 and dev_perp <= 1e-12
+    _report(3, ok, f"g={g:g} spectral vs closed-form xi_par dev {dev_par:.1e}, xi_perp dev {dev_perp:.1e} (tol 1e-12)")
+    assert dev_par <= 1e-12
+    assert dev_perp <= 1e-12
 
 
 def test_criterion_4_det_identity():

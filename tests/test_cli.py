@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import log
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mpschain import cli, models
+import mpschain
+from mpschain import cli, linalg, models, mps, spin
 from mpschain.mps import MpsFamily
 
 
@@ -154,6 +159,54 @@ def test_correlate_oscillatory_rows_flagged(tmp_path):
     assert code == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert all(r[4] == "oscillatory" and r[3] == "" for r in rows)
+
+
+def test_correlate_sweep_builds_one_spectrum_per_g(monkeypatch, capsys):
+    counts = {}
+    for module, name in ((mps, "transfer"), (linalg, "dominant_projectors")):
+        real = getattr(module, name)
+        counts[name] = 0
+
+        def counted(*args, real=real, name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert run("correlate", "--which", "I", "--channel", "zz", "--g-sweep", "0.1", "3.0", "30",
+               "--r-max", "12") == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 30 * 12
+    assert counts == {"transfer": 30, "dominant_projectors": 30}
+
+
+def test_correlate_complex_family_from_file(tmp_path):
+    rng = np.random.default_rng(3)
+    fam = MpsFamily(
+        d=3, D=2, labels=spin.LABELS,
+        matrices={lab: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for lab in spin.LABELS},
+    )
+    path = tmp_path / "complex.json"
+    fam.save(path)
+    for mode, extra, expected in (
+        ("thermo", (), lambda r: mps.thermo_two_point(fam, spin.sz(), spin.sz(), r)),
+        ("ring", ("--n-sites", "9"), lambda r: mps.ring_two_point(fam, spin.sz(), spin.sz(), r, 9)),
+    ):
+        out = tmp_path / f"{mode}.csv"
+        assert run("correlate", "--which", "file", "--in", str(path), "--channel", "zz", "--mode", mode,
+                   "--r-min", "1", "--r-max", "4", *extra, "--out", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [int(r[1]) for r in rows] == [1, 2, 3, 4]
+        for row in rows:
+            assert float(row[3]) == expected(int(row[1]))
+
+
+def test_python_m_mpschain_runs_the_cli(capsys):
+    src = str(Path(mpschain.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "mpschain", "verify", "--suite", "all"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert run("verify", "--suite", "all") == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_correlate_json_format(tmp_path):

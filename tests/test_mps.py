@@ -1,15 +1,18 @@
 import json
-from math import sqrt
+import warnings
+from math import log10, sqrt
 
 import numpy as np
 import pytest
 
-from mpschain import models, parent, spin
+from mpschain import linalg, models, mps, parent, spin
 from mpschain.mps import (
     CapExceededError,
     DegenerateNormError,
     MpsFamily,
+    NormOverflowError,
     OscillatoryLimitError,
+    TransferSpectrum,
     _real_or_raise,
     amplitudes,
     amplitudes_vector,
@@ -23,6 +26,19 @@ from mpschain.mps import (
 )
 
 RNG = np.random.default_rng(5)
+
+
+def _random_complex_family(seed=11, D=3):
+    rng = np.random.default_rng(seed)
+    mats = {lab: rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D)) for lab in spin.LABELS}
+    return MpsFamily(d=3, D=D, labels=spin.LABELS, matrices=mats)
+
+
+FAMILIES = {
+    "model_I": models.model_I(0.8),
+    "model_II": models.model_II(1.3),
+    "random_complex": _random_complex_family(),
+}
 
 
 def _v_and_u(fam):
@@ -70,6 +86,32 @@ def test_json_round_trip(tmp_path):
     assert set(doc) == {"d", "D", "labels", "matrices", "params"}
 
 
+def test_json_real_family_text_is_pinned():
+    fam = MpsFamily(d=1, D=1, labels=("x",), matrices={"x": np.array([[-0.0]])}, params={"g": 0.5})
+    assert json.dumps(fam.to_json_dict(), sort_keys=True) == (
+        '{"D": 1, "d": 1, "labels": ["x"], "matrices": {"x": [[-0.0]]}, "params": {"g": 0.5}}'
+    )
+
+
+def test_json_round_trip_complex_family(tmp_path):
+    fam = _random_complex_family(D=2)
+    signed = {lab: fam.matrices[lab].copy() for lab in fam.labels}
+    signed["1"][0, 0] = complex(-0.0, -0.0)
+    signed["0"][1, 1] = complex(0.0, -0.0)
+    fam = MpsFamily(d=3, D=2, labels=fam.labels, matrices=signed)
+    path = tmp_path / "fam.json"
+    fam.save(path)
+    doc = json.loads(path.read_text())
+    assert doc["matrices"]["1"][0][0] == [-0.0, -0.0]
+    back = MpsFamily.load(path)
+    for lab in fam.labels:
+        assert back.matrices[lab].dtype == np.complex128
+        assert back.matrices[lab].tobytes() == fam.matrices[lab].tobytes()
+    text1 = path.read_text()
+    back.save(path)
+    assert path.read_text() == text1
+
+
 # ---------------------------------------------------------------------------
 # transfer operators
 
@@ -92,6 +134,26 @@ def test_transfer_model_i_g0_rank():
     e = transfer(fam0).matrix
     assert np.allclose(e, v, atol=1e-14)
     assert np.linalg.matrix_rank(e) == np.linalg.matrix_rank(v)
+
+
+def _kron_transfer(fam):
+    mats = fam.matrix_stack()
+    return sum(np.kron(m.conj(), m) for m in mats)
+
+
+def _kron_dressed(fam, obs):
+    mats, o = fam.matrix_stack(), obs.matrix
+    return sum(o[i, j] * np.kron(mats[i].conj(), mats[j]) for i in range(fam.d) for j in range(fam.d))
+
+
+@pytest.mark.parametrize("name", [*FAMILIES, "model_I_g0"])
+def test_transfer_builders_equal_the_kron_sums(name):
+    # the broadcast builders form the same products in the same order as np.kron,
+    # so every entry matches bit for bit, signed zeros included
+    fam = models.model_I(0.0) if name == "model_I_g0" else FAMILIES[name]
+    assert transfer(fam).matrix.tobytes() == _kron_transfer(fam).tobytes()
+    for obs in (spin.sz(), spin.sx(), spin.sz2(), spin.SpinObservable("S_y", spin.SY), spin.zero()):
+        assert dressed_transfer(fam, obs).matrix.tobytes() == _kron_dressed(fam, obs).tobytes()
 
 
 def test_dressed_identity_is_plain():
@@ -123,6 +185,22 @@ def test_ring_norm_model_ii_values():
 def test_ring_norm_identity_transfer():
     fam = MpsFamily(d=1, D=2, labels=("x",), matrices={"x": np.eye(2)})
     assert ring_norm_sq(fam, 5) == pytest.approx(4.0)
+
+
+def test_ring_norm_sq_overflow_is_named_and_silent():
+    fam = models.model_I(2.0)
+    e = transfer(fam).matrix
+    lam1 = (3 * 4.0 + sqrt(4.0**2 + 8.0)) / 2  # unique dominant eigenvalue of model I at g = 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ring_norm_sq(fam, 300) == np.trace(np.linalg.matrix_power(e, 300))
+        for n in (600, 2000):
+            with pytest.raises(NormOverflowError) as info:
+                ring_norm_sq(fam, n)
+            assert isinstance(info.value, OverflowError)
+            assert info.value.log10 == pytest.approx(n * log10(lam1), abs=1e-9)
+            assert "log10 tr(E^N) = N log10 rho + log10 tr((E/rho)^N)" in str(info.value)
+    assert round(info.value.log10) == 1854
 
 
 def test_ring_one_point_identity():
@@ -192,6 +270,24 @@ def test_degenerate_norm_error():
         ring_one_point(fam, spin.identity(1), 4)
 
 
+def test_zero_radius_family_raises_in_argument_order():
+    fam = MpsFamily(d=1, D=2, labels=("x",), matrices={"x": np.array([[0.0, 1.0], [0.0, 0.0]])})
+    one, two = spin.identity(1), spin.identity(2)
+    with pytest.raises(ValueError, match="separation"):
+        thermo_two_point(fam, one, one, 0)
+    with pytest.raises(ValueError, match="separation"):
+        ring_two_point(fam, one, one, 4, 4)
+    with pytest.raises(ValueError, match="observable dimension"):
+        ring_two_point(fam, one, two, 1, 4)
+    with pytest.raises(ValueError, match="n_sites"):
+        ring_one_point(fam, two, 1)
+    with pytest.raises(DegenerateNormError):
+        thermo_one_point(fam, two)
+    with pytest.raises(DegenerateNormError):
+        thermo_two_point(fam, one, two, 1)
+    assert ring_norm_sq(fam, 4) == 0.0
+
+
 def test_real_or_raise():
     assert _real_or_raise(1.0 + 1e-14j, "x") == pytest.approx(1.0)
     with pytest.raises(ValueError):
@@ -239,6 +335,63 @@ def test_thermo_oscillatory_flagged():
     fam = MpsFamily(d=1, D=2, labels=("x",), matrices={"x": rot})
     with pytest.raises(OscillatoryLimitError):
         thermo_two_point(fam, spin.identity(1), spin.identity(1), 2)
+
+
+# ---------------------------------------------------------------------------
+# one transfer spectrum per family
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_transfer_spectrum_methods_equal_module_functions(name):
+    fam = FAMILIES[name]
+    spectrum = TransferSpectrum(fam)
+    observables = (spin.sz(), spin.sx(), spin.sz2(), spin.SpinObservable("S_y", spin.SY))
+    for n in (2, 9, 40):
+        assert spectrum.ring_norm_sq(n) == ring_norm_sq(fam, n)
+    for obs in observables:
+        assert spectrum.thermo_one_point(obs) == thermo_one_point(fam, obs)
+        for n in (2, 7, 40):
+            assert spectrum.ring_one_point(obs, n) == ring_one_point(fam, obs, n)
+        for obs2 in observables:
+            for r in (1, 2, 5, 12):
+                assert spectrum.thermo_two_point(obs, obs2, r) == thermo_two_point(fam, obs, obs2, r)
+                for n in (r + 1, 16, 40):
+                    assert spectrum.ring_two_point(obs, obs2, r, n) == ring_two_point(fam, obs, obs2, r, n)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_transfer_spectrum_builds_each_piece_once(monkeypatch):
+    counts = {name: _count_calls(monkeypatch, module, name) for module, name in (
+        (mps, "transfer"), (mps, "dressed_transfer"), (linalg, "spectral_radius"), (linalg, "dominant_projectors"),
+    )}
+    spectrum = TransferSpectrum(models.model_I(1.0))
+    for r in range(1, 13):
+        spectrum.thermo_two_point(spin.sz(), spin.sz(), r)  # a fresh observable object on every call
+        spectrum.ring_two_point(spin.sz(), spin.sz(), r, 20)
+    spectrum.thermo_one_point(spin.sz2())
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "transfer": 1, "dressed_transfer": 2, "spectral_radius": 1, "dominant_projectors": 1,
+    }
+
+
+def test_dressed_operators_are_keyed_by_content():
+    spectrum = TransferSpectrum(models.model_I(0.8))
+    first = spectrum.dressed(spin.SpinObservable("O", spin.SZ))
+    assert spectrum.dressed(spin.SpinObservable("O", spin.SZ.copy())) is first
+    other = spectrum.dressed(spin.SpinObservable("O", spin.SX))
+    assert np.array_equal(other, dressed_transfer(spectrum.mps, spin.sx()).matrix / spectrum.rho)
+    assert not np.array_equal(other, first)
 
 
 # ---------------------------------------------------------------------------
