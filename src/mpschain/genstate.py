@@ -9,8 +9,11 @@ binomial sums of exact integer traces of the transfer blocks
     U = A_1 (x) A_1 - A_-1 (x) A_-1   (the S_z dressing)
     X1 = (A_1 + A_-1) (x) 1,  X2 = 1 (x) (A_1 + A_-1)   (the S_x channel)
 
-with X1 acting on the bra tensor factor and X2 on the ket factor.  Everything
-here is exact integer/rational arithmetic; floats appear only in the
+with X1 acting on the bra tensor factor and X2 on the ket factor.  V and U
+conserve the bond charge q = i - j and X1, X2 shift it by one, so V splits
+into path-graph blocks of sizes 1, 2, 3, 2, 1 and every trace the sums need
+has a closed form in powers of 2; no matrix is multiplied.  Everything here
+is exact integer/rational arithmetic; floats appear only in the
 thermodynamic limits.
 """
 
@@ -28,12 +31,12 @@ from . import linalg
 #: Configurations are tuples of m values, site 1 first.
 M_VALUES = (1, 0, -1)
 
-#: Default cap on the ring size for explicit psi_n construction.
-DEFAULT_EXPAND_MAX_SITES = 10
+#: Largest ring psi_n_expand and model_ii_word_traces enumerate.
+EXPAND_MAX_SITES = 10
 
-_A1 = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=object)
-_AM = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=object)
-_I3 = np.eye(3, dtype=int).astype(object)
+_A1 = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+_AM = _A1.T
+_I3 = np.eye(3, dtype=int)
 _X = _A1 + _AM
 V_EXACT = np.kron(_A1, _A1) + np.kron(_AM, _AM)
 U_EXACT = np.kron(_A1, _A1) - np.kron(_AM, _AM)
@@ -48,38 +51,48 @@ def _require_even(name: str, value: int) -> None:
         )
 
 
-class VTraceTable:
-    """Exact integer traces of V powers and of the dressed words the formulas need.
+def _tr_v(m: int) -> int:
+    """tr V^m: 9 at m = 0, 0 for odd m, 2^(m/2+1) + 4 for even m >= 2."""
+    if m == 0:
+        return 9
+    return 0 if m % 2 else 2 ** (m // 2 + 1) + 4
 
-    Powers are cached as they are requested; instances are cheap and the
-    module keeps one shared table.
+
+def _tr_u_v_u(a: int, b: int) -> int:
+    """tr(U V^a U V^b)."""
+    if (a + b) % 2:
+        return 0
+    if a % 2:
+        return 4
+    if a and b:
+        return -4
+    return -_tr_v(a + b) if a + b else -8
+
+
+def _x_leg(m: int) -> int:
+    """One V power's share of _tr_x_pair, which is additive over the two powers."""
+    if m == 0:
+        return 8
+    return 2 ** ((m + 5) // 2) if m % 2 else 3 * 2 ** (m // 2 + 1)
+
+
+def _tr_x_pair(a: int, b: int) -> int:
+    """tr(X2 V^a X1 V^b) + tr(X1 V^a X2 V^b)."""
+    return _x_leg(a) + _x_leg(b) if (a + b) % 2 else 0
+
+
+def _word_trace(word) -> int:
+    """tr of the product of A_1 (+1) and A_-1 (-1) in word order.
+
+    A_1 and A_-1 step a 3-level ladder up and down, so the trace counts the
+    levels from which the walk of partial sums stays on the ladder and
+    returns: 3 minus the walk's span when the word is balanced, else 0.
     """
-
-    def __init__(self):
-        self._powers = [np.eye(9, dtype=int).astype(object)]
-
-    def v_power(self, m: int) -> np.ndarray:
-        if m < 0:
-            raise ValueError("negative power")
-        while len(self._powers) <= m:
-            self._powers.append(self._powers[-1] @ V_EXACT)
-        return self._powers[m]
-
-    def tr_v(self, m: int) -> int:
-        return int(np.trace(self.v_power(m)))
-
-    def tr_u_v_u(self, a: int, b: int) -> int:
-        word = U_EXACT @ self.v_power(a) @ U_EXACT @ self.v_power(b)
-        return int(np.trace(word))
-
-    def tr_x_pair(self, a: int, b: int) -> int:
-        """tr(X2 V^a X1 V^b) + tr(X1 V^a X2 V^b)."""
-        w1 = X2_EXACT @ self.v_power(a) @ X1_EXACT @ self.v_power(b)
-        w2 = X1_EXACT @ self.v_power(a) @ X2_EXACT @ self.v_power(b)
-        return int(np.trace(w1)) + int(np.trace(w2))
-
-
-_TABLE = VTraceTable()
+    height = low = high = 0
+    for m in word:
+        height += m
+        low, high = min(low, height), max(high, height)
+    return max(0, 3 - (high - low)) if height == 0 else 0
 
 
 @dataclass(frozen=True)
@@ -109,26 +122,21 @@ class PsiN:
         return out
 
 
-def _word_trace(ms: tuple[int, ...]) -> int:
-    w = _I3
-    for m in ms:
-        w = w @ (_A1 if m == 1 else _AM)
-    return int(np.trace(w))
+def _check_expand(n_sites: int, zeros: int) -> None:
+    if n_sites > EXPAND_MAX_SITES:
+        raise ValueError(f"n_sites {n_sites} exceeds the expansion cap {EXPAND_MAX_SITES}")
+    _check_nn(n_sites, zeros)
 
 
-def psi_n_expand(n_sites: int, zeros: int, max_sites: int = DEFAULT_EXPAND_MAX_SITES) -> PsiN:
+def psi_n_expand(n_sites: int, zeros: int) -> PsiN:
     """Explicit amplitudes of the n-zero sector state by exact word traces.
 
     Enumerates the strings with `zeros` zeros and balanced +1/-1 counts; the
     amplitude of each is the integer trace of its raising/lowering word (the
-    identity blocks at the zero sites drop out of the trace).
+    identity blocks at the zero sites drop out of the trace).  Rings beyond
+    EXPAND_MAX_SITES are refused before anything is enumerated.
     """
-    if n_sites > max_sites:
-        raise ValueError(f"n_sites {n_sites} exceeds the expansion cap {max_sites}")
-    _require_even("n_sites", n_sites)
-    _require_even("zeros", zeros)
-    if not 0 <= zeros <= n_sites:
-        raise ValueError("zeros must lie in [0, n_sites]")
+    _check_expand(n_sites, zeros)
     amps: dict[tuple[int, ...], int] = {}
     sites = range(n_sites)
     n_up = (n_sites - zeros) // 2
@@ -138,34 +146,30 @@ def psi_n_expand(n_sites: int, zeros: int, max_sites: int = DEFAULT_EXPAND_MAX_S
             cfg = [0] * n_sites
             for s in rest:
                 cfg[s] = 1 if s in up_pos else -1
-            word = tuple(cfg[s] for s in rest)
-            t = _word_trace(word) if word else 3
+            t = _word_trace(cfg[s] for s in rest)
             if t:
                 amps[tuple(cfg)] = t
     return PsiN(n_sites=n_sites, zeros=zeros, amplitudes=amps)
 
 
-def model_ii_word_traces(n_sites: int, max_sites: int = DEFAULT_EXPAND_MAX_SITES) -> dict[tuple[int, ...], tuple[int, int]]:
+def model_ii_word_traces(n_sites: int) -> dict[tuple[int, ...], tuple[int, int]]:
     """All nonzero model II amplitudes as (zero count, integer trace) pairs.
 
     The ring amplitude at parameter g is g**zeros * trace, exactly; summing
     the sectors with g weights reconstructs the full MPS amplitude map.
     """
-    _require_even("n_sites", n_sites)
+    _check_expand(n_sites, 0)
     out: dict[tuple[int, ...], tuple[int, int]] = {}
     for zeros in range(0, n_sites + 1, 2):
-        for cfg, t in psi_n_expand(n_sites, zeros, max_sites).amplitudes.items():
+        for cfg, t in psi_n_expand(n_sites, zeros).amplitudes.items():
             out[cfg] = (zeros, t)
     return out
 
 
 def psi_n_norm(n_sites: int, zeros: int) -> int:
     """<psi_n|psi_n> = C(N, n) tr(V^(N-n)), exact."""
-    _require_even("n_sites", n_sites)
-    _require_even("zeros", zeros)
-    if not 0 <= zeros <= n_sites:
-        raise ValueError("zeros must lie in [0, n_sites]")
-    return comb(n_sites, zeros) * _TABLE.tr_v(n_sites - zeros)
+    _check_nn(n_sites, zeros)
+    return comb(n_sites, zeros) * _tr_v(n_sites - zeros)
 
 
 def corr_sz2(n_sites: int, zeros: int) -> Fraction:
@@ -215,8 +219,8 @@ def corr_zz(n_sites: int, zeros: int, r: int) -> Fraction:
     for k in range(0, r - 1):
         if not 0 <= zeros - k <= n_sites - r:
             continue
-        num += comb(r - 2, k) * comb(n_sites - r, zeros - k) * _TABLE.tr_u_v_u(r - 2 - k, n_sites - r - zeros + k)
-    return Fraction(num, comb(n_sites, zeros) * _TABLE.tr_v(n_sites - zeros))
+        num += comb(r - 2, k) * comb(n_sites - r, zeros - k) * _tr_u_v_u(r - 2 - k, n_sites - r - zeros + k)
+    return Fraction(num, comb(n_sites, zeros) * _tr_v(n_sites - zeros))
 
 
 def corr_xx(n_sites: int, zeros: int, r: int) -> Fraction:
@@ -237,10 +241,8 @@ def corr_xx(n_sites: int, zeros: int, r: int) -> Fraction:
     for k in range(0, r - 1):
         if not 0 <= zeros - 1 - k <= n_sites - r:
             continue
-        num += comb(r - 2, k) * comb(n_sites - r, zeros - 1 - k) * _TABLE.tr_x_pair(
-            r - 2 - k, n_sites - r - zeros + 1 + k
-        )
-    return Fraction(num, 2 * comb(n_sites, zeros) * _TABLE.tr_v(n_sites - zeros))
+        num += comb(r - 2, k) * comb(n_sites - r, zeros - 1 - k) * _tr_x_pair(r - 2 - k, n_sites - r - zeros + 1 + k)
+    return Fraction(num, 2 * comb(n_sites, zeros) * _tr_v(n_sites - zeros))
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +353,12 @@ def degeneracy_lower_bound(n_sites: int) -> int:
     return 2**n_sites + n_sites
 
 
-def write_correlator_table(path, rows) -> None:
+def correlator_table_text(rows) -> str:
     """CSV of exact sector-state values: N,n,r,channel,value_num,value_den,value_float.
 
     rows are (n_sites, zeros, r_or_None, channel, Fraction) tuples; the float
-    column is printed with 17 significant digits so files are reproducible.
+    column is printed with 17 significant digits so tables are reproducible.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(correlator_table_text(rows))
-
-
-def correlator_table_text(rows) -> str:
     lines = ["N,n,r,channel,value_num,value_den,value_float"]
     for n_sites, zeros, r, channel, value in rows:
         value = Fraction(value)

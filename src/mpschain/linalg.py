@@ -38,11 +38,6 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is a[i, j] * b."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
 def phase_fix(v: np.ndarray, zero_tol: float = 1e-9) -> np.ndarray:
     """Normalize a vector and make its first nonzero component real-positive.
 

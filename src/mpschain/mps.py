@@ -239,15 +239,18 @@ class TransferSpectrum:
         """Squared norm tr(E^N) of the ring state.
 
         Raises NormOverflowError, whose message gives log10 tr(E^N), when the
-        value lies beyond the float range.
+        value lies beyond the float range: when it overflows, or when it
+        underflows to 0 although tr((E/rho)^N) does not vanish.
         """
         if n_sites < 2:
             raise ValueError("n_sites must be >= 2")
         with np.errstate(over="ignore", invalid="ignore"):
             value = linalg.trace_power(self.e, n_sites)
-        if np.isfinite(value):
+        if np.isfinite(value) and (value != 0 or self.rho == 0.0):
             return _real_or_raise(value, "tr(E^N)")
         scaled = _real_or_raise(np.trace(np.linalg.matrix_power(self.scaled, n_sites)), "tr((E/rho)^N)")
+        if value == 0 and scaled == 0.0:
+            return _real_or_raise(value, "tr(E^N)")
         log_rho, log_scaled = np.log10(self.rho), np.log10(abs(scaled))
         log10 = n_sites * log_rho + log_scaled
         tr = "tr" if scaled > 0 else "-tr"

@@ -1,13 +1,13 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from mpschain import genstate, models, parent
 from mpschain.genstate import (
+    EXPAND_MAX_SITES,
     PsiN,
-    VTraceTable,
     corr_sperp2,
     corr_sz2,
     corr_sz2sz2,
@@ -82,6 +82,30 @@ def test_psi_rejects_odd_and_caps():
         psi_n_expand(12, 2)
 
 
+def test_expansion_errors_come_in_order_cap_evens_range(monkeypatch):
+    assert EXPAND_MAX_SITES == 10
+
+    def refuse(*args):
+        raise AssertionError("enumerated before the argument checks")
+
+    monkeypatch.setattr(genstate, "combinations", refuse)
+    for fn, args, message in (
+        (psi_n_expand, (12, 3), "expansion cap 10"),
+        (psi_n_expand, (11, 2), "expansion cap 10"),
+        (psi_n_expand, (7, 3), "n_sites must be even"),
+        (psi_n_expand, (6, 3), "zeros must be even"),
+        (psi_n_expand, (6, 8), "zeros must lie in"),
+        (psi_n_expand, (6, -2), "zeros must lie in"),
+        (model_ii_word_traces, (12,), "expansion cap 10"),
+        (model_ii_word_traces, (7,), "n_sites must be even"),
+        (psi_n_norm, (7, 3), "n_sites must be even"),
+        (psi_n_norm, (6, 3), "zeros must be even"),
+        (psi_n_norm, (6, 8), "zeros must lie in"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            fn(*args)
+
+
 # ---------------------------------------------------------------------------
 # norms and one-point formulas
 
@@ -111,12 +135,66 @@ def test_one_point_formulas():
 
 
 def test_v_trace_parity():
-    table = VTraceTable()
     for m in range(1, 13, 2):
-        assert table.tr_v(m) == 0
-    assert table.tr_v(2) == 8
-    assert table.tr_v(4) == 12
-    assert isinstance(table.tr_v(6), int)
+        assert genstate._tr_v(m) == 0
+    assert genstate._tr_v(2) == 8
+    assert genstate._tr_v(4) == 12
+    assert isinstance(genstate._tr_v(6), int)
+
+
+# ---------------------------------------------------------------------------
+# closed-form traces against int64 matrix products
+
+
+_A1 = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=np.int64)
+_AM = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=np.int64)
+_X = _A1 + _AM
+_I3 = np.eye(3, dtype=np.int64)
+_V = np.kron(_A1, _A1) + np.kron(_AM, _AM)
+_U = np.kron(_A1, _A1) - np.kron(_AM, _AM)
+_X1 = np.kron(_X, _I3)
+_X2 = np.kron(_I3, _X)
+_POWERS = 60
+
+
+@pytest.fixture(scope="module")
+def v_powers():
+    # for a, b <= 60 the dressed words below have entries of magnitude <= 2^31 and V^120 <= 2^60,
+    # so no int64 product here overflows
+    return [np.linalg.matrix_power(_V, m) for m in range(_POWERS + 1)]
+
+
+def test_tr_v_closed_form(v_powers):
+    for m, vm in enumerate(v_powers):
+        assert genstate._tr_v(m) == int(np.trace(vm))
+    assert genstate._tr_v(2 * _POWERS) == int(np.trace(v_powers[-1] @ v_powers[-1]))
+
+
+def test_tr_u_v_u_closed_form(v_powers):
+    for a, b in product(range(_POWERS + 1), repeat=2):
+        assert genstate._tr_u_v_u(a, b) == int(np.trace(_U @ v_powers[a] @ _U @ v_powers[b])), (a, b)
+
+
+def test_tr_x_pair_closed_form(v_powers):
+    for a, b in product(range(_POWERS + 1), repeat=2):
+        pair = np.trace(_X2 @ v_powers[a] @ _X1 @ v_powers[b]) + np.trace(_X1 @ v_powers[a] @ _X2 @ v_powers[b])
+        assert genstate._tr_x_pair(a, b) == int(pair), (a, b)
+
+
+def test_closed_form_traces_are_python_ints():
+    for value in (genstate._tr_v(120), genstate._tr_u_v_u(0, 120), genstate._tr_x_pair(59, 60)):
+        assert type(value) is int
+
+
+def test_word_trace_rule_matches_matrix_products():
+    ladder = {1: _A1, -1: _AM}
+    layer = {(): _I3}
+    for _ in range(12):
+        layer = {word + (m,): prod @ ladder[m] for word, prod in layer.items() for m in (1, -1)}
+        for word, prod in layer.items():
+            assert genstate._word_trace(word) == int(np.trace(prod)), word
+    assert len(layer) == 2**12
+    assert genstate._word_trace(()) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +323,17 @@ def test_thermo_xx_prefactor_scaling():
     assert v2 == pytest.approx(v1 / 2, rel=0.05)
 
 
-def test_correlator_table_csv(tmp_path):
-    path = tmp_path / "table.csv"
+def test_correlator_table_csv():
     rows = [
         (4, 2, 2, "zz", corr_zz(4, 2, 2)),
         (4, 2, None, "sz2", corr_sz2(4, 2)),
         (6, 6, None, "norm", Fraction(psi_n_norm(6, 6))),
     ]
-    genstate.write_correlator_table(path, rows)
-    lines = path.read_text().splitlines()
+    text = genstate.correlator_table_text(rows)
+    lines = text.splitlines()
     assert lines[0] == "N,n,r,channel,value_num,value_den,value_float"
     assert lines[1] == "4,2,2,zz,-1,6,-0.16666666666666666"
     assert lines[2] == "4,2,,sz2,1,2,0.5"
     assert lines[3] == "6,6,,norm,9,1,9"
-    text = path.read_text()
-    genstate.write_correlator_table(path, rows)
-    assert path.read_text() == text
+    assert text.endswith("\n")
+    assert genstate.correlator_table_text(rows) == text

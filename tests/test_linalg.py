@@ -3,34 +3,6 @@ import pytest
 
 from mpschain import linalg, models, parent
 
-RNG = np.random.default_rng(11)
-
-
-def test_kron_identity():
-    assert np.array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_shape():
-    a = RNG.standard_normal((3, 3))
-    b = RNG.standard_normal((3, 3))
-    assert linalg.kron(a, b).shape == (9, 9)
-
-
-def test_kron_model_ii_raising_entry():
-    # A_1 (x) A_1 maps |0>|0> to |1>|1> with weight 1
-    a1 = models.model_II(1.0).matrices["1"]
-    k = linalg.kron(a1, a1)
-    assert k[0 * 3 + 0, 1 * 3 + 1] == 1.0
-
-
-def test_kron_mixed_product_property():
-    for _ in range(5):
-        a, b, c, d = (RNG.standard_normal((3, 3)) for _ in range(4))
-        lhs = linalg.kron(a, b) @ linalg.kron(c, d)
-        rhs = linalg.kron(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
 def test_null_space_identity_empty():
     assert linalg.null_space(np.eye(3), 1e-12) == []
 

@@ -203,6 +203,26 @@ def test_ring_norm_sq_overflow_is_named_and_silent():
     assert round(info.value.log10) == 1854
 
 
+def test_ring_norm_sq_underflow_is_named_and_silent():
+    fam = models.model_I(1.0)
+    small = MpsFamily(d=fam.d, D=fam.D, labels=fam.labels, matrices={k: 0.1 * m for k, m in fam.matrices.items()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ring_norm_sq(small, 100) == 5.153775211109887e-153
+        with pytest.raises(NormOverflowError) as info:
+            ring_norm_sq(small, 400)
+    assert "beyond the float range" in str(info.value)
+    # rho = 3 / 100 (model I at g = 1 has lambda_1 = 3), and tr((E/rho)^N) tends to 1
+    assert info.value.log10 == pytest.approx(400 * log10(0.03), abs=1e-9)
+    assert round(info.value.log10) == -609
+
+
+def test_ring_norm_sq_exact_zero_stays_zero():
+    # a nilpotent transfer operator has tr(E^N) = 0 exactly, not an underflow
+    nil = MpsFamily(d=1, D=2, labels=("a",), matrices={"a": np.array([[0.0, 1.0], [0.0, 0.0]])})
+    assert ring_norm_sq(nil, 6) == 0.0
+
+
 def test_ring_one_point_identity():
     assert ring_one_point(models.model_I(0.7), spin.identity(), 6) == pytest.approx(1.0, abs=1e-12)
 
