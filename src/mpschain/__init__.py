@@ -8,11 +8,13 @@ exact-diagonalization oracle.
 
 from . import ed, genstate, linalg, models, mps, parent, spin, symmetry
 from .mps import MpsFamily, TransferOperator, TransferSpectrum
+from .parent import KernelRecheckError
 from .spin import SpinObservable
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "KernelRecheckError",
     "MpsFamily",
     "SpinObservable",
     "TransferOperator",

@@ -2,9 +2,12 @@
 
 Dense operators are assembled by scattering the local term into each window,
 independently of the tensor-contraction path in parent.chain_apply, so the two
-routes check each other.  Basis convention, fixed package-wide: site 1 is the
-most significant digit and the physical order is the family label order
-(1, 0, -1 for spin-1).
+routes check each other.  Spectra and reports stay dense.  Kernel counts come
+from the connected blocks of the same scatter held sparse: the nonzero pattern
+of the chain splits into exact diagonal blocks, diagonalized one size at a
+time, so no d^N x d^N matrix is built for them.  Basis convention, fixed
+package-wide: site 1 is the most significant digit and the physical order is
+the family label order (1, 0, -1 for spin-1).
 """
 
 from __future__ import annotations
@@ -67,6 +70,31 @@ class ChainOperator:
         return chain_apply(self.local, self.n_sites, state)
 
 
+def _check_dense(n_sites: int) -> None:
+    if n_sites > DENSE_MAX_SITES:
+        raise ValueError(f"n_sites {n_sites} exceeds the dense cap {DENSE_MAX_SITES}")
+
+
+def _window_entries(h: np.ndarray, d: int, k: int, n_sites: int):
+    """The nonzero entries of h on every periodic window, as chain indices.
+
+    Yields one (rows, cols, vals) triple per window start, in window order:
+    the nonzero entries of h (x) 1 with their basis indices relabelled so
+    that the window's k sites lead.  vals is the same array every time.
+    """
+    rest = np.arange(d ** (n_sites - k))
+    r, c = np.nonzero(h)
+    rows = (r[:, None] * rest.size + rest).ravel()
+    cols = (c[:, None] * rest.size + rest).ravel()
+    vals = np.repeat(h[r, c], rest.size)
+    index = np.arange(d**n_sites).reshape((d,) * n_sites)
+    for start in range(n_sites):
+        sites = [(start + j) % n_sites for j in range(k)]
+        # inv maps an index of h (x) 1 (window sites first) to the chain index
+        inv = index.transpose(sites + [s for s in range(n_sites) if s not in sites]).ravel()
+        yield inv[rows], inv[cols], vals
+
+
 def dense_chain(local_matrix: np.ndarray, k: int, n_sites: int) -> np.ndarray:
     """Dense periodic chain sum of an arbitrary k-site matrix (window scatter).
 
@@ -75,21 +103,74 @@ def dense_chain(local_matrix: np.ndarray, k: int, n_sites: int) -> np.ndarray:
     """
     h = np.asarray(local_matrix)
     d = _local_dim(h.shape[0], k)
-    if n_sites > DENSE_MAX_SITES:
-        raise ValueError(f"n_sites {n_sites} exceeds the dense cap {DENSE_MAX_SITES}")
-    rest = np.arange(d ** (n_sites - k))
-    r, c = np.nonzero(h)
-    rows = (r[:, None] * rest.size + rest).ravel()
-    cols = (c[:, None] * rest.size + rest).ravel()
-    vals = np.repeat(h[r, c], rest.size)
-    index = np.arange(d**n_sites).reshape((d,) * n_sites)
+    _check_dense(n_sites)
     out = np.zeros((d**n_sites, d**n_sites), dtype=h.dtype)
-    for start in range(n_sites):
-        sites = [(start + j) % n_sites for j in range(k)]
-        # inv maps an index of h (x) 1 (window sites first) to the chain index
-        inv = index.transpose(sites + [s for s in range(n_sites) if s not in sites]).ravel()
-        out[inv[rows], inv[cols]] += vals
+    for rows, cols, vals in _window_entries(h, d, k, n_sites):
+        out[rows, cols] += vals
     return out
+
+
+def _components(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
+    """Label each of dim states with the smallest state of its connected block.
+
+    The graph has an edge (rows[i], cols[i]) per entry.  Each round hooks,
+    on every edge, the larger of its two labels onto the smaller, then
+    follows the hooks to their ends; labels only fall and never leave their
+    block, so the rounds stop once every edge joins equal labels.
+    """
+    labels = np.arange(dim)
+    while True:
+        lr, lc = labels[rows], labels[cols]
+        if np.array_equal(lr, lc):
+            return labels
+        hook = labels.copy()
+        np.minimum.at(hook, lr, lc)
+        np.minimum.at(hook, lc, lr)
+        while True:
+            up = hook[hook]
+            if np.array_equal(up, hook):
+                break
+            hook = up
+        labels = hook[labels]
+
+
+def _blocks(op: ChainOperator):
+    """The chain as exact diagonal blocks: the connected components of its nonzero pattern.
+
+    Yields one (states, matrices) pair per block size s: states is an
+    (n_blocks, s) array of chain indices, ascending along each row, and
+    matrices the (n_blocks, s, s) stack of the chain restricted to them.
+    Each block is the dense matrix's submatrix bit for bit (the same entries
+    summed window by window in the same order), so it keeps the dense
+    triangle orientation.  A term that couples every basis state gives one
+    block of the whole space.
+    """
+    h = op.local.matrix
+    dim = op.dim
+    rows, cols, vals = map(np.concatenate, zip(*_window_entries(h, op.d, op.local.k, op.n_sites)))
+    _, labels = np.unique(_components(rows, cols, dim), return_inverse=True)
+    sizes = np.bincount(labels)
+    # states grouped by block, ascending chain index inside each block
+    order = np.argsort(labels, kind="stable")
+    first = np.cumsum(sizes) - sizes
+    pos = np.empty(dim, dtype=np.intp)
+    pos[order] = np.arange(dim) - np.repeat(first, sizes)
+    slot = np.empty(sizes.size, dtype=np.intp)
+    entry_size = sizes[labels[rows]]
+    for s in np.unique(sizes):
+        blocks = np.flatnonzero(sizes == s)
+        slot[blocks] = np.arange(blocks.size)
+        sel = entry_size == s
+        r, c = rows[sel], cols[sel]
+        matrices = np.zeros((blocks.size, s, s), dtype=h.dtype)
+        # unbuffered, in window order: each entry sums exactly as in dense_chain
+        np.add.at(matrices, (slot[labels[r]], pos[r], pos[c]), vals[sel])
+        yield order[first[blocks, None] + np.arange(s)], matrices
+
+
+def _block_spectrum(op: ChainOperator) -> np.ndarray:
+    """Full sorted spectrum from the exact blocks, one batched eigvalsh per block size."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(m).ravel() for _, m in _blocks(op)]))
 
 
 def dense_matrix(op: ChainOperator) -> np.ndarray:
@@ -164,9 +245,11 @@ def kernel_dimension(op: ChainOperator, tol: float = 1e-8) -> int:
 
     The first eigenvalue above the count must be at least 100 * tol away,
     otherwise the count is ambiguous and AmbiguousKernelError reports the
-    candidate range instead of a silent number.
+    candidate range instead of a silent number.  The spectrum comes from the
+    connected blocks of the sparse chain, never from the dense matrix.
     """
-    return _kernel_count(spectrum(op), tol)
+    _check_dense(op.n_sites)
+    return _kernel_count(_block_spectrum(op), tol)
 
 
 def overlap_with_kernel(op: ChainOperator, state: np.ndarray) -> float:

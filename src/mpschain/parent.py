@@ -21,6 +21,10 @@ class InvalidModelError(ValueError):
     """The family's word matrix vanishes identically; no meaningful kernel."""
 
 
+class KernelRecheckError(ArithmeticError):
+    """A computed kernel vector fails the residual re-check against the word matrix."""
+
+
 @dataclass(frozen=True)
 class NullSpaceBasis:
     """Orthonormal basis of the k-site kernel, canonical across runs."""
@@ -138,7 +142,7 @@ def ground_null_space(mps: MpsFamily, k: int, tol: float = linalg.DEFAULT_NULL_T
     smax = np.linalg.svd(m, compute_uv=False)[0]
     for v in canon:
         if np.linalg.norm(m @ v) > 10 * tol * smax:
-            raise AssertionError("kernel re-check failed; tolerance too loose for this family")
+            raise KernelRecheckError("kernel re-check failed; tolerance too loose for this family")
     return NullSpaceBasis(k=k, vectors=tuple(canon), tol=tol)
 
 

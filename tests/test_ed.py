@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpschain import ed, genstate, models, parent
 from mpschain.ed import AmbiguousKernelError, ChainOperator
@@ -259,3 +261,110 @@ def test_wraparound_embedding_matches_contraction(h, k):
     for n in range(k, 7):
         columns = [parent.chain_apply(local, n, e) for e in np.eye(d**n)]
         assert np.array_equal(ed.dense_chain(h, k, n), np.stack(columns, axis=1))
+
+
+#: Connected blocks of the model II chain at N = 3..8; each holds one kernel vector.
+MODEL_II_BLOCKS = {3: 14, 4: 26, 5: 48, 6: 88, 7: 166, 8: 314}
+
+
+def test_model_ii_has_one_block_per_kernel_vector():
+    for n, want in MODEL_II_BLOCKS.items():
+        op = ChainOperator(n, models.model_II_hamiltonian())
+        assert sum(len(states) for states, _ in ed._blocks(op)) == want
+        assert ed.kernel_dimension(op) == want
+
+
+def test_h1_kernel_at_the_dense_cap():
+    op = ChainOperator(ed.DENSE_MAX_SITES, models.limit_hamiltonian_h1())
+    assert ed.kernel_dimension(op) == models.adjacency_ground_count(ed.DENSE_MAX_SITES)
+
+
+def test_kernel_dimension_never_builds_the_full_matrix(monkeypatch):
+    import tracemalloc
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense chain built")
+
+    full = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def blocks_only(a, *args, **kwargs):
+        if np.shape(a)[-1] == full[-1]:
+            raise AssertionError("full-size eigvalsh")
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(ed, "dense_chain", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", blocks_only)
+    cases = [
+        (models.model_I_hamiltonian(2.5), {6: 322, 7: 843}),
+        (models.model_II_hamiltonian(), {6: 88, 7: 166}),
+        (models.limit_hamiltonian_h1(), {n: models.adjacency_ground_count(n) for n in (6, 7)}),
+    ]
+    tracemalloc.start()
+    try:
+        for h, counts in cases:
+            for n, want in counts.items():
+                full.append(3**n)
+                tracemalloc.reset_peak()
+                assert ed.kernel_dimension(ChainOperator(n, h)) == want
+                # a quarter of the dense matrix's bytes
+                assert tracemalloc.get_traced_memory()[1] < 8 * 9**n / 4
+    finally:
+        tracemalloc.stop()
+
+
+@st.composite
+def sparse_terms(draw):
+    """Hermitian k-site terms with a random zero pattern, so the chain splits into blocks."""
+    k = draw(st.sampled_from((2, 3)))
+    d = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(k, 6 if d == 2 else 5))
+    complex_ = draw(st.booleans())
+    psd = draw(st.booleans())
+    density = draw(st.sampled_from((0.01, 0.03, 0.1, 0.3)))
+    # a scale of 1e-7 puts eigenvalues inside the ambiguous band [tol, 100 tol)
+    scale = draw(st.sampled_from((1.0, 1e-7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = d**k
+
+    def draw_matrix(shape):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if complex_ else a
+
+    if psd:  # B^dagger B with a sparse B: positive, with a kernel
+        b = draw_matrix((size // 2, size)) * (rng.random((size // 2, size)) < density)
+        h = b.conj().T @ b
+    else:
+        mask = rng.random((size, size)) < density
+        a = draw_matrix((size, size))
+        h = (a + a.conj().T) * (mask | mask.T)
+    local = LocalHamiltonian(k=k, matrix=scale * h, couplings=(), basis=NullSpaceBasis(k=k, vectors=(), tol=0.0))
+    return ChainOperator(n, local)
+
+
+def _kernel_outcome(count):
+    try:
+        return count()
+    except AmbiguousKernelError as exc:
+        return (exc.low, exc.high)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(sparse_terms())
+def test_block_route_equals_the_dense_spectrum(op):
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    dense = ed.dense_matrix(op)
+    blocks = list(ed._blocks(op))
+    # the blocks partition the states into the connected components of the dense pattern
+    states = np.concatenate([s.ravel() for s, _ in blocks])
+    assert np.array_equal(np.sort(states), np.arange(op.dim))
+    assert all(np.all(np.diff(s, axis=1) > 0) for s, _ in blocks)  # ascending: the dense triangles
+    n_components, _ = connected_components(coo_array(dense != 0), directed=False)
+    assert sum(len(s) for s, _ in blocks) == n_components
+    assert all(np.array_equal(dense[s[:, :, None], s[:, None, :]], m) for s, m in blocks)
+    assert sum(np.count_nonzero(m) for _, m in blocks) == np.count_nonzero(dense)
+    w = ed.spectrum(op)
+    assert np.max(np.abs(ed._block_spectrum(op) - w)) <= 1e-10
+    assert _kernel_outcome(lambda: ed.kernel_dimension(op)) == _kernel_outcome(lambda: ed._kernel_count(w, 1e-8))

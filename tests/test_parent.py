@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mpschain import models, parent
+import mpschain
+from mpschain import linalg, models, parent
 from mpschain.mps import MpsFamily, amplitudes_vector
 from mpschain.parent import (
     InvalidModelError,
@@ -67,6 +68,15 @@ def test_zero_family_rejected():
     )
     with pytest.raises(InvalidModelError):
         ground_null_space(fam, 2)
+
+
+def test_failed_kernel_recheck_is_named(monkeypatch):
+    # the word (1, 1) = A_1 A_1 is nonzero, so e_0 is no kernel vector of the word matrix
+    monkeypatch.setattr(linalg, "null_space", lambda m, tol: [np.eye(m.shape[1])[0]])
+    with pytest.raises(mpschain.KernelRecheckError, match="kernel re-check failed") as err:
+        ground_null_space(models.model_II(1.0), 2)
+    assert isinstance(err.value, ArithmeticError)
+    assert parent.KernelRecheckError is mpschain.KernelRecheckError
 
 
 def test_canonical_basis_reproducible():
