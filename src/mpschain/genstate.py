@@ -131,24 +131,29 @@ def _check_expand(n_sites: int, zeros: int) -> None:
 def psi_n_expand(n_sites: int, zeros: int) -> PsiN:
     """Explicit amplitudes of the n-zero sector state by exact word traces.
 
-    Enumerates the strings with `zeros` zeros and balanced +1/-1 counts; the
-    amplitude of each is the integer trace of its raising/lowering word (the
-    identity blocks at the zero sites drop out of the trace).  Rings beyond
-    EXPAND_MAX_SITES are refused before anything is enumerated.
+    The amplitude of a string is the integer trace of its raising/lowering
+    word; the identity blocks at the zero sites drop out of the trace.  So
+    the balanced +1/-1 words of length N - n with a nonzero trace are listed
+    once, in combinations order of their +1 positions, and each zero
+    placement splices every listed word into the sites left free.  Rings
+    beyond EXPAND_MAX_SITES are refused before anything is enumerated.
     """
     _check_expand(n_sites, zeros)
+    length = n_sites - zeros
+    words = []  # (word + (0,), trace): slot `length` reads the zero
+    for up_pos in combinations(range(length), length // 2):
+        word = [-1] * length
+        for s in up_pos:
+            word[s] = 1
+        t = _word_trace(word)
+        if t:
+            words.append(((*word, 0), t))
     amps: dict[tuple[int, ...], int] = {}
-    sites = range(n_sites)
-    n_up = (n_sites - zeros) // 2
-    for zero_pos in combinations(sites, zeros):
-        rest = [s for s in sites if s not in zero_pos]
-        for up_pos in combinations(rest, n_up):
-            cfg = [0] * n_sites
-            for s in rest:
-                cfg[s] = 1 if s in up_pos else -1
-            t = _word_trace(cfg[s] for s in rest)
-            if t:
-                amps[tuple(cfg)] = t
+    for zero_pos in combinations(range(n_sites), zeros):
+        free = iter(range(length))
+        slot = [length if s in zero_pos else next(free) for s in range(n_sites)]
+        for word, t in words:
+            amps[tuple(map(word.__getitem__, slot))] = t
     return PsiN(n_sites=n_sites, zeros=zeros, amplitudes=amps)
 
 
@@ -201,10 +206,14 @@ def _check_nn(n_sites: int, zeros: int) -> None:
         raise ValueError("zeros must lie in [0, n_sites]")
 
 
-def _check_nnr(n_sites: int, zeros: int, r: int) -> None:
-    _check_nn(n_sites, zeros)
+def _check_r(n_sites: int, r: int) -> None:
     if not 2 <= r <= n_sites - 1:
         raise ValueError("operator sites are 1 and r with 2 <= r <= N-1")
+
+
+def _check_nnr(n_sites: int, zeros: int, r: int) -> None:
+    _check_nn(n_sites, zeros)
+    _check_r(n_sites, r)
 
 
 def corr_zz(n_sites: int, zeros: int, r: int) -> Fraction:
@@ -256,18 +265,18 @@ def expectation_sz2(psi: PsiN) -> Fraction:
 
 def expectation_sperp2(psi: PsiN) -> Fraction:
     """<S_x^2> at site 1; the S_x^2 cross terms unbalance the string and drop."""
-    num = Fraction(0)
-    for cfg, a in psi.amplitudes.items():
-        num += Fraction(a * a) if cfg[0] == 0 else Fraction(a * a, 2)
-    return num / psi.norm_sq()
+    num = sum(a * a * (2 if cfg[0] == 0 else 1) for cfg, a in psi.amplitudes.items())
+    return Fraction(num, 2 * psi.norm_sq())
 
 
 def expectation_sz2sz2(psi: PsiN, r: int) -> Fraction:
+    _check_r(psi.n_sites, r)
     num = sum(a * a * cfg[0] ** 2 * cfg[r - 1] ** 2 for cfg, a in psi.amplitudes.items())
     return Fraction(num, psi.norm_sq())
 
 
 def expectation_zz(psi: PsiN, r: int) -> Fraction:
+    _check_r(psi.n_sites, r)
     num = sum(a * a * cfg[0] * cfg[r - 1] for cfg, a in psi.amplitudes.items())
     return Fraction(num, psi.norm_sq())
 
@@ -277,8 +286,9 @@ _SX_MOVES = {1: (0,), 0: (1, -1), -1: (0,)}  # S_x|m> = (1/sqrt2) sum of these t
 
 def expectation_xx(psi: PsiN, r: int) -> Fraction:
     """<S_x,1 S_x,r> evaluated directly on the amplitude map, exact."""
+    _check_r(psi.n_sites, r)
     i, j = 0, r - 1
-    num = Fraction(0)
+    num = 0
     amps = psi.amplitudes
     for cfg, a in amps.items():
         for mi in _SX_MOVES[cfg[i]]:
@@ -288,8 +298,8 @@ def expectation_xx(psi: PsiN, r: int) -> Fraction:
                 target[j] = mj
                 b = amps.get(tuple(target))
                 if b:
-                    num += Fraction(a * b, 2)
-    return num / psi.norm_sq()
+                    num += a * b
+    return Fraction(num, 2 * psi.norm_sq())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
@@ -71,6 +72,44 @@ def test_psi_cyclic_invariance():
     psi = psi_n_expand(6, 2)
     for cfg, a in psi.amplitudes.items():
         assert psi.amplitudes.get(cfg[1:] + cfg[:1], 0) == a
+
+
+@cache
+def _product_trace(word):
+    """Integer trace of the A_1 (+1) / A_-1 (-1) matrix product in word order."""
+    prod = _I3
+    for m in word:
+        prod = prod @ (_A1 if m == 1 else _AM)
+    return int(np.trace(prod))
+
+
+def _reference_expansion(n_sites, zeros):
+    """The plain enumeration: every zero placement, then every +1 placement on
+    the free sites, each amplitude the trace of its matrix product."""
+    amps = {}
+    for zero_pos in combinations(range(n_sites), zeros):
+        rest = [s for s in range(n_sites) if s not in zero_pos]
+        for up_pos in combinations(rest, len(rest) // 2):
+            cfg = tuple(0 if s in zero_pos else 1 if s in up_pos else -1 for s in range(n_sites))
+            t = _product_trace(tuple(m for m in cfg if m))
+            if t:
+                amps[cfg] = t
+    return amps
+
+
+@pytest.mark.parametrize("n_sites", [2, 4, 6, 8, 10])
+def test_psi_expansion_matches_reference_enumeration_in_order(n_sites):
+    for zeros in range(0, n_sites + 1, 2):
+        got = list(psi_n_expand(n_sites, zeros).amplitudes.items())
+        assert got == list(_reference_expansion(n_sites, zeros).items()), zeros
+        assert all(type(a) is int for _, a in got)
+
+
+def test_word_traces_key_order():
+    expected = [
+        (cfg, (zeros, t)) for zeros in range(0, 9, 2) for cfg, t in _reference_expansion(8, zeros).items()
+    ]
+    assert list(model_ii_word_traces(8).items()) == expected
 
 
 def test_psi_rejects_odd_and_caps():
@@ -221,15 +260,29 @@ def test_corr_xx_vanishes_without_zeros():
 
 
 def test_exact_formula_oracle_equivalence():
-    for n in (4, 6):
+    # up to the expansion cap, the sizes the exact benchmark workload runs
+    for n in (4, 6, 8, 10):
         for z in range(0, n + 1, 2):
             psi = psi_n_expand(n, z)
-            assert corr_sz2(n, z) == expectation_sz2(psi)
-            assert corr_sperp2(n, z) == expectation_sperp2(psi)
+            pairs = [(corr_sz2(n, z), expectation_sz2(psi)), (corr_sperp2(n, z), expectation_sperp2(psi))]
             for r in range(2, n):
-                assert corr_zz(n, z, r) == expectation_zz(psi, r)
-                assert corr_xx(n, z, r) == expectation_xx(psi, r)
-                assert corr_sz2sz2(n, z) == expectation_sz2sz2(psi, r)
+                pairs += [
+                    (corr_zz(n, z, r), expectation_zz(psi, r)),
+                    (corr_xx(n, z, r), expectation_xx(psi, r)),
+                    (corr_sz2sz2(n, z), expectation_sz2sz2(psi, r)),
+                ]
+            for formula, oracle in pairs:
+                assert type(oracle) is Fraction
+                assert formula == oracle, (n, z)
+
+
+@pytest.mark.parametrize("fn", [expectation_zz, expectation_xx, expectation_sz2sz2])
+@pytest.mark.parametrize("r", [0, 1, 6])
+def test_expectations_reject_separations_outside_the_ring(fn, r):
+    # r = 1 puts both operators on site 1; r = 0 and r = N wrap to a neighbour of site 1
+    psi = psi_n_expand(6, 2)
+    with pytest.raises(ValueError, match="2 <= r <= N-1"):
+        fn(psi, r)
 
 
 def test_corr_bad_arguments():
