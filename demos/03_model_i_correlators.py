@@ -8,7 +8,7 @@ plane as g grows.
 
 import numpy as np
 
-from mpschain import models, spin
+from mpschain import models, spin, verify
 from mpschain.mps import thermo_one_point, thermo_two_point
 
 print(" g      <Sz^2>   (closed)    <Sx^2>   (closed)    G_par     xi_par   xi_perp")
@@ -30,11 +30,7 @@ for sep in range(1, 9):
     law = cf.g_par * np.exp(-(sep - 1) / cf.xi_par)
     print(f"  {sep:3d}   {val:+.8e}   {law:+.8e}")
 
-rs = np.arange(2, 13)
-zz = [thermo_two_point(fam, spin.sz(), spin.sz(), int(r)) for r in rs]
-xx = [thermo_two_point(fam, spin.sx(), spin.sx(), int(r)) for r in rs]
-xi_par = -1.0 / np.polyfit(rs, np.log(np.abs(zz)), 1)[0]
-xi_perp = -1.0 / np.polyfit(rs, np.log(np.abs(xx)), 1)[0]
+xi_par, xi_perp = verify.fitted_correlation_lengths(1.0)
 print(f"\n  fitted correlation lengths: xi_par = {xi_par:.3f} (1/ln 3 = {cf.xi_par:.3f}), "
       f"xi_perp = {xi_perp:.3f} (closed form {cf.xi_perp:.3f})")
 

@@ -7,12 +7,10 @@ rotation scalar but the MPS ground state is not.
 
 import numpy as np
 
-from mpschain import ed, models, spin, symmetry
+from mpschain import ed, models, spin, symmetry, verify
 
-bond_sz = np.diag([1.0, 0.0, -1.0])
 for name, fam in (("model I (g=0.7)", models.model_I(0.7)), ("model II (g=1.3)", models.model_II(1.3))):
-    res = symmetry.check_generator_condition(fam, spin.SZ, bond_sz)
-    print(f"{name}: z-rotation generator residual = {res:.1e}")
+    print(f"{name}: z-rotation generator residual = {verify.z_rotation_residual(fam):.1e}")
 
 fam = models.general_family(0.8, 0.8 * np.sqrt(2), 1.0)
 pi = symmetry.find_intertwiner(fam, {lab: fam.matrices[lab].T for lab in fam.labels})

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import ed, genstate, linalg, models, parent, spin, symmetry
+from . import genstate, linalg, models, parent, spin, verify
 # The ring_* and thermo_* functions are no longer called here (correlator rows
 # go through one TransferSpectrum per family).  They stay bound in this
 # namespace because the self-test of benchmarks/tracing.py uses them as its
@@ -220,170 +220,30 @@ def _cmd_genstate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verification suites
-
-
-def _check(name: str, value: float, tolerance: float, larger_ok: bool = False) -> dict:
-    passed = value > tolerance if larger_ok else value <= tolerance
-    return {
-        "name": name,
-        "value": _fmt(value),
-        "tolerance": _fmt(tolerance),
-        "comparison": ">" if larger_ok else "<=",
-        "passed": bool(passed),
-    }
-
-
-def _suite_frustration(n_sites: int, g_values) -> list[dict]:
-    checks = []
-    for which, builder, ham in (
-        ("I", models.model_I, models.model_I_hamiltonian),
-        ("II", models.model_II, lambda g: models.model_II_hamiltonian()),
-    ):
-        for g in g_values:
-            res = parent.verify_zero_energy(builder(g), ham(g), n_sites)
-            checks.append(_check(f"model {which} g={g:g} N={n_sites} zero-energy residual", res, 1e-10))
-    return checks
-
-
-def _suite_formulas(g_values) -> list[dict]:
-    checks = []
-    for g in g_values:
-        cf = models.closed_form_correlators_I(g)
-        spectrum = TransferSpectrum(models.model_I(g))
-        checks.append(_check(f"model I g={g:g} <Sz^2> closed vs transfer",
-                             abs(cf.sz2 - spectrum.thermo_one_point(spin.sz2())), 1e-8))
-        checks.append(_check(f"model I g={g:g} <Sx^2> closed vs transfer",
-                             abs(cf.sx2 - spectrum.thermo_one_point(spin.sx2())), 1e-8))
-        checks.append(_check(f"model I g={g:g} G_par vs adjacent zz",
-                             abs(cf.g_par - spectrum.thermo_two_point(spin.sz(), spin.sz(), 1)), 1e-8))
-    spectrum1 = TransferSpectrum(models.model_I(1.0))
-    rs = np.arange(2, 13)
-    zz = np.array([spectrum1.thermo_two_point(spin.sz(), spin.sz(), int(r)) for r in rs])
-    xx = np.array([spectrum1.thermo_two_point(spin.sx(), spin.sx(), int(r)) for r in rs])
-    xi_par = -1.0 / np.polyfit(rs, np.log(np.abs(zz)), 1)[0]
-    xi_perp = -1.0 / np.polyfit(rs, np.log(np.abs(xx)), 1)[0]
-    cf1 = models.closed_form_correlators_I(1.0)
-    checks.append(_check("model I g=1 fitted xi_par vs closed form", abs(xi_par - cf1.xi_par), 1e-3))
-    checks.append(_check("model I g=1 fitted xi_perp vs closed form", abs(xi_perp - cf1.xi_perp), 1e-3))
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(100):
-        g, h, c = rng.uniform(-2.0, 2.0, 3)
-        det = models.det_word_matrix(g, h, c)
-        closed = models.det_exact_form(g, h, c)
-        worst = max(worst, abs(det - closed) / max(1.0, abs(closed)))
-    checks.append(_check("det(word matrix) vs exact closed form, 100 samples", worst, 1e-9))
-    for g, h, c in ((1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 2**0.5, 1.0), (1.0, -(2**0.5), 1.0), (1.0, 2.0, 0.0)):
-        dim = parent.ground_null_space(models.general_family(g, h, c), 2).dim
-        checks.append(_check(f"kernel at root family (g={g:g},h={h:.4g},c={c:g})", float(dim), 0.5, larger_ok=True))
-    return checks
-
-
-def _suite_genstate(n_sites: int) -> list[dict]:
-    checks = []
-    n = n_sites
-    h_ii = models.model_II_hamiltonian()
-    worst_formula = 0.0
-    worst_energy = 0.0
-    for z in range(0, n + 1, 2):
-        psi = genstate.psi_n_expand(n, z)
-        ok = genstate.psi_n_norm(n, z) == psi.norm_sq()
-        ok &= genstate.corr_sz2(n, z) == genstate.expectation_sz2(psi)
-        ok &= genstate.corr_sperp2(n, z) == genstate.expectation_sperp2(psi)
-        for r in range(2, n):
-            ok &= genstate.corr_zz(n, z, r) == genstate.expectation_zz(psi, r)
-            ok &= genstate.corr_xx(n, z, r) == genstate.expectation_xx(psi, r)
-            ok &= genstate.corr_sz2sz2(n, z) == genstate.expectation_sz2sz2(psi, r)
-        worst_formula = max(worst_formula, 0.0 if ok else 1.0)
-        vec = psi.vector()
-        worst_energy = max(worst_energy, float(np.linalg.norm(parent.chain_apply(h_ii, n, vec)) / np.linalg.norm(vec)))
-    checks.append(_check(f"N={n} formula vs oracle exact agreement (0 = exact)", worst_formula, 0.0))
-    checks.append(_check(f"N={n} every psi_n annihilated by the chain", worst_energy, 1e-10))
-    traces = genstate.model_ii_word_traces(n)
-    from .mps import amplitudes as mps_amplitudes
-
-    worst_gen = 0.0
-    for g in (1.0, 2.0, 3.0):
-        amps = mps_amplitudes(models.model_II(g), n)
-        label_of = {1: "1", 0: "0", -1: "-1"}
-        recon = {}
-        for cfg, (z, t) in traces.items():
-            recon[tuple(label_of[m] for m in cfg)] = (g**z) * t
-        worst_gen = max(
-            worst_gen,
-            max(abs(amps[k] - recon.get(k, 0.0)) for k in amps),
-        )
-    checks.append(_check(f"N={n} generating identity (exact for integer g)", worst_gen, 0.0))
-    checks.append(_check("thermo zz at r=2 equals -1/2", abs(genstate.thermo_corr(2, 2, "zz") + 0.5), 1e-12))
-    checks.append(_check("thermo zz at r=5 vanishes", abs(genstate.thermo_corr(2, 5, "zz")), 1e-12))
-    checks.append(_check("thermo xx vanishes", abs(genstate.thermo_corr(2, 3, "xx")), 1e-12))
-    return checks
-
-
-def _suite_symmetry() -> list[dict]:
-    checks = []
-    bond_sz = np.diag([1.0, 0.0, -1.0])
-    for which, fam in (("I", models.model_I(0.7)), ("II", models.model_II(1.3))):
-        res = symmetry.check_generator_condition(fam, spin.SZ, bond_sz)
-        checks.append(_check(f"model {which} z-rotation generator condition", res, 1e-12))
-    fam = models.general_family(0.8, 0.8 * 2**0.5, 1.0)
-    pi_target = {lab: fam.matrices[lab].T for lab in fam.labels}
-    pi = symmetry.find_intertwiner(fam, pi_target)
-    pi_expected = linalg.phase_fix(np.fliplr(np.eye(3)).reshape(-1)).reshape(3, 3)
-    pi_dev = float(np.max(np.abs(pi.matrix - pi_expected))) if pi.found else float("inf")
-    checks.append(_check("parity intertwiner matches the antidiagonal form", pi_dev, 1e-9))
-    flip_target = {"1": fam.matrices["-1"], "0": fam.matrices["0"], "-1": fam.matrices["1"]}
-    om = symmetry.find_intertwiner(fam, flip_target)
-    om_expected = np.zeros((3, 3))
-    om_expected[0, 2] = 1.0
-    om_expected[1, 1] = 1.0
-    om_expected[2, 0] = 1.0
-    om_expected = linalg.phase_fix(om_expected.reshape(-1)).reshape(3, 3)
-    om_dev = float(np.max(np.abs(om.matrix - om_expected))) if om.found else float("inf")
-    checks.append(_check("spin-flip intertwiner matches the antidiagonal form (c=1)", om_dev, 1e-9))
-    tz, tp, tm = spin.spin_generators(0.5)
-    checks.append(_check("valence-bond family spherical-tensor residual",
-                         symmetry.spherical_tensor_residual(models.aklt_family(), (tz, tp, tm)), 1e-10))
-    tz1, tp1, tm1 = spin.spin_generators(1.0)
-    checks.append(_check("model I g=1 spherical-tensor residual (symmetry breaking)",
-                         symmetry.spherical_tensor_residual(models.model_I(1.0), (tz1, tp1, tm1)), 0.1,
-                         larger_ok=True))
-    return checks
-
-
-def _suite_appendix_a(n_sites: int) -> list[dict]:
-    rep = models.sigma_equivalence_check(n_sites)
-    return [
-        _check(f"N={n_sites} local conjugation identity", rep.local_conjugation_residual, 1e-12),
-        _check(f"N={n_sites} sorted spectra of the two sign variants", rep.spectrum_deviation, 1e-10),
-    ]
+# verification report
 
 
 def _cmd_verify(args) -> int:
-    suites = ["frustration", "formulas", "genstate", "symmetry", "appendixA"] if args.suite == "all" else [args.suite]
     g_values = args.g or [0.3, 0.7, 1.0, 1.5]
-    report: dict = {"suites": {}}
-    for name in suites:
-        if name == "frustration":
-            checks = _suite_frustration(args.n_sites or 6, g_values)
-        elif name == "formulas":
-            checks = _suite_formulas([0.3, 0.7, 1.0, 1.5, 2.0])
-        elif name == "genstate":
-            checks = _suite_genstate(args.n_sites or 6)
-        elif name == "symmetry":
-            checks = _suite_symmetry()
-        else:
-            checks = _suite_appendix_a(args.n_sites or 4)
-        report["suites"][name] = checks
-    all_passed = all(c["passed"] for checks in report["suites"].values() for c in checks)
-    report["all_passed"] = all_passed
-    text = _json_text(report)
-    _write_text(args.out, text)
+    run = {
+        "frustration": lambda: verify.frustration_suite(args.n_sites or 6, g_values),
+        "formulas": lambda: verify.formulas_suite([0.3, 0.7, 1.0, 1.5, 2.0]),
+        "genstate": lambda: verify.genstate_suite(args.n_sites or 6),
+        "symmetry": verify.symmetry_suite,
+        "appendixA": lambda: verify.appendix_a_suite(args.n_sites or 4),
+    }
+    results = {name: run[name]() for name in (verify.SUITES if args.suite == "all" else [args.suite])}
+    all_passed = all(c.passed for checks in results.values() for c in checks)
+    report = {"all_passed": all_passed, "suites": {
+        name: [{"name": c.name, "value": _fmt(c.value), "tolerance": _fmt(c.tolerance),
+                "comparison": c.comparison, "passed": c.passed} for c in checks]
+        for name, checks in results.items()
+    }}
+    _write_text(args.out, _json_text(report))
     if args.out not in (None, "-"):
-        for suite_name, checks in report["suites"].items():
+        for name, checks in results.items():
             for c in checks:
-                print(f"[{'PASS' if c['passed'] else 'FAIL'}] {suite_name}: {c['name']}")
+                print(f"[{'PASS' if c.passed else 'FAIL'}] {name}: {c.name}")
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
@@ -431,7 +291,7 @@ def build_parser() -> _Parser:
 
     pv = sub.add_parser("verify", help="run a verification suite and emit a JSON report")
     pv.add_argument("--suite", required=True,
-                    choices=["frustration", "formulas", "genstate", "symmetry", "appendixA", "all"])
+                    choices=[*verify.SUITES, "all"])
     pv.add_argument("--n-sites", type=int, default=None)
     pv.add_argument("--g", type=float, action="append", default=None)
     pv.add_argument("--out", default=None, help="report path (default stdout)")

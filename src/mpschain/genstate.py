@@ -200,6 +200,8 @@ def corr_sz2sz2(n_sites: int, zeros: int) -> Fraction:
 
 
 def _check_nn(n_sites: int, zeros: int) -> None:
+    if n_sites < 2:
+        raise ValueError(f"n_sites must be at least 2, got {n_sites}")
     _require_even("n_sites", n_sites)
     _require_even("zeros", zeros)
     if not 0 <= zeros <= n_sites:

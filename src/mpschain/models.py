@@ -381,8 +381,8 @@ def sigma_equivalence_check(n_sites: int) -> SigmaEquivalenceReport:
     h_minus = model_II_hamiltonian(-1)
     conj = np.kron(spin.ID3, rz_pi())
     local_res = float(np.max(np.abs(h_minus.matrix - conj @ h_plus.matrix @ np.linalg.inv(conj))))
-    spec_plus = ed.spectrum(ed.ChainOperator(n_sites, h_plus, mode="dense"))
-    spec_minus = ed.spectrum(ed.ChainOperator(n_sites, h_minus, mode="dense"))
+    spec_plus = ed.spectrum(ed.ChainOperator(n_sites, h_plus))
+    spec_minus = ed.spectrum(ed.ChainOperator(n_sites, h_minus))
     return SigmaEquivalenceReport(
         n_sites=n_sites,
         local_conjugation_residual=local_res,
@@ -396,27 +396,17 @@ def sigma_equivalence_check(n_sites: int) -> SigmaEquivalenceReport:
 # Sweep export
 
 
-_SWEEP_QUANTITIES = ("sz2", "sx2", "G_par", "G_perp", "xi_par", "xi_perp")
-
-
-def closed_form_sweep_rows(g_values) -> list[tuple[float, str, float]]:
-    rows = []
+def closed_form_sweep_text(g_values) -> str:
+    """CSV of the model I closed forms, one row per (g, quantity), 17 significant digits."""
+    lines = ["g,quantity,value"]
     for g in g_values:
         cf = closed_form_correlators_I(g)
         values = {
             "sz2": cf.sz2, "sx2": cf.sx2, "G_par": cf.g_par,
             "G_perp": cf.g_perp, "xi_par": cf.xi_par, "xi_perp": cf.xi_perp,
         }
-        for q in _SWEEP_QUANTITIES:
-            rows.append((float(g), q, values[q]))
-    return rows
-
-
-def closed_form_sweep_text(g_values) -> str:
-    """CSV of the model I closed forms, one row per (g, quantity), 17 significant digits."""
-    lines = ["g,quantity,value"]
-    for g, q, v in closed_form_sweep_rows(g_values):
-        lines.append(f"{g:.17g},{q},{v:.17g}")
+        for q, v in values.items():
+            lines.append(f"{float(g):.17g},{q},{v:.17g}")
     return "\n".join(lines) + "\n"
 
 

@@ -24,7 +24,6 @@ class IntertwinerResult:
     found: bool
     matrix: np.ndarray | None = field(default=None, repr=False)
     residual: float = float("inf")
-    scale: complex = 1.0
     condition: float = float("inf")
     diagnosis: str = ""
 
@@ -80,58 +79,47 @@ def find_intertwiner(
     mps: MpsFamily,
     target: dict[str, np.ndarray],
     tol: float = linalg.DEFAULT_NULL_TOL,
-    scales=(1.0,),
 ) -> IntertwinerResult:
-    """Invertible X with X A_m = scale * A'_m X for every label m.
+    """Invertible X with X A_m = A'_m X for every label m.
 
     Solves the stacked commutant-style linear system by null space, filters
     for invertibility, and returns one representative with the package sign
-    convention.  Candidate proportionality scales are tried in order; the
-    realized models use scale 1.
+    convention.
     """
     if set(target) != set(mps.labels):
         raise ValueError("target must carry exactly the family labels")
     D = mps.D
     eye = np.eye(D)
+    blocks = []
+    for lab in mps.labels:
+        a = mps.matrices[lab]
+        b = np.asarray(target[lab])
+        # vec(X A - B X) with row-major vec: (I (x) A^T - B (x) I) vec(X)
+        blocks.append(np.kron(eye, a.T) - np.kron(b, eye))
+    kernel = linalg.null_space(np.vstack(blocks), tol)
+    if not kernel:
+        return IntertwinerResult(found=False, diagnosis="no solution: the intertwiner system has full rank")
+    candidates = [v.reshape(D, D) for v in kernel]
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        w = rng.standard_normal(len(kernel))
+        mix = sum(c * v for c, v in zip(w, kernel))
+        candidates.append((mix / np.linalg.norm(mix)).reshape(D, D))
     best_noninv = None
-    for scale in scales:
-        if abs(abs(scale) - 1.0) > 1e-9:
-            raise ValueError("proportionality scales must be roots of unity (magnitude 1)")
-        blocks = []
-        for lab in mps.labels:
-            a = mps.matrices[lab]
-            b = scale * np.asarray(target[lab])
-            # vec(X A - B X) with row-major vec: (I (x) A^T - B (x) I) vec(X)
-            blocks.append(np.kron(eye, a.T) - np.kron(b, eye))
-        system = np.vstack(blocks)
-        kernel = linalg.null_space(system, tol)
-        if not kernel:
-            continue
-        candidates = [v.reshape(D, D) for v in kernel]
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            w = rng.standard_normal(len(kernel))
-            mix = sum(c * v for c, v in zip(w, kernel))
-            candidates.append((mix / np.linalg.norm(mix)).reshape(D, D))
-        for x in candidates:
-            cond = np.linalg.cond(x)
-            res = max(_fro(x @ mps.matrices[lab] - scale * np.asarray(target[lab]) @ x) for lab in mps.labels)
-            if cond < 1e8:
-                xf = linalg.phase_fix(x.reshape(-1)).reshape(D, D)
-                return IntertwinerResult(
-                    found=True, matrix=xf, residual=res, scale=scale, condition=float(cond)
-                )
-            if best_noninv is None:
-                best_noninv = IntertwinerResult(
-                    found=False,
-                    residual=res,
-                    scale=scale,
-                    condition=float(cond),
-                    diagnosis="non-invertible commutant: every solution is singular",
-                )
-    if best_noninv is not None:
-        return best_noninv
-    return IntertwinerResult(found=False, diagnosis="no solution: the intertwiner system has full rank")
+    for x in candidates:
+        cond = np.linalg.cond(x)
+        res = max(_fro(x @ mps.matrices[lab] - np.asarray(target[lab]) @ x) for lab in mps.labels)
+        if cond < 1e8:
+            xf = linalg.phase_fix(x.reshape(-1)).reshape(D, D)
+            return IntertwinerResult(found=True, matrix=xf, residual=res, condition=float(cond))
+        if best_noninv is None:
+            best_noninv = IntertwinerResult(
+                found=False,
+                residual=res,
+                condition=float(cond),
+                diagnosis="non-invertible commutant: every solution is singular",
+            )
+    return best_noninv
 
 
 def spherical_tensor_residual(mps: MpsFamily, bond_rep) -> float:

@@ -11,15 +11,14 @@ powers in total), so the quoted exponent cannot match random samples with
 """
 
 import time
-from fractions import Fraction
 from math import log, sqrt
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from mpschain import ed, genstate, linalg, models, parent, spin, symmetry
-from mpschain.mps import TransferSpectrum, amplitudes, thermo_one_point, thermo_two_point
+from mpschain import ed, genstate, models, parent, spin, symmetry, verify
+from mpschain.mps import TransferSpectrum
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -28,11 +27,7 @@ def _report(num: int, ok: bool, detail: str):
 
 def test_criterion_1_frustration_freeness():
     t0 = time.perf_counter()
-    worst = 0.0
-    for g in (0.3, 0.7, 1.0, 1.5):
-        for n in (4, 6, 8):
-            worst = max(worst, parent.verify_zero_energy(models.model_I(g), models.model_I_hamiltonian(g), n))
-            worst = max(worst, parent.verify_zero_energy(models.model_II(g), models.model_II_hamiltonian(), n))
+    worst = max(c.value for n in (4, 6, 8) for c in verify.frustration_suite(n, (0.3, 0.7, 1.0, 1.5)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 10.0
     _report(1, ok, f"zero-energy residual max {worst:.2e} (tol 1e-10), runtime {elapsed:.2f}s (< 10s)")
@@ -56,20 +51,10 @@ def test_criterion_2_ed_consistency():
 
 
 def test_criterion_3_model_i_closed_forms():
-    worst = 0.0
-    for g in (0.3, 0.7, 1.0, 1.5, 2.0):
-        cf = models.closed_form_correlators_I(g)
-        fam = models.model_I(g)
-        worst = max(worst, abs(cf.sz2 - thermo_one_point(fam, spin.sz2())))
-        worst = max(worst, abs(cf.sx2 - thermo_one_point(fam, spin.sx2())))
+    worst = max(max(verify.closed_form_deviations(g)[:2]) for g in (0.3, 0.7, 1.0, 1.5, 2.0))
     cf1 = models.closed_form_correlators_I(1.0)
     g1_ok = abs(cf1.sz2 - 4.0 / 9.0) < 1e-14 and abs(cf1.sx2 - 7.0 / 9.0) < 1e-14
-    fam1 = models.model_I(1.0)
-    rs = np.arange(2, 13)
-    zz = np.array([thermo_two_point(fam1, spin.sz(), spin.sz(), int(r)) for r in rs])
-    xx = np.array([thermo_two_point(fam1, spin.sx(), spin.sx(), int(r)) for r in rs])
-    xi_par = -1.0 / np.polyfit(rs, np.log(np.abs(zz)), 1)[0]
-    xi_perp = -1.0 / np.polyfit(rs, np.log(np.abs(xx)), 1)[0]
+    xi_par, xi_perp = verify.fitted_correlation_lengths(1.0)
     xi_ok = abs(xi_par - 0.910) <= 1e-3 and abs(xi_perp - 4.603) <= 1e-3
     ok = worst <= 1e-8 and g1_ok and xi_ok
     _report(3, ok, f"closed-form vs transfer max dev {worst:.1e} (tol 1e-8); g=1 values 4/9, 7/9; "
@@ -148,27 +133,8 @@ def test_criterion_4_det_identity():
 
 def test_criterion_5_generating_state_exactness():
     t0 = time.perf_counter()
-    gen_ok = True
-    for n in (4, 6, 8):
-        traces = genstate.model_ii_word_traces(n)
-        for g in (1.0, 2.0, 3.0, 4.0, 5.0):
-            amps = amplitudes(models.model_II(g), n)
-            for cfg_labels, amp in amps.items():
-                cfg = tuple(int(lab) for lab in cfg_labels)
-                expected = (g ** traces[cfg][0]) * traces[cfg][1] if cfg in traces else 0.0
-                if amp != expected:
-                    gen_ok = False
-    formula_ok = True
-    for n in (4, 6, 8):
-        for z in range(0, n + 1, 2):
-            psi = genstate.psi_n_expand(n, z)
-            formula_ok &= genstate.psi_n_norm(n, z) == psi.norm_sq()
-            formula_ok &= genstate.corr_sz2(n, z) == genstate.expectation_sz2(psi)
-            formula_ok &= genstate.corr_sperp2(n, z) == genstate.expectation_sperp2(psi)
-            for r in range(2, n):
-                formula_ok &= genstate.corr_zz(n, z, r) == genstate.expectation_zz(psi, r)
-                formula_ok &= genstate.corr_xx(n, z, r) == genstate.expectation_xx(psi, r)
-                formula_ok &= genstate.corr_sz2sz2(n, z) == genstate.expectation_sz2sz2(psi, r)
+    gen_ok = all(verify.generating_identity_deviation(n, (1.0, 2.0, 3.0, 4.0, 5.0)) == 0.0 for n in (4, 6, 8))
+    formula_ok = all(ok for n in (4, 6, 8) for ok, _ in verify.sector_agreement(n))
     elapsed = time.perf_counter() - t0
     ok = gen_ok and formula_ok and elapsed < 120.0
     _report(5, ok, f"generating identity exact: {gen_ok}; formula/oracle exact equality: {formula_ok}; "
@@ -224,30 +190,24 @@ def test_criterion_8_spin_forms():
 
 
 def test_criterion_9_sign_variant_equivalence():
-    rep = models.sigma_equivalence_check(4)
-    ok = rep.spectrum_deviation <= 1e-10 and rep.local_conjugation_residual <= 1e-12
-    _report(9, ok, f"sorted-spectrum deviation {rep.spectrum_deviation:.1e} (tol 1e-10); "
-                   f"local conjugation residual {rep.local_conjugation_residual:.1e} (tol 1e-12)")
-    assert rep.spectrum_deviation <= 1e-10
-    assert rep.local_conjugation_residual <= 1e-12
+    conjugation, spectra = (c.value for c in verify.appendix_a_suite(4))
+    ok = spectra <= 1e-10 and conjugation <= 1e-12
+    _report(9, ok, f"sorted-spectrum deviation {spectra:.1e} (tol 1e-10); "
+                   f"local conjugation residual {conjugation:.1e} (tol 1e-12)")
+    assert spectra <= 1e-10
+    assert conjugation <= 1e-12
 
 
 def test_criterion_10_symmetry_suite():
-    bond_sz = np.diag([1.0, 0.0, -1.0])
-    rot_i = symmetry.check_generator_condition(models.model_I(0.7), spin.SZ, bond_sz)
-    rot_ii = symmetry.check_generator_condition(models.model_II(1.3), spin.SZ, bond_sz)
+    rot_i = verify.z_rotation_residual(models.model_I(0.7))
+    rot_ii = verify.z_rotation_residual(models.model_II(1.3))
     fam = models.general_family(0.8, 0.8 * sqrt(2), 1.0)
-    pi = symmetry.find_intertwiner(fam, {lab: fam.matrices[lab].T for lab in fam.labels})
-    pi_ok = pi.found and np.max(np.abs(pi.matrix - np.fliplr(np.eye(3)) / sqrt(3))) < 1e-9
+    pi_ok = verify.parity_deviation(fam, np.fliplr(np.eye(3)) / sqrt(3)) < 1e-9
     c = 1.6
-    fam_c = models.general_family(0.5, 0.5, c)
-    om = symmetry.find_intertwiner(
-        fam_c, {"1": fam_c.matrices["-1"], "0": fam_c.matrices["0"], "-1": fam_c.matrices["1"]}
-    )
     omega = np.zeros((3, 3))
     omega[0, 2], omega[1, 1], omega[2, 0] = 1.0, c, c * c
     omega /= np.linalg.norm(omega)
-    om_ok = om.found and np.max(np.abs(om.matrix - omega)) < 1e-9
+    om_ok = verify.spin_flip_deviation(models.general_family(0.5, 0.5, c), omega) < 1e-9
     aklt_res = symmetry.spherical_tensor_residual(models.aklt_family(), spin.spin_generators(0.5))
     broken_res = symmetry.spherical_tensor_residual(models.model_I(1.0), spin.spin_generators(1.0))
     ok = rot_i <= 1e-12 and rot_ii <= 1e-12 and pi_ok and om_ok and aklt_res <= 1e-10 and broken_res > 0.1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -242,8 +243,10 @@ def test_genstate_sz2_and_norm(tmp_path):
     assert row[3] == "norm" and row[4] == "9" and row[5] == "1"
 
 
-def test_genstate_rejects_odd(tmp_path):
+def test_genstate_rejects_odd(tmp_path, capsys):
     assert run("genstate", "--n-sites", "5", "--zeros", "2", "--norm") == cli.EXIT_USAGE
+    assert run("genstate", "--n-sites", "0", "--zeros", "0", "--obs", "sz2") == cli.EXIT_USAGE
+    assert capsys.readouterr().err.endswith("\nerror: n_sites must be at least 2, got 0\n")
 
 
 def test_usage_errors():
@@ -288,6 +291,23 @@ def test_verify_reports_failure_with_exit_3(tmp_path, monkeypatch):
     assert code == cli.EXIT_VERIFY_FAILED
     doc = json.loads(out.read_text())
     assert doc["all_passed"] is False
+
+
+#: sha256 of the `verify --suite <s>` report on stdout, at the default sizes and g values.
+VERIFY_SHA256 = {
+    "all": "5fec7811ef0711f18dcf84de7e956dcec7108e7939c1ec5710151849d05fbfb5",
+    "frustration": "23df9eb1b91f0f547782c888f72aaab0b6fccb109ee9e7c1d9bb332b5d0e6be3",
+    "formulas": "e18c3dfe0642b9a96554291c4df42f5b71fc5a766da1a0a03a164e30b29181bb",
+    "genstate": "22b2fb6376c2ce9293a4e8dfb331d07219f12901774585236a6e77f875f4b3af",
+    "symmetry": "76a4a1bdb55464426ceb8745f8ccc65929717a2add1570556eac33627642796b",
+    "appendixA": "c48317782aafab458a2bdb8e99587c617ae50d762abe4467dee55a1602e7f7fe",
+}
+
+
+@pytest.mark.parametrize("suite", list(VERIFY_SHA256))
+def test_verify_stdout_is_byte_stable(suite, capsys):
+    assert run("verify", "--suite", suite) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_SHA256[suite]
 
 
 def test_verify_report_deterministic(tmp_path):

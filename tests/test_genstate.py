@@ -140,6 +140,11 @@ def test_expansion_errors_come_in_order_cap_evens_range(monkeypatch):
         (psi_n_norm, (7, 3), "n_sites must be even"),
         (psi_n_norm, (6, 3), "zeros must be even"),
         (psi_n_norm, (6, 8), "zeros must lie in"),
+        (psi_n_expand, (0, 0), "n_sites must be at least 2"),
+        (psi_n_norm, (0, 0), "n_sites must be at least 2"),
+        (psi_n_norm, (-2, 0), "n_sites must be at least 2"),
+        (corr_sz2, (0, 0), "n_sites must be at least 2"),
+        (corr_sperp2, (0, 0), "n_sites must be at least 2"),
     ):
         with pytest.raises(ValueError, match=message):
             fn(*args)

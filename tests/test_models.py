@@ -3,8 +3,8 @@ from math import log, sqrt
 import numpy as np
 import pytest
 
-from mpschain import ed, models, parent, spin
-from mpschain.mps import thermo_one_point, thermo_two_point
+from mpschain import ed, models, parent, spin, verify
+from mpschain.mps import thermo_two_point
 
 
 def test_model_builders():
@@ -90,25 +90,16 @@ def test_spin_component_completeness():
 
 def test_closed_forms_match_transfer():
     for g in (0.3, 0.7, 1.0, 1.5, 2.0):
+        assert max(verify.closed_form_deviations(g)) < 1e-8
         cf = models.closed_form_correlators_I(g)
-        fam = models.model_I(g)
-        assert abs(cf.sz2 - thermo_one_point(fam, spin.sz2())) < 1e-8
-        assert abs(cf.sx2 - thermo_one_point(fam, spin.sx2())) < 1e-8
-        assert abs(cf.g_par - thermo_two_point(fam, spin.sz(), spin.sz(), 1)) < 1e-8
-        if g > 0:
-            assert abs(cf.g_perp - thermo_two_point(fam, spin.sx(), spin.sx(), 1)) < 1e-8
+        assert abs(cf.g_perp - thermo_two_point(models.model_I(g), spin.sx(), spin.sx(), 1)) < 1e-8
 
 
 def test_correlation_length_log_slopes():
-    fam = models.model_I(1.0)
     cf = models.closed_form_correlators_I(1.0)
-    rs = np.arange(2, 13)
-    zz = np.array([thermo_two_point(fam, spin.sz(), spin.sz(), int(r)) for r in rs])
-    xx = np.array([thermo_two_point(fam, spin.sx(), spin.sx(), int(r)) for r in rs])
-    slope_z = np.polyfit(rs, np.log(np.abs(zz)), 1)[0]
-    slope_x = np.polyfit(rs, np.log(np.abs(xx)), 1)[0]
-    assert abs(slope_z + 1.0 / cf.xi_par) < 1e-6
-    assert abs(slope_x + 1.0 / cf.xi_perp) < 1e-6
+    xi_par, xi_perp = verify.fitted_correlation_lengths(1.0)
+    assert abs(1.0 / xi_par - 1.0 / cf.xi_par) < 1e-6
+    assert abs(1.0 / xi_perp - 1.0 / cf.xi_perp) < 1e-6
 
 
 # ---------------------------------------------------------------------------

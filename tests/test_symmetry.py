@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from mpschain import models, spin, symmetry
+from mpschain import models, spin, symmetry, verify
 from mpschain.mps import MpsFamily, amplitudes
-
-BOND_SZ = np.diag([1.0, 0.0, -1.0])
 
 
 def test_generator_condition_both_models():
     for fam in (models.model_I(0.7), models.model_II(1.3)):
-        assert symmetry.check_generator_condition(fam, spin.SZ, BOND_SZ) <= 1e-12
+        assert verify.z_rotation_residual(fam) <= 1e-12
 
 
 def test_generator_condition_zero_generators():
@@ -35,7 +33,7 @@ def test_z_invariance_implies_balanced_amplitudes():
     # cross-module property: zero generator residual forces amplitudes with
     # unbalanced +-1 counts to vanish
     for fam in (models.model_I(0.8), models.model_II(1.2)):
-        assert symmetry.check_generator_condition(fam, spin.SZ, BOND_SZ) <= 1e-12
+        assert verify.z_rotation_residual(fam) <= 1e-12
         for n in (4, 6):
             amps = amplitudes(fam, n)
             for cfg, val in amps.items():
@@ -46,25 +44,17 @@ def test_z_invariance_implies_balanced_amplitudes():
 
 def test_parity_intertwiner_antidiagonal():
     fam = models.general_family(0.8, 0.8 * np.sqrt(2), 1.0)
-    res = symmetry.find_intertwiner(fam, {lab: fam.matrices[lab].T for lab in fam.labels})
-    assert res.found
-    expected = np.fliplr(np.eye(3)) / np.sqrt(3)
-    assert np.max(np.abs(res.matrix - expected)) < 1e-9
-    assert res.scale == 1.0
+    assert verify.parity_deviation(fam, np.fliplr(np.eye(3)) / np.sqrt(3)) < 1e-9
 
 
 def test_spin_flip_intertwiner_with_c():
     c = 1.7
-    fam = models.general_family(0.6, 0.6, c)
-    target = {"1": fam.matrices["-1"], "0": fam.matrices["0"], "-1": fam.matrices["1"]}
-    res = symmetry.find_intertwiner(fam, target)
-    assert res.found
     omega = np.zeros((3, 3))
     omega[0, 2] = 1.0
     omega[1, 1] = c
     omega[2, 0] = c * c
     omega /= np.linalg.norm(omega)
-    assert np.max(np.abs(res.matrix - omega)) < 1e-9
+    assert verify.spin_flip_deviation(models.general_family(0.6, 0.6, c), omega) < 1e-9
 
 
 def test_self_intertwiner_is_identity():
