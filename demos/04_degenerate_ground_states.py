@@ -6,8 +6,6 @@ n zeros and balanced +-1 spins.  None of these states is an MPS, yet their
 norms and correlators come out in closed binomial-trace form.
 """
 
-import numpy as np
-
 from mpschain import ed, genstate, models, parent
 
 n = 6
@@ -15,8 +13,7 @@ print(f"sector states on the N = {n} ring:")
 h = models.model_II_hamiltonian()
 for z in range(0, n + 1, 2):
     psi = genstate.psi_n_expand(n, z)
-    vec = psi.vector()
-    res = np.linalg.norm(parent.chain_apply(h, n, vec)) / np.linalg.norm(vec)
+    res = parent.chain_residual(h, n, psi.vector())
     print(f"  n = {z}: {len(psi.amplitudes):4d} strings, <psi|psi> = {psi.norm_sq():6d} "
           f"= C({n},{z}) tr(V^{n - z}) = {genstate.psi_n_norm(n, z):6d},  ||H psi||/||psi|| = {res:.1e}")
 

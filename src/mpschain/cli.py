@@ -9,7 +9,6 @@ produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -24,6 +23,7 @@ from .mps import (  # noqa: F401
     MpsFamily,
     OscillatoryLimitError,
     TransferSpectrum,
+    _json_text,
     ring_one_point,
     ring_two_point,
     thermo_one_point,
@@ -57,10 +57,6 @@ def _write_text(path: str | None, text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parent import LocalHamiltonian, _local_dim, chain_apply
+from .parent import LocalHamiltonian, _local_dim, chain_apply, chain_residual
 
 #: Hard ceiling for dense diagonalization (full spectra, kernel counts).
 DENSE_MAX_SITES = 8
@@ -261,10 +261,7 @@ def overlap_with_kernel(op: ChainOperator, state: np.ndarray) -> float:
     state = np.asarray(state)
     if state.shape != (op.dim,):
         raise ValueError(f"state must have length {op.dim}")
-    nrm = np.linalg.norm(state)
-    if nrm == 0.0:
-        raise ValueError("zero state has no kernel residual")
-    return float(np.linalg.norm(op.apply(state)) / nrm)
+    return chain_residual(op.local, op.n_sites, state)
 
 
 def report(op: ChainOperator, kernel_tol: float = 1e-8) -> dict:

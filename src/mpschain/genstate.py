@@ -27,9 +27,7 @@ from math import comb
 import numpy as np
 
 from . import linalg
-
-#: Configurations are tuples of m values, site 1 first.
-M_VALUES = (1, 0, -1)
+from .mps import _even_n_limit
 
 #: Largest ring psi_n_expand and model_ii_word_traces enumerate.
 EXPAND_MAX_SITES = 10
@@ -312,12 +310,11 @@ def _dominant_bracket(r: int, channel: str) -> float:
     """Dominant-eigenvalue contraction of the k = 0 arc split of corr_zz/corr_xx.
 
     Both extreme eigenvalues of V are kept with their even-N sign weights; the
-    result is normalized by the dominant multiplicity.
+    result is normalized by the dominant multiplicity (mps._even_n_limit).
     """
     v = V_EXACT.astype(float)
     projs = linalg.dominant_projectors(v)
     lmax = max(abs(lam) for lam, _ in projs)
-    mult = sum(np.trace(p).real for _, p in projs)
     vmid = np.linalg.matrix_power(v / lmax, r - 2)
     if channel == "zz":
         u = U_EXACT.astype(float)
@@ -330,7 +327,7 @@ def _dominant_bracket(r: int, channel: str) -> float:
         power = r - 1
     else:
         raise ValueError("channel must be 'zz' or 'xx'")
-    return sum(np.sign(lam.real) ** power * np.trace(p.real @ middle) for lam, p in projs) / mult
+    return _even_n_limit(projs, middle, power)
 
 
 def thermo_corr_finite(n_sites: int, zeros: int, r: int, channel: str) -> float:

@@ -17,7 +17,7 @@ from math import log, sqrt
 
 import numpy as np
 
-from . import ed, linalg, parent, spin
+from . import ed, parent, spin
 from .mps import MpsFamily
 from .parent import LocalHamiltonian, local_hamiltonian_from_vectors
 
@@ -213,10 +213,6 @@ class SpinFormDecomposition:
     residual: float
     chain_norm: float
 
-    @property
-    def in_span(self) -> bool:
-        return self.residual <= 1e-10 * max(1.0, self.chain_norm)
-
 
 _SPIN_FORM_NAMES = ("identity", "sz2", "sz2sz2", "ss", "ss2", "anticomm", "szsz")
 
@@ -343,7 +339,7 @@ def adjacency_ground_count(n_sites: int) -> int:
     """
     if n_sites < 2:
         raise ValueError("n_sites must be >= 2")
-    a = [[1, 1, 1], [1, 0, 1], [1, 1, 1]]
+    a = _ADJACENCY
     power = a
     for _ in range(n_sites - 1):
         power = [[sum(power[i][k] * a[k][j] for k in range(3)) for j in range(3)] for i in range(3)]

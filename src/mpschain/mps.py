@@ -19,8 +19,8 @@ import numpy as np
 from . import linalg
 from .spin import SpinObservable
 
-#: Largest Hilbert-space size amplitudes() will enumerate by default.
-DEFAULT_AMPLITUDE_CAP = 3**10
+#: Largest d**k any k-site word enumeration builds: amplitudes, word matrices, reduced densities.
+WORD_CAP = 3**10
 
 
 class CapExceededError(ValueError):
@@ -47,7 +47,26 @@ class NormOverflowError(OverflowError):
         self.log10 = log10
 
 
+def _json_text(doc: dict) -> str:
+    """The package's one JSON text form: two-space indent, sorted keys, a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class _JsonFile:
+    """save/load through _json_text for a class with to_json_dict and from_json_dict."""
+
+    def save(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_json_text(self.to_json_dict()))
+
+    @classmethod
+    def load(cls, path):
+        with open(path, encoding="utf-8") as fh:
+            return cls.from_json_dict(json.load(fh))
+
+
 def _matrix_to_json(m: np.ndarray) -> list:
+    """Rows of floats; a complex matrix stores each entry as an [re, im] pair."""
     if np.iscomplexobj(m):
         return [[[float(x.real), float(x.imag)] for x in row] for row in m]
     return [[float(x) for x in row] for row in m]
@@ -62,7 +81,7 @@ def _matrix_from_json(grid) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MpsFamily:
+class MpsFamily(_JsonFile):
     """A labeled set of D x D auxiliary matrices plus named parameters.
 
     labels are ordered to match the one-site observable basis; matrices maps
@@ -117,16 +136,6 @@ class MpsFamily:
             matrices={lab: _matrix_from_json(grid) for lab, grid in doc["matrices"].items()},
             params={k: float(v) for k, v in doc.get("params", {}).items()},
         )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "MpsFamily":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -188,6 +197,32 @@ def _real_or_raise(value, what: str, tol: float = 1e-12):
             raise InconsistencyError(f"{what} has imaginary part {value.imag:.3e} beyond tolerance")
         return float(value.real)
     return float(value)
+
+
+def _even_n_limit(projectors, middle: np.ndarray, extra_power: int) -> float:
+    """Even-N limit of tr(middle E^{N-extra_power}) / tr(E^N) from the dominant projectors of E.
+
+    middle must already be rescaled so each transfer step carries E/lambda_max.
+    Eigenvalues tied in magnitude are kept whole, sign-weighted and normalised by
+    their multiplicity; a phase that does not converge along even N with a
+    nonzero coefficient raises OscillatoryLimitError.
+    """
+    lmax = max(abs(lam) for lam, _ in projectors)
+    total_mult = 0.0
+    value = 0.0 + 0.0j
+    for lam, p in projectors:
+        s = lam / lmax
+        coeff = np.trace(p @ middle)
+        total_mult += np.trace(p).real
+        if abs(s.imag) > 1e-8 or abs(abs(s) - 1.0) > 1e-8 or abs(s.real**2 - 1.0) > 1e-8:
+            if abs(coeff) > 1e-10:
+                raise OscillatoryLimitError(
+                    f"dominant eigenvalue phase {s:.6f} does not converge along even N"
+                )
+            continue
+        sign = 1.0 if s.real > 0 else -1.0
+        value += sign**extra_power * coeff
+    return _real_or_raise(value / total_mult, "thermodynamic limit")
 
 
 class TransferSpectrum:
@@ -289,34 +324,11 @@ class TransferSpectrum:
         _check_observable(self.mps, obs2)
         return self._ring_ratio([(obs1, r - 1), (obs2, n_sites - r - 1)], n_sites)
 
-    def _thermo_limit(self, middle: np.ndarray, extra_power: int, osc_tol: float = 1e-10) -> float:
-        """Even-N limit of tr(middle E^{N-extra_power}) / tr(E^N) via dominant projectors.
-
-        middle must already be rescaled so each transfer step carries E/lambda_max.
-        Eigenvalue families tied in magnitude are kept whole; a phase that does not
-        converge along even N with a nonzero coefficient raises OscillatoryLimitError.
-        """
-        projs = self.projectors
-        lmax = max(abs(lam) for lam, _ in projs)
-        total_mult = 0.0
-        value = 0.0 + 0.0j
-        for lam, p in projs:
-            s = lam / lmax
-            coeff = np.trace(p @ middle)
-            total_mult += np.trace(p).real
-            if abs(s.imag) > 1e-8 or abs(abs(s) - 1.0) > 1e-8 or abs(s.real**2 - 1.0) > 1e-8:
-                if abs(coeff) > osc_tol:
-                    raise OscillatoryLimitError(
-                        f"dominant eigenvalue phase {s:.6f} does not converge along even N"
-                    )
-                continue
-            sign = 1.0 if s.real > 0 else -1.0
-            value += sign**extra_power * coeff
-        return _real_or_raise(value / total_mult, "thermodynamic limit")
-
     def thermo_one_point(self, obs: SpinObservable) -> float:
         """N -> infinity limit of ring_one_point, taken along even N."""
-        return self._thermo_limit(self.dressed(obs), extra_power=1)
+        # middle first: rho = 0 raises DegenerateNormError before the projectors' ZeroSpectrumError
+        middle = self.dressed(obs)
+        return _even_n_limit(self.projectors, middle, extra_power=1)
 
     def thermo_two_point(self, obs1: SpinObservable, obs2: SpinObservable, r: int) -> float:
         """N -> infinity limit of ring_two_point at fixed separation r >= 1.
@@ -328,7 +340,7 @@ class TransferSpectrum:
         if r < 1:
             raise ValueError("separation must be >= 1")
         middle = self.dressed(obs1) @ np.linalg.matrix_power(self.scaled, r - 1) @ self.dressed(obs2)
-        return self._thermo_limit(middle, extra_power=r + 1)
+        return _even_n_limit(self.projectors, middle, extra_power=r + 1)
 
 
 def ring_norm_sq(mps: MpsFamily, n_sites: int) -> float:
@@ -358,10 +370,10 @@ def thermo_two_point(mps: MpsFamily, obs1: SpinObservable, obs2: SpinObservable,
     return TransferSpectrum(mps).thermo_two_point(obs1, obs2, r)
 
 
-def _words(mps: MpsFamily, k: int, cap: int, what: str) -> np.ndarray:
+def _words(mps: MpsFamily, k: int, what: str) -> np.ndarray:
     """The (d^k, D, D) stack of k-site words A_{i_1}...A_{i_k}, i_1 the most significant digit."""
-    if mps.d**k > cap:
-        raise CapExceededError(f"{mps.d}**{k} exceeds the {what} cap {cap}")
+    if mps.d**k > WORD_CAP:
+        raise CapExceededError(f"{mps.d}**{k} exceeds the {what} cap {WORD_CAP}")
     mats = mps.matrix_stack()
     words = np.eye(mps.D, dtype=mats.dtype)[None]
     for _ in range(k):
@@ -369,17 +381,17 @@ def _words(mps: MpsFamily, k: int, cap: int, what: str) -> np.ndarray:
     return words
 
 
-def amplitudes(mps: MpsFamily, n_sites: int, cap: int = DEFAULT_AMPLITUDE_CAP) -> dict[tuple[str, ...], complex]:
+def amplitudes(mps: MpsFamily, n_sites: int) -> dict[tuple[str, ...], complex]:
     """Full amplitude map of the ring state by direct trace of matrix words.
 
     The brute-force oracle used throughout the test suite.  Keys are tuples of
     labels, site 1 first; values are tr(A_{i_1} ... A_{i_N}).
     """
-    traces = amplitudes_vector(mps, n_sites, cap)
+    traces = amplitudes_vector(mps, n_sites)
     scalar = complex if np.iscomplexobj(traces) else float
     return {cfg: scalar(t) for cfg, t in zip(product(mps.labels, repeat=n_sites), traces)}
 
 
-def amplitudes_vector(mps: MpsFamily, n_sites: int, cap: int = DEFAULT_AMPLITUDE_CAP) -> np.ndarray:
+def amplitudes_vector(mps: MpsFamily, n_sites: int) -> np.ndarray:
     """The amplitude map as a d^N vector, site 1 the most significant digit."""
-    return np.trace(_words(mps, n_sites, cap, "amplitude"), axis1=1, axis2=2)
+    return np.trace(_words(mps, n_sites, "amplitude"), axis1=1, axis2=2)

@@ -1,20 +1,20 @@
 """Null-space parent Hamiltonians for MPS families.
 
 The coefficient vectors c with sum_w c_w A_{w_1}...A_{w_k} = 0 span the
-k-site kernel; projectors onto that kernel, summed over every window of the
-ring, give a positive Hamiltonian that annihilates the MPS exactly.
+k-site kernel.  Every k-site window of the MPS is orthogonal to conj(c), so
+projectors onto the conjugated kernel vectors, summed over every window of
+the ring, give a positive Hamiltonian that annihilates the MPS exactly.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from . import linalg
-from .mps import DegenerateNormError, MpsFamily, TransferSpectrum, _words, amplitudes_vector
+from .mps import DegenerateNormError, MpsFamily, TransferSpectrum, amplitudes_vector
+from .mps import _JsonFile, _matrix_from_json, _matrix_to_json, _words
 
 
 class InvalidModelError(ValueError):
@@ -43,8 +43,8 @@ class NullSpaceBasis:
 
 
 @dataclass(frozen=True)
-class LocalHamiltonian:
-    """k-site operator sum_a J_a |e_a><e_a| with positive couplings."""
+class LocalHamiltonian(_JsonFile):
+    """k-site operator sum_a J_a |conj(e_a)><conj(e_a)| over the kernel basis e_a, positive couplings."""
 
     k: int
     matrix: np.ndarray = field(repr=False)
@@ -65,43 +65,33 @@ class LocalHamiltonian:
         return {
             "k": self.k,
             "couplings": [float(j) for j in self.couplings],
-            "basis": [[float(x) for x in v] for v in self.basis.vectors],
-            "matrix": [[float(x) for x in row] for row in self.matrix],
+            "basis": _matrix_to_json(np.array(self.basis.vectors)),
+            "matrix": _matrix_to_json(self.matrix),
         }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LocalHamiltonian":
         basis = NullSpaceBasis(
             k=int(doc["k"]),
-            vectors=tuple(np.array(v, dtype=float) for v in doc["basis"]),
+            vectors=tuple(_matrix_from_json(doc["basis"])),
             tol=linalg.DEFAULT_NULL_TOL,
         )
         return cls(
             k=int(doc["k"]),
-            matrix=np.array(doc["matrix"], dtype=float),
+            matrix=_matrix_from_json(doc["matrix"]),
             couplings=tuple(float(j) for j in doc["couplings"]),
             basis=basis,
         )
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
-    @classmethod
-    def load(cls, path) -> "LocalHamiltonian":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
-
-
-def word_matrix(mps: MpsFamily, k: int, cap: int = 3**10) -> np.ndarray:
+def word_matrix(mps: MpsFamily, k: int) -> np.ndarray:
     """The D^2 x d^k matrix whose column (j_1...j_k) is the word A_{j_1}...A_{j_k} flattened.
 
     Its right kernel is the coefficient space of vanishing k-site words.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _words(mps, k, cap, "word-matrix").reshape(mps.d**k, mps.D * mps.D).T
+    return _words(mps, k, "word-matrix").reshape(mps.d**k, mps.D * mps.D).T
 
 
 def _canonical_subspace_basis(vectors: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
@@ -147,7 +137,7 @@ def ground_null_space(mps: MpsFamily, k: int, tol: float = linalg.DEFAULT_NULL_T
 
 
 def local_hamiltonian(basis: NullSpaceBasis, couplings=None) -> LocalHamiltonian:
-    """Projector-sum operator sum_a J_a |e_a><e_a| (default couplings all 1)."""
+    """Projector-sum operator sum_a J_a |conj(e_a)><conj(e_a)| (default couplings all 1)."""
     if couplings is None:
         couplings = [1.0] * basis.dim
     couplings = [float(j) for j in couplings]
@@ -160,7 +150,7 @@ def local_hamiltonian(basis: NullSpaceBasis, couplings=None) -> LocalHamiltonian
     dim = basis.vectors[0].shape[0]
     h = np.zeros((dim, dim), dtype=basis.vectors[0].dtype)
     for j, v in zip(couplings, basis.vectors):
-        h += j * np.outer(v, v.conj())
+        h += j * np.outer(v.conj(), v)
     if np.iscomplexobj(h) and np.max(np.abs(h.imag)) == 0.0:
         h = h.real
     return LocalHamiltonian(k=basis.k, matrix=h, couplings=tuple(couplings), basis=basis)
@@ -173,14 +163,14 @@ def local_hamiltonian_from_vectors(vectors, k: int, couplings=None) -> LocalHami
     return local_hamiltonian(basis, couplings)
 
 
-def reduced_density(mps: MpsFamily, k: int, n_sites: int, cap: int = 3**10) -> np.ndarray:
+def reduced_density(mps: MpsFamily, k: int, n_sites: int) -> np.ndarray:
     """Reduced density matrix of k consecutive ring sites, unit trace.
 
     rho[I, J] = tr((W_I^* (x) W_J) E^{N-k}) / tr(E^N) with W_I the k-site word.
     """
     if not 1 <= k < n_sites:
         raise ValueError("need 1 <= k < n_sites")
-    words = _words(mps, k, cap, "reduced-density")
+    words = _words(mps, k, "reduced-density")
     env = np.linalg.matrix_power(TransferSpectrum(mps).scaled, n_sites - k).reshape(mps.D, mps.D, mps.D, mps.D)
     rho = np.einsum("Iab,Jcd,bdac->IJ", words.conj(), words, env)
     tr = np.trace(rho)
@@ -219,10 +209,14 @@ def chain_apply(h: LocalHamiltonian, n_sites: int, state: np.ndarray) -> np.ndar
     return out.reshape(-1)
 
 
-def verify_zero_energy(mps: MpsFamily, h: LocalHamiltonian, n_sites: int) -> float:
-    """Residual ||H psi|| / ||psi|| with psi from the brute-force amplitude map."""
-    psi = amplitudes_vector(mps, n_sites)
-    nrm = np.linalg.norm(psi)
+def chain_residual(h: LocalHamiltonian, n_sites: int, state: np.ndarray) -> float:
+    """Residual ||H state|| / ||state|| of the periodic chain; zero means state is in the kernel."""
+    nrm = np.linalg.norm(state)
     if nrm == 0.0:
-        raise DegenerateNormError("MPS amplitudes vanish identically")
-    return float(np.linalg.norm(chain_apply(h, n_sites, psi)) / nrm)
+        raise DegenerateNormError("zero state has no chain residual")
+    return float(np.linalg.norm(chain_apply(h, n_sites, state)) / nrm)
+
+
+def verify_zero_energy(mps: MpsFamily, h: LocalHamiltonian, n_sites: int) -> float:
+    """Chain residual ||H psi|| / ||psi|| with psi from the brute-force amplitude map."""
+    return chain_residual(h, n_sites, amplitudes_vector(mps, n_sites))

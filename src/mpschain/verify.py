@@ -108,8 +108,7 @@ def sector_agreement(n_sites: int) -> list[tuple[bool, float]]:
             ok &= genstate.corr_zz(n_sites, z, r) == genstate.expectation_zz(psi, r)
             ok &= genstate.corr_xx(n_sites, z, r) == genstate.expectation_xx(psi, r)
             ok &= genstate.corr_sz2sz2(n_sites, z) == genstate.expectation_sz2sz2(psi, r)
-        vec = psi.vector()
-        out.append((ok, float(np.linalg.norm(parent.chain_apply(h_ii, n_sites, vec)) / np.linalg.norm(vec))))
+        out.append((ok, parent.chain_residual(h_ii, n_sites, psi.vector())))
     return out
 
 

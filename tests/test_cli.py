@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import mpschain
-from mpschain import cli, linalg, models, mps, spin
+from mpschain import cli, linalg, models, mps, parent, spin
 from mpschain.mps import MpsFamily
+from mpschain.parent import LocalHamiltonian
 
 
 def run(*argv):
@@ -63,6 +64,47 @@ def test_parent_no_kernel_exit_code(tmp_path):
 def test_parent_model_ii_kernel_dim(capsys):
     assert run("parent", "--which", "II", "--g", "1.3") == 0
     assert "kernel dimension at k=2: 2" in capsys.readouterr().out
+
+
+def test_parent_of_a_complex_family_keeps_imaginary_parts(tmp_path):
+    rng = np.random.default_rng(5)
+    mats = {lab: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for lab in ("1", "0", "-1")}
+    fam = MpsFamily(d=3, D=2, labels=("1", "0", "-1"), matrices=mats)
+    m, h = tmp_path / "m.json", tmp_path / "h.json"
+    fam.save(m)
+    assert run("parent", "--which", "file", "--in", str(m), "--out", str(h)) == 0
+    doc = json.loads(h.read_text())
+    assert all(len(entry) == 2 for row in doc["matrix"] for entry in row)
+    want = parent.local_hamiltonian(parent.ground_null_space(fam, 2)).matrix
+    got = LocalHamiltonian.load(h).matrix
+    assert got.dtype == want.dtype == np.complex128
+    assert np.array_equal(got, want)
+
+
+#: sha256 of the JSON file each command writes with --out, recorded before the
+#: JSON codec moved into mpschain.mps; real families keep every byte.
+JSON_SHA256 = {
+    "model I": (("model", "--which", "I", "--g", "0.7"),
+                "6e7d9345a713513a73d2000aef05f672e8b4d7a6c01ed67741a9677622e5190e"),
+    "model II": (("model", "--which", "II", "--g", "1.3"),
+                 "d7caccf41cd05a517781f7ff904364b62853fed8ca47215909d1a477ae696669"),
+    "model general": (("model", "--which", "general", "--g", "0.8", "--h", "1.1", "--c", "1.6"),
+                      "3308865c15fa4949da36820b5b78b20d2e7ffa6c2b548cf7ae66ebe5e4282929"),
+    "parent I": (("parent", "--which", "I", "--g", "0.7"),
+                 "bc780fa9c42181be4979d29e7cf9714880a74c8da425472fa51d83f432d1c867"),
+    "parent II": (("parent", "--which", "II", "--g", "1.3"),
+                  "658f3f1c4a1c921178cfd60174cf1ef09db154e6b3e1f4824dce8f8f9af8c0a7"),
+    "parent general": (("parent", "--which", "general", "--g", "1", "--h", "-1", "--c", "1"),
+                       "4ce8855f6f07e3e5c0caf99aaf8bb3fef8a9685568847c3b9fd1c327be5c61bc"),
+}
+
+
+@pytest.mark.parametrize("case", list(JSON_SHA256))
+def test_json_outputs_are_byte_stable(case, tmp_path):
+    argv, digest = JSON_SHA256[case]
+    out = tmp_path / "out.json"
+    assert run(*argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_correlate_identity_channel(tmp_path):

@@ -444,8 +444,8 @@ def test_amplitudes_cap():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: parent.word_matrix(models.model_II(1.0), 3, cap=26),
-        lambda: parent.reduced_density(models.model_II(1.0), 3, 6, cap=26),
+        lambda: parent.word_matrix(models.model_II(1.0), 11),
+        lambda: parent.reduced_density(models.model_II(1.0), 11, 12),
     ],
     ids=["word_matrix", "reduced_density"],
 )

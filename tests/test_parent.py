@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mpschain
 from mpschain import linalg, models, parent
@@ -9,6 +11,7 @@ from mpschain.parent import (
     LocalHamiltonian,
     NullSpaceBasis,
     chain_apply,
+    chain_residual,
     ground_null_space,
     local_hamiltonian,
     local_hamiltonian_from_vectors,
@@ -209,3 +212,31 @@ def test_local_hamiltonian_json_round_trip(tmp_path):
     text = path.read_text()
     back.save(path)
     assert path.read_text() == text
+
+
+def test_chain_residual_refuses_the_zero_state():
+    with pytest.raises(mpschain.mps.DegenerateNormError):
+        chain_residual(models.model_II_hamiltonian(), 4, np.zeros(81))
+
+
+@st.composite
+def kernel_bearing_families(draw):
+    """Real or complex d = 3 families whose k-site kernel cannot be empty: d^k > D^2."""
+    D, k = draw(st.sampled_from(((1, 2), (2, 2), (3, 3))))
+    is_complex = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = ("1", "0", "-1")
+    mats = {}
+    for lab in labels:
+        m = rng.standard_normal((D, D))
+        mats[lab] = m + 1j * rng.standard_normal((D, D)) if is_complex else m
+    return MpsFamily(d=3, D=D, labels=labels, matrices=mats), k
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(kernel_bearing_families())
+def test_parent_chain_annihilates_the_state(case):
+    fam, k = case
+    h = local_hamiltonian(ground_null_space(fam, k))
+    assert verify_zero_energy(fam, h, 6) <= 1e-10
+    assert verify_zero_energy(fam, LocalHamiltonian.from_json_dict(h.to_json_dict()), 6) <= 1e-10
