@@ -288,7 +288,9 @@ def build_parser() -> _Parser:
     pv = sub.add_parser("verify", help="run a verification suite and emit a JSON report")
     pv.add_argument("--suite", required=True,
                     choices=[*verify.SUITES, "all"])
-    pv.add_argument("--n-sites", type=int, default=None)
+    pv.add_argument("--n-sites", type=int, default=None,
+                    help="ring size of the frustration and genstate suites (default 6) and of appendixA "
+                         "(default 4), whose two dense 3^N spectra take ~50 s and ~720 MiB at N = 8")
     pv.add_argument("--g", type=float, action="append", default=None)
     pv.add_argument("--out", default=None, help="report path (default stdout)")
     pv.set_defaults(fn=_cmd_verify)

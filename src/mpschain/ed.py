@@ -178,36 +178,68 @@ def dense_matrix(op: ChainOperator) -> np.ndarray:
     return dense_chain(op.local.matrix, op.local.k, op.n_sites)
 
 
-def _lanczos_smallest(matvec, dim: int, max_iter: int = 400, tol: float = 1e-11, seed: int = 1234) -> float:
-    """Smallest eigenvalue by Lanczos with full reorthogonalization.
+#: Bytes per block of the Lanczos basis: 32 MiB, the ceiling of glibc
+#: malloc's dynamic mmap threshold, so a block of full size is always a fresh
+#: mapping that is returned to the system when the solve ends.  A smaller block can be served
+#: from the heap and stay resident there, by an amount that follows the
+#: iteration count: with 16-row blocks the oracle benchmark's peak RSS jumped
+#: between 156 and 178 MiB from one seed to the next (BENCH_11.json).  Rows
+#: are written one per iteration, so only the rows in use are resident.
+_LANCZOS_BLOCK_BYTES = 32 << 20
 
-    A fixed-seed start vector keeps runs reproducible.
+
+def _block_rows(dim: int, max_iter: int) -> int:
+    """Rows per Lanczos basis block: _LANCZOS_BLOCK_BYTES of rows, or the max_iter + 1 a solve can write if fewer."""
+    return min(max_iter + 1, -(-_LANCZOS_BLOCK_BYTES // (8 * dim)))
+
+
+def _lanczos_smallest(
+    matvec, dim: int, max_iter: int = 400, tol: float = 1e-11, seed: int = 1234
+) -> tuple[float, list[np.ndarray]]:
+    """Smallest eigenvalue and the kept Krylov basis, by Lanczos with full reorthogonalization.
+
+    The basis vectors are the rows of fixed-size row blocks, filled in
+    place; the basis is returned as those blocks cut to the rows in use.
+    After the three-term update, w is reorthogonalized against every kept
+    row by block classical Gram-Schmidt (c = V @ w, w -= c @ V per block),
+    and the pass runs a second time only when the first shrank ||w|| below
+    ||w|| / sqrt(2) (the Daniel-Gragg-Kaufman-Stewart test).  A fixed-seed
+    start vector keeps runs reproducible.
     """
     from scipy.linalg import eigh_tridiagonal
 
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(dim)
+    rows = _block_rows(dim, max_iter)
+    blocks = [np.empty((rows, dim))]
+    q = blocks[0][0]
+    np.random.default_rng(seed).standard_normal(dim, out=q)
     q /= np.linalg.norm(q)
-    basis = [q]
     alphas: list[float] = []
     betas: list[float] = []
     theta_prev = np.inf
     w = matvec(q)
     for it in range(max_iter):
-        alphas.append(float(basis[-1] @ w))
-        w = w - alphas[-1] * basis[-1]
-        if len(basis) > 1:
-            w = w - betas[-1] * basis[-2]
-        for u in basis:  # full reorthogonalization
-            w = w - (u @ w) * u
+        alphas.append(float(q @ w))
+        w -= alphas[-1] * q
+        if it:
+            w -= betas[-1] * q_prev
+        kept = blocks[:-1] + [blocks[-1][: it % rows + 1]]
+        before = np.linalg.norm(w)
+        for _ in range(2):
+            for v in kept:
+                w -= (v @ w) @ v
+            b = float(np.linalg.norm(w))
+            if b >= before / np.sqrt(2):
+                break
+            before = b
         theta = eigh_tridiagonal(alphas, betas, eigvals_only=True, select="i", select_range=(0, 0))[0]
-        b = float(np.linalg.norm(w))
         if b < 1e-13 or (it >= 3 and abs(theta - theta_prev) <= tol * max(1.0, abs(theta))):
-            return float(theta)
+            return float(theta), kept
         theta_prev = theta
         betas.append(b)
-        q = w / b
-        basis.append(q)
+        if (it + 1) % rows == 0:
+            blocks.append(np.empty((rows, dim)))
+        q_prev, q = q, blocks[-1][(it + 1) % rows]
+        np.divide(w, b, out=q)
         w = matvec(q)
     raise LanczosConvergenceError(
         f"no convergence after {max_iter} iterations; last Ritz value {theta_prev:.6e}, "
@@ -221,7 +253,7 @@ def ground_energy(op: ChainOperator) -> float:
         raise ValueError(f"n_sites {op.n_sites} exceeds the iterative cap {ITER_MAX_SITES}")
     if op.is_dense():
         return float(np.linalg.eigvalsh(dense_matrix(op))[0])
-    return _lanczos_smallest(op.apply, op.dim)
+    return _lanczos_smallest(op.apply, op.dim)[0]
 
 
 def spectrum(op: ChainOperator) -> np.ndarray:

@@ -211,7 +211,6 @@ class SpinFormDecomposition:
     n_sites: int
     coefficients: dict[str, float]
     residual: float
-    chain_norm: float
 
 
 _SPIN_FORM_NAMES = ("identity", "sz2", "sz2sz2", "ss", "ss2", "anticomm", "szsz")
@@ -249,7 +248,6 @@ def spin_form_decompose(h: LocalHamiltonian, n_sites: int = 4) -> SpinFormDecomp
         n_sites=n_sites,
         coefficients={name: float(c) for name, c in zip(_SPIN_FORM_NAMES, coef)},
         residual=residual,
-        chain_norm=float(np.linalg.norm(target)),
     )
 
 

@@ -148,7 +148,7 @@ def local_hamiltonian(basis: NullSpaceBasis, couplings=None) -> LocalHamiltonian
     if basis.is_empty:
         raise ValueError("cannot build a local Hamiltonian from an empty basis")
     dim = basis.vectors[0].shape[0]
-    h = np.zeros((dim, dim), dtype=basis.vectors[0].dtype)
+    h = np.zeros((dim, dim), dtype=np.result_type(*basis.vectors))
     for j, v in zip(couplings, basis.vectors):
         h += j * np.outer(v.conj(), v)
     if np.iscomplexobj(h) and np.max(np.abs(h.imag)) == 0.0:
@@ -157,8 +157,14 @@ def local_hamiltonian(basis: NullSpaceBasis, couplings=None) -> LocalHamiltonian
 
 
 def local_hamiltonian_from_vectors(vectors, k: int, couplings=None) -> LocalHamiltonian:
-    """Build a projector-sum Hamiltonian from explicitly given null vectors."""
-    vecs = [linalg.phase_fix(np.asarray(v, dtype=float)) for v in vectors]
+    """Build a projector-sum Hamiltonian from explicitly given null vectors.
+
+    The vectors share one floating dtype, complex when any of them is, so
+    imaginary parts are kept as in local_hamiltonian.
+    """
+    arrays = [np.asarray(v) for v in vectors]
+    dtype = np.result_type(float, *arrays)
+    vecs = [linalg.phase_fix(a.astype(dtype)) for a in arrays]
     basis = NullSpaceBasis(k=k, vectors=tuple(vecs), tol=linalg.DEFAULT_NULL_TOL)
     return local_hamiltonian(basis, couplings)
 

@@ -62,6 +62,78 @@ def test_lanczos_reproducible():
     assert ed.ground_energy(op) == ed.ground_energy(op)
 
 
+_LANCZOS_CHAINS = {
+    "I_g0.3": lambda: models.model_I_hamiltonian(0.3),
+    "I_g1": lambda: models.model_I_hamiltonian(1.0),
+    "I_g2.5": lambda: models.model_I_hamiltonian(2.5),
+    "II": models.model_II_hamiltonian,
+    "h1": models.limit_hamiltonian_h1,
+    "identity": _identity_local,
+}
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [
+        pytest.param(
+            name, n,
+            marks=pytest.mark.xfail(
+                strict=True, reason="the Ritz-increment stop leaves 3.3e-9 here: slow convergence above E0 = 0"
+            ) if (name, n) == ("I_g0.3", 6) else (),
+        )
+        for name in _LANCZOS_CHAINS for n in (6, 7, 8)
+    ],
+)
+def test_matrix_free_ground_energy_matches_the_block_spectrum(name, n):
+    # the exact blocks are the dense matrix's diagonal blocks bit for bit, so
+    # their eigvalsh is the dense spectrum without the 3^N x 3^N matrix
+    op = ChainOperator(n, _LANCZOS_CHAINS[name](), mode="matrix-free")
+    e = ed.ground_energy(op)
+    assert abs(e - ed._block_spectrum(op)[0]) <= 1e-9
+    assert ed.ground_energy(op) == e
+
+
+def _small_blocks(monkeypatch, dim):
+    # 16-row blocks, so an N = 8 solve spans several of them
+    monkeypatch.setattr(ed, "_LANCZOS_BLOCK_BYTES", 16 * 8 * dim)
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["32MiB_blocks", "16_row_blocks"])
+@pytest.mark.parametrize("name", ["I_g0.3", "I_g2.5", "II"])
+def test_lanczos_basis_is_orthonormal(name, small, monkeypatch):
+    op = ChainOperator(8, _LANCZOS_CHAINS[name](), mode="matrix-free")
+    if small:
+        _small_blocks(monkeypatch, op.dim)
+    _, blocks = ed._lanczos_smallest(op.apply, op.dim)
+    q = np.concatenate(blocks)
+    assert (len(blocks) > 1) if small else (len(blocks) == 1)
+    assert np.max(np.abs(q @ q.T - np.eye(len(q)))) <= 1e-12
+
+
+def test_lanczos_blocks_are_32_mib_or_the_whole_solve():
+    assert ed._block_rows(3**11, 400) == 24 and 24 * 8 * 3**11 >= 32 * 2**20
+    assert ed._block_rows(3**10, 400) == 72
+    assert ed._block_rows(3**8, 400) == 401  # fewer bytes than 32 MiB, but every row a solve can write
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["32MiB_blocks", "16_row_blocks"])
+def test_lanczos_allocation_is_bounded(small, monkeypatch):
+    # the kept basis, one partly filled row block and a few work vectors
+    import tracemalloc
+
+    op = ChainOperator(8, models.model_II_hamiltonian(), mode="matrix-free")
+    if small:
+        _small_blocks(monkeypatch, op.dim)
+    iterations = sum(len(b) for b in ed._lanczos_smallest(op.apply, op.dim)[1])
+    tracemalloc.start()
+    try:
+        ed.ground_energy(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (iterations + ed._block_rows(op.dim, 400) + 8) * op.dim * 8
+
+
 def test_kernel_dimension_h1_equals_transfer_count():
     for n in (4, 6):
         op = ChainOperator(n, models.limit_hamiltonian_h1())

@@ -195,6 +195,29 @@ def test_verify_zero_energy_contrapositive():
     assert verify_zero_energy(models.model_II(1.0), h, 6) > 0.1
 
 
+def test_local_hamiltonian_from_vectors_keeps_imaginary_parts():
+    v = np.zeros(9, dtype=complex)
+    v[1] = 1.0
+    v[4] = 1j
+    u = v / np.linalg.norm(v)
+    h = local_hamiltonian_from_vectors([v], k=2).matrix
+    # the projector onto conj(u), as local_hamiltonian builds from a kernel basis
+    assert np.max(np.abs(h.imag)) > 0.1
+    assert np.allclose(h, np.outer(u.conj(), u), atol=1e-15)
+    assert np.allclose(h @ u.conj(), u.conj(), atol=1e-15)
+    # a real vector next to a complex one is promoted, not the other way round
+    e0 = np.eye(9)[0]
+    mixed = local_hamiltonian_from_vectors([e0, v], k=2).matrix
+    assert np.allclose(mixed, np.outer(e0, e0) + np.outer(u.conj(), u), atol=1e-15)
+
+
+def test_local_hamiltonian_from_real_vectors_stays_real():
+    for h in (models.model_II_hamiltonian(), models.model_I_hamiltonian(0.7)):
+        assert h.matrix.dtype == np.float64
+        rebuilt = local_hamiltonian_from_vectors(list(h.basis.vectors), k=2, couplings=h.couplings)
+        assert np.array_equal(rebuilt.matrix, h.matrix)
+
+
 def test_frustration_freeness_even_rings():
     for n in (4, 6, 8, 10):
         assert verify_zero_energy(models.model_I(1.5), models.model_I_hamiltonian(1.5), n) < 1e-10
