@@ -204,10 +204,13 @@ def _lanczos_smallest(
     row by block classical Gram-Schmidt (c = V @ w, w -= c @ V per block),
     and the pass runs a second time only when the first shrank ||w|| below
     ||w|| / sqrt(2) (the Daniel-Gragg-Kaufman-Stewart test).  A fixed-seed
-    start vector keeps runs reproducible.
+    start vector keeps runs reproducible.  max_iter below 1 is refused
+    before anything is allocated.
     """
     from scipy.linalg import eigh_tridiagonal
 
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     rows = _block_rows(dim, max_iter)
     blocks = [np.empty((rows, dim))]
     q = blocks[0][0]
@@ -232,7 +235,8 @@ def _lanczos_smallest(
                 break
             before = b
         theta = eigh_tridiagonal(alphas, betas, eigvals_only=True, select="i", select_range=(0, 0))[0]
-        if b < 1e-13 or (it >= 3 and abs(theta - theta_prev) <= tol * max(1.0, abs(theta))):
+        increment = abs(theta - theta_prev)
+        if b < 1e-13 or (it >= 3 and increment <= tol * max(1.0, abs(theta))):
             return float(theta), kept
         theta_prev = theta
         betas.append(b)
@@ -242,8 +246,8 @@ def _lanczos_smallest(
         np.divide(w, b, out=q)
         w = matvec(q)
     raise LanczosConvergenceError(
-        f"no convergence after {max_iter} iterations; last Ritz value {theta_prev:.6e}, "
-        f"last increment {abs(theta - theta_prev):.3e}"
+        f"no convergence after {max_iter} iterations; last Ritz value {theta:.6e}, "
+        f"last increment {increment:.3e}"
     )
 
 

@@ -12,9 +12,10 @@ binomial sums of exact integer traces of the transfer blocks
 with X1 acting on the bra tensor factor and X2 on the ket factor.  V and U
 conserve the bond charge q = i - j and X1, X2 shift it by one, so V splits
 into path-graph blocks of sizes 1, 2, 3, 2, 1 and every trace the sums need
-has a closed form in powers of 2; no matrix is multiplied.  Everything here
-is exact integer/rational arithmetic; floats appear only in the
-thermodynamic limits.
+has a closed form in powers of 2; no matrix is multiplied.  The
+thermodynamic laws are the exact rational limits of the same closed forms
+as the outer arc grows.  Everything here is exact integer/rational
+arithmetic; each limit is converted to a float once, at the end.
 """
 
 from __future__ import annotations
@@ -26,20 +27,8 @@ from math import comb
 
 import numpy as np
 
-from . import linalg
-from .mps import _even_n_limit
-
 #: Largest ring psi_n_expand and model_ii_word_traces enumerate.
 EXPAND_MAX_SITES = 10
-
-_A1 = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-_AM = _A1.T
-_I3 = np.eye(3, dtype=int)
-_X = _A1 + _AM
-V_EXACT = np.kron(_A1, _A1) + np.kron(_AM, _AM)
-U_EXACT = np.kron(_A1, _A1) - np.kron(_AM, _AM)
-X1_EXACT = np.kron(_X, _I3)
-X2_EXACT = np.kron(_I3, _X)
 
 
 def _require_even(name: str, value: int) -> None:
@@ -306,55 +295,52 @@ def expectation_xx(psi: PsiN, r: int) -> Fraction:
 # Thermodynamic limits
 
 
-def _dominant_bracket(r: int, channel: str) -> float:
-    """Dominant-eigenvalue contraction of the k = 0 arc split of corr_zz/corr_xx.
+def _limit_bracket(r: int, channel: str) -> Fraction:
+    """Limit of the k = 0 arc split of corr_zz/corr_xx as the outer arc b grows along even N.
 
-    Both extreme eigenvalues of V are kept with their even-N sign weights; the
-    result is normalized by the dominant multiplicity (mps._even_n_limit).
+    Only the dominant eigenvalues +-sqrt2 of V grow: tr V^m = 2^(m/2+1) + 4
+    for even m >= 2.  So
+    zz: tr(U V^(r-2) U V^b) / tr V^(b+r) keeps only -tr V^b / tr V^(b+2),
+        which tends to -1/2 at r = 2; every other _tr_u_v_u branch is a
+        constant +-4 over a growing trace;
+    xx: _tr_x_pair(r-2, b) / (2 tr V^(b+r-1)) keeps only the outer leg
+        _x_leg(b), a power of sqrt2 like the trace: the ratio is 2^-(r-2)/2
+        for even r (odd b) and 3 * 2^-(r+1)/2 for odd r (even b).
     """
-    v = V_EXACT.astype(float)
-    projs = linalg.dominant_projectors(v)
-    lmax = max(abs(lam) for lam, _ in projs)
-    vmid = np.linalg.matrix_power(v / lmax, r - 2)
     if channel == "zz":
-        u = U_EXACT.astype(float)
-        middle = u @ vmid @ u / lmax**2
-        power = r
-    elif channel == "xx":
-        x1 = X1_EXACT.astype(float)
-        x2 = X2_EXACT.astype(float)
-        middle = (x2 @ vmid @ x1 + x1 @ vmid @ x2) / (2 * lmax)
-        power = r - 1
-    else:
-        raise ValueError("channel must be 'zz' or 'xx'")
-    return _even_n_limit(projs, middle, power)
+        return Fraction(-1, 2) if r == 2 else Fraction(0)
+    if channel == "xx":
+        return Fraction(3, 2 ** ((r + 1) // 2)) if r % 2 else Fraction(1, 2 ** (r // 2 - 1))
+    raise ValueError("channel must be 'zz' or 'xx'")
 
 
 def thermo_corr_finite(n_sites: int, zeros: int, r: int, channel: str) -> float:
     """Dominant-eigenvalue approximation of corr_zz/corr_xx at large even N.
 
     The arc-split prefactor C(N-r, n)/C(N, n) (zz) or C(N-r, n-1)/C(N, n) (xx)
-    times the dominant bracket; used to exhibit the limit laws at finite N.
+    times the limit bracket; used to exhibit the limit laws at finite N.
+    xx at n = 0 is 0, as corr_xx is.
     """
     _check_nnr(n_sites, zeros, r)
-    bracket = _dominant_bracket(r, channel)
+    bracket = _limit_bracket(r, channel)
     inner_zeros = zeros if channel == "zz" else zeros - 1
-    prefactor = comb(n_sites - r, inner_zeros) / comb(n_sites, zeros)
-    return float(prefactor * bracket)
+    if inner_zeros < 0:
+        return 0.0
+    return float(Fraction(comb(n_sites - r, inner_zeros), comb(n_sites, zeros)) * bracket)
 
 
 def thermo_corr(zeros: int, r: int, channel: str) -> float:
     """N -> infinity limit (n fixed) of the psi_n two-point functions.
 
     The limit of the arc-split prefactor (1 for zz, 0 for xx, which scales as
-    n/N) times the dominant bracket: zz tends to -1/2 at r = 2 and to 0
+    n/N) times the limit bracket: zz tends to -1/2 at r = 2 and to 0
     beyond; xx tends to 0 for every r while its bracket stays finite.
     """
     _require_even("zeros", zeros)
     if r < 2:
         raise ValueError("operator sites are 1 and r with r >= 2")
-    bracket = _dominant_bracket(r, channel)
-    return float((1.0 if channel == "zz" else 0.0) * bracket)
+    bracket = _limit_bracket(r, channel)
+    return float((1 if channel == "zz" else 0) * bracket)
 
 
 def degeneracy_lower_bound(n_sites: int) -> int:

@@ -134,6 +134,20 @@ def test_lanczos_allocation_is_bounded(small, monkeypatch):
     assert peak <= (iterations + ed._block_rows(op.dim, 400) + 8) * op.dim * 8
 
 
+def test_lanczos_convergence_error_reports_the_last_increment():
+    op = ChainOperator(8, models.model_II_hamiltonian(), mode="matrix-free")
+    with pytest.raises(ed.LanczosConvergenceError, match="after 20 iterations") as info:
+        ed._lanczos_smallest(op.apply, op.dim, max_iter=20)
+    assert float(str(info.value).rsplit("last increment ", 1)[1]) > 0.0
+
+
+def test_lanczos_refuses_max_iter_below_one():
+    calls = []
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        ed._lanczos_smallest(calls.append, 3**8, max_iter=0)
+    assert not calls
+
+
 def test_kernel_dimension_h1_equals_transfer_count():
     for n in (4, 6):
         op = ChainOperator(n, models.limit_hamiltonian_h1())

@@ -1,11 +1,14 @@
+import ast
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
+from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mpschain import genstate, models, parent
+from mpschain import genstate, linalg, models, parent
 from mpschain.genstate import (
     EXPAND_MAX_SITES,
     PsiN,
@@ -26,7 +29,7 @@ from mpschain.genstate import (
     thermo_corr,
     thermo_corr_finite,
 )
-from mpschain.mps import amplitudes
+from mpschain.mps import _even_n_limit, amplitudes
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +361,64 @@ def test_thermo_zz_delta_law():
 def test_thermo_xx_vanishes():
     for r in (2, 3, 5):
         assert thermo_corr(2, r, "xx") == 0.0
+
+
+def _dominant_projector_bracket(r, channel):
+    # float reference: V, U, X1, X2 as 9 x 9 matrices and the even-N limit from the dominant projectors of V
+    v = _V.astype(float)
+    projs = linalg.dominant_projectors(v)
+    vmid = np.linalg.matrix_power(v / np.sqrt(2), r - 2)
+    if channel == "zz":
+        u = _U.astype(float)
+        return _even_n_limit(projs, u @ vmid @ u / 2, r)
+    x1, x2 = _X1.astype(float), _X2.astype(float)
+    return _even_n_limit(projs, (x2 @ vmid @ x1 + x1 @ vmid @ x2) / (2 * np.sqrt(2)), r - 1)
+
+
+@pytest.mark.parametrize("channel", ["zz", "xx"])
+def test_limit_bracket_matches_the_dominant_projector_reference(channel):
+    for r in range(2, 41):
+        exact = genstate._limit_bracket(r, channel)
+        ref = _dominant_projector_bracket(r, channel)
+        if exact:
+            assert abs(ref - float(exact)) <= 1e-13 * abs(float(exact)), r
+        else:
+            assert abs(ref) <= 1e-15, r
+
+
+@pytest.mark.parametrize("channel", ["zz", "xx"])
+def test_limit_bracket_is_the_limit_of_the_closed_form_ratios(channel):
+    # the k = 0 arc split over the norm trace at an outer arc b near 400, N = b + r (zz) or b + r - 1 (xx) even
+    for r in range(2, 41):
+        if channel == "zz":
+            b = 400 + r % 2
+            ratio = Fraction(genstate._tr_u_v_u(r - 2, b), genstate._tr_v(b + r))
+        else:
+            b = 401 - r % 2
+            ratio = Fraction(genstate._tr_x_pair(r - 2, b), 2 * genstate._tr_v(b + r - 1))
+        assert abs(ratio - genstate._limit_bracket(r, channel)) < Fraction(1, 2**100), r
+
+
+def test_exact_sums_approach_the_limit_bracket():
+    # corr = C(N-r, inner zeros) / C(N, n) * (bracket + O(n/N)); the measured drift is 7.5e-5 (n = 2)
+    # and 2.3e-4 (n = 4) at N = 20000
+    for n_sites in (2000, 20000):
+        for zeros in (2, 4):
+            for r in range(2, 13):
+                for channel, corr, inner in (("zz", corr_zz, zeros), ("xx", corr_xx, zeros - 1)):
+                    scaled = corr(n_sites, zeros, r) * comb(n_sites, zeros) / comb(n_sites - r, inner)
+                    drift = abs(scaled - genstate._limit_bracket(r, channel))
+                    assert drift <= Fraction(2 * zeros, n_sites), (n_sites, zeros, r, channel)
+
+
+def test_thermo_corr_finite_xx_at_zero_zeros_is_zero():
+    for n_sites, r in ((4, 2), (10, 3), (400, 7)):
+        assert thermo_corr_finite(n_sites, 0, r, "xx") == 0.0 == float(corr_xx(n_sites, 0, r))
+
+
+def test_genstate_imports_nothing_from_the_package():
+    tree = ast.parse(Path(genstate.__file__).read_text(encoding="utf-8"))
+    assert [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level] == []
 
 
 def test_thermo_finite_size_approach():

@@ -3,6 +3,11 @@ import pytest
 
 from mpschain import linalg, models, parent
 
+# model II transfer block V = A_1 (x) A_1 + A_-1 (x) A_-1 from the 3-level ladder
+_A1 = np.diag([1.0, 1.0], 1)
+_V = np.kron(_A1, _A1) + np.kron(_A1.T, _A1.T)
+
+
 def test_null_space_identity_empty():
     assert linalg.null_space(np.eye(3), 1e-12) == []
 
@@ -54,9 +59,7 @@ def test_dominant_projectors_complex_phase_family_kept_whole():
 
 
 def test_dominant_projectors_model_ii_v():
-    from mpschain.genstate import V_EXACT
-
-    out = linalg.dominant_projectors(V_EXACT.astype(float))
+    out = linalg.dominant_projectors(_V)
     vals = sorted(lam.real for lam, _ in out)
     assert np.allclose(vals, [-np.sqrt(2), np.sqrt(2)], atol=1e-12)
     plus = [p for lam, p in out if lam.real > 0][0]
@@ -91,11 +94,8 @@ def test_trace_power_identity():
 
 
 def test_trace_power_model_ii_v():
-    from mpschain.genstate import V_EXACT
-
-    v = V_EXACT.astype(float)
-    assert linalg.trace_power(v, 2) == pytest.approx(8.0, abs=1e-10)
-    assert linalg.trace_power(v, 4) == pytest.approx(12.0, abs=1e-10)
+    assert linalg.trace_power(_V, 2) == pytest.approx(8.0, abs=1e-10)
+    assert linalg.trace_power(_V, 4) == pytest.approx(12.0, abs=1e-10)
 
 
 def test_trace_power_matches_explicit_product():
