@@ -337,6 +337,8 @@ def thermo_corr(zeros: int, r: int, channel: str) -> float:
     beyond; xx tends to 0 for every r while its bracket stays finite.
     """
     _require_even("zeros", zeros)
+    if zeros < 0:
+        raise ValueError(f"zeros must be non-negative, got {zeros}")
     if r < 2:
         raise ValueError("operator sites are 1 and r with r >= 2")
     bracket = _limit_bracket(r, channel)

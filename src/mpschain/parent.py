@@ -196,23 +196,42 @@ def _local_dim(size: int, k: int) -> int:
     return d
 
 
+def _rotate(x: np.ndarray, m: int, d: int) -> np.ndarray:
+    """The d^N vector x (any C-order shape) with its first m sites moved last: one 2-D transpose copy."""
+    return x.reshape(d**m, -1).T.copy()
+
+
 def chain_apply(h: LocalHamiltonian, n_sites: int, state: np.ndarray) -> np.ndarray:
-    """Apply H = sum_l h_{l..l+k-1} (periodic windows) to a d^N vector, matrix-free."""
+    """Apply H = sum_l h_{l..l+k-1} (periodic windows) to a d^N vector, matrix-free.
+
+    The state stays flat and is read in a frame: its sites rotated so that
+    chain site `lead` comes first.  The window at site l sits at frame
+    position s = l - lead and is the contiguous view (d^s, d^k, rest) of the
+    state; h acts on it from the left in one matmul (a plain 2-D product when
+    s = 0) and the product is added into the same view of the output.  When
+    s would pass (N - k) // 2, the state and the output are both rotated so
+    that window leads; the output is rotated back once at the end.  Windows
+    are added in the fixed order l = 0..N-1, so every entry sums its terms in
+    that order.  The input is never written to.
+    """
     k = h.k
     if n_sites < k:
         raise ValueError(f"n_sites must be >= k = {k}")
     d = _local_dim(h.dim, k)
-    state = np.asarray(state)
-    if state.shape != (d**n_sites,):
-        raise ValueError(f"state must have length {d**n_sites}, got {state.shape}")
-    psi = state.reshape((d,) * n_sites)
-    out = np.zeros_like(psi, dtype=np.result_type(psi, h.matrix))
-    for start in range(n_sites):
-        axes = [(start + j) % n_sites for j in range(k)]
-        moved = np.moveaxis(psi, axes, range(k)).reshape(d**k, -1)
-        term = (h.matrix @ moved).reshape((d,) * n_sites)
-        out += np.moveaxis(term, range(k), axes)
-    return out.reshape(-1)
+    psi = np.asarray(state)
+    if psi.shape != (d**n_sites,):
+        raise ValueError(f"state must have length {d**n_sites}, got {psi.shape}")
+    out = np.zeros(psi.shape, dtype=np.result_type(psi, h.matrix))
+    lead = 0
+    for site in range(n_sites):
+        s = site - lead
+        if s > (n_sites - k) // 2:
+            psi, out = _rotate(psi, s, d), _rotate(out, s, d)
+            lead, s = site, 0
+        shape = (d**k, -1) if s == 0 else (d**s, d**k, -1)
+        view = out.reshape(shape)
+        view += np.matmul(h.matrix, psi.reshape(shape))
+    return _rotate(out, n_sites - lead, d).reshape(-1) if lead else out
 
 
 def chain_residual(h: LocalHamiltonian, n_sites: int, state: np.ndarray) -> float:

@@ -141,6 +141,21 @@ def test_lanczos_convergence_error_reports_the_last_increment():
     assert float(str(info.value).rsplit("last increment ", 1)[1]) > 0.0
 
 
+@pytest.mark.parametrize("name, matvecs", [("II", 107), ("I_g2.5", 49), ("I_g0.3", 98)])
+def test_lanczos_matvec_counts_are_pinned(name, matvecs):
+    # the Lanczos work of three converged solves at N = 8, counted on the
+    # matvecs; tests/test_chain_apply.py pins the kernel itself bit for bit
+    op = ChainOperator(8, _LANCZOS_CHAINS[name](), mode="matrix-free")
+    calls = []
+
+    def matvec(v):
+        calls.append(None)
+        return op.apply(v)
+
+    ed._lanczos_smallest(matvec, op.dim)
+    assert len(calls) == matvecs
+
+
 def test_lanczos_refuses_max_iter_below_one():
     calls = []
     with pytest.raises(ValueError, match="max_iter must be at least 1"):

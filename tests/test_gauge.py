@@ -1,11 +1,15 @@
-"""Gauge invariance: A_i -> X A_i X^-1 leaves every ring correlator and kernel unchanged."""
+"""Invariances of an MPS family.
+
+A gauge change A_i -> X A_i X^-1 leaves every ring correlator and kernel
+unchanged; a common scale A_i -> s A_i leaves the parent kernels unchanged.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpschain import parent, spin
+from mpschain import ed, parent, spin
 from mpschain.mps import MpsFamily, ring_one_point, ring_two_point
 
 N_SITES = 6
@@ -46,3 +50,30 @@ def test_gauge_change_leaves_correlators_and_kernel_unchanged(pair):
                 want = ring_two_point(fam, o1, o2, r, N_SITES)
                 assert ring_two_point(gauged, o1, o2, r, N_SITES) == pytest.approx(want, **close)
     assert parent.ground_null_space(gauged, 2).dim == parent.ground_null_space(fam, 2).dim
+
+
+@st.composite
+def scaled_families(draw):
+    d = draw(st.sampled_from((2, 3)))
+    D = draw(st.integers(1, d - 1))
+    complex_ = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = tuple(str(i) for i in range(d))
+    mats = {lab: _complex(rng, (D, D)) if complex_ else rng.standard_normal((D, D)) for lab in labels}
+    s = draw(st.floats(0.1, 10.0)) * draw(st.sampled_from((1, -1)))
+    if complex_:
+        s *= np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+    fam = MpsFamily(d=d, D=D, labels=labels, matrices=mats)
+    scaled = MpsFamily(d=d, D=D, labels=labels, matrices={lab: s * m for lab, m in mats.items()})
+    return fam, scaled, draw(st.integers(3, 6))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(scaled_families())
+def test_common_scale_leaves_the_kernels_unchanged(case):
+    fam, scaled, n_sites = case
+    basis = parent.ground_null_space(fam, 2)
+    scaled_basis = parent.ground_null_space(scaled, 2)
+    assert scaled_basis.dim == basis.dim > 0
+    want = ed.kernel_dimension(ed.ChainOperator(n_sites, parent.local_hamiltonian(basis)))
+    assert ed.kernel_dimension(ed.ChainOperator(n_sites, parent.local_hamiltonian(scaled_basis))) == want

@@ -363,6 +363,16 @@ def test_thermo_xx_vanishes():
         assert thermo_corr(2, r, "xx") == 0.0
 
 
+@pytest.mark.parametrize("zeros, r, channel", [(-2, 2, "zz"), (-4, 3, "xx"), (-2, 5, "zz")])
+def test_thermo_corr_refuses_a_negative_zero_count(zeros, r, channel, monkeypatch):
+    def bracket(*args):
+        raise AssertionError("the limit bracket ran")
+
+    monkeypatch.setattr(genstate, "_limit_bracket", bracket)
+    with pytest.raises(ValueError, match="zeros must be non-negative"):
+        thermo_corr(zeros, r, channel)
+
+
 def _dominant_projector_bracket(r, channel):
     # float reference: V, U, X1, X2 as 9 x 9 matrices and the even-N limit from the dominant projectors of V
     v = _V.astype(float)
