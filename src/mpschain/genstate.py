@@ -16,13 +16,21 @@ has a closed form in powers of 2; no matrix is multiplied.  The
 thermodynamic laws are the exact rational limits of the same closed forms
 as the outer arc grows.  Everything here is exact integer/rational
 arithmetic; each limit is converted to a float once, at the end.
+
+The brute-force oracle the closed forms are checked against stores each
+explicit psi_n (up to EXPAND_MAX_SITES sites) as int64 arrays of basis
+indices and word traces, and its expectation values are integer dot
+products over them.  Every trace is at most 3 in size and there are at most
+3^10 strings, so every partial sum stays far below 2^63; each sum becomes a
+Python int before it enters a Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -82,30 +90,46 @@ def _word_trace(word) -> int:
     return max(0, 3 - (high - low)) if height == 0 else 0
 
 
-@dataclass(frozen=True)
+def _place_values(n_sites: int) -> np.ndarray:
+    """3^(N-1-s) for the sites s = 0..N-1: site 1 is the most significant base-3 digit."""
+    return 3 ** np.arange(n_sites - 1, -1, -1, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
 class PsiN:
     """Explicit integer-amplitude form of the n-zero sector state.
 
-    amplitudes maps configurations (tuples of m values) to integer word
-    traces; only nonzero amplitudes are stored.  Every stored string has
-    exactly `zeros` zeros and equally many +1 and -1 entries.
+    index holds the base-3 basis index of each stored string (site 1 most
+    significant, digit 1 - m) and values its integer word trace, both int64
+    and in expansion order; only nonzero amplitudes are stored.  Every stored
+    string has exactly `zeros` zeros and equally many +1 and -1 entries.
+    amplitudes is the same state as a map from configurations (tuples of m
+    values) to Python ints, built on first access.
     """
 
     n_sites: int
     zeros: int
-    amplitudes: dict[tuple[int, ...], int] = field(repr=False)
+    index: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+
+    @classmethod
+    def from_amplitudes(cls, n_sites: int, zeros: int, amplitudes: dict[tuple[int, ...], int]) -> PsiN:
+        digits = 1 - np.array(list(amplitudes), dtype=np.int64).reshape(len(amplitudes), n_sites)
+        values = np.array(list(amplitudes.values()), dtype=np.int64)
+        return cls(n_sites=n_sites, zeros=zeros, index=digits @ _place_values(n_sites), values=values)
+
+    @cached_property
+    def amplitudes(self) -> dict[tuple[int, ...], int]:
+        m = 1 - (self.index[:, None] // _place_values(self.n_sites)) % 3
+        return dict(zip(map(tuple, m.tolist()), self.values.tolist()))
 
     def norm_sq(self) -> int:
-        return sum(a * a for a in self.amplitudes.values())
+        return int(self.values @ self.values)
 
     def vector(self) -> np.ndarray:
         """Dense 3^N vector in the package basis order (site 1 most significant)."""
         out = np.zeros(3**self.n_sites)
-        for cfg, a in self.amplitudes.items():
-            idx = 0
-            for m in cfg:
-                idx = idx * 3 + (1 - m)
-            out[idx] = a
+        out[self.index] = self.values
         return out
 
 
@@ -122,26 +146,32 @@ def psi_n_expand(n_sites: int, zeros: int) -> PsiN:
     word; the identity blocks at the zero sites drop out of the trace.  So
     the balanced +1/-1 words of length N - n with a nonzero trace are listed
     once, in combinations order of their +1 positions, and each zero
-    placement splices every listed word into the sites left free.  Rings
-    beyond EXPAND_MAX_SITES are refused before anything is enumerated.
+    placement splices every listed word into the sites left free: one
+    integer product gives every basis index, placement-major, and the traces
+    repeat once per placement.  Rings beyond EXPAND_MAX_SITES are refused
+    before anything is enumerated.
     """
     _check_expand(n_sites, zeros)
     length = n_sites - zeros
-    words = []  # (word + (0,), trace): slot `length` reads the zero
+    words, traces = [], []
     for up_pos in combinations(range(length), length // 2):
         word = [-1] * length
         for s in up_pos:
             word[s] = 1
         t = _word_trace(word)
         if t:
-            words.append(((*word, 0), t))
-    amps: dict[tuple[int, ...], int] = {}
-    for zero_pos in combinations(range(n_sites), zeros):
-        free = iter(range(length))
-        slot = [length if s in zero_pos else next(free) for s in range(n_sites)]
-        for word, t in words:
-            amps[tuple(map(word.__getitem__, slot))] = t
-    return PsiN(n_sites=n_sites, zeros=zeros, amplitudes=amps)
+            words.append(word)
+            traces.append(t)
+    placements = comb(n_sites, zeros)
+    zero_sites = np.array(list(combinations(range(n_sites), zeros)), dtype=np.intp).reshape(placements, zeros)
+    is_zero = np.zeros((placements, n_sites), dtype=bool)
+    is_zero[np.arange(placements)[:, None], zero_sites] = True
+    w = _place_values(n_sites)
+    free = np.broadcast_to(w, is_zero.shape)[~is_zero].reshape(placements, length)
+    digits = 1 - np.array(words, dtype=np.int64).reshape(len(words), length)
+    index = (w[zero_sites].sum(axis=1)[:, None] + free @ digits.T).ravel()
+    values = np.tile(np.array(traces, dtype=np.int64), placements)
+    return PsiN(n_sites=n_sites, zeros=zeros, index=index, values=values)
 
 
 def model_ii_word_traces(n_sites: int) -> dict[tuple[int, ...], tuple[int, int]]:
@@ -247,47 +277,51 @@ def corr_xx(n_sites: int, zeros: int, r: int) -> Fraction:
 # Brute-force expectation values on explicit psi_n states (the oracle side)
 
 
+def _spins(psi: PsiN, s: int) -> np.ndarray:
+    """The m value at site s + 1 of every stored string."""
+    return 1 - (psi.index // 3 ** (psi.n_sites - 1 - s)) % 3
+
+
 def expectation_sz2(psi: PsiN) -> Fraction:
-    num = sum(a * a * cfg[0] * cfg[0] for cfg, a in psi.amplitudes.items())
-    return Fraction(num, psi.norm_sq())
+    m = _spins(psi, 0)
+    return Fraction(int((psi.values * psi.values) @ (m * m)), psi.norm_sq())
 
 
 def expectation_sperp2(psi: PsiN) -> Fraction:
     """<S_x^2> at site 1; the S_x^2 cross terms unbalance the string and drop."""
-    num = sum(a * a * (2 if cfg[0] == 0 else 1) for cfg, a in psi.amplitudes.items())
-    return Fraction(num, 2 * psi.norm_sq())
+    m = _spins(psi, 0)
+    return Fraction(int((psi.values * psi.values) @ (2 - m * m)), 2 * psi.norm_sq())
 
 
 def expectation_sz2sz2(psi: PsiN, r: int) -> Fraction:
     _check_r(psi.n_sites, r)
-    num = sum(a * a * cfg[0] ** 2 * cfg[r - 1] ** 2 for cfg, a in psi.amplitudes.items())
-    return Fraction(num, psi.norm_sq())
+    m1, mr = _spins(psi, 0), _spins(psi, r - 1)
+    return Fraction(int((psi.values * psi.values) @ (m1 * m1 * mr * mr)), psi.norm_sq())
 
 
 def expectation_zz(psi: PsiN, r: int) -> Fraction:
     _check_r(psi.n_sites, r)
-    num = sum(a * a * cfg[0] * cfg[r - 1] for cfg, a in psi.amplitudes.items())
-    return Fraction(num, psi.norm_sq())
-
-
-_SX_MOVES = {1: (0,), 0: (1, -1), -1: (0,)}  # S_x|m> = (1/sqrt2) sum of these targets
+    return Fraction(int((psi.values * psi.values) @ (_spins(psi, 0) * _spins(psi, r - 1))), psi.norm_sq())
 
 
 def expectation_xx(psi: PsiN, r: int) -> Fraction:
-    """<S_x,1 S_x,r> evaluated directly on the amplitude map, exact."""
+    """<S_x,1 S_x,r> evaluated directly on the stored strings, exact.
+
+    S_x|m> is (1/sqrt2) times |0> for m = +-1 and |1> + |-1> for m = 0.  Moving
+    the digit 1 - m of a site by s = +-1 is such a move exactly when m is 0 or
+    s, so each S_x target is index + s1 3^(N-1) + sr 3^(N-r), looked up in a
+    dense table of the amplitudes.
+    """
     _check_r(psi.n_sites, r)
-    i, j = 0, r - 1
+    n_sites = psi.n_sites
+    table = np.zeros(3**n_sites, dtype=np.int64)
+    table[psi.index] = psi.values
+    m1, mr = _spins(psi, 0), _spins(psi, r - 1)
     num = 0
-    amps = psi.amplitudes
-    for cfg, a in amps.items():
-        for mi in _SX_MOVES[cfg[i]]:
-            for mj in _SX_MOVES[cfg[j]]:
-                target = list(cfg)
-                target[i] = mi
-                target[j] = mj
-                b = amps.get(tuple(target))
-                if b:
-                    num += a * b
+    for s1, sr in product((1, -1), repeat=2):
+        moved = ((m1 == 0) | (m1 == s1)) & ((mr == 0) | (mr == sr))
+        target = psi.index[moved] + s1 * 3 ** (n_sites - 1) + sr * 3 ** (n_sites - r)
+        num += int(psi.values[moved] @ table[target])
     return Fraction(num, 2 * psi.norm_sq())
 
 

@@ -114,13 +114,14 @@ def sector_agreement(n_sites: int) -> list[tuple[bool, float]]:
 
 def generating_identity_deviation(n_sites: int, g_values) -> float:
     """Largest |model II amplitude - g**zeros * trace| over every string and g; 0 means exact."""
-    traces = genstate.model_ii_word_traces(n_sites)
-    label_of = {1: "1", 0: "0", -1: "-1"}
+    sectors = [genstate.psi_n_expand(n_sites, z) for z in range(0, n_sites + 1, 2)]
     worst = 0.0
     for g in g_values:
-        amps = mps.amplitudes(models.model_II(g), n_sites)
-        recon = {tuple(label_of[m] for m in cfg): (g**z) * t for cfg, (z, t) in traces.items()}
-        worst = max(worst, max(abs(amps[k] - recon.get(k, 0.0)) for k in amps))
+        recon = np.zeros(3**n_sites)
+        for psi in sectors:
+            recon[psi.index] = (g**psi.zeros) * psi.values
+        amps = mps.amplitudes_vector(models.model_II(g), n_sites)
+        worst = max(worst, float(np.max(np.abs(amps - recon))))
     return worst
 
 

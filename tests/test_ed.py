@@ -1,3 +1,5 @@
+from math import gcd
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -368,11 +370,23 @@ def test_wraparound_embedding_matches_contraction(h, k):
 MODEL_II_BLOCKS = {3: 14, 4: 26, 5: 48, 6: 88, 7: 166, 8: 314}
 
 
+def _totient(d):
+    return sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+
+
+def _binary_necklaces(length):
+    """Binary necklaces of the given length, (1/L) sum over d | L of phi(d) 2^(L/d) (OEIS A000031)."""
+    return sum(_totient(d) * 2 ** (length // d) for d in range(1, length + 1) if length % d == 0) // length
+
+
 def test_model_ii_has_one_block_per_kernel_vector():
     for n, want in MODEL_II_BLOCKS.items():
         op = ChainOperator(n, models.model_II_hamiltonian())
         assert sum(len(states) for states, _ in ed._blocks(op)) == want
         assert ed.kernel_dimension(op) == want
+        # the +-1-only strings, the all-zero string, and one ground state per cyclic +-1 word (up to
+        # rotation) of the N - n nonzero sites in each sector 0 < n < N
+        assert want == 2**n + 1 + sum(_binary_necklaces(length) for length in range(1, n))
 
 
 def test_h1_kernel_at_the_dense_cap():

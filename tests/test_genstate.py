@@ -342,10 +342,87 @@ def test_degeneracy_lower_bound():
 
 
 def test_psin_vector_indexing():
-    psi = PsiN(n_sites=2, zeros=2, amplitudes={(0, 0): 3})
+    psi = PsiN.from_amplitudes(n_sites=2, zeros=2, amplitudes={(0, 0): 3})
     vec = psi.vector()
     assert vec[1 * 3 + 1] == 3.0
     assert np.count_nonzero(vec) == 1
+
+
+# ---------------------------------------------------------------------------
+# the array-backed oracle against the dict loops it replaced
+
+
+def _loop_norm_sq(amps):
+    return sum(a * a for a in amps.values())
+
+
+def _loop_vector(n_sites, amps):
+    out = np.zeros(3**n_sites)
+    for cfg, a in amps.items():
+        idx = 0
+        for m in cfg:
+            idx = idx * 3 + (1 - m)
+        out[idx] = a
+    return out
+
+
+def _loop_sz2(amps):
+    return Fraction(sum(a * a * cfg[0] * cfg[0] for cfg, a in amps.items()), _loop_norm_sq(amps))
+
+
+def _loop_sperp2(amps):
+    return Fraction(sum(a * a * (2 if cfg[0] == 0 else 1) for cfg, a in amps.items()), 2 * _loop_norm_sq(amps))
+
+
+def _loop_sz2sz2(amps, r):
+    return Fraction(sum(a * a * cfg[0] ** 2 * cfg[r - 1] ** 2 for cfg, a in amps.items()), _loop_norm_sq(amps))
+
+
+def _loop_zz(amps, r):
+    return Fraction(sum(a * a * cfg[0] * cfg[r - 1] for cfg, a in amps.items()), _loop_norm_sq(amps))
+
+
+_SX_MOVES = {1: (0,), 0: (1, -1), -1: (0,)}
+
+
+def _loop_xx(amps, r):
+    num = 0
+    for cfg, a in amps.items():
+        for mi in _SX_MOVES[cfg[0]]:
+            for mj in _SX_MOVES[cfg[r - 1]]:
+                target = list(cfg)
+                target[0], target[r - 1] = mi, mj
+                num += a * amps.get(tuple(target), 0)
+    return Fraction(num, 2 * _loop_norm_sq(amps))
+
+
+@pytest.mark.parametrize("n_sites", [2, 4, 6, 8, 10])
+def test_array_oracle_equals_the_dict_loops(n_sites):
+    for zeros in range(0, n_sites + 1, 2):
+        psi = psi_n_expand(n_sites, zeros)
+        amps = psi.amplitudes
+        digits = 1 - (psi.index[:, None] // 3 ** np.arange(n_sites - 1, -1, -1)) % 3
+        assert list(zip(map(tuple, digits), psi.values)) == list(amps.items())
+        assert type(psi.norm_sq()) is int and psi.norm_sq() == _loop_norm_sq(amps)
+        assert psi.vector().tobytes() == _loop_vector(n_sites, amps).tobytes()
+        pairs = [(expectation_sz2(psi), _loop_sz2(amps)), (expectation_sperp2(psi), _loop_sperp2(amps))]
+        for r in range(2, n_sites):
+            pairs += [
+                (expectation_zz(psi, r), _loop_zz(amps, r)),
+                (expectation_xx(psi, r), _loop_xx(amps, r)),
+                (expectation_sz2sz2(psi, r), _loop_sz2sz2(amps, r)),
+            ]
+        for got, want in pairs:
+            assert type(got) is Fraction
+            assert got == want, (n_sites, zeros)
+
+
+def test_from_amplitudes_round_trips_the_expansion():
+    for zeros in (0, 2, 6):
+        psi = psi_n_expand(6, zeros)
+        again = PsiN.from_amplitudes(6, zeros, psi.amplitudes)
+        assert np.array_equal(again.index, psi.index) and np.array_equal(again.values, psi.values)
+        assert again.index.dtype == again.values.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from math import log10, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpschain import linalg, models, mps, parent, spin
 from mpschain.mps import (
@@ -346,6 +348,28 @@ def test_thermo_two_point_degenerate_dominant_pair():
     assert thermo_two_point(fam0, spin.sx(), spin.sx(), 2) == pytest.approx(0.0, abs=1e-12)
     assert thermo_two_point(fam0, spin.sz(), spin.sz(), 1) == pytest.approx(-0.5, abs=1e-10)
     assert abs(thermo_two_point(fam0, spin.sz(), spin.sz(), 2)) < 1e-10
+
+
+@st.composite
+def injective_families(draw):
+    """A random real D = 2 family with d in {2, 3}; such families are injective with probability one."""
+    d = draw(st.sampled_from((2, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = tuple(str(i) for i in range(d))
+    return MpsFamily(d=d, D=2, labels=labels, matrices={lab: rng.standard_normal((2, 2)) for lab in labels})
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(injective_families(), st.integers(1, 8))
+def test_thermo_limit_matches_a_large_ring(fam, r):
+    # an injective family's ring correlator approaches its limit like q^(N-r-1), q the subleading
+    # transfer ratio |lambda_2| / |lambda_1| (Fannes, Nachtergaele and Werner 1992)
+    n_sites = 400
+    sz = spin.SpinObservable("S_z", spin.spin_generators((fam.d - 1) / 2)[0])
+    moduli = np.sort(np.abs(np.linalg.eigvals(transfer(fam).matrix)))
+    q = moduli[-2] / moduli[-1]
+    gap = abs(thermo_two_point(fam, sz, sz, r) - ring_two_point(fam, sz, sz, r, n_sites))
+    assert gap <= 1e-9 + 100 * q ** (n_sites - r - 1)
 
 
 def test_thermo_oscillatory_flagged():
