@@ -202,6 +202,29 @@ def test_correlate_oscillatory_rows_flagged(tmp_path):
     assert code == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert all(r[4] == "oscillatory" and r[3] == "" for r in rows)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "ac015db25a799811447c9a250c4c20b8b0811f998da2a70a149457ce9aeb4c6d")
+
+
+#: sha256 of the CSV each r-sweep prints, recorded before the r-sweeps were stacked.
+CORRELATE_SHA256 = {
+    "I zz thermo": (("--which", "I", "--channel", "zz", "--g-sweep", "0.1", "3.0", "30", "--r-max", "12"),
+                    "a06752dd1ad085d89a64bd279187ec3f69d81009603f312ece658c0ab53e9d8a"),
+    "II zz thermo": (("--which", "II", "--channel", "zz", "--g-sweep", "0.1", "3.0", "30", "--r-max", "12"),
+                     "416c3b31e3d9fee73376d26f51ade677d55cb680635494b3783db5cfae29d9ae"),
+    "II xx ring": (("--which", "II", "--channel", "xx", "--g-sweep", "0.1", "3.0", "30", "--mode", "ring",
+                    "--n-sites", "40", "--r-max", "12"),
+                   "173da1a2a8c119a00043b978ee94ed6730b0c29f65955304afcf68c3d627ea11"),
+}
+
+
+@pytest.mark.parametrize("case", list(CORRELATE_SHA256))
+def test_correlate_sweeps_are_byte_stable(case, capsys):
+    argv, digest = CORRELATE_SHA256[case]
+    assert run("correlate", *argv) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1 + 30 * 12
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_correlate_sweep_builds_one_spectrum_per_g(monkeypatch, capsys):
@@ -229,9 +252,11 @@ def test_correlate_complex_family_from_file(tmp_path):
     )
     path = tmp_path / "complex.json"
     fam.save(path)
-    for mode, extra, expected in (
-        ("thermo", (), lambda r: mps.thermo_two_point(fam, spin.sz(), spin.sz(), r)),
-        ("ring", ("--n-sites", "9"), lambda r: mps.ring_two_point(fam, spin.sz(), spin.sz(), r, 9)),
+    for mode, extra, expected, digest in (
+        ("thermo", (), lambda r: mps.thermo_two_point(fam, spin.sz(), spin.sz(), r),
+         "94778caf8a2267cd672c58ea20be784f9aeb6382b629b94c75d87e49559119d1"),
+        ("ring", ("--n-sites", "9"), lambda r: mps.ring_two_point(fam, spin.sz(), spin.sz(), r, 9),
+         "456d2457c092036ee5715e7aa1f9b9f1d3eff21ce30cc23a3a6413275456a6a1"),
     ):
         out = tmp_path / f"{mode}.csv"
         assert run("correlate", "--which", "file", "--in", str(path), "--channel", "zz", "--mode", mode,
@@ -240,6 +265,7 @@ def test_correlate_complex_family_from_file(tmp_path):
         assert [int(r[1]) for r in rows] == [1, 2, 3, 4]
         for row in rows:
             assert float(row[3]) == expected(int(row[1]))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_python_m_mpschain_runs_the_cli(capsys):
@@ -361,3 +387,35 @@ def test_verify_report_deterministic(tmp_path):
 
 def test_help_exits_zero():
     assert run("--help") == 0
+
+
+def test_one_parser_serves_every_call(capsys):
+    # formulas runs at fixed g values; frustration takes --g, so a list left over shows there
+    calls = [("verify", "--suite", "formulas", "--g", "0.5"), ("verify", "--suite", "formulas"),
+             ("verify", "--suite", "frustration", "--n-sites", "4", "--g", "0.5"),
+             ("verify", "--suite", "frustration", "--n-sites", "4", "--g", "0.7")]
+    outs = []
+    for argv in calls:
+        assert run(*argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert hashlib.sha256(outs[0].encode()).hexdigest() == VERIFY_SHA256["formulas"]
+    assert outs[1] == outs[0]
+    for out, g in ((outs[2], "0.5"), (outs[3], "0.7")):
+        names = [c["name"] for c in json.loads(out)["suites"]["frustration"]]
+        assert names == [f"model {w} g={g} N=4 zero-energy residual" for w in ("I", "II")]
+    for argv, out in zip(calls, outs):
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == out
+
+
+def test_build_parser_still_parses_help_and_usage_errors(capsys):
+    parser = cli.build_parser()
+    assert parser.parse_args(["verify", "--suite", "all"]).g is None
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["--help"])
+    assert exc.value.code == 0
+    assert "usage: mpschain" in capsys.readouterr().out
+    with pytest.raises(cli._UsageError):
+        parser.parse_args(["verify", "--suite", "bogus"])
+    assert run("--help") == cli.EXIT_OK
+    assert run("verify", "--suite", "bogus") == cli.EXIT_USAGE
