@@ -9,6 +9,7 @@ produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -134,14 +135,10 @@ def _correlate_rows(args, fam_for, g_values) -> list[dict]:
             rows.append({"g": g, "r": None, "channel": args.channel, "value": val, "flag": ""})
             continue
         obs = _TWO_POINT[args.channel]()
-        for r in r_values:
+        values = spectrum.two_point_sweep(obs, obs, r_values, args.n_sites if args.mode == "ring" else None)
+        for r, val in zip(r_values, values):
             flag = ""
-            try:
-                if args.mode == "ring":
-                    val = spectrum.ring_two_point(obs, obs, r, args.n_sites)
-                else:
-                    val = spectrum.thermo_two_point(obs, obs, r)
-            except OscillatoryLimitError:
+            if isinstance(val, OscillatoryLimitError):
                 val, flag = None, "oscillatory"
             rows.append({"g": g, "r": r, "channel": args.channel, "value": val, "flag": flag})
     return rows
@@ -246,7 +243,9 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process; parse_args keeps no state between calls."""
     p = _Parser(prog="mpschain", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -17,18 +17,27 @@ from math import log, sqrt
 
 import numpy as np
 
-from . import ed, parent, spin
-from .mps import MpsFamily
+from . import ed, spin
+from .mps import MpsFamily, _words
 from .parent import LocalHamiltonian, local_hamiltonian_from_vectors
 
 _LABELS = spin.LABELS
 
 
+def _general_stack(g, h, c) -> np.ndarray:
+    """The (..., 3, 3, 3) stack of the family's A_1, A_0, A_-1, broadcast over arrays of g, h and c."""
+    g, h, c = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (g, h, c)))
+    mats = np.zeros(g.shape + (3, 3, 3))
+    mats[..., 0, 0, 1] = mats[..., 0, 1, 2] = 1.0
+    mats[..., 1, 0, 0] = mats[..., 1, 2, 2] = g
+    mats[..., 1, 1, 1] = h
+    mats[..., 2, 1, 0] = mats[..., 2, 2, 1] = c
+    return mats
+
+
 def general_family(g: float, h: float, c: float) -> MpsFamily:
     """The three-parameter spin-1 family with bond dimension 3."""
-    a1 = np.array([[0.0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    a0 = np.diag([float(g), float(h), float(g)])
-    am = np.array([[0.0, 0, 0], [c, 0, 0], [0, c, 0]], dtype=float)
+    a1, a0, am = _general_stack(g, h, c)
     return MpsFamily(
         d=3, D=3, labels=_LABELS, matrices={"1": a1, "0": a0, "-1": am},
         params={"g": float(g), "h": float(h), "c": float(c)},
@@ -100,9 +109,16 @@ def model_II_hamiltonian(sigma: int = 1) -> LocalHamiltonian:
 # det(M) classification of the general family
 
 
-def det_word_matrix(g: float, h: float, c: float) -> float:
-    """Numeric determinant of the 9 x 9 two-site word matrix of the family."""
-    return float(np.linalg.det(parent.word_matrix(general_family(g, h, c), 2)))
+def det_word_matrix(g, h, c):
+    """Numeric determinant of the 9 x 9 two-site word matrix of the family.
+
+    Broadcasts over arrays of g, h and c, taking every determinant in one call;
+    scalar parameters give a float.
+    """
+    mats = _general_stack(g, h, c)
+    words = _words(mats, 2, "word-matrix").reshape(mats.shape[:-3] + (9, 9))
+    det = np.linalg.det(np.swapaxes(words, -1, -2))
+    return float(det) if det.ndim == 0 else det
 
 
 def det_closed_form(g: float, h: float, c: float) -> float:

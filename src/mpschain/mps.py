@@ -10,9 +10,10 @@ variants E_O = sum_ij conj(A_i) (x) A_j <i|O|j>.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import product, takewhile
 
 import numpy as np
 
@@ -115,7 +116,7 @@ class MpsFamily(_JsonFile):
 
     def matrix_stack(self) -> np.ndarray:
         """The d auxiliary matrices as one (d, D, D) array, in label order."""
-        return np.stack([self.matrices[lab] for lab in self.labels])
+        return np.array([self.matrices[lab] for lab in self.labels])
 
     def to_json_dict(self) -> dict:
         """JSON-ready dict; a complex matrix stores each entry as an [re, im] pair."""
@@ -199,41 +200,102 @@ def _real_or_raise(value, what: str, tol: float = 1e-12):
     return float(value)
 
 
-def _even_n_limit(projectors, middle: np.ndarray, extra_power: int) -> float:
-    """Even-N limit of tr(middle E^{N-extra_power}) / tr(E^N) from the dominant projectors of E.
+class _EvenNLimit:
+    """Even-N limits of tr(middle E^{N-extra_power}) / tr(E^N) from the dominant projectors of E.
 
-    middle must already be rescaled so each transfer step carries E/lambda_max.
+    Each middle must already be rescaled so each transfer step carries E/lambda_max.
     Eigenvalues tied in magnitude are kept whole, sign-weighted and normalised by
     their multiplicity; a phase that does not converge along even N with a
-    nonzero coefficient raises OscillatoryLimitError.
+    nonzero coefficient gives OscillatoryLimitError.  The per-projector data
+    (phase, sign, whether it oscillates, the total multiplicity) is set up once.
     """
-    lmax = max(abs(lam) for lam, _ in projectors)
-    total_mult = 0.0
-    value = 0.0 + 0.0j
-    for lam, p in projectors:
-        s = lam / lmax
-        coeff = np.trace(p @ middle)
-        total_mult += np.trace(p).real
-        if abs(s.imag) > 1e-8 or abs(abs(s) - 1.0) > 1e-8 or abs(s.real**2 - 1.0) > 1e-8:
-            if abs(coeff) > 1e-10:
-                raise OscillatoryLimitError(
-                    f"dominant eigenvalue phase {s:.6f} does not converge along even N"
-                )
-            continue
-        sign = 1.0 if s.real > 0 else -1.0
-        value += sign**extra_power * coeff
-    return _real_or_raise(value / total_mult, "thermodynamic limit")
+
+    def __init__(self, projectors):
+        lmax = max(abs(lam) for lam, _ in projectors)
+        self.terms = []
+        self.total_mult = 0.0
+        for lam, p in projectors:
+            s = lam / lmax
+            self.total_mult += np.trace(p).real
+            oscillates = abs(s.imag) > 1e-8 or abs(abs(s) - 1.0) > 1e-8 or abs(s.real**2 - 1.0) > 1e-8
+            self.terms.append((p, s, oscillates, 1.0 if s.real > 0 else -1.0))
+
+    def values(self, middles: np.ndarray, extra_powers) -> list:
+        """One limit per middle of the (R, n, n) stack; an oscillating one is its OscillatoryLimitError."""
+        coeffs = [np.trace(p @ middles, axis1=1, axis2=2) for p, *_ in self.terms]
+        out = []
+        for i, extra_power in enumerate(extra_powers):
+            value = 0.0 + 0.0j
+            for (_, s, oscillates, sign), coeff in zip(self.terms, coeffs):
+                if oscillates:
+                    if abs(coeff[i]) > 1e-10:
+                        value = OscillatoryLimitError(
+                            f"dominant eigenvalue phase {s:.6f} does not converge along even N"
+                        )
+                        break
+                    continue
+                value += sign**extra_power * coeff[i]
+            else:
+                value = _real_or_raise(value / self.total_mult, "thermodynamic limit")
+            out.append(value)
+        return out
+
+    def value(self, middle: np.ndarray, extra_power: int) -> float:
+        """The limit for one middle; raises OscillatoryLimitError when it oscillates."""
+        return _raise_oscillatory(self.values(middle[None], [extra_power]))[0]
+
+
+def _raise_oscillatory(values: list) -> list:
+    """values, raising the first OscillatoryLimitError among them."""
+    for v in values:
+        if isinstance(v, OscillatoryLimitError):
+            raise v
+    return values
+
+
+class _PowerLadder:
+    """Integer powers of one matrix, bit for bit as np.linalg.matrix_power forms them.
+
+    The squarings a, a^2, a^4, ... are kept, so powers of one matrix share them.
+    n = 0..3 take matrix_power's shortcuts; n >= 4 multiplies the squarings of
+    the set bits of n, least significant first.
+    """
+
+    def __init__(self, a: np.ndarray):
+        self.squares = [a]
+
+    def power(self, n: int) -> np.ndarray:
+        n = operator.index(n)
+        sq = self.squares
+        a = sq[0]
+        if n == 0:
+            return np.eye(a.shape[0], dtype=a.dtype)
+        while len(sq) < n.bit_length():
+            sq.append(sq[-1] @ sq[-1])
+        if n <= 2:
+            return sq[n - 1]
+        if n == 3:
+            return sq[1] @ a
+        result = None
+        for k in range(n.bit_length()):
+            if n >> k & 1:
+                result = sq[k] if result is None else result @ sq[k]
+        return result
+
+    def stack(self, ns) -> np.ndarray:
+        """The (len(ns), n, n) stack of the powers ns."""
+        return np.array([self.power(n) for n in ns])
 
 
 class TransferSpectrum:
     """One family's transfer operator E with the data every correlator of the family reuses.
 
     Build it once per family and query it at any separation and ring size.  The
-    spectral radius rho, E / rho, the dominant projectors of E and each
-    observable's rescaled E_O / rho are computed on first use and kept on the
-    instance; dressed operators are keyed by the observable's content.  The
-    correlators rescale every transfer step by rho, so large rings do not
-    overflow.
+    spectral radius rho, E / rho with its squarings, the dominant projectors of
+    E with their even-N limit data, and each observable's rescaled E_O / rho
+    are computed on first use and kept on the instance; dressed operators are
+    keyed by the observable's content.  The correlators rescale every transfer
+    step by rho, so large rings do not overflow.
     """
 
     def __init__(self, mps: MpsFamily):
@@ -257,9 +319,17 @@ class TransferSpectrum:
         return self.e / self._nonzero_rho()
 
     @cached_property
+    def _ladder(self) -> _PowerLadder:
+        return _PowerLadder(self.scaled)
+
+    @cached_property
     def projectors(self) -> list[tuple[complex, np.ndarray]]:
         """Spectral projectors of the dominant eigenvalues of E."""
         return linalg.dominant_projectors(self.e)
+
+    @cached_property
+    def _limit(self) -> _EvenNLimit:
+        return _EvenNLimit(self.projectors)
 
     def dressed(self, obs: SpinObservable) -> np.ndarray:
         """E_O / rho for one observable; raises DegenerateNormError when rho vanishes."""
@@ -283,7 +353,7 @@ class TransferSpectrum:
             value = linalg.trace_power(self.e, n_sites)
         if np.isfinite(value) and (value != 0 or self.rho == 0.0):
             return _real_or_raise(value, "tr(E^N)")
-        scaled = _real_or_raise(np.trace(np.linalg.matrix_power(self.scaled, n_sites)), "tr((E/rho)^N)")
+        scaled = _real_or_raise(np.trace(self._ladder.power(n_sites)), "tr((E/rho)^N)")
         if value == 0 and scaled == 0.0:
             return _real_or_raise(value, "tr(E^N)")
         log_rho, log_scaled = np.log10(self.rho), np.log10(abs(scaled))
@@ -295,40 +365,67 @@ class TransferSpectrum:
             log10,
         )
 
-    def _ring_ratio(self, dressed: list[tuple[SpinObservable, int]], n_sites: int) -> float:
-        """tr(D_1 E^{p_1} D_2 E^{p_2} ...) / tr(E^N), every factor rescaled by rho."""
-        eh = self.scaled
-        den = np.trace(np.linalg.matrix_power(eh, n_sites))
+    def _ring_denominator(self, n_sites: int):
+        """tr((E/rho)^N); raises DegenerateNormError when it vanishes."""
+        den = np.trace(self._ladder.power(n_sites))
         if abs(den) < 1e-12:
             raise DegenerateNormError("tr(E^N) vanishes; normalized correlators undefined")
-        num = np.eye(self.e.shape[0], dtype=eh.dtype)
-        for obs, power in dressed:
-            num = num @ self.dressed(obs) @ np.linalg.matrix_power(eh, power)
-        return _real_or_raise(np.trace(num) / den, "normalized correlator")
+        return den
 
     def ring_one_point(self, obs: SpinObservable, n_sites: int) -> float:
         """<O> on the finite ring: tr(E_O E^{N-1}) / tr(E^N)."""
         if n_sites < 2:
             raise ValueError("n_sites must be >= 2")
         _check_observable(self.mps, obs)
-        return self._ring_ratio([(obs, n_sites - 1)], n_sites)
+        den = self._ring_denominator(n_sites)
+        num = np.eye(self.e.shape[0], dtype=self.scaled.dtype) @ self.dressed(obs) @ self._ladder.power(n_sites - 1)
+        return _real_or_raise(np.trace(num) / den, "normalized correlator")
+
+    def two_point_sweep(self, obs1: SpinObservable, obs2: SpinObservable, rs, n_sites: int | None = None) -> list:
+        """<O1_1 O2_{1+r}> at each separation r in rs, r = 1 meaning adjacent sites.
+
+        On the ring of n_sites sites the value is tr(E_O1 E^{r-1} E_O2 E^{N-r-1}) / tr(E^N);
+        with n_sites None it is the N -> infinity limit taken along even N, where
+        an r whose value oscillates holds its OscillatoryLimitError in place of a
+        value.  The dressed operators and the powers of E/rho are formed once and
+        every r-dependent product is taken on a stack.  Any other error is raised
+        as the one-r calls, taken in order, would meet it first.
+        """
+        rs = list(rs)
+        ring = n_sites is not None
+        valid = list(takewhile((lambda r: 1 <= r < n_sites) if ring else (lambda r: r >= 1), rs))
+        values = []
+        if valid:
+            values = self._ring_values(obs1, obs2, valid, n_sites) if ring else self._thermo_values(obs1, obs2, valid)
+        if len(valid) < len(rs):
+            raise ValueError("separation must satisfy 1 <= r < n_sites" if ring else "separation must be >= 1")
+        return values
+
+    def _ring_values(self, obs1, obs2, rs, n_sites) -> list[float]:
+        _check_observable(self.mps, obs1)
+        _check_observable(self.mps, obs2)
+        den = self._ring_denominator(n_sites)
+        head = np.eye(self.e.shape[0], dtype=self.scaled.dtype) @ self.dressed(obs1)
+        num = head @ self._ladder.stack([r - 1 for r in rs]) @ self.dressed(obs2)
+        num = num @ self._ladder.stack([n_sites - r - 1 for r in rs])
+        return [_real_or_raise(t / den, "normalized correlator") for t in np.trace(num, axis1=1, axis2=2)]
+
+    def _thermo_values(self, obs1, obs2, rs) -> list:
+        middles = self.dressed(obs1) @ self._ladder.stack([r - 1 for r in rs]) @ self.dressed(obs2)
+        return self._limit.values(middles, [r + 1 for r in rs])
 
     def ring_two_point(self, obs1: SpinObservable, obs2: SpinObservable, r: int, n_sites: int) -> float:
         """<O1_1 O2_{1+r}> on the ring: tr(E_O1 E^{r-1} E_O2 E^{N-r-1}) / tr(E^N).
 
         r is the separation between the two sites, so r = 1 means adjacent.
         """
-        if not 1 <= r < n_sites:
-            raise ValueError("separation must satisfy 1 <= r < n_sites")
-        _check_observable(self.mps, obs1)
-        _check_observable(self.mps, obs2)
-        return self._ring_ratio([(obs1, r - 1), (obs2, n_sites - r - 1)], n_sites)
+        return self.two_point_sweep(obs1, obs2, [r], n_sites)[0]
 
     def thermo_one_point(self, obs: SpinObservable) -> float:
         """N -> infinity limit of ring_one_point, taken along even N."""
         # middle first: rho = 0 raises DegenerateNormError before the projectors' ZeroSpectrumError
         middle = self.dressed(obs)
-        return _even_n_limit(self.projectors, middle, extra_power=1)
+        return self._limit.value(middle, extra_power=1)
 
     def thermo_two_point(self, obs1: SpinObservable, obs2: SpinObservable, r: int) -> float:
         """N -> infinity limit of ring_two_point at fixed separation r >= 1.
@@ -337,10 +434,7 @@ class TransferSpectrum:
         eigenvalues tie in magnitude their contributions are summed with the sign
         weights appropriate to even N.
         """
-        if r < 1:
-            raise ValueError("separation must be >= 1")
-        middle = self.dressed(obs1) @ np.linalg.matrix_power(self.scaled, r - 1) @ self.dressed(obs2)
-        return _even_n_limit(self.projectors, middle, extra_power=r + 1)
+        return _raise_oscillatory(self.two_point_sweep(obs1, obs2, [r]))[0]
 
 
 def ring_norm_sq(mps: MpsFamily, n_sites: int) -> float:
@@ -370,14 +464,17 @@ def thermo_two_point(mps: MpsFamily, obs1: SpinObservable, obs2: SpinObservable,
     return TransferSpectrum(mps).thermo_two_point(obs1, obs2, r)
 
 
-def _words(mps: MpsFamily, k: int, what: str) -> np.ndarray:
-    """The (d^k, D, D) stack of k-site words A_{i_1}...A_{i_k}, i_1 the most significant digit."""
-    if mps.d**k > WORD_CAP:
-        raise CapExceededError(f"{mps.d}**{k} exceeds the {what} cap {WORD_CAP}")
-    mats = mps.matrix_stack()
-    words = np.eye(mps.D, dtype=mats.dtype)[None]
+def _words(mats: np.ndarray, k: int, what: str) -> np.ndarray:
+    """The (..., d^k, D, D) stack of k-site words A_{i_1}...A_{i_k}, i_1 the most significant digit.
+
+    mats is a (..., d, D, D) stack of auxiliary matrices; its leading axes batch families.
+    """
+    d, big_d = mats.shape[-3], mats.shape[-1]
+    if d**k > WORD_CAP:
+        raise CapExceededError(f"{d}**{k} exceeds the {what} cap {WORD_CAP}")
+    words = np.eye(big_d, dtype=mats.dtype)[None]
     for _ in range(k):
-        words = np.einsum("wab,ibc->wiac", words, mats).reshape(-1, mps.D, mps.D)
+        words = np.einsum("...wab,...ibc->...wiac", words, mats).reshape(mats.shape[:-3] + (-1, big_d, big_d))
     return words
 
 
@@ -394,4 +491,4 @@ def amplitudes(mps: MpsFamily, n_sites: int) -> dict[tuple[str, ...], complex]:
 
 def amplitudes_vector(mps: MpsFamily, n_sites: int) -> np.ndarray:
     """The amplitude map as a d^N vector, site 1 the most significant digit."""
-    return np.trace(_words(mps, n_sites, "amplitude"), axis1=1, axis2=2)
+    return np.trace(_words(mps.matrix_stack(), n_sites, "amplitude"), axis1=1, axis2=2)

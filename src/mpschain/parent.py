@@ -91,7 +91,7 @@ def word_matrix(mps: MpsFamily, k: int) -> np.ndarray:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _words(mps, k, "word-matrix").reshape(mps.d**k, mps.D * mps.D).T
+    return _words(mps.matrix_stack(), k, "word-matrix").reshape(mps.d**k, mps.D * mps.D).T
 
 
 def _canonical_subspace_basis(vectors: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
@@ -176,7 +176,7 @@ def reduced_density(mps: MpsFamily, k: int, n_sites: int) -> np.ndarray:
     """
     if not 1 <= k < n_sites:
         raise ValueError("need 1 <= k < n_sites")
-    words = _words(mps, k, "reduced-density")
+    words = _words(mps.matrix_stack(), k, "reduced-density")
     env = np.linalg.matrix_power(TransferSpectrum(mps).scaled, n_sites - k).reshape(mps.D, mps.D, mps.D, mps.D)
     rho = np.einsum("Iab,Jcd,bdac->IJ", words.conj(), words, env)
     tr = np.trace(rho)

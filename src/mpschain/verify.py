@@ -61,7 +61,7 @@ def fitted_correlation_lengths(g: float) -> tuple[float, float]:
     rs = np.arange(2, 13)
     xis = []
     for obs in (spin.sz(), spin.sx()):
-        corr = np.array([spectrum.thermo_two_point(obs, obs, int(r)) for r in rs])
+        corr = np.array(mps._raise_oscillatory(spectrum.two_point_sweep(obs, obs, rs.tolist())))
         xis.append(-1.0 / np.polyfit(rs, np.log(np.abs(corr)), 1)[0])
     return xis[0], xis[1]
 
@@ -78,11 +78,10 @@ def formulas_suite(g_values) -> list[Check]:
     cf1 = models.closed_form_correlators_I(1.0)
     checks.append(Check("model I g=1 fitted xi_par vs closed form", abs(xi_par - cf1.xi_par), 1e-3))
     checks.append(Check("model I g=1 fitted xi_perp vs closed form", abs(xi_perp - cf1.xi_perp), 1e-3))
-    rng = np.random.default_rng(42)
+    samples = np.random.default_rng(42).uniform(-2.0, 2.0, (100, 3))
     worst = 0.0
-    for _ in range(100):
-        g, h, c = rng.uniform(-2.0, 2.0, 3)
-        det = models.det_word_matrix(g, h, c)
+    # one stacked determinant; the closed form stays per sample, on the same float64 scalars
+    for (g, h, c), det in zip(samples, models.det_word_matrix(*samples.T)):
         closed = models.det_exact_form(g, h, c)
         worst = max(worst, abs(det - closed) / max(1.0, abs(closed)))
     checks.append(Check("det(word matrix) vs exact closed form, 100 samples", worst, 1e-9))

@@ -389,6 +389,31 @@ def test_model_ii_has_one_block_per_kernel_vector():
         assert want == 2**n + 1 + sum(_binary_necklaces(length) for length in range(1, n))
 
 
+def test_model_ii_blocks_are_half_graph_laplacians():
+    # zero row sums and non-positive off-diagonals: each connected block is half a graph
+    # Laplacian, with the constant vector on its states as its one zero mode
+    for n in range(4, 8):
+        for _, matrices in ed._blocks(ChainOperator(n, models.model_II_hamiltonian())):
+            assert np.max(np.abs(matrices.sum(axis=2))) <= 1e-14
+            off = matrices[:, ~np.eye(matrices.shape[1], dtype=bool)]
+            assert off.size == 0 or off.max() <= 0.0
+
+
+def test_model_i_kernel_is_the_g1_kernel_rescaled():
+    # <e(g)| (D_g x D_g) = <e(1)| with D_g = diag(1/g, 1, 1/g), so D_g^{(x)N} maps ker H_I(1) onto ker H_I(g)
+    n = 6
+    w, v = np.linalg.eigh(ed.dense_matrix(ChainOperator(n, models.model_I_hamiltonian(1.0), mode="dense")))
+    kernel = v[:, np.abs(w) < 1e-8]
+    assert kernel.shape[1] == 322
+    for g in (0.4, 0.7, 2.5):
+        d_g = np.array([1.0 / g, 1.0, 1.0 / g])
+        d_chain = d_g
+        for _ in range(n - 1):
+            d_chain = np.multiply.outer(d_chain, d_g).reshape(-1)
+        h = models.model_I_hamiltonian(g)
+        assert max(parent.chain_residual(h, n, d_chain * kernel[:, j]) for j in range(kernel.shape[1])) <= 1e-12
+
+
 def test_h1_kernel_at_the_dense_cap():
     op = ChainOperator(ed.DENSE_MAX_SITES, models.limit_hamiltonian_h1())
     assert ed.kernel_dimension(op) == models.adjacency_ground_count(ed.DENSE_MAX_SITES)

@@ -29,7 +29,7 @@ from mpschain.genstate import (
     thermo_corr,
     thermo_corr_finite,
 )
-from mpschain.mps import _even_n_limit, amplitudes
+from mpschain.mps import _EvenNLimit, amplitudes
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +453,13 @@ def test_thermo_corr_refuses_a_negative_zero_count(zeros, r, channel, monkeypatc
 def _dominant_projector_bracket(r, channel):
     # float reference: V, U, X1, X2 as 9 x 9 matrices and the even-N limit from the dominant projectors of V
     v = _V.astype(float)
-    projs = linalg.dominant_projectors(v)
+    limit = _EvenNLimit(linalg.dominant_projectors(v))
     vmid = np.linalg.matrix_power(v / np.sqrt(2), r - 2)
     if channel == "zz":
         u = _U.astype(float)
-        return _even_n_limit(projs, u @ vmid @ u / 2, r)
+        return limit.value(u @ vmid @ u / 2, r)
     x1, x2 = _X1.astype(float), _X2.astype(float)
-    return _even_n_limit(projs, (x2 @ vmid @ x1 + x1 @ vmid @ x2) / (2 * np.sqrt(2)), r - 1)
+    return limit.value((x2 @ vmid @ x1 + x1 @ vmid @ x2) / (2 * np.sqrt(2)), r - 1)
 
 
 @pytest.mark.parametrize("channel", ["zz", "xx"])

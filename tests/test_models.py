@@ -276,3 +276,21 @@ def test_closed_form_sweep_text_is_the_cli_and_file_output(tmp_path, capsys):
     path = tmp_path / "sweep.csv"
     models.write_closed_form_sweep(path, g_values)
     assert path.read_bytes() == text.encode("utf-8")
+
+
+#: The five root families of the formulas suite, where the word matrix is singular.
+ROOT_FAMILIES = ((1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 2**0.5, 1.0), (1.0, -(2**0.5), 1.0), (1.0, 2.0, 0.0))
+
+
+def test_broadcast_determinants_equal_the_scalar_calls_bit_for_bit():
+    samples = np.random.default_rng(42).uniform(-2.0, 2.0, (100, 3))
+    for params in (samples, np.array(ROOT_FAMILIES)):
+        dets = models.det_word_matrix(*params.T)
+        assert dets.shape == (len(params),)
+        for (g, h, c), det in zip(params, dets):
+            scalar = models.det_word_matrix(g, h, c)
+            assert type(scalar) is float
+            assert scalar == det == float(np.linalg.det(parent.word_matrix(models.general_family(g, h, c), 2)))
+    grid = models.det_word_matrix(np.array([[0.5], [1.5]]), np.array([0.2, 0.9, 1.4]), 1.0)
+    assert grid.shape == (2, 3)
+    assert grid[1, 2] == models.det_word_matrix(1.5, 1.4, 1.0)

@@ -403,6 +403,83 @@ def test_transfer_spectrum_methods_equal_module_functions(name):
                     assert spectrum.ring_two_point(obs, obs2, r, n) == ring_two_point(fam, obs, obs2, r, n)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("dim", [4, 9])
+def test_power_ladder_equals_matrix_power_bit_for_bit(dtype, dim):
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((dim, dim)) / dim
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((dim, dim)) / dim
+    ladder = mps._PowerLadder(a)
+    order = rng.permutation(71)  # the squarings kept by earlier powers must not change later ones
+    for n in order:
+        got = ladder.power(int(n))
+        want = np.linalg.matrix_power(a, int(n))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert len(ladder.squares) == 7  # a, a^2, ..., a^64
+
+
+SWEEP_FAMILIES = {
+    "model_I": models.model_I(0.8),
+    "model_II": models.model_II(1.3),
+    "complex_D2": _random_complex_family(seed=3, D=2),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_FAMILIES))
+def test_two_point_sweep_equals_the_one_r_calls(name):
+    fam = SWEEP_FAMILIES[name]
+    spectrum = TransferSpectrum(fam)
+    rs = list(range(1, 13))
+    n_sites = 40
+    for obs1, obs2 in ((spin.sz(), spin.sz()), (spin.sx(), spin.sx()), (spin.sz(), spin.sx())):
+        thermo = spectrum.two_point_sweep(obs1, obs2, rs)
+        ring = spectrum.two_point_sweep(obs1, obs2, rs, n_sites)
+        d1, d2, s = spectrum.dressed(obs1), spectrum.dressed(obs2), spectrum.scaled
+        den = np.trace(np.linalg.matrix_power(s, n_sites))
+        for r, t, v in zip(rs, thermo, ring):
+            assert t == spectrum.thermo_two_point(obs1, obs2, r) == thermo_two_point(fam, obs1, obs2, r)
+            assert v == spectrum.ring_two_point(obs1, obs2, r, n_sites) == ring_two_point(fam, obs1, obs2, r, n_sites)
+            # the per-r expressions the correlators used before the sweep
+            middle = d1 @ np.linalg.matrix_power(s, r - 1) @ d2
+            assert t == mps._EvenNLimit(spectrum.projectors).value(middle, r + 1)
+            num = np.eye(s.shape[0], dtype=s.dtype) @ d1 @ np.linalg.matrix_power(s, r - 1)
+            num = num @ d2 @ np.linalg.matrix_power(s, n_sites - r - 1)
+            assert v == _real_or_raise(np.trace(num) / den, "ring")
+
+
+def test_two_point_sweep_flags_each_oscillatory_r():
+    th = 1.0
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    spectrum = TransferSpectrum(MpsFamily(d=1, D=2, labels=("x",), matrices={"x": rot}))
+    one = spin.identity(1)
+    values = spectrum.two_point_sweep(one, one, [1, 2, 3])
+    assert all(isinstance(v, OscillatoryLimitError) for v in values)
+    with pytest.raises(OscillatoryLimitError) as exc:
+        spectrum.thermo_two_point(one, one, 2)
+    assert str(exc.value) == str(values[1])
+    assert spectrum.two_point_sweep(one, one, [1, 2], 6) == [spectrum.ring_two_point(one, one, r, 6) for r in (1, 2)]
+
+
+def test_two_point_sweep_raises_in_the_one_r_order():
+    zero = TransferSpectrum(MpsFamily(d=1, D=2, labels=("x",), matrices={"x": np.array([[0.0, 1.0], [0.0, 0.0]])}))
+    one, two = spin.identity(1), spin.identity(2)
+    assert zero.two_point_sweep(one, one, []) == zero.two_point_sweep(one, one, [], 4) == []
+    # an error met at an earlier r comes before an invalid later r
+    with pytest.raises(ValueError, match="observable dimension"):
+        zero.two_point_sweep(one, two, [1, 4], 4)
+    with pytest.raises(DegenerateNormError):
+        zero.two_point_sweep(one, one, [1, 0])
+    with pytest.raises(ValueError, match="separation must be >= 1"):
+        zero.two_point_sweep(one, one, [0, 1])
+    spectrum = TransferSpectrum(models.model_I(1.0))
+    with pytest.raises(ValueError, match="separation must be >= 1"):
+        spectrum.two_point_sweep(spin.sz(), spin.sz(), [1, 2, 0])
+    with pytest.raises(ValueError, match="1 <= r < n_sites"):
+        spectrum.two_point_sweep(spin.sz(), spin.sz(), [1, 2, 8], 8)
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
@@ -476,6 +553,20 @@ def test_amplitudes_cap():
 def test_word_enumerations_respect_cap(build):
     with pytest.raises(CapExceededError):
         build()
+
+
+@pytest.mark.parametrize("batch", ["real", "complex"])
+def test_batched_words_equal_the_per_family_words(batch):
+    if batch == "real":
+        fams = [models.model_I(0.8), models.model_II(1.3), models.general_family(0.7, -1.1, 0.4)]
+    else:
+        fams = [_random_complex_family(seed, D=2) for seed in (11, 12, 13)]
+    mats = np.stack([fam.matrix_stack() for fam in fams])
+    for n in range(1, 9):
+        words = mps._words(mats, n, "amplitude")
+        assert words.shape == (len(fams), 3**n, fams[0].D, fams[0].D)
+        for fam, fam_words in zip(fams, words):
+            assert np.array_equal(np.trace(fam_words, axis1=1, axis2=2), amplitudes_vector(fam, n))
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
