@@ -405,6 +405,7 @@ class TransferSpectrum:
         _check_observable(self.mps, obs1)
         _check_observable(self.mps, obs2)
         den = self._ring_denominator(n_sites)
+        # the chain starts from the identity, as ring_one_point's does: 1 @ E_O1 can differ from E_O1 in signed zeros
         head = np.eye(self.e.shape[0], dtype=self.scaled.dtype) @ self.dressed(obs1)
         num = head @ self._ladder.stack([r - 1 for r in rs]) @ self.dressed(obs2)
         num = num @ self._ladder.stack([n_sites - r - 1 for r in rs])
