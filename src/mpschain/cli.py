@@ -216,11 +216,14 @@ def _cmd_genstate(args) -> int:
 # verification report
 
 
+_FRUSTRATION_G = (0.3, 0.7, 1.0, 1.5)
+_FORMULAS_G = (0.3, 0.7, 1.0, 1.5, 2.0)
+
+
 def _cmd_verify(args) -> int:
-    g_values = args.g or [0.3, 0.7, 1.0, 1.5]
     run = {
-        "frustration": lambda: verify.frustration_suite(args.n_sites or 6, g_values),
-        "formulas": lambda: verify.formulas_suite([0.3, 0.7, 1.0, 1.5, 2.0]),
+        "frustration": lambda: verify.frustration_suite(args.n_sites or 6, args.g or _FRUSTRATION_G),
+        "formulas": lambda: verify.formulas_suite(_FORMULAS_G),
         "genstate": lambda: verify.genstate_suite(args.n_sites or 6),
         "symmetry": verify.symmetry_suite,
         "appendixA": lambda: verify.appendix_a_suite(args.n_sites or 4),
@@ -290,7 +293,10 @@ def build_parser() -> _Parser:
     pv.add_argument("--n-sites", type=int, default=None,
                     help="ring size of the frustration and genstate suites (default 6) and of appendixA "
                          "(default 4), whose two dense 3^N spectra take ~50 s and ~720 MiB at N = 8")
-    pv.add_argument("--g", type=float, action="append", default=None)
+    pv.add_argument("--g", type=float, action="append", default=None,
+                    help="a g value of the frustration suite; repeat it for several (default "
+                         f"{', '.join(map(str, _FRUSTRATION_G))}). The formulas suite always runs at "
+                         f"g = {', '.join(map(str, _FORMULAS_G))}")
     pv.add_argument("--out", default=None, help="report path (default stdout)")
     pv.set_defaults(fn=_cmd_verify)
     return p

@@ -18,7 +18,7 @@ from math import log, sqrt
 import numpy as np
 
 from . import ed, spin
-from .mps import MpsFamily, _words
+from .mps import MpsFamily, _word_columns
 from .parent import LocalHamiltonian, local_hamiltonian_from_vectors
 
 _LABELS = spin.LABELS
@@ -116,8 +116,7 @@ def det_word_matrix(g, h, c):
     scalar parameters give a float.
     """
     mats = _general_stack(g, h, c)
-    words = _words(mats, 2, "word-matrix").reshape(mats.shape[:-3] + (9, 9))
-    det = np.linalg.det(np.swapaxes(words, -1, -2))
+    det = np.linalg.det(_word_columns(mats, 2, "word-matrix"))
     return float(det) if det.ndim == 0 else det
 
 

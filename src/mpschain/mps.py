@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product, takewhile
 
 import numpy as np
@@ -465,18 +465,87 @@ def thermo_two_point(mps: MpsFamily, obs1: SpinObservable, obs2: SpinObservable,
     return TransferSpectrum(mps).thermo_two_point(obs1, obs2, r)
 
 
+def _reversed_words(mats: np.ndarray, k: int, what: str) -> np.ndarray:
+    """The k-site words A_{i_1}...A_{i_k} as (..., D^2, d^k) columns, i_k the most significant digit.
+
+    mats is a (..., d, D, D) stack of auxiliary matrices; its leading axes batch families.
+    Each step multiplies every word on the right by A_i, with i the new most significant
+    digit of the word axis: one broadcast product x[..., a, b, w] * A[..., i, b, c] over
+    the whole word axis, summed over b = 0, 1, ... from +0.0.  That is the order in which
+    np.einsum("...wab,...ibc->...wiac") sums each entry, so every word is bit for bit
+    the einsum's.  A complex stack is carried as its real and imaginary parts and
+    multiplied as einsum's complex kernel does, (xr*mr - xi*mi, xr*mi + xi*mr); numpy's
+    complex multiply rounds differently.
+    """
+    d, big_d = mats.shape[-3], mats.shape[-1]
+    if d**k > WORD_CAP:
+        raise CapExceededError(f"{d}**{k} exceeds the {what} cap {WORD_CAP}")
+    lead = mats.shape[:-3]
+    # A[..., i, b, c] as m[..., 1, b, (c, i), 1], against the words as x[..., a, b, 1, w]
+    m = mats.swapaxes(-3, -1).swapaxes(-3, -2).reshape(*lead, 1, big_d, -1, 1)
+    complex_ = mats.dtype.kind == "c"
+    if complex_:
+        # a leading axis of parts (re, im): x[0] * m + x[1] * swap is (xr*mr - xi*mi, xr*mi + xi*mr)
+        m, swap = np.stack([m.real, m.imag]), np.stack([-m.imag, m.real])
+    x = _identity(big_d, m.dtype)
+    if complex_:
+        x = np.stack([x, np.zeros_like(x)])
+    step = m.shape[:-4] + (big_d, big_d, 1, -1)
+    for _ in range(k):
+        x = np.add.reduce(x[0] * m + x[1] * swap if complex_ else x * m, axis=-3, initial=0).reshape(step)
+    x = x.reshape(*x.shape[:-4], big_d * big_d, -1)
+    if complex_:
+        words = np.empty(x.shape[1:], dtype=mats.dtype)
+        words.real, words.imag = x
+        return words
+    return x
+
+
+@lru_cache(maxsize=16)
+def _identity(big_d: int, dtype: np.dtype) -> np.ndarray:
+    """The empty word _reversed_words starts from, as x[a, b, 1, w]; cached: np.eye costs as much as a short step."""
+    eye = np.eye(big_d, dtype=dtype)[:, :, None, None]
+    eye.flags.writeable = False
+    return eye
+
+
+@lru_cache(maxsize=64)
+def _digit_reversal(d: int, k: int) -> np.ndarray:
+    """Position in _reversed_words' word axis of each word index, i_1 the most significant digit."""
+    order = np.zeros(1, dtype=np.intp)
+    for s in range(k):
+        order = (order[:, None] + d**s * np.arange(d)).ravel()
+    order.flags.writeable = False
+    return order
+
+
+def _word_columns(mats: np.ndarray, k: int, what: str) -> np.ndarray:
+    """The (..., D^2, d^k) word matrices: column (i_1...i_k), i_1 most significant, is A_{i_1}...A_{i_k} flattened."""
+    return _reversed_words(mats, k, what).take(_digit_reversal(mats.shape[-3], k), axis=-1)
+
+
 def _words(mats: np.ndarray, k: int, what: str) -> np.ndarray:
     """The (..., d^k, D, D) stack of k-site words A_{i_1}...A_{i_k}, i_1 the most significant digit.
 
     mats is a (..., d, D, D) stack of auxiliary matrices; its leading axes batch families.
     """
-    d, big_d = mats.shape[-3], mats.shape[-1]
-    if d**k > WORD_CAP:
-        raise CapExceededError(f"{d}**{k} exceeds the {what} cap {WORD_CAP}")
-    words = np.eye(big_d, dtype=mats.dtype)[None]
-    for _ in range(k):
-        words = np.einsum("...wab,...ibc->...wiac", words, mats).reshape(mats.shape[:-3] + (-1, big_d, big_d))
-    return words
+    rows = _reversed_words(mats, k, what).swapaxes(-1, -2)
+    words = rows.take(_digit_reversal(mats.shape[-3], k), axis=-2)
+    return words.reshape(*rows.shape[:-2], -1, *mats.shape[-2:])
+
+
+def _word_traces(columns: np.ndarray, big_d: int) -> np.ndarray:
+    """The trace of each word of (..., D^2, w) columns, summed as np.trace sums a (..., w, D, D) stack.
+
+    np.trace adds each diagonal by numpy's pairwise sum, which adds its terms in order
+    while the diagonal holds fewer than 8 floats (D < 8 real, D < 4 complex); a sum of
+    the strided diagonal view is then in order too.  A longer diagonal is copied, so that
+    numpy sums each one contiguously, pairwise, as np.trace does.
+    """
+    diag = columns[..., :: big_d + 1, :].swapaxes(-1, -2)
+    if big_d * (2 if np.iscomplexobj(columns) else 1) >= 8:
+        diag = np.ascontiguousarray(diag)
+    return diag.sum(axis=-1)
 
 
 def amplitudes(mps: MpsFamily, n_sites: int) -> dict[tuple[str, ...], complex]:
@@ -491,5 +560,9 @@ def amplitudes(mps: MpsFamily, n_sites: int) -> dict[tuple[str, ...], complex]:
 
 
 def amplitudes_vector(mps: MpsFamily, n_sites: int) -> np.ndarray:
-    """The amplitude map as a d^N vector, site 1 the most significant digit."""
-    return np.trace(_words(mps.matrix_stack(), n_sites, "amplitude"), axis1=1, axis2=2)
+    """The amplitude map as a d^N vector, site 1 the most significant digit.
+
+    The traces are taken in _reversed_words' layout; only the d^N traces are reordered.
+    """
+    traces = _word_traces(_reversed_words(mps.matrix_stack(), n_sites, "amplitude"), mps.D)
+    return traces.take(_digit_reversal(mps.d, n_sites))

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .mps import DegenerateNormError, MpsFamily, TransferSpectrum, amplitudes_vector
-from .mps import _JsonFile, _matrix_from_json, _matrix_to_json, _words
+from .mps import _JsonFile, _matrix_from_json, _matrix_to_json, _word_columns, _words
 
 
 class InvalidModelError(ValueError):
@@ -91,7 +91,7 @@ def word_matrix(mps: MpsFamily, k: int) -> np.ndarray:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _words(mps.matrix_stack(), k, "word-matrix").reshape(mps.d**k, mps.D * mps.D).T
+    return _word_columns(mps.matrix_stack(), k, "word-matrix")
 
 
 def _canonical_subspace_basis(vectors: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:

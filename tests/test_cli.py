@@ -389,6 +389,13 @@ def test_help_exits_zero():
     assert run("--help") == 0
 
 
+def test_verify_help_names_the_suites_that_read_g(capsys):
+    assert run("verify", "--help") == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--g G a g value of the frustration suite; repeat it for several (default 0.3, 0.7, 1.0, 1.5)." in text
+    assert "The formulas suite always runs at g = 0.3, 0.7, 1.0, 1.5, 2.0" in text
+
+
 def test_one_parser_serves_every_call(capsys):
     # formulas runs at fixed g values; frustration takes --g, so a list left over shows there
     calls = [("verify", "--suite", "formulas", "--g", "0.5"), ("verify", "--suite", "formulas"),
