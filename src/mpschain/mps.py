@@ -465,6 +465,25 @@ def thermo_two_point(mps: MpsFamily, obs1: SpinObservable, obs2: SpinObservable,
     return TransferSpectrum(mps).thermo_two_point(obs1, obs2, r)
 
 
+def _check_cap(d: int, k: int, what: str) -> None:
+    if d**k > WORD_CAP:
+        raise CapExceededError(f"{d}**{k} exceeds the {what} cap {WORD_CAP}")
+
+
+def _split(m: np.ndarray):
+    """A complex m as (m, swap) on a leading (re, im) axis of parts: x[0] * m + x[1] * swap is
+    (xr*mr - xi*mi, xr*mi + xi*mr), as np.einsum's complex kernel forms a product; numpy's
+    complex multiply rounds differently."""
+    return np.stack([m.real, m.imag]), np.stack([-m.imag, m.real])
+
+
+def _joined(x: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Split parts x[0] + i x[1] as one complex array of dtype."""
+    out = np.empty(x.shape[1:], dtype=dtype)
+    out.real, out.imag = x
+    return out
+
+
 def _reversed_words(mats: np.ndarray, k: int, what: str) -> np.ndarray:
     """The k-site words A_{i_1}...A_{i_k} as (..., D^2, d^k) columns, i_k the most significant digit.
 
@@ -472,33 +491,25 @@ def _reversed_words(mats: np.ndarray, k: int, what: str) -> np.ndarray:
     Each step multiplies every word on the right by A_i, with i the new most significant
     digit of the word axis: one broadcast product x[..., a, b, w] * A[..., i, b, c] over
     the whole word axis, summed over b = 0, 1, ... from +0.0.  That is the order in which
-    np.einsum("...wab,...ibc->...wiac") sums each entry, so every word is bit for bit
-    the einsum's.  A complex stack is carried as its real and imaginary parts and
-    multiplied as einsum's complex kernel does, (xr*mr - xi*mi, xr*mi + xi*mr); numpy's
-    complex multiply rounds differently.
+    np.einsum("...wab,...ibc->...wiac") sums each entry, so every word is bit for bit the
+    einsum's; its inner loop ran over b, this one runs over the words.  A complex stack is
+    carried as split parts (_split).
     """
-    d, big_d = mats.shape[-3], mats.shape[-1]
-    if d**k > WORD_CAP:
-        raise CapExceededError(f"{d}**{k} exceeds the {what} cap {WORD_CAP}")
-    lead = mats.shape[:-3]
+    _check_cap(mats.shape[-3], k, what)
+    big_d = mats.shape[-1]
     # A[..., i, b, c] as m[..., 1, b, (c, i), 1], against the words as x[..., a, b, 1, w]
-    m = mats.swapaxes(-3, -1).swapaxes(-3, -2).reshape(*lead, 1, big_d, -1, 1)
-    complex_ = mats.dtype.kind == "c"
+    m = mats.swapaxes(-3, -1).swapaxes(-3, -2).reshape(*mats.shape[:-3], 1, big_d, -1, 1)
+    complex_ = m.dtype.kind == "c"
     if complex_:
-        # a leading axis of parts (re, im): x[0] * m + x[1] * swap is (xr*mr - xi*mi, xr*mi + xi*mr)
-        m, swap = np.stack([m.real, m.imag]), np.stack([-m.imag, m.real])
+        m, swap = _split(m)
     x = _identity(big_d, m.dtype)
     if complex_:
         x = np.stack([x, np.zeros_like(x)])
-    step = m.shape[:-4] + (big_d, big_d, 1, -1)
+    shape = m.shape[:-4] + (big_d, big_d, 1, -1)
     for _ in range(k):
-        x = np.add.reduce(x[0] * m + x[1] * swap if complex_ else x * m, axis=-3, initial=0).reshape(step)
+        x = np.add.reduce(x[0] * m + x[1] * swap if complex_ else x * m, axis=-3, initial=0).reshape(shape)
     x = x.reshape(*x.shape[:-4], big_d * big_d, -1)
-    if complex_:
-        words = np.empty(x.shape[1:], dtype=mats.dtype)
-        words.real, words.imag = x
-        return words
-    return x
+    return _joined(x, mats.dtype) if complex_ else x
 
 
 @lru_cache(maxsize=16)
@@ -534,20 +545,6 @@ def _words(mats: np.ndarray, k: int, what: str) -> np.ndarray:
     return words.reshape(*rows.shape[:-2], -1, *mats.shape[-2:])
 
 
-def _word_traces(columns: np.ndarray, big_d: int) -> np.ndarray:
-    """The trace of each word of (..., D^2, w) columns, summed as np.trace sums a (..., w, D, D) stack.
-
-    np.trace adds each diagonal by numpy's pairwise sum, which adds its terms in order
-    while the diagonal holds fewer than 8 floats (D < 8 real, D < 4 complex); a sum of
-    the strided diagonal view is then in order too.  A longer diagonal is copied, so that
-    numpy sums each one contiguously, pairwise, as np.trace does.
-    """
-    diag = columns[..., :: big_d + 1, :].swapaxes(-1, -2)
-    if big_d * (2 if np.iscomplexobj(columns) else 1) >= 8:
-        diag = np.ascontiguousarray(diag)
-    return diag.sum(axis=-1)
-
-
 def amplitudes(mps: MpsFamily, n_sites: int) -> dict[tuple[str, ...], complex]:
     """Full amplitude map of the ring state by direct trace of matrix words.
 
@@ -562,7 +559,28 @@ def amplitudes(mps: MpsFamily, n_sites: int) -> dict[tuple[str, ...], complex]:
 def amplitudes_vector(mps: MpsFamily, n_sites: int) -> np.ndarray:
     """The amplitude map as a d^N vector, site 1 the most significant digit.
 
-    The traces are taken in _reversed_words' layout; only the d^N traces are reordered.
+    The last site forms only the diagonal entries of the words, each as the full product
+    forms it, and they are summed over the diagonal in the order np.trace adds a diagonal:
+    one after another while it holds fewer than 8 floats (D < 8 real, D < 4 complex),
+    pairwise from there, which numpy's sum does on a contiguous copy.  So every amplitude
+    is bit for bit the trace of the full word.
     """
-    traces = _word_traces(_reversed_words(mps.matrix_stack(), n_sites, "amplitude"), mps.D)
-    return traces.take(_digit_reversal(mps.d, n_sites))
+    if n_sites < 1:
+        raise ValueError("n_sites must be >= 1")
+    d, big_d = mps.d, mps.D
+    _check_cap(d, n_sites, "amplitude")
+    mats = mps.matrix_stack()
+    # the last site: x[b, a, 1, w] and A[i, b, a] as m[b, a, i, 1]; in C order a varies faster than b
+    # even when there is one word (d = 1), so numpy sums b in order, never pairwise
+    x = _reversed_words(mats, n_sites - 1, "amplitude").reshape(big_d, big_d, 1, -1).swapaxes(0, 1)
+    m = mats.transpose(1, 2, 0)[..., None]
+    if mats.dtype.kind == "c":
+        (m, swap), x = _split(m), np.stack([x.real, x.imag])
+        products = np.add(np.multiply(x[0], m, order="C"), np.multiply(x[1], swap, order="C"))
+        diagonal = _joined(np.add.reduce(products, axis=-4, initial=0), mats.dtype)
+    else:
+        diagonal = np.add.reduce(np.multiply(x, m, order="C"), axis=-4, initial=0)
+    terms = diagonal.reshape(big_d, -1).T
+    if big_d * (2 if np.iscomplexobj(terms) else 1) >= 8:
+        terms = np.ascontiguousarray(terms)
+    return terms.sum(axis=-1).take(_digit_reversal(d, n_sites))

@@ -61,17 +61,25 @@ def test_amplitudes_at_the_cap_equal_the_trace_of_the_einsum_words(build):
     assert _same_bits(amplitudes_vector(fam, 10), want)
 
 
+@pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("dtype,big_d", [(float, 7), (float, 8), (float, 9), (complex, 3), (complex, 4), (complex, 5)])
-def test_amplitude_traces_sum_as_np_trace_on_both_sides_of_its_pairwise_cut(dtype, big_d):
-    # np.trace sums a diagonal of 8 or more floats pairwise, not in order: D >= 8 real, D >= 4 complex
+def test_amplitude_traces_sum_as_np_trace_on_both_sides_of_its_pairwise_cut(d, dtype, big_d):
+    # np.trace sums a diagonal of 8 or more floats pairwise, not in order: D >= 8 real, D >= 4 complex;
+    # with d = 1 there is one word, and the last site's sum over b is the only axis left to iterate
     rng = np.random.default_rng(big_d)
-    mats = {lab: rng.standard_normal((big_d, big_d)) for lab in ("a", "b")}
+    labels = ("a", "b")[:d]
+    mats = {lab: rng.standard_normal((big_d, big_d)) for lab in labels}
     if dtype is complex:
         mats = {lab: m + 1j * rng.standard_normal((big_d, big_d)) for lab, m in mats.items()}
-    fam = MpsFamily(d=2, D=big_d, labels=("a", "b"), matrices=mats)
-    for n in (1, 4, 7):
+    fam = MpsFamily(d=d, D=big_d, labels=labels, matrices=mats)
+    for n in (1, 2, 4, 7):
         want = np.trace(_einsum_reference(fam.matrix_stack(), n), axis1=1, axis2=2)
         assert _same_bits(amplitudes_vector(fam, n), want), n
+
+
+def test_amplitudes_need_a_site():
+    with pytest.raises(ValueError, match="n_sites must be >= 1"):
+        amplitudes_vector(models.model_I(0.7), 0)
 
 
 def test_word_matrix_and_determinant_keep_their_values():
