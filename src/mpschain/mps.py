@@ -472,8 +472,8 @@ def _check_cap(d: int, k: int, what: str) -> None:
 
 def _split(m: np.ndarray):
     """A complex m as (m, swap) on a leading (re, im) axis of parts: x[0] * m + x[1] * swap is
-    (xr*mr - xi*mi, xr*mi + xi*mr), as np.einsum's complex kernel forms a product; numpy's
-    complex multiply rounds differently."""
+    (xr*mr - xi*mi, xr*mi + xi*mr), as numpy's sum-of-products kernel for complex operands
+    forms a product; numpy's complex multiply rounds differently."""
     return np.stack([m.real, m.imag]), np.stack([-m.imag, m.real])
 
 
@@ -491,13 +491,15 @@ def _reversed_words(mats: np.ndarray, k: int, what: str) -> np.ndarray:
     Each step multiplies every word on the right by A_i, with i the new most significant
     digit of the word axis: one broadcast product x[..., a, b, w] * A[..., i, b, c] over
     the whole word axis, summed over b = 0, 1, ... from +0.0.  That is the order in which
-    np.einsum("...wab,...ibc->...wiac") sums each entry, so every word is bit for bit the
-    einsum's; its inner loop ran over b, this one runs over the words.  A complex stack is
-    carried as split parts (_split).
+    numpy's sum-of-products contraction "...wab,...ibc->...wiac" sums each entry, so every
+    word is bit for bit that contraction's (tests/test_words.py keeps it as the reference),
+    while the inner loops run over the long word axis.  A complex stack is carried as split
+    parts (_split).
     """
     _check_cap(mats.shape[-3], k, what)
     big_d = mats.shape[-1]
-    # A[..., i, b, c] as m[..., 1, b, (c, i), 1], against the words as x[..., a, b, 1, w]
+    # A[..., i, b, c] as m[..., 1, b, (c, i), 1], against the words as x[..., a, b, 1, w]; the (c, i)
+    # axis after b has D d >= D entries, so numpy never sums a long b axis pairwise
     m = mats.swapaxes(-3, -1).swapaxes(-3, -2).reshape(*mats.shape[:-3], 1, big_d, -1, 1)
     complex_ = m.dtype.kind == "c"
     if complex_:
@@ -575,7 +577,8 @@ def amplitudes_vector(mps: MpsFamily, n_sites: int) -> np.ndarray:
     x = _reversed_words(mats, n_sites - 1, "amplitude").reshape(big_d, big_d, 1, -1).swapaxes(0, 1)
     m = mats.transpose(1, 2, 0)[..., None]
     if mats.dtype.kind == "c":
-        (m, swap), x = _split(m), np.stack([x.real, x.imag])
+        m, swap = _split(m)
+        x = np.stack([x.real, x.imag])
         products = np.add(np.multiply(x[0], m, order="C"), np.multiply(x[1], swap, order="C"))
         diagonal = _joined(np.add.reduce(products, axis=-4, initial=0), mats.dtype)
     else:
