@@ -75,6 +75,15 @@ def null_space(m, tol: float = DEFAULT_NULL_TOL) -> list[np.ndarray]:
     return [phase_fix(vh[i].conj()) for i in range(rank, a.shape[1])]
 
 
+def eig_all(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every eigenvalue of a square m with its left and right eigenvectors: (w, vl, vr).
+
+    The package's one scipy.linalg.eig call.  dominant_projectors takes its
+    projectors from it, and TransferSpectrum its spectral radius as well.
+    """
+    return scipy.linalg.eig(_as_square(m), left=True, right=True)
+
+
 def dominant_projectors(m, rel_tol: float = 1e-9) -> list[tuple[complex, np.ndarray]]:
     """Spectral projectors of the dominant eigenvalues of m.
 
@@ -82,21 +91,27 @@ def dominant_projectors(m, rel_tol: float = 1e-9) -> list[tuple[complex, np.ndar
     built from matched left/right eigenvectors: P = R (L^H R)^{-1} L^H.  The
     trace of each projector equals the eigenvalue's multiplicity.
     """
-    a = _as_square(m)
-    vals, vl, vr = scipy.linalg.eig(a, left=True, right=True)
+    return projectors_of(eig_all(m), rel_tol)
+
+
+def projectors_of(eig, rel_tol: float = 1e-9) -> list[tuple[complex, np.ndarray]]:
+    """dominant_projectors from the (w, vl, vr) of an eig_all call."""
+    vals, vl, vr = eig
     mags = np.abs(vals)
-    top = mags.max()
+    top = float(mags.max())
     if top == 0.0:
         raise ZeroSpectrumError("all-zero spectrum: no dominant eigenvalue")
-    keep = np.flatnonzero(mags >= (1.0 - rel_tol) * top)
+    keep = np.flatnonzero(mags >= (1.0 - rel_tol) * top).tolist()
+    # Python complex values: the same differences and moduli as numpy scalars, without their overhead
+    w = vals.tolist()
     groups: list[list[int]] = []
     for i in keep:
         for grp in groups:
-            if abs(vals[i] - vals[grp[0]]) <= 1e-8 * top:
+            if abs(w[i] - w[grp[0]]) <= 1e-8 * top:
                 grp.append(i)
                 break
         else:
-            groups.append([int(i)])
+            groups.append([i])
     out = []
     for grp in groups:
         R = vr[:, grp]
@@ -107,7 +122,7 @@ def dominant_projectors(m, rel_tol: float = 1e-9) -> list[tuple[complex, np.ndar
             raise EigenConvergenceError(
                 "defective dominant eigenvalue: left/right eigenvector overlap is singular"
             ) from exc
-        out.append((complex(vals[grp[0]]), R @ overlap_inv @ Lh))
+        out.append((w[grp[0]], R @ overlap_inv @ Lh))
     out.sort(key=lambda p: (-p[0].real, -p[0].imag))
     return out
 
@@ -126,4 +141,9 @@ def spectral_radius(m) -> float:
     a = _as_square(m)
     if not a.any():
         return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
+    return largest_modulus(np.linalg.eigvals(a))
+
+
+def largest_modulus(w) -> float:
+    """max |w| over an array of eigenvalues: spectral_radius from any eigenvalue run of the matrix."""
+    return float(np.abs(w).max())

@@ -175,24 +175,41 @@ def _check_observable(mps: MpsFamily, obs: SpinObservable) -> None:
         raise ValueError(f"observable dimension {obs.dim} != physical dimension {mps.d}")
 
 
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """sum(terms): the terms along the leading axis added in order from 0, as Python's sum adds them.
+
+    np.add.reduce adds along a leading axis in order while each term holds more than one entry.
+    With one entry per term (D = 1) the reduction runs along a contiguous axis, which numpy sums
+    pairwise from 8 terms on; there the terms are accumulated in order instead, and + 0 turns a
+    -0.0 into the +0.0 that a sum from 0 gives.
+    """
+    if terms[0].size > 1:
+        return np.add.reduce(terms, axis=0, initial=0)
+    return np.add.accumulate(terms, axis=0)[-1] + 0
+
+
 def transfer(mps: MpsFamily) -> TransferOperator:
     """Plain transfer operator E = sum_i conj(A_i) (x) A_i."""
-    pairs = _kron_table(mps)
-    e = sum(pairs[i, i] for i in range(mps.d))
-    return TransferOperator("plain", e)
+    mats = mps.matrix_stack()
+    n = mps.D**2
+    # the diagonal of _kron_table: the same entry-wise products, summed over i in order from 0
+    pairs = (mats.conj()[:, :, None, :, None] * mats[:, None, :, None, :]).reshape(mps.d, n, n)
+    return TransferOperator("plain", _ordered_sum(pairs))
 
 
 def dressed_transfer(mps: MpsFamily, obs: SpinObservable) -> TransferOperator:
-    """Observable-dressed operator E_O = sum_ij conj(A_i) (x) A_j <i|O|j>."""
+    """Observable-dressed operator E_O = sum_ij conj(A_i) (x) A_j <i|O|j>.
+
+    The d^2 weighted products are summed in order, (i, j) = (0, 0), (0, 1), ..., from 0.
+    """
     _check_observable(mps, obs)
-    pairs = _kron_table(mps)
-    o = obs.matrix
-    e = sum(o[i, j] * pairs[i, j] for i in range(mps.d) for j in range(mps.d))
-    return TransferOperator(f"dressed:{obs.name}", e)
+    n = mps.D**2
+    terms = obs.matrix.reshape(-1, 1, 1) * _kron_table(mps).reshape(-1, n, n)
+    return TransferOperator(f"dressed:{obs.name}", _ordered_sum(terms))
 
 
 def _real_or_raise(value, what: str, tol: float = 1e-12):
-    if np.iscomplexobj(np.asarray(value)):
+    if isinstance(value, (complex, np.complexfloating)):
         scale = max(1.0, abs(value))
         if abs(value.imag) > tol * scale:
             raise InconsistencyError(f"{what} has imaginary part {value.imag:.3e} beyond tolerance")
@@ -216,13 +233,13 @@ class _EvenNLimit:
         self.total_mult = 0.0
         for lam, p in projectors:
             s = lam / lmax
-            self.total_mult += np.trace(p).real
+            self.total_mult += p.trace().real
             oscillates = abs(s.imag) > 1e-8 or abs(abs(s) - 1.0) > 1e-8 or abs(s.real**2 - 1.0) > 1e-8
             self.terms.append((p, s, oscillates, 1.0 if s.real > 0 else -1.0))
 
     def values(self, middles: np.ndarray, extra_powers) -> list:
         """One limit per middle of the (R, n, n) stack; an oscillating one is its OscillatoryLimitError."""
-        coeffs = [np.trace(p @ middles, axis1=1, axis2=2) for p, *_ in self.terms]
+        coeffs = [(p @ middles).trace(axis1=1, axis2=2) for p, *_ in self.terms]
         out = []
         for i, extra_power in enumerate(extra_powers):
             value = 0.0 + 0.0j
@@ -284,6 +301,8 @@ class _PowerLadder:
 
     def stack(self, ns) -> np.ndarray:
         """The (len(ns), n, n) stack of the powers ns."""
+        if len(ns) == 1:
+            return self.power(ns[0])[None]
         return np.array([self.power(n) for n in ns])
 
 
@@ -302,10 +321,24 @@ class TransferSpectrum:
         self.mps = mps
         self.e = transfer(mps).matrix
         self._dressed: dict[tuple, np.ndarray] = {}
+        self._eig = None
+
+    def _eigensystem(self):
+        """E's (w, vl, vr) from linalg.eig_all, made once.
+
+        A thermodynamic query makes it before it needs rho, so that one
+        eigendecomposition gives both rho and the projectors.
+        """
+        if self._eig is None:
+            self._eig = linalg.eig_all(self.e)
+        return self._eig
 
     @cached_property
     def rho(self) -> float:
-        """Spectral radius of E."""
+        """Spectral radius of E: max |w| of the eigendecomposition when one was made, else
+        linalg.spectral_radius, whose eigvals give the same value bit for bit."""
+        if self._eig is not None:
+            return linalg.largest_modulus(self._eig[0])
         return linalg.spectral_radius(self.e)
 
     def _nonzero_rho(self) -> float:
@@ -325,7 +358,7 @@ class TransferSpectrum:
     @cached_property
     def projectors(self) -> list[tuple[complex, np.ndarray]]:
         """Spectral projectors of the dominant eigenvalues of E."""
-        return linalg.dominant_projectors(self.e)
+        return linalg.projectors_of(self._eigensystem())
 
     @cached_property
     def _limit(self) -> _EvenNLimit:
@@ -353,7 +386,7 @@ class TransferSpectrum:
             value = linalg.trace_power(self.e, n_sites)
         if np.isfinite(value) and (value != 0 or self.rho == 0.0):
             return _real_or_raise(value, "tr(E^N)")
-        scaled = _real_or_raise(np.trace(self._ladder.power(n_sites)), "tr((E/rho)^N)")
+        scaled = _real_or_raise(self._ladder.power(n_sites).trace(), "tr((E/rho)^N)")
         if value == 0 and scaled == 0.0:
             return _real_or_raise(value, "tr(E^N)")
         log_rho, log_scaled = np.log10(self.rho), np.log10(abs(scaled))
@@ -365,21 +398,26 @@ class TransferSpectrum:
             log10,
         )
 
-    def _ring_denominator(self, n_sites: int):
-        """tr((E/rho)^N); raises DegenerateNormError when it vanishes."""
-        den = np.trace(self._ladder.power(n_sites))
+    def _ring_start(self, obs1: SpinObservable, obs2: SpinObservable, n_sites: int):
+        """tr((E/rho)^N) and the head 1 @ E_O1 / rho of a ring correlator's chain.
+
+        Errors come in the order the one-r correlators meet them: an observable of
+        the wrong dimension, then DegenerateNormError when rho or tr(E^N) vanishes.
+        The chain starts from the identity: 1 @ E_O1 can differ from E_O1 in signed zeros.
+        """
+        _check_observable(self.mps, obs1)
+        _check_observable(self.mps, obs2)
+        den = self._ladder.power(n_sites).trace()
         if abs(den) < 1e-12:
             raise DegenerateNormError("tr(E^N) vanishes; normalized correlators undefined")
-        return den
+        return den, np.eye(self.e.shape[0], dtype=self.scaled.dtype) @ self.dressed(obs1)
 
     def ring_one_point(self, obs: SpinObservable, n_sites: int) -> float:
         """<O> on the finite ring: tr(E_O E^{N-1}) / tr(E^N)."""
         if n_sites < 2:
             raise ValueError("n_sites must be >= 2")
-        _check_observable(self.mps, obs)
-        den = self._ring_denominator(n_sites)
-        num = np.eye(self.e.shape[0], dtype=self.scaled.dtype) @ self.dressed(obs) @ self._ladder.power(n_sites - 1)
-        return _real_or_raise(np.trace(num) / den, "normalized correlator")
+        den, head = self._ring_start(obs, obs, n_sites)
+        return _real_or_raise((head @ self._ladder.power(n_sites - 1)).trace() / den, "normalized correlator")
 
     def two_point_sweep(self, obs1: SpinObservable, obs2: SpinObservable, rs, n_sites: int | None = None) -> list:
         """<O1_1 O2_{1+r}> at each separation r in rs, r = 1 meaning adjacent sites.
@@ -402,16 +440,13 @@ class TransferSpectrum:
         return values
 
     def _ring_values(self, obs1, obs2, rs, n_sites) -> list[float]:
-        _check_observable(self.mps, obs1)
-        _check_observable(self.mps, obs2)
-        den = self._ring_denominator(n_sites)
-        # the chain starts from the identity, as ring_one_point's does: 1 @ E_O1 can differ from E_O1 in signed zeros
-        head = np.eye(self.e.shape[0], dtype=self.scaled.dtype) @ self.dressed(obs1)
+        den, head = self._ring_start(obs1, obs2, n_sites)
         num = head @ self._ladder.stack([r - 1 for r in rs]) @ self.dressed(obs2)
         num = num @ self._ladder.stack([n_sites - r - 1 for r in rs])
-        return [_real_or_raise(t / den, "normalized correlator") for t in np.trace(num, axis1=1, axis2=2)]
+        return [_real_or_raise(t / den, "normalized correlator") for t in num.trace(axis1=1, axis2=2)]
 
     def _thermo_values(self, obs1, obs2, rs) -> list:
+        self._eigensystem()
         middles = self.dressed(obs1) @ self._ladder.stack([r - 1 for r in rs]) @ self.dressed(obs2)
         return self._limit.values(middles, [r + 1 for r in rs])
 
@@ -425,6 +460,7 @@ class TransferSpectrum:
     def thermo_one_point(self, obs: SpinObservable) -> float:
         """N -> infinity limit of ring_one_point, taken along even N."""
         # middle first: rho = 0 raises DegenerateNormError before the projectors' ZeroSpectrumError
+        self._eigensystem()
         middle = self.dressed(obs)
         return self._limit.value(middle, extra_power=1)
 

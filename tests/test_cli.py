@@ -229,7 +229,7 @@ def test_correlate_sweeps_are_byte_stable(case, capsys):
 
 def test_correlate_sweep_builds_one_spectrum_per_g(monkeypatch, capsys):
     counts = {}
-    for module, name in ((mps, "transfer"), (linalg, "dominant_projectors")):
+    for module, name in ((mps, "transfer"), (linalg, "eig_all")):
         real = getattr(module, name)
         counts[name] = 0
 
@@ -241,7 +241,7 @@ def test_correlate_sweep_builds_one_spectrum_per_g(monkeypatch, capsys):
     assert run("correlate", "--which", "I", "--channel", "zz", "--g-sweep", "0.1", "3.0", "30",
                "--r-max", "12") == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 30 * 12
-    assert counts == {"transfer": 30, "dominant_projectors": 30}
+    assert counts == {"transfer": 30, "eig_all": 30}
 
 
 def test_correlate_complex_family_from_file(tmp_path):

@@ -493,17 +493,29 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_transfer_spectrum_builds_each_piece_once(monkeypatch):
+    # one eigendecomposition per spectrum: a thermodynamic query first makes eig_all give rho as well,
+    # a ring-only spectrum takes rho from spectral_radius's eigvals
     counts = {name: _count_calls(monkeypatch, module, name) for module, name in (
-        (mps, "transfer"), (mps, "dressed_transfer"), (linalg, "spectral_radius"), (linalg, "dominant_projectors"),
+        (mps, "transfer"), (mps, "dressed_transfer"), (linalg, "spectral_radius"), (linalg, "eig_all"),
     )}
+
+    def tally():
+        out = {name: len(calls) for name, calls in counts.items()}
+        for calls in counts.values():
+            calls.clear()
+        return out
+
     spectrum = TransferSpectrum(models.model_I(1.0))
     for r in range(1, 13):
         spectrum.thermo_two_point(spin.sz(), spin.sz(), r)  # a fresh observable object on every call
         spectrum.ring_two_point(spin.sz(), spin.sz(), r, 20)
     spectrum.thermo_one_point(spin.sz2())
-    assert {name: len(calls) for name, calls in counts.items()} == {
-        "transfer": 1, "dressed_transfer": 2, "spectral_radius": 1, "dominant_projectors": 1,
-    }
+    assert tally() == {"transfer": 1, "dressed_transfer": 2, "spectral_radius": 0, "eig_all": 1}
+    spectrum = TransferSpectrum(models.model_I(1.0))
+    for r in range(1, 13):
+        spectrum.ring_two_point(spin.sz(), spin.sz(), r, 20)
+    spectrum.ring_one_point(spin.sz2(), 20)
+    assert tally() == {"transfer": 1, "dressed_transfer": 2, "spectral_radius": 1, "eig_all": 0}
 
 
 def test_dressed_operators_are_keyed_by_content():
