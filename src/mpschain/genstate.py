@@ -2,7 +2,15 @@
 
 The model II ring state at parameter g splits into integer-amplitude states
 psi_n collecting the basis strings with exactly n zeros; each psi_n is a
-zero-energy eigenstate on its own.  Norms and correlators of psi_n reduce to
+zero-energy eigenstate on its own.  It is constant on every connected block
+of the model II chain, whose hops move zeros past the +-1 entries and leave
+the +-1 word fixed up to rotation:
+
+    psi_n = sum_w t(w) 1_{C(n,w)},
+
+where C(n, w) is the block of the strings with n zeros whose +-1 entries,
+read around the ring, spell w, and t(w) is the trace of that word, the same
+on the whole block.  Norms and correlators of psi_n reduce to
 binomial sums of exact integer traces of the transfer blocks
 
     V = A_1 (x) A_1 + A_-1 (x) A_-1   (the S_z^2 dressing, commutes with E)

@@ -35,25 +35,24 @@ def _general_stack(g, h, c) -> np.ndarray:
     return mats
 
 
+def _family(g, h, c, params: dict[str, float]) -> MpsFamily:
+    a1, a0, am = _general_stack(g, h, c)
+    return MpsFamily(d=3, D=3, labels=_LABELS, matrices={"1": a1, "0": a0, "-1": am}, params=params)
+
+
 def general_family(g: float, h: float, c: float) -> MpsFamily:
     """The three-parameter spin-1 family with bond dimension 3."""
-    a1, a0, am = _general_stack(g, h, c)
-    return MpsFamily(
-        d=3, D=3, labels=_LABELS, matrices={"1": a1, "0": a0, "-1": am},
-        params={"g": float(g), "h": float(h), "c": float(c)},
-    )
+    return _family(g, h, c, {"g": float(g), "h": float(h), "c": float(c)})
 
 
 def model_I(g: float) -> MpsFamily:
     """Model I: A_0 = g diag(1, sqrt(2), 1), c = 1."""
-    fam = general_family(g, sqrt(2.0) * g, 1.0)
-    return MpsFamily(d=3, D=3, labels=_LABELS, matrices=dict(fam.matrices), params={"g": float(g)})
+    return _family(g, sqrt(2.0) * g, 1.0, {"g": float(g)})
 
 
 def model_II(g: float) -> MpsFamily:
     """Model II: A_0 = g * identity, c = 1."""
-    fam = general_family(g, g, 1.0)
-    return MpsFamily(d=3, D=3, labels=_LABELS, matrices=dict(fam.matrices), params={"g": float(g)})
+    return _family(g, g, 1.0, {"g": float(g)})
 
 
 def aklt_family() -> MpsFamily:

@@ -107,9 +107,16 @@ class MpsFamily(_JsonFile):
             m = np.asarray(self.matrices[lab])
             if m.shape != (self.D, self.D):
                 raise ValueError(f"matrix {lab!r} has shape {m.shape}, expected {(self.D, self.D)}")
+            if not np.isfinite(m).all():
+                raise ValueError(f"matrix {lab!r} has a non-finite entry")
             m = m.copy()
             m.flags.writeable = False
             frozen[lab] = m
+        # E's largest entries, sum_i |A_i[a,b]|^2 as transfer forms them: the one check, made per family
+        with np.errstate(over="ignore"):
+            peaks = sum((m.conj() * m).real for m in frozen.values())
+        if not np.isfinite(peaks).all():
+            raise ValueError("transfer operator overflows: sum_i |A_i[a,b]|^2 lies beyond the float range")
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "matrices", frozen)
         object.__setattr__(self, "params", dict(self.params))

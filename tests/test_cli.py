@@ -317,6 +317,19 @@ def test_genstate_rejects_odd(tmp_path, capsys):
     assert capsys.readouterr().err.endswith("\nerror: n_sites must be at least 2, got 0\n")
 
 
+@pytest.mark.parametrize("g, message", [
+    ("inf", "matrix '0' has a non-finite entry"),
+    ("nan", "matrix '0' has a non-finite entry"),
+    ("1e200", "transfer operator overflows: sum_i |A_i[a,b]|^2 lies beyond the float range"),
+])
+def test_correlate_refuses_non_finite_and_overflowing_families(g, message, capsys):
+    # refused when the family is built, before LAPACK sees the matrices; any warning fails the test
+    assert run("correlate", "--which", "I", "--g", g, "--channel", "zz") == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_usage_errors():
     assert run("model", "--which", "I") == cli.EXIT_USAGE  # missing --g
     assert run("model", "--which", "I", "--g", "1", "--h", "2") == cli.EXIT_USAGE

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpschain import genstate, linalg, models, parent
+from mpschain import ed, genstate, linalg, models, parent
 from mpschain.genstate import (
     EXPAND_MAX_SITES,
     PsiN,
@@ -339,6 +339,22 @@ def test_every_sector_state_is_a_ground_state():
 def test_degeneracy_lower_bound():
     assert degeneracy_lower_bound(4) == 20
     assert degeneracy_lower_bound(6) == 70
+
+
+@pytest.mark.parametrize("n_sites", [4, 6, 8])
+def test_psi_n_is_constant_on_every_model_ii_block(n_sites):
+    # psi_n = sum_w t(w) 1_{C(n,w)}: labels give each basis string the smallest string of its
+    # connected block, so psi_n is constant on the blocks when it equals itself read at the labels
+    h = models.model_II_hamiltonian().matrix
+    rows, cols, _ = map(np.concatenate, zip(*ed._window_entries(h, 3, 2, n_sites)))
+    labels = ed._components(rows, cols, 3**n_sites)
+    covered = np.zeros(3**n_sites, dtype=bool)
+    for zeros in range(0, n_sites + 1, 2):
+        psi = psi_n_expand(n_sites, zeros).vector()
+        assert np.array_equal(psi, psi[labels])
+        covered |= psi != 0
+    # not vacuous: psi_n lives on blocks of more than one string
+    assert (covered & (labels != np.arange(3**n_sites))).any()
 
 
 def test_psin_vector_indexing():

@@ -16,6 +16,22 @@ def test_model_builders():
         assert np.allclose(fam.matrices[lab], models.model_I(0.9).matrices[lab])
 
 
+@pytest.mark.parametrize("g", [0.0, 0.3, 1.0, 2.7])
+def test_models_are_built_once_with_the_general_matrices(g, monkeypatch):
+    built = []
+    init = models.MpsFamily.__post_init__
+    monkeypatch.setattr(models.MpsFamily, "__post_init__", lambda self: (built.append(1), init(self)))
+    for model, h in ((models.model_I, sqrt(2.0) * g), (models.model_II, g)):
+        built.clear()
+        fam = model(g)
+        assert len(built) == 1
+        assert fam.params == {"g": g}
+        general = models.general_family(g, h, 1.0)
+        for lab in fam.labels:
+            assert fam.matrices[lab].dtype == general.matrices[lab].dtype
+            assert fam.matrices[lab].tobytes() == general.matrices[lab].tobytes()
+
+
 def test_general_family_g0():
     fam = models.general_family(0.0, 0.0, 1.0)
     assert not fam.matrices["0"].any()

@@ -66,6 +66,39 @@ def test_family_validation():
         MpsFamily(d=1, D=2, labels=("a",), matrices={"a": np.eye(3)})
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf), complex(np.nan, 1.0)])
+def test_family_refuses_non_finite_matrices(bad):
+    mats = {lab: np.eye(2, dtype=type(bad)) for lab in ("a", "b")}
+    mats["b"][1, 0] = bad
+    with pytest.raises(ValueError, match="matrix 'b' has a non-finite entry"):
+        MpsFamily(d=2, D=2, labels=("a", "b"), matrices=mats)
+
+
+def test_family_refuses_an_overflowing_transfer_operator_silently():
+    # 1e160^2 overflows; 1e150^2 and three times it do not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big in (1e160, 1e160j, complex(1e160, 1.0)):
+            with pytest.raises(ValueError, match="transfer operator overflows"):
+                MpsFamily(d=2, D=1, labels=("a", "b"), matrices={"a": np.array([[1.0]]), "b": np.array([[big]])})
+        fam = MpsFamily(d=3, D=1, labels=("a", "b", "c"), matrices={lab: np.array([[1e150]]) for lab in "abc"})
+        assert np.isfinite(transfer(fam).matrix).all()
+
+
+def test_ordered_sum_adds_the_leading_axis_in_order_from_zero():
+    # numpy sums a contiguous axis of 8 or more pairwise; the terms must be added one after another
+    rng = np.random.default_rng(17)
+    for shape in ((9, 1, 1), (12, 1), (9, 4, 4), (3, 2, 2), (1, 1, 1)):
+        for complex_ in (False, True):
+            terms = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+            if complex_:
+                terms = terms + 1j * rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+            terms.flat[::3] = -0.0
+            expected = sum(terms[i] for i in range(shape[0]))
+            got = mps._ordered_sum(terms)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
 def test_family_matrices_immutable():
     fam = models.model_II(1.0)
     with pytest.raises(ValueError):
