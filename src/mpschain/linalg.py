@@ -91,11 +91,14 @@ def dominant_projectors(m, rel_tol: float = 1e-9) -> list[tuple[complex, np.ndar
     built from matched left/right eigenvectors: P = R (L^H R)^{-1} L^H.  The
     trace of each projector equals the eigenvalue's multiplicity.
     """
-    return projectors_of(eig_all(m), rel_tol)
+    return _projectors(eig_all(m), rel_tol)
 
 
-def projectors_of(eig, rel_tol: float = 1e-9) -> list[tuple[complex, np.ndarray]]:
-    """dominant_projectors from the (w, vl, vr) of an eig_all call."""
+def _projectors(eig, rel_tol: float = 1e-9) -> list[tuple[complex, np.ndarray]]:
+    """dominant_projectors from the (w, vl, vr) of an eig_all call.
+
+    TransferSpectrum calls it on the eig_all result it also takes rho from.
+    """
     vals, vl, vr = eig
     mags = np.abs(vals)
     top = float(mags.max())
@@ -141,9 +144,9 @@ def spectral_radius(m) -> float:
     a = _as_square(m)
     if not a.any():
         return 0.0
-    return largest_modulus(np.linalg.eigvals(a))
+    return _largest_modulus(np.linalg.eigvals(a))
 
 
-def largest_modulus(w) -> float:
+def _largest_modulus(w) -> float:
     """max |w| over an array of eigenvalues: spectral_radius from any eigenvalue run of the matrix."""
     return float(np.abs(w).max())

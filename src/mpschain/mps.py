@@ -81,6 +81,21 @@ def _matrix_from_json(grid) -> np.ndarray:
     return m
 
 
+def _refuse_non_finite(matrices: dict[str, np.ndarray]) -> None:
+    """Refuse a non-finite matrix, naming its label, and a family whose transfer operator overflows.
+
+    E's largest entries are its sum_i |A_i[a,b]|^2, formed here as transfer forms them; by
+    Cauchy-Schwarz they bound every other entry.
+    """
+    for lab, m in matrices.items():
+        if not np.isfinite(m).all():
+            raise ValueError(f"matrix {lab!r} has a non-finite entry")
+    with np.errstate(over="ignore"):
+        peaks = sum((m.conj() * m).real for m in matrices.values())
+    if not np.isfinite(peaks).all():
+        raise ValueError("transfer operator overflows: sum_i |A_i[a,b]|^2 lies beyond the float range")
+
+
 @dataclass(frozen=True)
 class MpsFamily(_JsonFile):
     """A labeled set of D x D auxiliary matrices plus named parameters.
@@ -107,16 +122,13 @@ class MpsFamily(_JsonFile):
             m = np.asarray(self.matrices[lab])
             if m.shape != (self.D, self.D):
                 raise ValueError(f"matrix {lab!r} has shape {m.shape}, expected {(self.D, self.D)}")
-            if not np.isfinite(m).all():
-                raise ValueError(f"matrix {lab!r} has a non-finite entry")
             m = m.copy()
             m.flags.writeable = False
             frozen[lab] = m
-        # E's largest entries, sum_i |A_i[a,b]|^2 as transfer forms them: the one check, made per family
-        with np.errstate(over="ignore"):
-            peaks = sum((m.conj() * m).real for m in frozen.values())
-        if not np.isfinite(peaks).all():
-            raise ValueError("transfer operator overflows: sum_i |A_i[a,b]|^2 lies beyond the float range")
+        # E's entries are at most d top^2: far inside the float range, nothing needs a closer look
+        top = float(np.abs(np.array(list(frozen.values()))).max(initial=0.0))
+        if not top * top * self.d < 1e300:
+            _refuse_non_finite(frozen)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "matrices", frozen)
         object.__setattr__(self, "params", dict(self.params))
@@ -345,7 +357,7 @@ class TransferSpectrum:
         """Spectral radius of E: max |w| of the eigendecomposition when one was made, else
         linalg.spectral_radius, whose eigvals give the same value bit for bit."""
         if self._eig is not None:
-            return linalg.largest_modulus(self._eig[0])
+            return linalg._largest_modulus(self._eig[0])
         return linalg.spectral_radius(self.e)
 
     def _nonzero_rho(self) -> float:
@@ -365,7 +377,7 @@ class TransferSpectrum:
     @cached_property
     def projectors(self) -> list[tuple[complex, np.ndarray]]:
         """Spectral projectors of the dominant eigenvalues of E."""
-        return linalg.projectors_of(self._eigensystem())
+        return linalg._projectors(self._eigensystem())
 
     @cached_property
     def _limit(self) -> _EvenNLimit:

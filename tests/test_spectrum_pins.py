@@ -14,7 +14,7 @@ from math import cos, sin
 import numpy as np
 import pytest
 
-from mpschain import models, mps, spin
+from mpschain import linalg, models, mps, spin
 from mpschain.mps import MpsFamily, TransferSpectrum
 
 
@@ -206,3 +206,33 @@ def test_cold_spectrum_is_bit_identical(name, order):
     fam = FAMILIES[name]
     text = _module_record(fam) if order == "module" else _record(fam, order)
     assert _sha(text) == PINS[f"{name} {order}"]
+
+
+def _radius_matrices():
+    """E of every pinned family and of a zero family; E of models I and II and the general family
+    over a g grid; random real and complex matrices of the sizes transfer operators take."""
+    yield from (mps.transfer(fam).matrix for fam in FAMILIES.values())
+    yield np.zeros((4, 4))
+    rng = np.random.default_rng(23)
+    for g in np.linspace(0.0, 3.0, 40):
+        yield mps.transfer(models.model_I(g)).matrix
+        yield mps.transfer(models.model_II(g)).matrix
+        yield mps.transfer(models.general_family(*rng.uniform(-2.0, 2.0, 3))).matrix
+    for n in (1, 4, 9, 16):
+        for _ in range(10):
+            yield rng.standard_normal((n, n))
+            yield rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def test_rho_from_the_eigendecomposition_is_the_spectral_radius():
+    # a thermodynamic query takes rho from eig_all's eigenvalues; linalg.spectral_radius takes it from eigvals
+    radii = [(linalg._largest_modulus(linalg.eig_all(e)[0]), linalg.spectral_radius(e)) for e in _radius_matrices()]
+    assert len(radii) == 24 + 1 + 120 + 80
+    assert all(a.hex() == b.hex() for a, b in radii)
+
+
+def test_a_thermodynamic_query_first_takes_rho_from_its_eigendecomposition(monkeypatch):
+    monkeypatch.setattr(linalg, "spectral_radius", None)
+    s = TransferSpectrum(FAMILIES["I g=0.8"])
+    s.thermo_one_point(spin.sz2())
+    assert s.rho.hex() == linalg._largest_modulus(linalg.eig_all(s.e)[0]).hex()
