@@ -320,8 +320,6 @@ class _PowerLadder:
 
     def stack(self, ns) -> np.ndarray:
         """The (len(ns), n, n) stack of the powers ns."""
-        if len(ns) == 1:
-            return self.power(ns[0])[None]
         return np.array([self.power(n) for n in ns])
 
 
@@ -332,8 +330,10 @@ class TransferSpectrum:
     spectral radius rho, E / rho with its squarings, the dominant projectors of
     E with their even-N limit data, and each observable's rescaled E_O / rho
     are computed on first use and kept on the instance; dressed operators are
-    keyed by the observable's content.  The correlators rescale every transfer
-    step by rho, so large rings do not overflow.
+    keyed by the observable's content.  A thermodynamic query makes one
+    eigendecomposition of E, which gives rho and the projectors; a spectrum
+    that answers ring queries first takes rho from E's eigenvalues alone.  The
+    correlators rescale every transfer step by rho, so large rings do not overflow.
     """
 
     def __init__(self, mps: MpsFamily):
@@ -465,7 +465,7 @@ class TransferSpectrum:
         return [_real_or_raise(t / den, "normalized correlator") for t in num.trace(axis1=1, axis2=2)]
 
     def _thermo_values(self, obs1, obs2, rs) -> list:
-        self._eigensystem()
+        self._eigensystem()  # before rho, as in thermo_one_point
         middles = self.dressed(obs1) @ self._ladder.stack([r - 1 for r in rs]) @ self.dressed(obs2)
         return self._limit.values(middles, [r + 1 for r in rs])
 
@@ -478,7 +478,8 @@ class TransferSpectrum:
 
     def thermo_one_point(self, obs: SpinObservable) -> float:
         """N -> infinity limit of ring_one_point, taken along even N."""
-        # middle first: rho = 0 raises DegenerateNormError before the projectors' ZeroSpectrumError
+        # the eigendecomposition first, so that rho comes from it; then the middle, so that rho = 0
+        # raises DegenerateNormError before the projectors' ZeroSpectrumError
         self._eigensystem()
         middle = self.dressed(obs)
         return self._limit.value(middle, extra_power=1)

@@ -97,6 +97,9 @@ def test_ordered_sum_adds_the_leading_axis_in_order_from_zero():
             expected = sum(terms[i] for i in range(shape[0]))
             got = mps._ordered_sum(terms)
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    # a sum from 0 of -0.0 terms is +0.0
+    for terms in (np.full((9, 1, 1), -0.0), np.full((9, 2, 2), -0.0), np.full((9, 1, 1), complex(-0.0, -0.0))):
+        assert mps._ordered_sum(terms).tobytes() == sum(terms[i] for i in range(9)).tobytes()
 
 
 def test_family_matrices_immutable():
