@@ -89,6 +89,16 @@ def test_dominant_projectors_traces_are_multiplicities():
     assert mults == [1, 2]
 
 
+def test_dominant_projectors_group_eigenvalues_within_1e_8_of_the_top():
+    # a rotation by 1e-6 has two dominant eigenvalues 2e-6 apart: two groups; 1e-10 apart: one group
+    for theta, groups in ((1e-6, 2), (5e-11, 1)):
+        c, s = np.cos(theta), np.sin(theta)
+        out = linalg.dominant_projectors(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 0.5]]))
+        assert len(out) == groups
+        assert sum(np.trace(p).real for _, p in out) == pytest.approx(2.0, abs=1e-6)
+        assert all(isinstance(lam, complex) for lam, _ in out)
+
+
 def test_trace_power_identity():
     assert linalg.trace_power(np.eye(9), 5) == pytest.approx(9.0)
 
