@@ -84,6 +84,19 @@ def eig_all(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return scipy.linalg.eig(_as_square(m), left=True, right=True)
 
 
+def _geev_keeps_scale(m) -> bool:
+    """Whether eig_all's eigenvalues are m's own, not those of a rescaled m.
+
+    LAPACK's geev rescales a matrix whose largest entry lies outside
+    [sqrt(safe minimum) / precision, its inverse], about [6.7e-139, 1.5e138], and
+    the scipy build this package runs on (scipy-openblas 0.3.31) then returns the
+    rescaled matrix's eigenvalues; the eigenvectors are unaffected.  The bounds
+    here keep a factor 1e8 inside those limits.
+    """
+    top = np.abs(m).max()
+    return top == 0.0 or 1e-130 <= top <= 1e130
+
+
 def dominant_projectors(m, rel_tol: float = 1e-9) -> list[tuple[complex, np.ndarray]]:
     """Spectral projectors of the dominant eigenvalues of m.
 

@@ -354,9 +354,10 @@ class TransferSpectrum:
 
     @cached_property
     def rho(self) -> float:
-        """Spectral radius of E: max |w| of the eigendecomposition when one was made, else
-        linalg.spectral_radius, whose eigvals give the same value bit for bit."""
-        if self._eig is not None:
+        """Spectral radius of E: max |w| of the eigendecomposition when one was made and its
+        eigenvalues are E's own, else linalg.spectral_radius, whose eigvals give the same value
+        bit for bit."""
+        if self._eig is not None and linalg._geev_keeps_scale(self.e):
             return linalg._largest_modulus(self._eig[0])
         return linalg.spectral_radius(self.e)
 

@@ -34,6 +34,14 @@ def _families() -> dict[str, MpsFamily]:
     for big_d in (1, 2, 3, 4):
         fams[f"real D={big_d}"] = _random_family(40 + big_d, big_d, False)
         fams[f"complex D={big_d}"] = _random_family(50 + big_d, big_d, True)
+    # transfer entries beyond LAPACK's geev scaling limits, about 1.5e138 and 6.7e-139
+    fams["I g=1e150"] = models.model_I(1e150)
+    fams["I g=1e70"] = models.model_I(1e70)
+    tiny = models.model_I(0.7)
+    fams["I g=0.7 x 1e-75"] = MpsFamily(d=3, D=3, labels=tiny.labels, matrices={k: 1e-75 * m for k, m in tiny.matrices.items()})
+    fams["complex D=2 x 1e72"] = MpsFamily(
+        d=3, D=2, labels=spin.LABELS, matrices={k: 1e72 * m for k, m in _random_family(52, 2, True).matrices.items()}
+    )
     rot = np.array([[cos(1.0), -sin(1.0)], [sin(1.0), cos(1.0)]])
     fams["rotation"] = MpsFamily(d=1, D=2, labels=("x",), matrices={"x": rot})
     fams["nilpotent"] = MpsFamily(d=1, D=2, labels=("x",), matrices={"x": np.array([[0.0, 1.0], [0.0, 0.0]])})
@@ -41,6 +49,7 @@ def _families() -> dict[str, MpsFamily]:
 
 
 FAMILIES = _families()
+BEYOND_GEEV = ["I g=1e150", "I g=1e70", "I g=0.7 x 1e-75", "complex D=2 x 1e72"]
 
 
 def _observables(d: int) -> list[spin.SpinObservable]:
@@ -191,6 +200,18 @@ PINS = {
     "complex D=4 ring": "e0591152ba92d0b3c2abeba73c4336812ac70b06323ada49d8cd4325321b3473",
     "complex D=4 thermo": "2c2e9b01591225c99bdda59f0e5130b7a3b690cab7c05225afc5a2fd831aa54a",
     "complex D=4 module": "38761faf15c2f831b0c25a51f6bde7e380cfed49beffb1d25ecede48e6cb2c24",
+    "I g=1e150 ring": "aec0fae56719145b26c301ee08a6f910a650c34658bdd18961a0185d4907e8b9",
+    "I g=1e150 thermo": "7d3bca8a9853d240f5ac9466fae0322e5ce80b00a8ce62f34a0f14e7e04fabe2",
+    "I g=1e150 module": "d11d1f9869d7903d44b49911a40d06114f952f9aa6db2d746ecc573483c252aa",
+    "I g=1e70 ring": "4b72bc98d98193f42f1be69091ef176509c2a4bfafe9ce6be823da75afe7ff4d",
+    "I g=1e70 thermo": "2b31685989cd053aab1087ad1407809b18442ae224acabb0f146e76d5a223ce3",
+    "I g=1e70 module": "71f25a1380ed2ecdb0bb52e7ecbe388caf40f198ef5948dce801404be55dd0b2",
+    "I g=0.7 x 1e-75 ring": "b50697bb86667ea3c934da281f836bc242cf0ad790ec9f701af3d6a596d2ca39",
+    "I g=0.7 x 1e-75 thermo": "2d3a075bab08032a31a534f353f3d56570e5e513c97131be6aa02fd290668d62",
+    "I g=0.7 x 1e-75 module": "0c04c73b8c0e25310a76112b583d53cb629d107419eb1f3868dd73077d8af972",
+    "complex D=2 x 1e72 ring": "5fdfcf829a1e103f1be17136e59595f7e5874f9d41de8624745813de42652424",
+    "complex D=2 x 1e72 thermo": "797ab9f36a56fb6bcb57de5791b8609090569964f4e5bce80f89c32bfd204d36",
+    "complex D=2 x 1e72 module": "f0d3f1af2e971232501e13190f4d779ae04cb7ed2b447e54383595f39e68e017",
     "rotation ring": "0463eb37438d15b73bb09cbf44fc398fda750606becefae4cbda9547ff876078",
     "rotation thermo": "4e0b879d2475fcd1a803de6cafdf033deeaafbfc2da5c2641717c0e25eee0aa6",
     "rotation module": "0955f2005017cbb98c055fff80eac8db3f8217dae66cc409bd45524b87a507a9",
@@ -226,9 +247,18 @@ def _radius_matrices():
 
 def test_rho_from_the_eigendecomposition_is_the_spectral_radius():
     # a thermodynamic query takes rho from eig_all's eigenvalues; linalg.spectral_radius takes it from eigvals
-    radii = [(linalg._largest_modulus(linalg.eig_all(e)[0]), linalg.spectral_radius(e)) for e in _radius_matrices()]
-    assert len(radii) == 24 + 1 + 120 + 80
+    kept = [e for e in _radius_matrices() if linalg._geev_keeps_scale(e)]
+    assert len(kept) == len(FAMILIES) - len(BEYOND_GEEV) + 1 + 120 + 80
+    radii = [(linalg._largest_modulus(linalg.eig_all(e)[0]), linalg.spectral_radius(e)) for e in kept]
     assert all(a.hex() == b.hex() for a, b in radii)
+
+
+@pytest.mark.parametrize("name", BEYOND_GEEV)
+def test_beyond_geevs_scaling_limits_rho_comes_from_spectral_radius(name):
+    s = TransferSpectrum(FAMILIES[name])
+    assert not linalg._geev_keeps_scale(s.e)
+    s._eigensystem()
+    assert s.rho.hex() == linalg.spectral_radius(s.e).hex()
 
 
 def test_a_thermodynamic_query_first_takes_rho_from_its_eigendecomposition(monkeypatch):
