@@ -89,7 +89,7 @@ def _geev_keeps_scale(m) -> bool:
 
     LAPACK's geev rescales a matrix whose largest entry lies outside
     [sqrt(safe minimum) / precision, its inverse], about [6.7e-139, 1.5e138], and
-    the scipy build this package runs on (scipy-openblas 0.3.31) then returns the
+    the LAPACK that scipy 1.17 bundles (scipy-openblas 0.3.31) then returns the
     rescaled matrix's eigenvalues; the eigenvectors are unaffected.  The bounds
     here keep a factor 1e8 inside those limits.
     """
