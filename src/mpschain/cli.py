@@ -17,7 +17,7 @@ import numpy as np
 
 from . import genstate, linalg, models, parent, spin, verify
 # The ring_* and thermo_* functions are no longer called here (correlator rows
-# go through one TransferSpectrum per family).  They stay bound in this
+# go through one TransferSpectrum of all the families).  They stay bound in this
 # namespace because the self-test of benchmarks/tracing.py uses them as its
 # example of names bound by `from .mps import` that the tracer must wrap.
 from .mps import (  # noqa: F401
@@ -121,22 +121,45 @@ _ONE_POINT = {"sz2": spin.sz2, "sx2": spin.sx2}
 _TWO_POINT = {"zz": spin.sz, "xx": spin.sx, "identity": spin.identity}
 
 
-def _correlate_rows(args, fam_for, g_values) -> list[dict]:
+def _correlate_values(args, spectrum: TransferSpectrum) -> list:
+    """Per family of the spectrum: its one-point value, or its two-point values at r_min..r_max."""
+    n_sites = args.n_sites if args.mode == "ring" else None
+    if args.channel in _ONE_POINT:
+        obs = _ONE_POINT[args.channel]()
+        return spectrum.thermo_one_point(obs) if n_sites is None else spectrum.ring_one_point(obs, n_sites)
+    obs = _TWO_POINT[args.channel]()
+    return spectrum.two_point_sweep(obs, obs, range(args.r_min, args.r_max + 1), n_sites)
+
+
+def _correlate_rows(args, families, g_values) -> list[dict]:
+    """The rows of every family, from one stacked TransferSpectrum of them all.
+
+    families yields them in g order; a refused one ends the sweep, and its error is
+    raised after those of the families before it, as the per-g loop meets them.
+    """
+    fams, refusal = [], None
+    try:
+        for fam in families:
+            fams.append(fam)
+    except ValueError as exc:
+        refusal = exc
+    values = []
+    if fams:
+        try:
+            values = _correlate_values(args, TransferSpectrum(fams))
+        except Exception:
+            # a stack meets its errors step by step, each step for every family; the error to
+            # report is the one the per-g loop, one family after another, meets first
+            values = [v for fam in fams for v in _correlate_values(args, TransferSpectrum([fam]))]
+    if refusal is not None:
+        raise refusal
     rows = []
     r_values = list(range(args.r_min, args.r_max + 1))
-    for g in g_values:
-        spectrum = TransferSpectrum(fam_for(g))
+    for g, vals in zip(g_values, values):
         if args.channel in _ONE_POINT:
-            obs = _ONE_POINT[args.channel]()
-            if args.mode == "ring":
-                val = spectrum.ring_one_point(obs, args.n_sites)
-            else:
-                val = spectrum.thermo_one_point(obs)
-            rows.append({"g": g, "r": None, "channel": args.channel, "value": val, "flag": ""})
+            rows.append({"g": g, "r": None, "channel": args.channel, "value": vals, "flag": ""})
             continue
-        obs = _TWO_POINT[args.channel]()
-        values = spectrum.two_point_sweep(obs, obs, r_values, args.n_sites if args.mode == "ring" else None)
-        for r, val in zip(r_values, values):
+        for r, val in zip(r_values, vals):
             flag = ""
             if isinstance(val, OscillatoryLimitError):
                 val, flag = None, "oscillatory"
@@ -150,13 +173,13 @@ def _cmd_correlate(args) -> int:
         g_values = [float(x) for x in np.linspace(float(lo), float(hi), int(num))]
         if args.which == "file":
             raise _UsageError("--g-sweep excludes --which file")
-        fam_for = models.model_I if args.which == "I" else models.model_II
         if args.which == "general":
             raise _UsageError("--g-sweep supports --which I or II")
+        families = models.model_families(args.which, g_values)
     else:
         fam = _resolve_model(args)
         g_values = [fam.params.get("g", float("nan"))]
-        fam_for = lambda g: fam  # noqa: E731 - single resolved model
+        families = [fam]
     if args.mode == "closed":
         if args.which != "I":
             raise _UsageError("--mode closed evaluates the model I closed forms")
@@ -166,7 +189,7 @@ def _cmd_correlate(args) -> int:
         raise _UsageError("--mode ring requires --n-sites")
     if args.mode == "ring" and args.which in ("I", "II") and args.n_sites % 2:
         raise _UsageError("ring size must be even for the solvable models")
-    rows = _correlate_rows(args, fam_for, g_values)
+    rows = _correlate_rows(args, families, g_values)
     if args.format == "json":
         payload = [
             {k: (_fmt(v) if isinstance(v, float) else v) for k, v in row.items()} for row in rows

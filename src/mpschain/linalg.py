@@ -7,6 +7,8 @@ All functions are pure; none mutate their inputs.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.linalg
 
@@ -78,10 +80,53 @@ def null_space(m, tol: float = DEFAULT_NULL_TOL) -> list[np.ndarray]:
 def eig_all(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every eigenvalue of a square m with its left and right eigenvectors: (w, vl, vr).
 
-    The package's one scipy.linalg.eig call.  dominant_projectors takes its
-    projectors from it, and TransferSpectrum its spectral radius as well.
+    The package's one eigendecomposition with eigenvectors.  dominant_projectors
+    takes its projectors from it, and TransferSpectrum its spectral radius as well.
+    It is scipy.linalg.eig(m, left=True, right=True) bit for bit, errors included:
+    the same LAPACK geev call with the same workspace, and the same assembly of w
+    and of complex eigenvector pairs from a real geev's output
+    (tests/test_linalg.py compares the two), without scipy's per-call argument
+    handling, which costs about as much as geev itself on a 9 x 9 matrix.
     """
-    return scipy.linalg.eig(_as_square(m), left=True, right=True)
+    a = np.asarray_chkfinite(_as_square(m))
+    geev, lwork = _geev(a.shape[0], a.dtype)
+    if geev.typecode in "cz":
+        w, vl, vr, info = geev(a, lwork=lwork, compute_vl=1, compute_vr=1, overwrite_a=0)
+    else:
+        wr, wi, vl, vr, info = geev(a, lwork=lwork, compute_vl=1, compute_vr=1, overwrite_a=0)
+        w = wr + _I * wi
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal eig algorithm (geev)")
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"eig algorithm (geev) did not converge (only eigenvalues with order >= {info} have converged)"
+        )
+    if geev.typecode not in "cz" and not np.all(w.imag == 0.0):
+        vl, vr = _complex_pairs(w, vl), _complex_pairs(w, vr)
+    return w, vl, vr
+
+
+#: scipy.linalg.eig forms w = wr + _I * wi with this complex64 unit
+_I = np.array(1j, dtype="F")
+
+
+@functools.lru_cache(maxsize=64)
+def _geev(n: int, dtype: np.dtype):
+    """LAPACK's geev for dtype with the workspace size scipy.linalg.eig queries for an n x n matrix."""
+    geev, geev_lwork = scipy.linalg.get_lapack_funcs(("geev", "geev_lwork"), dtype=dtype)
+    return geev, scipy.linalg.lapack._compute_lwork(geev_lwork, n, compute_vl=1, compute_vr=1)
+
+
+def _complex_pairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Complex eigenvectors from a real geev's v, which holds a conjugate pair as its real and
+    imaginary columns; the columns that scipy.linalg.eig completes, in the order it does."""
+    out = np.array(v, dtype=w.dtype.char)
+    pair = w.imag > 0
+    pair[:-1] |= w.imag[1:] < 0
+    for i in np.flatnonzero(pair):
+        out.imag[:, i] = v[:, i + 1]
+        np.conj(out[:, i], out[:, i + 1])
+    return out
 
 
 def _geev_keeps_scale(m) -> bool:
@@ -102,9 +147,15 @@ def dominant_projectors(m, rel_tol: float = 1e-9) -> list[tuple[complex, np.ndar
 
     Returns one (eigenvalue, projector) pair per distinct dominant eigenvalue,
     built from matched left/right eigenvectors: P = R (L^H R)^{-1} L^H.  The
-    trace of each projector equals the eigenvalue's multiplicity.
+    trace of each projector equals the eigenvalue's multiplicity.  Where geev
+    returns the eigenvalues of a rescaled m (_geev_keeps_scale), each eigenvalue
+    is m's own, tr(P m) / tr(P).
     """
-    return _projectors(eig_all(m), rel_tol)
+    a = _as_square(m)
+    out = _projectors(eig_all(a), rel_tol)
+    if _geev_keeps_scale(a):
+        return out
+    return [(complex((p @ a).trace() / p.trace()), p) for _, p in out]
 
 
 def _projectors(eig, rel_tol: float = 1e-9) -> list[tuple[complex, np.ndarray]]:

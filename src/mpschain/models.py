@@ -12,8 +12,9 @@ model I (h = sqrt(2) g) and model II (h = g, where A_0 = g * identity).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from math import log, sqrt
+from math import inf, isfinite, log, sqrt
 
 import numpy as np
 
@@ -35,24 +36,37 @@ def _general_stack(g, h, c) -> np.ndarray:
     return mats
 
 
-def _family(g, h, c, params: dict[str, float]) -> MpsFamily:
-    a1, a0, am = _general_stack(g, h, c)
+def _family(mats: np.ndarray, params: dict[str, float]) -> MpsFamily:
+    a1, a0, am = mats
     return MpsFamily(d=3, D=3, labels=_LABELS, matrices={"1": a1, "0": a0, "-1": am}, params=params)
 
 
 def general_family(g: float, h: float, c: float) -> MpsFamily:
     """The three-parameter spin-1 family with bond dimension 3."""
-    return _family(g, h, c, {"g": float(g), "h": float(h), "c": float(c)})
+    return _family(_general_stack(g, h, c), {"g": float(g), "h": float(h), "c": float(c)})
 
 
 def model_I(g: float) -> MpsFamily:
     """Model I: A_0 = g diag(1, sqrt(2), 1), c = 1."""
-    return _family(g, sqrt(2.0) * g, 1.0, {"g": float(g)})
+    return _family(_general_stack(g, sqrt(2.0) * g, 1.0), {"g": float(g)})
 
 
 def model_II(g: float) -> MpsFamily:
     """Model II: A_0 = g * identity, c = 1."""
-    return _family(g, g, 1.0, {"g": float(g)})
+    return _family(_general_stack(g, g, 1.0), {"g": float(g)})
+
+
+def model_families(which: str, g_values) -> Iterator[MpsFamily]:
+    """model_I (which "I") or model_II (which "II") at each g of g_values, in order.
+
+    One (G, 3, 3, 3) stack holds the matrices of them all, bit for bit those
+    model_I or model_II builds; each family is made, and validated, when the
+    iteration reaches it, so a refused g ends the iteration with its error.
+    """
+    gs = np.asarray(g_values, dtype=float)
+    h = {"I": sqrt(2.0) * gs, "II": gs}[which]
+    for g, mats in zip(gs.tolist(), _general_stack(gs, h, 1.0)):
+        yield _family(mats, {"g": g})
 
 
 def aklt_family() -> MpsFamily:
@@ -162,20 +176,32 @@ class ClosedFormCorrelatorsI:
 
 
 def closed_form_correlators_I(g: float) -> ClosedFormCorrelatorsI:
-    """Evaluate the model I closed forms at parameter g (g enters via g^2 only)."""
+    """Evaluate the model I closed forms at parameter g (g enters via g^2 only).
+
+    Raises ValueError, naming g, where floats cannot hold them: at a g that is not
+    finite, and where a product on the way overflows.  The largest one is G_perp's
+    denominator gamma (3 g^2 + gamma)^2 (g^2 + gamma) ~ 32 g^8, which overflows first,
+    from about |g| = 1e38 on; below that every product is finite.
+    """
     g2 = g * g
     gamma = sqrt(g2 * g2 + 8.0)
+    try:
+        lam2 = (3 * g2 + gamma) ** 2
+    except OverflowError:
+        lam2 = inf
+    if not isfinite(gamma * lam2 * (g2 + gamma)):
+        raise ValueError(f"the model I closed forms overflow or are not finite at g = {float(g)!r}")
     denom = gamma * (3 * g2 + gamma)
     sz2 = 8.0 / denom
     sx2 = (g2 * (3 * gamma + g2) + 4.0) / denom
-    g_par = -4.0 * (g2 + gamma) / (gamma * (3 * g2 + gamma) ** 2)
+    g_par = -4.0 * (g2 + gamma) / (gamma * lam2)
     xi_perp = 1.0 / log((3 * g2 + gamma) / (2 + 2 * sqrt(2.0) * g2))
     if g2 == 0.0:
         return ClosedFormCorrelatorsI(
             g=g, gamma=gamma, sz2=sz2, sx2=sx2, g_par=g_par, g_perp=0.0,
             xi_par=0.0, xi_perp=xi_perp, degenerate=True,
         )
-    g_perp = 8.0 * g2 * (g2 + sqrt(2.0) + gamma) ** 2 / (gamma * (3 * g2 + gamma) ** 2 * (g2 + gamma))
+    g_perp = 8.0 * g2 * (g2 + sqrt(2.0) + gamma) ** 2 / (gamma * lam2 * (g2 + gamma))
     xi_par = 1.0 / log((3 * g2 + gamma) / (2 * g2))
     return ClosedFormCorrelatorsI(
         g=g, gamma=gamma, sz2=sz2, sx2=sx2, g_par=g_par, g_perp=g_perp,

@@ -10,7 +10,9 @@ variants E_O = sum_ij conj(A_i) (x) A_j <i|O|j>.
 from __future__ import annotations
 
 import json
+import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product, takewhile
@@ -160,14 +162,15 @@ class MpsFamily(_JsonFile):
 
 @dataclass(frozen=True)
 class TransferOperator:
-    """A D^2 x D^2 transfer operator of one family, plain or observable-dressed."""
+    """A D^2 x D^2 transfer operator of one family, plain or observable-dressed,
+    or the (G, D^2, D^2) stack of the operators of G families."""
 
     kind: str
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
             raise ValueError("transfer operator must be square")
         m = m.copy()
         m.flags.writeable = False
@@ -175,56 +178,78 @@ class TransferOperator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
-def _kron_table(mps: MpsFamily) -> np.ndarray:
-    """The (d, d, D^2, D^2) table of Kronecker products conj(A_i) (x) A_j.
+def _matrix_stack(mps: MpsFamily | Sequence[MpsFamily]) -> np.ndarray:
+    """The (d, D, D) auxiliary matrices of one family, or the (G, d, D, D) stack of a sequence of
+    families, in label order and in at least float64: an integer family's products would wrap in int64.
+
+    Stacked families must share their labels, D and that dtype, so that each one's operators are
+    formed as they are for it alone.
+    """
+    if isinstance(mps, MpsFamily):
+        mats = mps.matrix_stack()
+    else:
+        stacks = [(f.labels, f.matrix_stack()) for f in mps]
+        if len({(labels, m.shape, np.result_type(m.dtype, np.float64)) for labels, m in stacks}) != 1:
+            raise ValueError("a stack needs at least one family, and its families must share labels, D and dtype")
+        mats = np.array([m for _, m in stacks])
+    return mats if mats.dtype.char in "dDgG" else mats.astype(np.result_type(mats.dtype, np.float64))
+
+
+def _kron_table(mats: np.ndarray) -> np.ndarray:
+    """The (..., d, d, D^2, D^2) table of Kronecker products conj(A_i) (x) A_j of a (..., d, D, D) stack.
 
     One broadcast product holding the same entry-wise products np.kron forms,
     without its per-call Python overhead.
     """
-    mats = mps.matrix_stack()
-    table = mats.conj()[:, None, :, None, :, None] * mats[None, :, None, :, None, :]
-    return table.reshape(mps.d, mps.d, mps.D**2, mps.D**2)
+    *lead, d, big_d, _ = mats.shape
+    table = mats.conj()[..., :, None, :, None, :, None] * mats[..., None, :, None, :, None, :]
+    return table.reshape(*lead, d, d, big_d**2, big_d**2)
 
 
-def _check_observable(mps: MpsFamily, obs: SpinObservable) -> None:
-    if obs.dim != mps.d:
-        raise ValueError(f"observable dimension {obs.dim} != physical dimension {mps.d}")
+def _check_observable(d: int, obs: SpinObservable) -> None:
+    if obs.dim != d:
+        raise ValueError(f"observable dimension {obs.dim} != physical dimension {d}")
 
 
-def _ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """sum(terms): the terms along the leading axis added in order from 0, as Python's sum adds them.
+def _ordered_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
+    """sum(terms) along axis: the terms added in order from 0, as Python's sum adds them.
 
-    np.add.reduce adds along a leading axis in order while each term holds more than one entry.
-    With one entry per term (D = 1) the reduction runs along a contiguous axis, which numpy sums
+    np.add.reduce adds along an axis in order while a later axis holds more than one entry.
+    Otherwise (D = 1) the reduction runs along a contiguous axis, which numpy sums
     pairwise from 8 terms on; there the terms are accumulated in order instead, and + 0 turns a
     -0.0 into the +0.0 that a sum from 0 gives.
     """
-    if terms[0].size > 1:
-        return np.add.reduce(terms, axis=0, initial=0)
-    return np.add.accumulate(terms, axis=0)[-1] + 0
+    if math.prod(terms.shape[axis:][1:]) > 1:
+        return np.add.reduce(terms, axis=axis, initial=0)
+    return np.take(np.add.accumulate(terms, axis=axis), -1, axis=axis) + 0
 
 
-def transfer(mps: MpsFamily) -> TransferOperator:
-    """Plain transfer operator E = sum_i conj(A_i) (x) A_i."""
-    mats = mps.matrix_stack()
-    n = mps.D**2
+def transfer(mps: MpsFamily | Sequence[MpsFamily]) -> TransferOperator:
+    """Plain transfer operator E = sum_i conj(A_i) (x) A_i, formed in at least float64.
+
+    A sequence of families of one shape gives the (G, D^2, D^2) stack of their operators.
+    """
+    mats = _matrix_stack(mps)
+    n = mats.shape[-1] ** 2
     # the diagonal of _kron_table: the same entry-wise products, summed over i in order from 0
-    pairs = (mats.conj()[:, :, None, :, None] * mats[:, None, :, None, :]).reshape(mps.d, n, n)
-    return TransferOperator("plain", _ordered_sum(pairs))
+    pairs = (mats.conj()[..., :, None, :, None] * mats[..., None, :, None, :]).reshape(*mats.shape[:-2], n, n)
+    return TransferOperator("plain", _ordered_sum(pairs, axis=-3))
 
 
-def dressed_transfer(mps: MpsFamily, obs: SpinObservable) -> TransferOperator:
-    """Observable-dressed operator E_O = sum_ij conj(A_i) (x) A_j <i|O|j>.
+def dressed_transfer(mps: MpsFamily | Sequence[MpsFamily], obs: SpinObservable) -> TransferOperator:
+    """Observable-dressed operator E_O = sum_ij conj(A_i) (x) A_j <i|O|j>, formed in at least float64.
 
     The d^2 weighted products are summed in order, (i, j) = (0, 0), (0, 1), ..., from 0.
+    A sequence of families of one shape gives the (G, D^2, D^2) stack of their operators.
     """
-    _check_observable(mps, obs)
-    n = mps.D**2
-    terms = obs.matrix.reshape(-1, 1, 1) * _kron_table(mps).reshape(-1, n, n)
-    return TransferOperator(f"dressed:{obs.name}", _ordered_sum(terms))
+    mats = _matrix_stack(mps)
+    _check_observable(mats.shape[-3], obs)
+    n = mats.shape[-1] ** 2
+    terms = obs.matrix.reshape(-1, 1, 1) * _kron_table(mats).reshape(*mats.shape[:-3], -1, n, n)
+    return TransferOperator(f"dressed:{obs.name}", _ordered_sum(terms, axis=-3))
 
 
 def _real_or_raise(value, what: str, tol: float = 1e-12):
@@ -290,11 +315,12 @@ def _raise_oscillatory(values: list) -> list:
 
 
 class _PowerLadder:
-    """Integer powers of one matrix, bit for bit as np.linalg.matrix_power forms them.
+    """Integer powers of one matrix, or of each matrix of a stack, bit for bit as np.linalg.matrix_power forms them.
 
     The squarings a, a^2, a^4, ... are kept, so powers of one matrix share them.
     n = 0..3 take matrix_power's shortcuts; n >= 4 multiplies the squarings of
-    the set bits of n, least significant first.
+    the set bits of n, least significant first.  A (..., n, n) stack is taken
+    to each power in one stacked product per step.
     """
 
     def __init__(self, a: np.ndarray):
@@ -305,7 +331,8 @@ class _PowerLadder:
         sq = self.squares
         a = sq[0]
         if n == 0:
-            return np.eye(a.shape[0], dtype=a.dtype)
+            eye = np.eye(a.shape[-1], dtype=a.dtype)
+            return eye if a.ndim == 2 else eye[None].repeat(a.shape[0], axis=0)
         while len(sq) < n.bit_length():
             sq.append(sq[-1] @ sq[-1])
         if n <= 2:
@@ -319,52 +346,82 @@ class _PowerLadder:
         return result
 
     def stack(self, ns) -> np.ndarray:
-        """The (len(ns), n, n) stack of the powers ns."""
-        return np.array([self.power(n) for n in ns])
+        """The stack of the powers ns: (len(ns), n, n) for one matrix, (G, len(ns), n, n) for G."""
+        return np.array([self.power(n) for n in ns]).swapaxes(0, -3)
 
 
 class TransferSpectrum:
-    """One family's transfer operator E with the data every correlator of the family reuses.
+    """The transfer operator E of a family, or of a stack of families, with the data every correlator reuses.
 
-    Build it once per family and query it at any separation and ring size.  The
-    spectral radius rho, E / rho with its squarings, the dominant projectors of
-    E with their even-N limit data, and each observable's rescaled E_O / rho
-    are computed on first use and kept on the instance; dressed operators are
-    keyed by the observable's content.  A thermodynamic query makes one
+    Build it once and query it at any separation and ring size.  The spectral
+    radius rho, E / rho with its squarings, the dominant projectors of E with
+    their even-N limit data, and each observable's rescaled E_O / rho are
+    computed on first use and kept on the instance; dressed operators are keyed
+    by the observable's content.  A thermodynamic query makes one
     eigendecomposition of E, which gives rho and the projectors; a spectrum
     that answers ring queries first takes rho from E's eigenvalues alone.  The
     correlators rescale every transfer step by rho, so large rings do not overflow.
+
+    Built from a sequence of G families that share labels, D and dtype, it holds
+    their stack: a leading family axis of length G on e, scaled and each dressed
+    operator, and rho, projectors and every answer become lists with one entry
+    per family, in order.  E, each E_O / rho, E / rho with its squarings and the
+    products over separations are formed once for the stack; the
+    eigendecomposition, the rule that picks rho, the projectors and the even-N
+    limit sums are taken family by family.  Built from one MpsFamily, the
+    spectrum is the same code without the family axis, and each family of a
+    stack answers bit for bit as a spectrum built from it alone.  A stack takes
+    each step for all its families before the next step, so of several failing
+    families it raises the error of the first step met, not the first family's.
     """
 
-    def __init__(self, mps: MpsFamily):
-        self.mps = mps
-        self.e = transfer(mps).matrix
+    def __init__(self, mps: MpsFamily | Sequence[MpsFamily]):
+        self._one = isinstance(mps, MpsFamily)
+        self.mps = mps if self._one else tuple(mps)
+        self.e = transfer(self.mps).matrix
         self._dressed: dict[tuple, np.ndarray] = {}
         self._eig = None
 
-    def _eigensystem(self):
-        """E's (w, vl, vr) from linalg.eig_all, made once.
+    def _each(self, stacked) -> tuple | np.ndarray:
+        """The per-family entries of an array with the spectrum's family axis, if it has one."""
+        return (stacked,) if self._one else stacked
 
-        A thermodynamic query makes it before it needs rho, so that one
+    def _out(self, per_family: list):
+        """A list with one entry per family, as the spectrum answers: the one entry for one family."""
+        return per_family[0] if self._one else per_family
+
+    def _eigensystem(self) -> list:
+        """Each family's (w, vl, vr) from linalg.eig_all, made once.
+
+        A thermodynamic query makes them before it needs rho, so that one
         eigendecomposition gives both rho and the projectors.
         """
         if self._eig is None:
-            self._eig = linalg.eig_all(self.e)
+            self._eig = list(map(linalg.eig_all, self._each(self.e)))
         return self._eig
 
     @cached_property
-    def rho(self) -> float:
-        """Spectral radius of E: max |w| of the eigendecomposition when one was made and its
+    def _rho(self) -> list[float]:
+        """Spectral radius of each E: max |w| of the eigendecomposition when one was made and its
         eigenvalues are E's own, else linalg.spectral_radius, whose eigvals give the same value
         bit for bit."""
-        if self._eig is not None and linalg._geev_keeps_scale(self.e):
-            return linalg._largest_modulus(self._eig[0])
-        return linalg.spectral_radius(self.e)
+        if self._eig is None:
+            return list(map(linalg.spectral_radius, self._each(self.e)))
+        return [
+            linalg._largest_modulus(w) if linalg._geev_keeps_scale(e) else linalg.spectral_radius(e)
+            for e, (w, _, _) in zip(self._each(self.e), self._eig)
+        ]
 
-    def _nonzero_rho(self) -> float:
-        if self.rho == 0.0:
+    @property
+    def rho(self):
+        """Spectral radius of E."""
+        return self._out(self._rho)
+
+    def _nonzero_rho(self):
+        """rho, as a (G, 1, 1) column for a stack; raises DegenerateNormError when one vanishes."""
+        if 0.0 in self._rho:
             raise DegenerateNormError("transfer operator has zero spectral radius")
-        return self.rho
+        return self._rho[0] if self._one else np.array(self._rho)[:, None, None]
 
     @cached_property
     def scaled(self) -> np.ndarray:
@@ -376,13 +433,17 @@ class TransferSpectrum:
         return _PowerLadder(self.scaled)
 
     @cached_property
-    def projectors(self) -> list[tuple[complex, np.ndarray]]:
+    def _projectors(self) -> list:
+        return list(map(linalg._projectors, self._eigensystem()))
+
+    @property
+    def projectors(self):
         """Spectral projectors of the dominant eigenvalues of E."""
-        return linalg._projectors(self._eigensystem())
+        return self._out(self._projectors)
 
     @cached_property
-    def _limit(self) -> _EvenNLimit:
-        return _EvenNLimit(self.projectors)
+    def _limits(self) -> list[_EvenNLimit]:
+        return list(map(_EvenNLimit, self._projectors))
 
     def dressed(self, obs: SpinObservable) -> np.ndarray:
         """E_O / rho for one observable; raises DegenerateNormError when rho vanishes."""
@@ -393,7 +454,7 @@ class TransferSpectrum:
             self._dressed[key] = dressed_transfer(self.mps, obs).matrix / rho
         return self._dressed[key]
 
-    def ring_norm_sq(self, n_sites: int) -> float:
+    def ring_norm_sq(self, n_sites: int):
         """Squared norm tr(E^N) of the ring state.
 
         Raises NormOverflowError, whose message gives log10 tr(E^N), when the
@@ -402,14 +463,17 @@ class TransferSpectrum:
         """
         if n_sites < 2:
             raise ValueError("n_sites must be >= 2")
+        return self._out([self._norm_sq(k, e, n_sites) for k, e in enumerate(self._each(self.e))])
+
+    def _norm_sq(self, k: int, e: np.ndarray, n_sites: int) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
-            value = linalg.trace_power(self.e, n_sites)
-        if np.isfinite(value) and (value != 0 or self.rho == 0.0):
+            value = linalg.trace_power(e, n_sites)
+        if np.isfinite(value) and (value != 0 or self._rho[k] == 0.0):
             return _real_or_raise(value, "tr(E^N)")
-        scaled = _real_or_raise(self._ladder.power(n_sites).trace(), "tr((E/rho)^N)")
+        scaled = _real_or_raise(self._each(self._ladder.power(n_sites))[k].trace(), "tr((E/rho)^N)")
         if value == 0 and scaled == 0.0:
             return _real_or_raise(value, "tr(E^N)")
-        log_rho, log_scaled = np.log10(self.rho), np.log10(abs(scaled))
+        log_rho, log_scaled = np.log10(self._rho[k]), np.log10(abs(scaled))
         log10 = n_sites * log_rho + log_scaled
         tr = "tr" if scaled > 0 else "-tr"
         raise NormOverflowError(
@@ -419,25 +483,27 @@ class TransferSpectrum:
         )
 
     def _ring_start(self, obs1: SpinObservable, obs2: SpinObservable, n_sites: int):
-        """tr((E/rho)^N) and the head 1 @ E_O1 / rho of a ring correlator's chain.
+        """Each family's tr((E/rho)^N), and the head 1 @ E_O1 / rho of a ring correlator's chain.
 
         Errors come in the order the one-r correlators meet them: an observable of
         the wrong dimension, then DegenerateNormError when rho or tr(E^N) vanishes.
         The chain starts from the identity: 1 @ E_O1 can differ from E_O1 in signed zeros.
         """
-        _check_observable(self.mps, obs1)
-        _check_observable(self.mps, obs2)
-        den = self._ladder.power(n_sites).trace()
-        if abs(den) < 1e-12:
+        d = (self.mps if self._one else self.mps[0]).d
+        _check_observable(d, obs1)
+        _check_observable(d, obs2)
+        den = self._each(self._ladder.power(n_sites).trace(axis1=-2, axis2=-1))
+        if any(abs(t) < 1e-12 for t in den):
             raise DegenerateNormError("tr(E^N) vanishes; normalized correlators undefined")
-        return den, np.eye(self.e.shape[0], dtype=self.scaled.dtype) @ self.dressed(obs1)
+        return den, np.eye(self.e.shape[-1], dtype=self.scaled.dtype) @ self.dressed(obs1)
 
-    def ring_one_point(self, obs: SpinObservable, n_sites: int) -> float:
+    def ring_one_point(self, obs: SpinObservable, n_sites: int):
         """<O> on the finite ring: tr(E_O E^{N-1}) / tr(E^N)."""
         if n_sites < 2:
             raise ValueError("n_sites must be >= 2")
         den, head = self._ring_start(obs, obs, n_sites)
-        return _real_or_raise((head @ self._ladder.power(n_sites - 1)).trace() / den, "normalized correlator")
+        num = self._each((head @ self._ladder.power(n_sites - 1)).trace(axis1=-2, axis2=-1))
+        return self._out([_real_or_raise(t / d, "normalized correlator") for t, d in zip(num, den)])
 
     def two_point_sweep(self, obs1: SpinObservable, obs2: SpinObservable, rs, n_sites: int | None = None) -> list:
         """<O1_1 O2_{1+r}> at each separation r in rs, r = 1 meaning adjacent sites.
@@ -449,50 +515,59 @@ class TransferSpectrum:
         every r-dependent product is taken on a stack.  Any other error is raised
         as the one-r calls, taken in order, would meet it first.
         """
+        return self._out(self._sweeps(obs1, obs2, rs, n_sites))
+
+    def _sweeps(self, obs1, obs2, rs, n_sites) -> list[list]:
+        """two_point_sweep's list of each family's values."""
         rs = list(rs)
         ring = n_sites is not None
         valid = list(takewhile((lambda r: 1 <= r < n_sites) if ring else (lambda r: r >= 1), rs))
-        values = []
-        if valid:
-            values = self._ring_values(obs1, obs2, valid, n_sites) if ring else self._thermo_values(obs1, obs2, valid)
+        if not valid:
+            values = [[] for _ in self._each(self.e)]
+        elif ring:
+            values = self._ring_values(obs1, obs2, valid, n_sites)
+        else:
+            values = self._thermo_values(obs1, obs2, valid)
         if len(valid) < len(rs):
             raise ValueError("separation must satisfy 1 <= r < n_sites" if ring else "separation must be >= 1")
         return values
 
-    def _ring_values(self, obs1, obs2, rs, n_sites) -> list[float]:
+    def _ring_values(self, obs1, obs2, rs, n_sites) -> list[list[float]]:
         den, head = self._ring_start(obs1, obs2, n_sites)
-        num = head @ self._ladder.stack([r - 1 for r in rs]) @ self.dressed(obs2)
-        num = num @ self._ladder.stack([n_sites - r - 1 for r in rs])
-        return [_real_or_raise(t / den, "normalized correlator") for t in num.trace(axis1=1, axis2=2)]
+        num = head[..., None, :, :] @ self._ladder.stack([r - 1 for r in rs]) @ self.dressed(obs2)[..., None, :, :]
+        num = self._each((num @ self._ladder.stack([n_sites - r - 1 for r in rs])).trace(axis1=-2, axis2=-1))
+        return [[_real_or_raise(t / d, "normalized correlator") for t in ts] for ts, d in zip(num, den)]
 
-    def _thermo_values(self, obs1, obs2, rs) -> list:
+    def _thermo_values(self, obs1, obs2, rs) -> list[list]:
         self._eigensystem()  # before rho, as in thermo_one_point
-        middles = self.dressed(obs1) @ self._ladder.stack([r - 1 for r in rs]) @ self.dressed(obs2)
-        return self._limit.values(middles, [r + 1 for r in rs])
+        middles = self.dressed(obs1)[..., None, :, :] @ self._ladder.stack([r - 1 for r in rs])
+        middles = self._each(middles @ self.dressed(obs2)[..., None, :, :])
+        extra_powers = [r + 1 for r in rs]
+        return [limit.values(m, extra_powers) for limit, m in zip(self._limits, middles)]
 
-    def ring_two_point(self, obs1: SpinObservable, obs2: SpinObservable, r: int, n_sites: int) -> float:
+    def ring_two_point(self, obs1: SpinObservable, obs2: SpinObservable, r: int, n_sites: int):
         """<O1_1 O2_{1+r}> on the ring: tr(E_O1 E^{r-1} E_O2 E^{N-r-1}) / tr(E^N).
 
         r is the separation between the two sites, so r = 1 means adjacent.
         """
-        return self.two_point_sweep(obs1, obs2, [r], n_sites)[0]
+        return self._out([v[0] for v in self._sweeps(obs1, obs2, [r], n_sites)])
 
-    def thermo_one_point(self, obs: SpinObservable) -> float:
+    def thermo_one_point(self, obs: SpinObservable):
         """N -> infinity limit of ring_one_point, taken along even N."""
         # the eigendecomposition first, so that rho comes from it; then the middle, so that rho = 0
         # raises DegenerateNormError before the projectors' ZeroSpectrumError
         self._eigensystem()
-        middle = self.dressed(obs)
-        return self._limit.value(middle, extra_power=1)
+        middles = self._each(self.dressed(obs))
+        return self._out([limit.value(m, extra_power=1) for limit, m in zip(self._limits, middles)])
 
-    def thermo_two_point(self, obs1: SpinObservable, obs2: SpinObservable, r: int) -> float:
+    def thermo_two_point(self, obs1: SpinObservable, obs2: SpinObservable, r: int):
         """N -> infinity limit of ring_two_point at fixed separation r >= 1.
 
         Contracts E_O1 E^{r-1} E_O2 between the dominant eigenvectors; when several
         eigenvalues tie in magnitude their contributions are summed with the sign
         weights appropriate to even N.
         """
-        return _raise_oscillatory(self.two_point_sweep(obs1, obs2, [r]))[0]
+        return self._out([_raise_oscillatory(v)[0] for v in self._sweeps(obs1, obs2, [r], None)])
 
 
 def ring_norm_sq(mps: MpsFamily, n_sites: int) -> float:

@@ -228,20 +228,82 @@ def test_correlate_sweeps_are_byte_stable(case, capsys):
 
 
 def test_correlate_sweep_builds_one_spectrum_per_g(monkeypatch, capsys):
-    counts = {}
-    for module, name in ((mps, "transfer"), (linalg, "eig_all")):
+    # one stacked build holds the 30 families, each of them once; the eigendecomposition stays per family
+    calls = {"transfer": [], "dressed_transfer": [], "eig_all": []}
+    for module, name in ((mps, "transfer"), (mps, "dressed_transfer"), (linalg, "eig_all")):
         real = getattr(module, name)
-        counts[name] = 0
 
-        def counted(*args, real=real, name=name, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
+        def counted(first, *args, real=real, name=name, **kwargs):
+            calls[name].append(first)
+            return real(first, *args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     assert run("correlate", "--which", "I", "--channel", "zz", "--g-sweep", "0.1", "3.0", "30",
                "--r-max", "12") == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 30 * 12
-    assert counts == {"transfer": 30, "eig_all": 30}
+    g_values = [float(x) for x in np.linspace(0.1, 3.0, 30)]
+    for name in ("transfer", "dressed_transfer"):
+        assert [[fam.params["g"] for fam in fams] for fams in calls[name]] == [g_values]
+    assert len(calls["eig_all"]) == 30
+    assert len({e.tobytes() for e in calls["eig_all"]}) == 30
+
+
+def _fail_for(monkeypatch, name, g, error):
+    """Make linalg.<name> raise error for model I at g; eig_all and _projectors know the family by E and its eigenvalues."""
+    e = mps.transfer(models.model_I(g)).matrix
+    real = getattr(linalg, name)
+    mark = e.tobytes() if name == "eig_all" else linalg.eig_all(e)[0].tobytes()
+
+    def failing(arg, *args, **kwargs):
+        if (arg if name == "eig_all" else arg[0]).tobytes() == mark:
+            raise error
+        return real(arg, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, name, failing)
+
+
+def _first_error_of_the_per_g_loop(g_values, r_max):
+    """The error a loop meets that builds each family, then its spectrum, and sweeps it before the next g."""
+    obs = spin.sz()
+    for g in g_values:
+        try:
+            mps.TransferSpectrum(models.model_I(g)).two_point_sweep(obs, obs, range(1, r_max + 1))
+        except ValueError as exc:
+            return exc
+    return None
+
+
+@pytest.mark.parametrize("sweep, eig_fails_at, projectors_fail_at, message", [
+    (("1", "1e200", "3"), None, None, "transfer operator overflows: sum_i |A_i[a,b]|^2 lies beyond the float range"),
+    (("1", "1e200", "3"), 1.0, None, "eig fails at g = 1.0"),
+    # the stack decomposes g = 1, 1.5 and 2 before it forms a projector; the per-g loop meets g = 1's projectors first
+    (("1", "3", "5"), 2.0, 1.0, "projectors fail at g = 1.0"),
+    (("1", "3", "5"), 1.0, 2.0, "eig fails at g = 1.0"),
+    (("1", "3", "5"), 2.5, 1.5, "projectors fail at g = 1.5"),
+])
+def test_correlate_sweep_raises_the_error_the_per_g_loop_meets_first(
+    monkeypatch, capsys, sweep, eig_fails_at, projectors_fail_at, message
+):
+    if eig_fails_at is not None:
+        _fail_for(monkeypatch, "eig_all", eig_fails_at, np.linalg.LinAlgError(f"eig fails at g = {eig_fails_at}"))
+    if projectors_fail_at is not None:
+        _fail_for(monkeypatch, "_projectors", projectors_fail_at,
+                  linalg.ZeroSpectrumError(f"projectors fail at g = {projectors_fail_at}"))
+    g_values = [float(x) for x in np.linspace(float(sweep[0]), float(sweep[1]), int(sweep[2]))]
+    assert str(_first_error_of_the_per_g_loop(g_values, 4)) == message
+    assert run("correlate", "--which", "I", "--channel", "zz", "--g-sweep", *sweep, "--r-max", "4") == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("g", ["1e60", "1e77", "1e100"])
+def test_correlate_closed_mode_refuses_a_g_where_the_closed_forms_overflow(g, capsys):
+    # 1e60 and 1e100 printed nan rows with exit 0; 1e77 ended in an OverflowError traceback
+    assert run("correlate", "--which", "I", "--mode", "closed", "--channel", "zz", "--g", g) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the model I closed forms overflow or are not finite at g = {float(g)!r}\n"
 
 
 def test_correlate_complex_family_from_file(tmp_path):

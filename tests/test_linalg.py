@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from mpschain import linalg, models, parent
+from mpschain import linalg, models, mps, parent
 
 # model II transfer block V = A_1 (x) A_1 + A_-1 (x) A_-1 from the 3-level ladder
 _A1 = np.diag([1.0, 1.0], 1)
@@ -97,6 +98,57 @@ def test_dominant_projectors_group_eigenvalues_within_1e_8_of_the_top():
         assert len(out) == groups
         assert sum(np.trace(p).real for _, p in out) == pytest.approx(2.0, abs=1e-6)
         assert all(isinstance(lam, complex) for lam, _ in out)
+
+
+@pytest.mark.parametrize("m, top", [
+    (np.array([[2e300, 1.0], [0.0, 1.0]]), 2e300),
+    (np.array([[2e-140, 0.0], [0.0, 1e-141]]), 2e-140),
+    (np.diag([-3e200, 3e200, 1.0]), 3e200),
+])
+def test_dominant_projectors_give_the_matrix_own_eigenvalues_beyond_geev_limits(m, top):
+    # geev returns the eigenvalues of a rescaled m there (1.4886e138 for the first); the projectors are unaffected
+    assert not linalg._geev_keeps_scale(m)
+    out = linalg.dominant_projectors(m)
+    assert sorted(abs(lam) for lam, _ in out) == [top] * len(out)
+    assert all(isinstance(lam, complex) for lam, _ in out)
+    assert [p.tobytes() for _, p in out] == [p.tobytes() for _, p in linalg._projectors(linalg.eig_all(m))]
+
+
+def _eig_inputs():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 4, 9, 16):
+        for _ in range(25):
+            yield rng.standard_normal((n, n))  # real, mostly with complex-conjugate pairs
+            yield rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            yield rng.integers(-2, 3, (n, n))
+            yield rng.standard_normal((n, n)) * 10.0 ** rng.integers(-200, 200)
+        yield rng.standard_normal((n, n)).astype(np.float32)
+        yield (rng.standard_normal((n, n)) + 1j).astype(np.complex64)
+        yield rng.standard_normal((n, 2 * n))[:, ::2]  # strided
+        yield rng.standard_normal((n, n)).T
+    for g in (0.0, 0.3, 1.0, 2.5, 1e70):
+        yield mps.transfer(models.model_I(g)).matrix
+        yield mps.transfer(models.model_II(g)).matrix
+    yield from (np.zeros((3, 3)), np.eye(4), np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[-0.0, 0.0], [0.0, -0.0]]),
+                np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]]), np.array([[2e300, 1.0], [0.0, 1.0]]))
+
+
+def test_eig_all_is_scipy_eig_bit_for_bit():
+    for m in _eig_inputs():
+        want = scipy.linalg.eig(m, left=True, right=True)
+        got = linalg.eig_all(m)
+        for w, g in zip(want, got, strict=True):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+@pytest.mark.parametrize("m", [np.array([[np.nan]]), np.array([[1.0, np.inf], [0.0, 1.0]]), np.ones((2, 3)), np.ones(3)])
+def test_eig_all_refuses_what_scipy_eig_refuses(m):
+    with pytest.raises(ValueError) as want:
+        scipy.linalg.eig(m, left=True, right=True)
+    with pytest.raises(ValueError) as got:
+        linalg.eig_all(m)
+    if m.ndim == 2 and m.shape[0] == m.shape[1]:
+        assert str(got.value) == str(want.value)
 
 
 def test_trace_power_identity():

@@ -1,4 +1,5 @@
-from math import log, sqrt
+import re
+from math import isfinite, log, sqrt
 
 import numpy as np
 import pytest
@@ -96,6 +97,38 @@ def test_closed_forms_g0_limit():
     assert cf.g_par == pytest.approx(-0.5)
     assert cf.g_perp == 0.0
     assert cf.xi_par == 0.0
+
+
+@pytest.mark.parametrize("g", [1e40, 1e60, 1e77, 1e100, -1e60, float("inf"), float("nan")])
+def test_closed_forms_refuse_a_g_where_they_overflow(g):
+    # G_perp's denominator ~ 32 g^8 leaves the float range from about 1e38: 1e40 printed G_perp = 0,
+    # 1e60 and 1e100 nan rows, and 1e77 raised OverflowError from (3 g^2 + gamma) ** 2
+    with pytest.raises(ValueError, match=rf"closed forms overflow or are not finite at g = {re.escape(repr(g))}$"):
+        models.closed_form_correlators_I(g)
+
+
+def test_closed_forms_just_inside_the_float_range_are_finite():
+    for g in (1e30, -1e37, 1e-200):
+        cf = models.closed_form_correlators_I(g)
+        assert all(isfinite(v) for v in (cf.gamma, cf.sz2, cf.sx2, cf.g_par, cf.g_perp, cf.xi_par, cf.xi_perp))
+
+
+def test_model_families_build_model_i_and_ii_bit_for_bit():
+    gs = [0.0, -0.3, 0.7, 1.0, 2.5, 1e70]
+    for which, build in (("I", models.model_I), ("II", models.model_II)):
+        for fam, g in zip(models.model_families(which, gs), gs, strict=True):
+            ref = build(g)
+            assert fam.params == ref.params and fam.labels == ref.labels
+            for lab in ref.labels:
+                assert fam.matrices[lab].tobytes() == ref.matrices[lab].tobytes()
+                assert not fam.matrices[lab].flags.writeable
+
+
+def test_model_families_end_at_a_refused_g():
+    fams = models.model_families("I", [1.0, 0.5, 1e200, 2.0])
+    assert [f.params["g"] for f in (next(fams), next(fams))] == [1.0, 0.5]
+    with pytest.raises(ValueError, match="transfer operator overflows"):
+        next(fams)
 
 
 def test_spin_component_completeness():

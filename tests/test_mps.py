@@ -194,6 +194,18 @@ def test_transfer_builders_equal_the_kron_sums(name):
         assert dressed_transfer(fam, obs).matrix.tobytes() == _kron_dressed(fam, obs).tobytes()
 
 
+def test_integer_family_transfer_is_formed_in_floats():
+    # in int64, 2**40 * 2**40 wraps to 0: E was [[0]] and tr(E^2) 0.0
+    fam = MpsFamily(d=1, D=1, labels=("x",), matrices={"x": np.array([[2**40]])})
+    assert fam.matrices["x"].dtype == np.int64
+    assert transfer(fam).matrix.tolist() == [[1.2089258196146292e+24]]
+    assert dressed_transfer(fam, spin.identity(1)).matrix.tolist() == [[1.2089258196146292e+24]]
+    assert ring_norm_sq(fam, 2) == 2.0**160
+    small = MpsFamily(d=2, D=2, labels=("a", "b"), matrices={"a": np.array([[1, 2], [0, 3]]), "b": np.eye(2, dtype=int)})
+    as_float = MpsFamily(d=2, D=2, labels=("a", "b"), matrices={k: m.astype(float) for k, m in small.matrices.items()})
+    assert transfer(small).matrix.tobytes() == transfer(as_float).matrix.tobytes()
+
+
 def test_dressed_identity_is_plain():
     fam = models.model_I(0.8)
     assert np.allclose(dressed_transfer(fam, spin.identity()).matrix, transfer(fam).matrix)
