@@ -181,7 +181,7 @@ def closed_form_correlators_I(g: float) -> ClosedFormCorrelatorsI:
     Raises ValueError, naming g, where floats cannot hold them: at a g that is not
     finite, and where a product on the way overflows.  The largest one is G_perp's
     denominator gamma (3 g^2 + gamma)^2 (g^2 + gamma) ~ 32 g^8, which overflows first,
-    from about |g| = 1e38 on; below that every product is finite.
+    from about |g| = 2.2e38 on; below that every product is finite.
     """
     g2 = g * g
     gamma = sqrt(g2 * g2 + 8.0)

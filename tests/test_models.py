@@ -101,14 +101,14 @@ def test_closed_forms_g0_limit():
 
 @pytest.mark.parametrize("g", [1e40, 1e60, 1e77, 1e100, -1e60, float("inf"), float("nan")])
 def test_closed_forms_refuse_a_g_where_they_overflow(g):
-    # G_perp's denominator ~ 32 g^8 leaves the float range from about 1e38: 1e40 printed G_perp = 0,
+    # G_perp's denominator ~ 32 g^8 leaves the float range from about 2.2e38: 1e40 printed G_perp = 0,
     # 1e60 and 1e100 nan rows, and 1e77 raised OverflowError from (3 g^2 + gamma) ** 2
     with pytest.raises(ValueError, match=rf"closed forms overflow or are not finite at g = {re.escape(repr(g))}$"):
         models.closed_form_correlators_I(g)
 
 
 def test_closed_forms_just_inside_the_float_range_are_finite():
-    for g in (1e30, -1e37, 1e-200):
+    for g in (1e30, -1e37, 2.2e38, 1e-200):
         cf = models.closed_form_correlators_I(g)
         assert all(isfinite(v) for v in (cf.gamma, cf.sz2, cf.sx2, cf.g_par, cf.g_perp, cf.xi_par, cf.xi_perp))
 
