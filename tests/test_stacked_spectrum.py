@@ -33,6 +33,15 @@ def _text(value) -> str:
     return repr(value)
 
 
+def _random_family(rng, d: int, big_d: int, complex_: bool, scale: float) -> MpsFamily:
+    labels = spin.LABELS if d == 3 else tuple("ab"[:d])
+    mats = {}
+    for lab in labels:
+        m = rng.standard_normal((big_d, big_d))
+        mats[lab] = scale * (m + 1j * rng.standard_normal((big_d, big_d)) if complex_ else m)
+    return MpsFamily(d=d, D=big_d, labels=labels, matrices=mats)
+
+
 def _per_g_rows(args, families, g_values) -> list:
     """The correlate rows as a loop over g builds them, one family and one spectrum at a time."""
     n_sites = args.n_sites if args.mode == "ring" else None
@@ -62,6 +71,12 @@ def _outcome(call) -> str:
         return _text(exc)
 
 
+def _stacked_rows(args, families, g_values) -> str:
+    return _outcome(lambda: [
+        (row["g"], row["r"], row["value"], row["flag"]) for row in cli._correlate_rows(args, families, g_values)
+    ])
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     which=st.sampled_from(["I", "II"]),
@@ -84,12 +99,6 @@ def test_stacked_g_sweep_equals_the_per_family_spectra(which, g_values, mode, ha
     assert _stacked_rows(args, models.model_families(which, g_values), g_values) == expected
 
 
-def _stacked_rows(args, families, g_values) -> str:
-    return _outcome(lambda: [
-        (row["g"], row["r"], row["value"], row["flag"]) for row in cli._correlate_rows(args, families, g_values)
-    ])
-
-
 @pytest.mark.parametrize("mode", ["thermo", "ring"])
 @pytest.mark.parametrize("channel", CHANNELS)
 def test_stacked_rows_flag_each_oscillatory_r_as_the_per_family_spectra(mode, channel):
@@ -107,15 +116,6 @@ def test_stacked_rows_flag_each_oscillatory_r_as_the_per_family_spectra(mode, ch
     assert _stacked_rows(args, fams, labels) == expected
     if mode == "thermo" and channel == "zz":
         assert "'oscillatory'" in expected and ", '']" in expected
-
-
-def _random_family(rng, d: int, big_d: int, complex_: bool, scale: float) -> MpsFamily:
-    labels = spin.LABELS if d == 3 else tuple("ab"[:d])
-    mats = {}
-    for lab in labels:
-        m = rng.standard_normal((big_d, big_d))
-        mats[lab] = scale * (m + 1j * rng.standard_normal((big_d, big_d)) if complex_ else m)
-    return MpsFamily(d=d, D=big_d, labels=labels, matrices=mats)
 
 
 def _queries(obs: list, thermo_first: bool) -> list:
