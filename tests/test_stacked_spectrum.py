@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mpschain import cli, models, spin
+from mpschain import cli, models, mps, spin
 from mpschain.mps import MpsFamily, OscillatoryLimitError, TransferSpectrum, dressed_transfer, transfer
 
 CHANNELS = ("zz", "xx", "identity", "sz2", "sx2")
@@ -189,6 +189,19 @@ def test_stacked_builders_equal_the_per_family_builders():
                     assert stacked[k].tobytes() == dressed_transfer(fam, obs).matrix.tobytes()
             for k, fam in enumerate(fams):
                 assert e[k].tobytes() == transfer(fam).matrix.tobytes()
+
+
+def test_stacked_ladder_powers_equal_matrix_power_per_family():
+    gs = [0.0, 1e-3, 1e70, *np.linspace(-3.0, 3.0, 29).tolist()]
+    powers = [*range(20), 39, 40, 199, 398, 400, 599, 600]
+    for which in ("I", "II"):
+        stack = TransferSpectrum(list(models.model_families(which, gs)))
+        ladder = mps._PowerLadder(stack.scaled)
+        stacked = ladder.stack(powers)
+        assert stacked.shape == (len(gs), len(powers), 9, 9)
+        for k, scaled in enumerate(stack.scaled):
+            for j, n in enumerate(powers):
+                assert stacked[k, j].tobytes() == np.linalg.matrix_power(scaled, n).tobytes()
 
 
 def test_a_stack_has_a_family_axis_and_one_family_has_none():
