@@ -12,6 +12,7 @@ the family label order (1, 0, -1 for spin-1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,14 +277,22 @@ def _kernel_count(w: np.ndarray, tol: float) -> int:
     return count
 
 
+def _check_kernel_tol(tol: float) -> None:
+    """Refuse a kernel tolerance that is not a finite number >= 0; NaN or a negative one would count no eigenvalue."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"kernel tolerance must be finite and nonnegative, got {tol}")
+
+
 def kernel_dimension(op: ChainOperator, tol: float = 1e-8) -> int:
     """Number of eigenvalues at most tol, with a spectral-gap sanity check.
 
     The first eigenvalue above the count must be at least 100 * tol away,
     otherwise the count is ambiguous and AmbiguousKernelError reports the
     candidate range instead of a silent number.  The spectrum comes from the
-    connected blocks of the sparse chain, never from the dense matrix.
+    connected blocks of the sparse chain, never from the dense matrix.  A tol
+    that is not finite and nonnegative is refused before any diagonalization.
     """
+    _check_kernel_tol(tol)
     _check_dense(op.n_sites)
     return _kernel_count(_block_spectrum(op), tol)
 
@@ -301,7 +310,8 @@ def overlap_with_kernel(op: ChainOperator, state: np.ndarray) -> float:
 
 
 def report(op: ChainOperator, kernel_tol: float = 1e-8) -> dict:
-    """Spectrum/degeneracy summary as a JSON-ready dictionary."""
+    """Spectrum/degeneracy summary as a JSON-ready dictionary; kernel_tol as in kernel_dimension."""
+    _check_kernel_tol(kernel_tol)
     w = spectrum(op)
     try:
         kdim: int | list[int] = _kernel_count(w, kernel_tol)

@@ -8,6 +8,7 @@ All functions are pure; none mutate their inputs.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import scipy.linalg
@@ -69,6 +70,9 @@ def null_space(m, tol: float = DEFAULT_NULL_TOL) -> list[np.ndarray]:
     column rank; for the zero matrix every direction is null.
     """
     a = _as_matrix(m)
+    if not math.isfinite(tol):
+        # NaN or inf would call every direction null
+        raise ValueError(f"tol must be finite, got {tol}")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     _, s, vh = np.linalg.svd(a)
@@ -89,7 +93,7 @@ def eig_all(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     handling, which costs about as much as geev itself on a 9 x 9 matrix.
     """
     a = np.asarray_chkfinite(_as_square(m))
-    geev, lwork = _geev(a.shape[0], a.dtype)
+    geev, lwork = _geev(a.shape[0], a.dtype, True)
     if geev.typecode in "cz":
         w, vl, vr, info = geev(a, lwork=lwork, compute_vl=1, compute_vr=1, overwrite_a=0)
     else:
@@ -111,10 +115,12 @@ _I = np.array(1j, dtype="F")
 
 
 @functools.lru_cache(maxsize=64)
-def _geev(n: int, dtype: np.dtype):
-    """LAPACK's geev for dtype with the workspace size scipy.linalg.eig queries for an n x n matrix."""
+def _geev(n: int, dtype: np.dtype, vectors: bool):
+    """LAPACK's geev for dtype with the workspace size scipy.linalg.eig queries for an n x n matrix:
+    for both eigenvector sets (vectors, eig_all) or for none (spectral_radius)."""
     geev, geev_lwork = scipy.linalg.get_lapack_funcs(("geev", "geev_lwork"), dtype=dtype)
-    return geev, scipy.linalg.lapack._compute_lwork(geev_lwork, n, compute_vl=1, compute_vr=1)
+    flag = int(vectors)
+    return geev, scipy.linalg.lapack._compute_lwork(geev_lwork, n, compute_vl=flag, compute_vr=flag)
 
 
 def _complex_pairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -130,13 +136,13 @@ def _complex_pairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _geev_keeps_scale(m) -> bool:
-    """Whether eig_all's eigenvalues are m's own, not those of a rescaled m.
+    """Whether geev's eigenvalues (eig_all, spectral_radius) are m's own, not those of a rescaled m.
 
     LAPACK's geev rescales a matrix whose largest entry lies outside
     [sqrt(safe minimum) / precision, its inverse], about [6.7e-139, 1.5e138], and
     the LAPACK that scipy 1.17 bundles (scipy-openblas 0.3.31) then returns the
     rescaled matrix's eigenvalues; the eigenvectors are unaffected.  The bounds
-    here keep a factor 1e8 inside those limits.
+    here keep a factor 1e8 inside those limits.  A non-finite m fails them.
     """
     top = np.abs(m).max()
     return top == 0.0 or 1e-130 <= top <= 1e130
@@ -152,6 +158,9 @@ def dominant_projectors(m, rel_tol: float = 1e-9) -> list[tuple[complex, np.ndar
     is m's own, tr(P m) / tr(P).
     """
     a = _as_square(m)
+    if not 0.0 <= rel_tol < 1.0:
+        # NaN or a negative rel_tol would call no eigenvalue dominant, 1 or more every one
+        raise ValueError(f"rel_tol must lie in [0, 1), got {rel_tol}")
     out = _projectors(eig_all(a), rel_tol)
     if _geev_keeps_scale(a):
         return out
@@ -204,10 +213,30 @@ def trace_power(m, n: int):
 
 
 def spectral_radius(m) -> float:
-    """Largest eigenvalue magnitude of a square matrix."""
+    """Largest eigenvalue magnitude of a square matrix.
+
+    A float64 or complex128 matrix within geev's scaling limits (_geev_keeps_scale)
+    takes its eigenvalues from one LAPACK geev call without eigenvectors, cached as
+    eig_all's is (_geev).  That is the call np.linalg.eigvals makes, and the value is
+    np.abs(np.linalg.eigvals(m)).max() bit for bit (tests/test_linalg.py compares
+    them) without numpy's per-call overhead.  Every other matrix (another dtype, a
+    non-finite entry, an entry beyond those limits) takes np.linalg.eigvals itself,
+    errors included.
+    """
     a = _as_square(m)
     if not a.any():
         return 0.0
+    if a.dtype.char in "dD" and _geev_keeps_scale(a):
+        geev, lwork = _geev(a.shape[0], a.dtype, False)
+        if geev.typecode == "z":
+            w, _, _, info = geev(a, lwork=lwork, compute_vl=0, compute_vr=0, overwrite_a=0)
+        else:
+            wr, wi, _, _, info = geev(a, lwork=lwork, compute_vl=0, compute_vr=0, overwrite_a=0)
+            # eigvals' result: the real parts alone when every imaginary part is zero
+            w = wr + 1j * wi if wi.any() else wr
+        if info == 0:
+            return _largest_modulus(w)
+    # a geev failure falls through to eigvals, which raises its own error
     return _largest_modulus(np.linalg.eigvals(a))
 
 

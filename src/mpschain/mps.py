@@ -14,7 +14,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product, takewhile
 
 import numpy as np
@@ -227,16 +227,31 @@ def _ordered_sum(terms: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.take(np.add.accumulate(terms, axis=axis), -1, axis=axis) + 0
 
 
+def _transfer_matrix(mats: np.ndarray) -> np.ndarray:
+    """E = sum_i conj(A_i) (x) A_i of a (..., d, D, D) stack from _matrix_stack, as a (..., D^2, D^2) array."""
+    n = mats.shape[-1] ** 2
+    # the diagonal of _kron_table: the same entry-wise products, summed over i in order from 0
+    pairs = (mats.conj()[..., :, None, :, None] * mats[..., None, :, None, :]).reshape(*mats.shape[:-2], n, n)
+    return _ordered_sum(pairs, axis=-3)
+
+
+def _dressed_matrix(mats: np.ndarray, obs: SpinObservable) -> np.ndarray:
+    """E_O = sum_ij conj(A_i) (x) A_j <i|O|j> of a (..., d, D, D) stack from _matrix_stack.
+
+    The d^2 weighted products are summed in order, (i, j) = (0, 0), (0, 1), ..., from 0.
+    """
+    _check_observable(mats.shape[-3], obs)
+    n = mats.shape[-1] ** 2
+    terms = obs.matrix.reshape(-1, 1, 1) * _kron_table(mats).reshape(*mats.shape[:-3], -1, n, n)
+    return _ordered_sum(terms, axis=-3)
+
+
 def transfer(mps: MpsFamily | Sequence[MpsFamily]) -> TransferOperator:
     """Plain transfer operator E = sum_i conj(A_i) (x) A_i, formed in at least float64.
 
     A sequence of families of one shape gives the (G, D^2, D^2) stack of their operators.
     """
-    mats = _matrix_stack(mps)
-    n = mats.shape[-1] ** 2
-    # the diagonal of _kron_table: the same entry-wise products, summed over i in order from 0
-    pairs = (mats.conj()[..., :, None, :, None] * mats[..., None, :, None, :]).reshape(*mats.shape[:-2], n, n)
-    return TransferOperator("plain", _ordered_sum(pairs, axis=-3))
+    return TransferOperator("plain", _transfer_matrix(_matrix_stack(mps)))
 
 
 def dressed_transfer(mps: MpsFamily | Sequence[MpsFamily], obs: SpinObservable) -> TransferOperator:
@@ -245,11 +260,7 @@ def dressed_transfer(mps: MpsFamily | Sequence[MpsFamily], obs: SpinObservable) 
     The d^2 weighted products are summed in order, (i, j) = (0, 0), (0, 1), ..., from 0.
     A sequence of families of one shape gives the (G, D^2, D^2) stack of their operators.
     """
-    mats = _matrix_stack(mps)
-    _check_observable(mats.shape[-3], obs)
-    n = mats.shape[-1] ** 2
-    terms = obs.matrix.reshape(-1, 1, 1) * _kron_table(mats).reshape(*mats.shape[:-3], -1, n, n)
-    return TransferOperator(f"dressed:{obs.name}", _ordered_sum(terms, axis=-3))
+    return TransferOperator(f"dressed:{obs.name}", _dressed_matrix(_matrix_stack(mps), obs))
 
 
 def _real_or_raise(value, what: str, tol: float = 1e-12):
@@ -353,14 +364,17 @@ class _PowerLadder:
 class TransferSpectrum:
     """The transfer operator E of a family, or of a stack of families, with the data every correlator reuses.
 
-    Build it once and query it at any separation and ring size.  The spectral
-    radius rho, E / rho with its squarings, the dominant projectors of E with
-    their even-N limit data, and each observable's rescaled E_O / rho are
-    computed on first use and kept on the instance; dressed operators are keyed
-    by the observable's content.  A thermodynamic query makes one
-    eigendecomposition of E, which gives rho and the projectors; a spectrum
-    that answers ring queries first takes rho from E's eigenvalues alone.  The
-    correlators rescale every transfer step by rho, so large rings do not overflow.
+    Build it once and query it at any separation and ring size.  The family's
+    matrices are stacked and cast once, and E and every E_O are formed from that
+    stack.  The spectral radius rho, E / rho with its squarings, the dominant
+    projectors of E with their even-N limit data, and each observable's rescaled
+    E_O / rho are computed on first use and kept on the instance; dressed
+    operators are keyed by the observable's content.  A thermodynamic query
+    makes one eigendecomposition of E, which gives rho and the projectors; a
+    spectrum that answers ring queries first takes rho from E's eigenvalues
+    alone (linalg.spectral_radius: one LAPACK geev without eigenvectors inside
+    geev's scaling limits, np.linalg.eigvals outside them).  The correlators
+    rescale every transfer step by rho, so large rings do not overflow.
 
     Built from a sequence of G families that share labels, D and dtype, it holds
     their stack: a leading family axis of length G on e, scaled and each dressed
@@ -378,9 +392,17 @@ class TransferSpectrum:
     def __init__(self, mps: MpsFamily | Sequence[MpsFamily]):
         self._one = isinstance(mps, MpsFamily)
         self.mps = mps if self._one else tuple(mps)
-        self.e = transfer(self.mps).matrix
+        # the matrices are stacked and cast once; E and every E_O are formed from this stack
+        self._mats = _matrix_stack(self.mps)
+        self.e = _transfer_matrix(self._mats)
+        self.e.flags.writeable = False
         self._dressed: dict[tuple, np.ndarray] = {}
-        self._eig = None
+        # made on first use and kept: plain attributes, as cached_property locks on every first access
+        self._eig: list | None = None
+        self._rho: list[float] | None = None
+        self._ladder: _PowerLadder | None = None
+        self._projectors: list | None = None
+        self._limits: list[_EvenNLimit] | None = None
 
     def _each(self, stacked) -> tuple | np.ndarray:
         """The per-family entries of an array with the spectrum's family axis, if it has one."""
@@ -400,50 +422,58 @@ class TransferSpectrum:
             self._eig = list(map(linalg.eig_all, self._each(self.e)))
         return self._eig
 
-    @cached_property
-    def _rho(self) -> list[float]:
+    def _rhos(self) -> list[float]:
         """Spectral radius of each E: max |w| of the eigendecomposition when one was made and its
-        eigenvalues are E's own, else linalg.spectral_radius, whose eigvals give the same value
-        bit for bit."""
-        if self._eig is None:
-            return list(map(linalg.spectral_radius, self._each(self.e)))
-        return [
-            linalg._largest_modulus(w) if linalg._geev_keeps_scale(e) else linalg.spectral_radius(e)
-            for e, (w, _, _) in zip(self._each(self.e), self._eig)
-        ]
+        eigenvalues are E's own, else linalg.spectral_radius, which gives the same value bit for bit."""
+        if self._rho is None:
+            if self._eig is None:
+                self._rho = list(map(linalg.spectral_radius, self._each(self.e)))
+            else:
+                self._rho = [
+                    linalg._largest_modulus(w) if linalg._geev_keeps_scale(e) else linalg.spectral_radius(e)
+                    for e, (w, _, _) in zip(self._each(self.e), self._eig)
+                ]
+        return self._rho
 
     @property
     def rho(self):
         """Spectral radius of E."""
-        return self._out(self._rho)
+        return self._out(self._rhos())
 
     def _nonzero_rho(self):
         """rho, as a (G, 1, 1) column for a stack; raises DegenerateNormError when one vanishes."""
-        if 0.0 in self._rho:
+        rho = self._rhos()
+        if 0.0 in rho:
             raise DegenerateNormError("transfer operator has zero spectral radius")
-        return self._rho[0] if self._one else np.array(self._rho)[:, None, None]
+        return rho[0] if self._one else np.array(rho)[:, None, None]
 
-    @cached_property
+    def _powers(self) -> _PowerLadder:
+        """The powers of E / rho, made with E / rho; raises DegenerateNormError when rho vanishes."""
+        if self._ladder is None:
+            self._ladder = _PowerLadder(self.e / self._nonzero_rho())
+        return self._ladder
+
+    @property
     def scaled(self) -> np.ndarray:
         """E / rho; raises DegenerateNormError when rho vanishes."""
-        return self.e / self._nonzero_rho()
+        return self._powers().squares[0]
 
-    @cached_property
-    def _ladder(self) -> _PowerLadder:
-        return _PowerLadder(self.scaled)
-
-    @cached_property
-    def _projectors(self) -> list:
-        return list(map(linalg._projectors, self._eigensystem()))
+    def _dominant(self) -> list:
+        """Each family's dominant projectors from its eigendecomposition, made once."""
+        if self._projectors is None:
+            self._projectors = list(map(linalg._projectors, self._eigensystem()))
+        return self._projectors
 
     @property
     def projectors(self):
         """Spectral projectors of the dominant eigenvalues of E."""
-        return self._out(self._projectors)
+        return self._out(self._dominant())
 
-    @cached_property
-    def _limits(self) -> list[_EvenNLimit]:
-        return list(map(_EvenNLimit, self._projectors))
+    def _even_n_limits(self) -> list[_EvenNLimit]:
+        """Each family's even-N limit data from its dominant projectors, made once."""
+        if self._limits is None:
+            self._limits = list(map(_EvenNLimit, self._dominant()))
+        return self._limits
 
     def dressed(self, obs: SpinObservable) -> np.ndarray:
         """E_O / rho for one observable; raises DegenerateNormError when rho vanishes."""
@@ -451,7 +481,7 @@ class TransferSpectrum:
         key = (obs.name, m.dtype.str, m.shape, m.tobytes())
         if key not in self._dressed:
             rho = self._nonzero_rho()
-            self._dressed[key] = dressed_transfer(self.mps, obs).matrix / rho
+            self._dressed[key] = _dressed_matrix(self._mats, obs) / rho
         return self._dressed[key]
 
     def ring_norm_sq(self, n_sites: int):
@@ -468,12 +498,12 @@ class TransferSpectrum:
     def _norm_sq(self, k: int, e: np.ndarray, n_sites: int) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
             value = linalg.trace_power(e, n_sites)
-        if np.isfinite(value) and (value != 0 or self._rho[k] == 0.0):
+        if np.isfinite(value) and (value != 0 or self._rhos()[k] == 0.0):
             return _real_or_raise(value, "tr(E^N)")
-        scaled = _real_or_raise(self._each(self._ladder.power(n_sites))[k].trace(), "tr((E/rho)^N)")
+        scaled = _real_or_raise(self._each(self._powers().power(n_sites))[k].trace(), "tr((E/rho)^N)")
         if value == 0 and scaled == 0.0:
             return _real_or_raise(value, "tr(E^N)")
-        log_rho, log_scaled = np.log10(self._rho[k]), np.log10(abs(scaled))
+        log_rho, log_scaled = np.log10(self._rhos()[k]), np.log10(abs(scaled))
         log10 = n_sites * log_rho + log_scaled
         tr = "tr" if scaled > 0 else "-tr"
         raise NormOverflowError(
@@ -489,20 +519,20 @@ class TransferSpectrum:
         the wrong dimension, then DegenerateNormError when rho or tr(E^N) vanishes.
         The chain starts from the identity: 1 @ E_O1 can differ from E_O1 in signed zeros.
         """
-        d = (self.mps if self._one else self.mps[0]).d
+        d = self._mats.shape[-3]
         _check_observable(d, obs1)
         _check_observable(d, obs2)
-        den = self._each(self._ladder.power(n_sites).trace(axis1=-2, axis2=-1))
+        den = self._each(self._powers().power(n_sites).trace(axis1=-2, axis2=-1))
         if any(abs(t) < 1e-12 for t in den):
             raise DegenerateNormError("tr(E^N) vanishes; normalized correlators undefined")
-        return den, np.eye(self.e.shape[-1], dtype=self.scaled.dtype) @ self.dressed(obs1)
+        return den, _identity(self.e.shape[-1], self.scaled.dtype) @ self.dressed(obs1)
 
     def ring_one_point(self, obs: SpinObservable, n_sites: int):
         """<O> on the finite ring: tr(E_O E^{N-1}) / tr(E^N)."""
         if n_sites < 2:
             raise ValueError("n_sites must be >= 2")
         den, head = self._ring_start(obs, obs, n_sites)
-        num = self._each((head @ self._ladder.power(n_sites - 1)).trace(axis1=-2, axis2=-1))
+        num = self._each((head @ self._powers().power(n_sites - 1)).trace(axis1=-2, axis2=-1))
         return self._out([_real_or_raise(t / d, "normalized correlator") for t, d in zip(num, den)])
 
     def two_point_sweep(self, obs1: SpinObservable, obs2: SpinObservable, rs, n_sites: int | None = None) -> list:
@@ -534,16 +564,16 @@ class TransferSpectrum:
 
     def _ring_values(self, obs1, obs2, rs, n_sites) -> list[list[float]]:
         den, head = self._ring_start(obs1, obs2, n_sites)
-        num = head[..., None, :, :] @ self._ladder.stack([r - 1 for r in rs]) @ self.dressed(obs2)[..., None, :, :]
-        num = self._each((num @ self._ladder.stack([n_sites - r - 1 for r in rs])).trace(axis1=-2, axis2=-1))
+        num = head[..., None, :, :] @ self._powers().stack([r - 1 for r in rs]) @ self.dressed(obs2)[..., None, :, :]
+        num = self._each((num @ self._powers().stack([n_sites - r - 1 for r in rs])).trace(axis1=-2, axis2=-1))
         return [[_real_or_raise(t / d, "normalized correlator") for t in ts] for ts, d in zip(num, den)]
 
     def _thermo_values(self, obs1, obs2, rs) -> list[list]:
         self._eigensystem()  # before rho, as in thermo_one_point
-        middles = self.dressed(obs1)[..., None, :, :] @ self._ladder.stack([r - 1 for r in rs])
+        middles = self.dressed(obs1)[..., None, :, :] @ self._powers().stack([r - 1 for r in rs])
         middles = self._each(middles @ self.dressed(obs2)[..., None, :, :])
         extra_powers = [r + 1 for r in rs]
-        return [limit.values(m, extra_powers) for limit, m in zip(self._limits, middles)]
+        return [limit.values(m, extra_powers) for limit, m in zip(self._even_n_limits(), middles)]
 
     def ring_two_point(self, obs1: SpinObservable, obs2: SpinObservable, r: int, n_sites: int):
         """<O1_1 O2_{1+r}> on the ring: tr(E_O1 E^{r-1} E_O2 E^{N-r-1}) / tr(E^N).
@@ -558,7 +588,7 @@ class TransferSpectrum:
         # raises DegenerateNormError before the projectors' ZeroSpectrumError
         self._eigensystem()
         middles = self._each(self.dressed(obs))
-        return self._out([limit.value(m, extra_power=1) for limit, m in zip(self._limits, middles)])
+        return self._out([limit.value(m, extra_power=1) for limit, m in zip(self._even_n_limits(), middles)])
 
     def thermo_two_point(self, obs1: SpinObservable, obs2: SpinObservable, r: int):
         """N -> infinity limit of ring_two_point at fixed separation r >= 1.
@@ -636,7 +666,7 @@ def _reversed_words(mats: np.ndarray, k: int, what: str) -> np.ndarray:
     complex_ = m.dtype.kind == "c"
     if complex_:
         m, swap = _split(m)
-    x = _identity(big_d, m.dtype)
+    x = _identity(big_d, m.dtype)[:, :, None, None]  # the empty word, as x[a, b, 1, w]
     if complex_:
         x = np.stack([x, np.zeros_like(x)])
     shape = m.shape[:-4] + (big_d, big_d, 1, -1)
@@ -647,9 +677,9 @@ def _reversed_words(mats: np.ndarray, k: int, what: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _identity(big_d: int, dtype: np.dtype) -> np.ndarray:
-    """The empty word _reversed_words starts from, as x[a, b, 1, w]; cached: np.eye costs as much as a short step."""
-    eye = np.eye(big_d, dtype=dtype)[:, :, None, None]
+def _identity(n: int, dtype: np.dtype) -> np.ndarray:
+    """The n x n identity of dtype, read-only; cached: np.eye costs about as much as a 9 x 9 product."""
+    eye = np.eye(n, dtype=dtype)
     eye.flags.writeable = False
     return eye
 

@@ -66,6 +66,20 @@ def test_parent_model_ii_kernel_dim(capsys):
     assert "kernel dimension at k=2: 2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_parent_refuses_a_non_finite_tol(capsys, tol):
+    # a NaN or infinite tol called all 9 directions null (the kernel at 1e-10 is 1-dimensional)
+    assert run("parent", "--which", "I", "--g", "1.0", "--k", "2", f"--tol={tol}") == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tol must be finite, got {float(tol)}\n"
+
+
+def test_parent_keeps_the_negative_tol_refusal(capsys):
+    assert run("parent", "--which", "I", "--g", "1.0", "--k", "2", "--tol=-1e-10") == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: tol must be nonnegative\n"
+
+
 def test_parent_of_a_complex_family_keeps_imaginary_parts(tmp_path):
     rng = np.random.default_rng(5)
     mats = {lab: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for lab in ("1", "0", "-1")}
@@ -228,9 +242,10 @@ def test_correlate_sweeps_are_byte_stable(case, capsys):
 
 
 def test_correlate_sweep_builds_one_spectrum_per_g(monkeypatch, capsys):
-    # one stacked build holds the 30 families, each of them once; the eigendecomposition stays per family
-    calls = {"transfer": [], "dressed_transfer": [], "eig_all": []}
-    for module, name in ((mps, "transfer"), (mps, "dressed_transfer"), (linalg, "eig_all")):
+    # one stacking holds the 30 families, each of them once, and E and E_O are each formed once from it;
+    # the eigendecomposition stays per family
+    calls = {"_matrix_stack": [], "_transfer_matrix": [], "_dressed_matrix": [], "eig_all": []}
+    for module, name in ((mps, "_matrix_stack"), (mps, "_transfer_matrix"), (mps, "_dressed_matrix"), (linalg, "eig_all")):
         real = getattr(module, name)
 
         def counted(first, *args, real=real, name=name, **kwargs):
@@ -242,8 +257,9 @@ def test_correlate_sweep_builds_one_spectrum_per_g(monkeypatch, capsys):
                "--r-max", "12") == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 30 * 12
     g_values = [float(x) for x in np.linspace(0.1, 3.0, 30)]
-    for name in ("transfer", "dressed_transfer"):
-        assert [[fam.params["g"] for fam in fams] for fams in calls[name]] == [g_values]
+    assert [[fam.params["g"] for fam in fams] for fams in calls["_matrix_stack"]] == [g_values]
+    for name in ("_transfer_matrix", "_dressed_matrix"):
+        assert [mats.shape for mats in calls[name]] == [(30, 3, 3, 3)]
     assert len(calls["eig_all"]) == 30
     assert len({e.tobytes() for e in calls["eig_all"]}) == 30
 

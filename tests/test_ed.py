@@ -508,3 +508,42 @@ def test_block_route_equals_the_dense_spectrum(op):
     w = ed.spectrum(op)
     assert np.max(np.abs(ed._block_spectrum(op) - w)) <= 1e-10
     assert _kernel_outcome(lambda: ed.kernel_dimension(op)) == _kernel_outcome(lambda: ed._kernel_count(w, 1e-8))
+
+
+def _lucas_even(n):
+    """L_{2N} by L_{2N} = 3 L_{2N-2} - L_{2N-4} from L_0 = 2, L_2 = 3."""
+    prev, cur = 2, 3
+    for _ in range(n - 1):
+        prev, cur = cur, 3 * cur - prev
+    return cur
+
+
+@pytest.mark.parametrize("g", [0.4, 1.0, 2.5])
+def test_model_i_kernel_dimension_is_the_even_lucas_number(g):
+    # model I is the g = 1 singlet chain conjugated by D_g^{(x)N}: its ring kernel is the
+    # Temperley-Lieb count L_{2N} = q^N + q^-N at loop weight 3 = q + 1/q, whatever g
+    assert [_lucas_even(n) for n in range(3, 8)] == [18, 47, 123, 322, 843]
+    for n in range(3, 8):
+        assert ed.kernel_dimension(ChainOperator(n, models.model_I_hamiltonian(g))) == _lucas_even(n)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-300])
+def test_kernel_tolerances_that_are_not_finite_and_nonnegative_are_refused(monkeypatch, tol):
+    # NaN or a negative tol counted no eigenvalue (model II at N = 4 has 26); refused before any diagonalization
+    op = ChainOperator(4, models.model_II_hamiltonian())
+
+    def diagonalized(*args, **kwargs):
+        raise AssertionError("diagonalized before the tolerance check")
+
+    monkeypatch.setattr(ed, "_block_spectrum", diagonalized)
+    monkeypatch.setattr(ed, "spectrum", diagonalized)
+    with pytest.raises(ValueError, match="kernel tolerance must be finite and nonnegative, got "):
+        ed.kernel_dimension(op, tol=tol)
+    with pytest.raises(ValueError, match="kernel tolerance must be finite and nonnegative, got "):
+        ed.report(op, kernel_tol=tol)
+
+
+def test_zero_kernel_tolerance_is_accepted():
+    # tol = 0 is finite and nonnegative: it counts the eigenvalues at most 0
+    op = ChainOperator(4, models.model_II_hamiltonian())
+    assert ed.kernel_dimension(op, tol=0.0) == int(np.sum(ed._block_spectrum(op) <= 0.0))

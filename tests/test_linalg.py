@@ -186,3 +186,100 @@ def test_phase_fix_convention():
 def test_spectral_radius():
     assert linalg.spectral_radius(np.diag([1.0, -4.0])) == pytest.approx(4.0)
     assert linalg.spectral_radius(np.zeros((2, 2))) == 0.0
+
+
+def _eigvals_radius(m) -> float:
+    return float(np.abs(np.linalg.eigvals(m)).max())
+
+
+def _radius_inputs():
+    rng = np.random.default_rng(20)
+    for n in (1, 2, 3, 4, 9, 16, 40):
+        for _ in range(12):
+            a = rng.standard_normal((n, n))
+            yield a  # real, mostly with complex-conjugate pairs
+            yield a + a.T  # symmetric: every imaginary part zero
+            yield a + 1j * rng.standard_normal((n, n))
+            yield rng.integers(-3, 4, (n, n))
+            yield a * 10.0 ** rng.integers(-120, 120)
+        yield np.triu(rng.standard_normal((n, n)))
+        yield rng.standard_normal((n, n)).astype(np.float32)
+        yield (rng.standard_normal((n, n)) + 1j).astype(np.complex64)
+        yield rng.standard_normal((n, 2 * n))[:, ::2]  # strided
+        yield rng.standard_normal((n, n)).T  # Fortran order
+        yield np.zeros((n, n))
+        yield np.zeros((n, n), dtype=complex)
+    for g in (0.0, 0.3, 1.0, 2.5, 1e70):
+        yield mps.transfer(models.model_I(g)).matrix
+        yield mps.transfer(models.model_II(g)).matrix
+    # defective: Jordan blocks and a nilpotent shift
+    yield from (np.array([[1.0, 1.0], [0.0, 1.0]]), np.diag([1.0, 1.0, 1.0], 1), np.diag([2.0, 2.0], 0) + np.diag([1.0], 1),
+                np.array([[-0.0, 0.0], [0.0, -0.0]]), np.eye(4, dtype=int), np.array([[np.cos(1.0), -np.sin(1.0)],
+                                                                                     [np.sin(1.0), np.cos(1.0)]]))
+    # beyond geev's scaling limits, where geev returns a rescaled matrix's eigenvalues
+    yield from (np.array([[2e300, 1.0], [0.0, 1.0]]), np.array([[2e-140, 0.0], [0.0, 1e-141]]),
+                np.diag([-3e200, 3e200, 1.0]), np.array([[1e-300, 1e-301], [0.0, 1e-300j]]))
+
+
+def test_spectral_radius_is_the_eigvals_radius_bit_for_bit():
+    count = 0
+    for m in _radius_inputs():
+        assert linalg.spectral_radius(m).hex() == _eigvals_radius(m).hex()
+        count += 1
+    assert count == 7 * (5 * 12 + 7) + 10 + 6 + 4
+
+
+@pytest.mark.parametrize("m", [np.array([[np.nan]]), np.array([[1.0, np.inf], [0.0, 1.0]]),
+                               np.array([[1.0, 0.0], [0.0, -np.inf]]), np.array([[np.nan + 1j]])])
+def test_spectral_radius_refuses_non_finite_input_as_eigvals_does(m):
+    with pytest.raises(Exception) as want:
+        np.linalg.eigvals(m)
+    with pytest.raises(Exception) as got:
+        linalg.spectral_radius(m)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_spectral_radius_takes_the_direct_geev_only_within_its_limits(monkeypatch):
+    eigvals = np.linalg.eigvals
+    calls = []
+
+    def counted(a):
+        calls.append(a.dtype)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    e = mps.transfer(models.model_I(1.3)).matrix
+    linalg.spectral_radius(e)
+    linalg.spectral_radius(e + 1j * e.T)
+    assert calls == []
+    for m in (e.astype(np.float32), np.eye(3, dtype=int), np.array([[2e300, 1.0], [0.0, 1.0]])):
+        linalg.spectral_radius(m)
+    assert calls == [np.dtype(np.float32), np.dtype(int), np.dtype(float)]
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
+def test_null_space_refuses_a_non_finite_tol(tol):
+    # NaN or inf called every direction null: a rank-2 2 x 2 matrix got a 2-dimensional kernel
+    with pytest.raises(ValueError, match=f"^tol must be finite, got {tol}$"):
+        linalg.null_space(np.eye(2), tol)
+
+
+def test_null_space_refuses_a_negative_tol():
+    with pytest.raises(ValueError, match="^tol must be nonnegative$"):
+        linalg.null_space(np.eye(2), -1e-12)
+
+
+@pytest.mark.parametrize("rel_tol", [float("nan"), -1.0, -1e-12, 1.0, 1.5, float("inf")])
+def test_dominant_projectors_refuse_rel_tol_outside_zero_one(monkeypatch, rel_tol):
+    # NaN or a negative rel_tol kept no eigenvalue, 1 kept every one; refused before any diagonalization
+    def diagonalized(*args, **kwargs):
+        raise AssertionError("diagonalized before the rel_tol check")
+
+    monkeypatch.setattr(linalg, "eig_all", diagonalized)
+    with pytest.raises(ValueError, match=r"^rel_tol must lie in \[0, 1\), got "):
+        linalg.dominant_projectors(np.diag([3.0, 1.0]), rel_tol)
+
+
+def test_dominant_projectors_accept_rel_tol_zero():
+    out = linalg.dominant_projectors(np.diag([3.0, -3.0, 1.0]), 0.0)
+    assert [lam for lam, _ in out] == [3.0, -3.0]

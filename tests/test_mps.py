@@ -541,10 +541,12 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_transfer_spectrum_builds_each_piece_once(monkeypatch):
+    # one stacking of the family's matrices, one E and one E_O per observable content, all from that stack;
     # one eigendecomposition per spectrum: a thermodynamic query first makes eig_all give rho as well,
-    # a ring-only spectrum takes rho from spectral_radius's eigvals
+    # a ring-only spectrum takes rho from spectral_radius's geev
     counts = {name: _count_calls(monkeypatch, module, name) for module, name in (
-        (mps, "transfer"), (mps, "dressed_transfer"), (linalg, "spectral_radius"), (linalg, "eig_all"),
+        (mps, "_matrix_stack"), (mps, "_transfer_matrix"), (mps, "_dressed_matrix"),
+        (linalg, "spectral_radius"), (linalg, "eig_all"),
     )}
 
     def tally():
@@ -558,12 +560,12 @@ def test_transfer_spectrum_builds_each_piece_once(monkeypatch):
         spectrum.thermo_two_point(spin.sz(), spin.sz(), r)  # a fresh observable object on every call
         spectrum.ring_two_point(spin.sz(), spin.sz(), r, 20)
     spectrum.thermo_one_point(spin.sz2())
-    assert tally() == {"transfer": 1, "dressed_transfer": 2, "spectral_radius": 0, "eig_all": 1}
+    assert tally() == {"_matrix_stack": 1, "_transfer_matrix": 1, "_dressed_matrix": 2, "spectral_radius": 0, "eig_all": 1}
     spectrum = TransferSpectrum(models.model_I(1.0))
     for r in range(1, 13):
         spectrum.ring_two_point(spin.sz(), spin.sz(), r, 20)
     spectrum.ring_one_point(spin.sz2(), 20)
-    assert tally() == {"transfer": 1, "dressed_transfer": 2, "spectral_radius": 1, "eig_all": 0}
+    assert tally() == {"_matrix_stack": 1, "_transfer_matrix": 1, "_dressed_matrix": 2, "spectral_radius": 1, "eig_all": 0}
 
 
 def test_dressed_operators_are_keyed_by_content():
