@@ -245,7 +245,8 @@ def test_correlate_sweep_builds_one_spectrum_per_g(monkeypatch, capsys):
     # one stacking holds the 30 families, each of them once, and E and E_O are each formed once from it;
     # the eigendecomposition stays per family
     calls = {"_matrix_stack": [], "_transfer_matrix": [], "_dressed_matrix": [], "eig_all": []}
-    for module, name in ((mps, "_matrix_stack"), (mps, "_transfer_matrix"), (mps, "_dressed_matrix"), (linalg, "eig_all")):
+    for module, name in ((mps, "_matrix_stack"), (mps, "_transfer_matrix"), (mps, "_dressed_matrix"),
+                         (linalg, "eig_all")):
         real = getattr(module, name)
 
         def counted(first, *args, real=real, name=name, **kwargs):

@@ -212,10 +212,13 @@ def _radius_inputs():
     for g in (0.0, 0.3, 1.0, 2.5, 1e70):
         yield mps.transfer(models.model_I(g)).matrix
         yield mps.transfer(models.model_II(g)).matrix
-    # defective: Jordan blocks and a nilpotent shift
-    yield from (np.array([[1.0, 1.0], [0.0, 1.0]]), np.diag([1.0, 1.0, 1.0], 1), np.diag([2.0, 2.0], 0) + np.diag([1.0], 1),
-                np.array([[-0.0, 0.0], [0.0, -0.0]]), np.eye(4, dtype=int), np.array([[np.cos(1.0), -np.sin(1.0)],
-                                                                                     [np.sin(1.0), np.cos(1.0)]]))
+    # defective (Jordan blocks, a nilpotent shift), signed zeros, an integer identity, a rotation
+    yield np.array([[1.0, 1.0], [0.0, 1.0]])
+    yield np.diag([2.0, 2.0]) + np.diag([1.0], 1)
+    yield np.diag([1.0, 1.0, 1.0], 1)
+    yield np.array([[-0.0, 0.0], [0.0, -0.0]])
+    yield np.eye(4, dtype=int)
+    yield np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
     # beyond geev's scaling limits, where geev returns a rescaled matrix's eigenvalues
     yield from (np.array([[2e300, 1.0], [0.0, 1.0]]), np.array([[2e-140, 0.0], [0.0, 1e-141]]),
                 np.diag([-3e200, 3e200, 1.0]), np.array([[1e-300, 1e-301], [0.0, 1e-300j]]))
