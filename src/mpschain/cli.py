@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from fractions import Fraction
 
@@ -42,14 +43,26 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems through exit code 1."""
+    """argparse that reports usage problems through exit code 1.
+
+    A negative number is read as a value, not as an option, in every form float() reads:
+    argparse alone reads only -1 and -1.5 so, and takes -1e-3 and -inf for unknown options.
+    """
+
+    #: argparse's negative-number pattern, widened to exponents, inf and nan
+    _NEGATIVE_NUMBER = re.compile(r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
 
     def error(self, message):
         raise _UsageError(message)
 
 
 def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+    """A float, or a numpy float, which formats as the float it holds, to 17 significant digits."""
+    return f"{x:.17g}"
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -131,8 +144,8 @@ def _correlate_values(args, spectrum: TransferSpectrum) -> list:
     return spectrum.two_point_sweep(obs, obs, range(args.r_min, args.r_max + 1), n_sites)
 
 
-def _correlate_rows(args, families, g_values) -> list[dict]:
-    """The rows of every family, from one stacked TransferSpectrum of them all.
+def _correlate_rows(args, families, g_values) -> list[tuple[float, list[tuple]]]:
+    """Each family's g with its rows (r, value, flag), from one stacked TransferSpectrum of them all.
 
     families yields them in g order; a refused one ends the sweep, and its error is
     raised after those of the families before it, as the per-g loop meets them.
@@ -153,18 +166,13 @@ def _correlate_rows(args, families, g_values) -> list[dict]:
             values = [v for fam in fams for v in _correlate_values(args, TransferSpectrum([fam]))]
     if refusal is not None:
         raise refusal
-    rows = []
-    r_values = list(range(args.r_min, args.r_max + 1))
-    for g, vals in zip(g_values, values):
-        if args.channel in _ONE_POINT:
-            rows.append({"g": g, "r": None, "channel": args.channel, "value": vals, "flag": ""})
-            continue
-        for r, val in zip(r_values, vals):
-            flag = ""
-            if isinstance(val, OscillatoryLimitError):
-                val, flag = None, "oscillatory"
-            rows.append({"g": g, "r": r, "channel": args.channel, "value": val, "flag": flag})
-    return rows
+    if args.channel in _ONE_POINT:
+        return [(g, [(None, value, "")]) for g, value in zip(g_values, values)]
+    r_values = range(args.r_min, args.r_max + 1)
+    return [
+        (g, [(r, None, "oscillatory") if isinstance(v, OscillatoryLimitError) else (r, v, "") for r, v in zip(r_values, vals)])
+        for g, vals in zip(g_values, values)
+    ]
 
 
 def _cmd_correlate(args) -> int:
@@ -189,18 +197,22 @@ def _cmd_correlate(args) -> int:
         raise _UsageError("--mode ring requires --n-sites")
     if args.mode == "ring" and args.which in ("I", "II") and args.n_sites % 2:
         raise _UsageError("ring size must be even for the solvable models")
-    rows = _correlate_rows(args, families, g_values)
+    table = _correlate_rows(args, families, g_values)
+    channel = args.channel
+    # g is formatted once per family, and each family's rows are built in one pass
     if args.format == "json":
-        payload = [
-            {k: (_fmt(v) if isinstance(v, float) else v) for k, v in row.items()} for row in rows
-        ]
+        payload = []
+        for g, rows in table:
+            g_txt = _fmt(g)
+            payload += [{"g": g_txt, "r": r, "channel": channel, "value": None if v is None else _fmt(v), "flag": flag}
+                        for r, v, flag in rows]
         _write_text(args.out, _json_text({"rows": payload}))
     else:
         lines = ["g,r,channel,value,flag"]
-        for row in rows:
-            r_txt = "" if row["r"] is None else str(row["r"])
-            v_txt = "" if row["value"] is None else _fmt(row["value"])
-            lines.append(f"{_fmt(row['g'])},{r_txt},{row['channel']},{v_txt},{row['flag']}")
+        for g, rows in table:
+            g_txt = _fmt(g)
+            lines += [f"{g_txt},{'' if r is None else r},{channel},{'' if v is None else _fmt(v)},{flag}"
+                      for r, v, flag in rows]
         _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -161,45 +161,73 @@ def dominant_projectors(m, rel_tol: float = 1e-9) -> list[tuple[complex, np.ndar
     if not 0.0 <= rel_tol < 1.0:
         # NaN or a negative rel_tol would call no eigenvalue dominant, 1 or more every one
         raise ValueError(f"rel_tol must lie in [0, 1), got {rel_tol}")
-    out = _projectors(eig_all(a), rel_tol)
+    out = _projectors([eig_all(a)], rel_tol)[0]
     if _geev_keeps_scale(a):
         return out
     return [(complex((p @ a).trace() / p.trace()), p) for _, p in out]
 
 
-def _projectors(eig, rel_tol: float = 1e-9) -> list[tuple[complex, np.ndarray]]:
-    """dominant_projectors from the (w, vl, vr) of an eig_all call.
+def _projectors(eigs, rel_tol: float = 1e-9) -> list[list[tuple[complex, np.ndarray]]]:
+    """dominant_projectors from each (w, vl, vr) of a sequence of eig_all calls on matrices of one size.
 
-    TransferSpectrum calls it on the eig_all result it also takes rho from.
+    One list per matrix; TransferSpectrum calls it on the eig_all results it also
+    takes rho from.  The dominant groups of all the matrices are bucketed by size
+    and eigenvector dtype, and each bucket takes one stacked L^H R, one batched
+    inverse and one stacked R (L^H R)^{-1} L^H.  numpy's inv and matmul make, for
+    each matrix of a stack, the LAPACK and BLAS call they make for that matrix
+    alone, and the stacks keep each group's memory layout, so every projector is
+    bit for bit the one a loop over the groups forms.  The matrices are taken in
+    order up to the first all-zero spectrum, so the error raised is the one such
+    a loop meets first.
     """
-    vals, vl, vr = eig
+    vals = np.array([w for w, _, _ in eigs])
     mags = np.abs(vals)
-    top = float(mags.max())
-    if top == 0.0:
-        raise ZeroSpectrumError("all-zero spectrum: no dominant eigenvalue")
-    keep = np.flatnonzero(mags >= (1.0 - rel_tol) * top).tolist()
-    # Python complex values: the same differences and moduli as numpy scalars, without their overhead
-    w = vals.tolist()
-    groups: list[list[int]] = []
-    for i in keep:
-        for grp in groups:
-            if abs(w[i] - w[grp[0]]) <= 1e-8 * top:
-                grp.append(i)
-                break
-        else:
-            groups.append([i])
-    out = []
-    for grp in groups:
-        R = vr[:, grp]
-        Lh = vl[:, grp].conj().T
+    tops = mags.max(axis=1).tolist()
+    # Python floats and complex values: the same comparisons, differences and moduli as numpy scalars,
+    # without their overhead
+    groups: list[list[tuple[complex, list[int]]]] = []
+    for top, row, w in zip(tops, mags.tolist(), vals.tolist()):
+        if top == 0.0:
+            break
+        cut = (1.0 - rel_tol) * top
+        family: list[tuple[complex, list[int]]] = []
+        for i, mag in enumerate(row):
+            if mag >= cut:
+                for lam, grp in family:
+                    if abs(w[i] - lam) <= 1e-8 * top:
+                        grp.append(i)
+                        break
+                else:
+                    family.append((w[i], [i]))
+        groups.append(family)
+    buckets: dict[tuple, list[tuple[int, list[int]]]] = {}
+    for k, family in enumerate(groups):
+        for _, grp in family:
+            buckets.setdefault((len(grp), eigs[k][2].dtype.char), []).append((k, grp))
+    n = vals.shape[1]
+    stacks = {}
+    for (size, char), members in buckets.items():
+        # eig_all's eigenvectors are Fortran-ordered, as geev writes them, and so are the columns v[:, grp]:
+        # rows of the C-ordered stack of the transposes vl^T and vr^T, taken into C-ordered (B, size, n)
+        # stacks, keep that layout for every group
+        table = np.array([(eigs[k][1].T, eigs[k][2].T) for k, _ in members]).reshape(-1, n)
+        at = [(2 * j + side) * n + i for side in (0, 1) for j, (_, grp) in enumerate(members) for i in grp]
+        picked = table.take(at, axis=0).reshape(2, len(members), size, n)
+        Lh, R = picked[0].conj(), picked[1].swapaxes(-1, -2)
         try:
             overlap_inv = np.linalg.inv(Lh @ R)
         except np.linalg.LinAlgError as exc:
             raise EigenConvergenceError(
                 "defective dominant eigenvalue: left/right eigenvector overlap is singular"
             ) from exc
-        out.append((w[grp[0]], R @ overlap_inv @ Lh))
-    out.sort(key=lambda p: (-p[0].real, -p[0].imag))
+        stacks[size, char] = iter(R @ overlap_inv @ Lh)
+    if len(groups) < len(tops):
+        raise ZeroSpectrumError("all-zero spectrum: no dominant eigenvalue")
+    out = []
+    for k, family in enumerate(groups):
+        projs = [(lam, next(stacks[len(grp), eigs[k][2].dtype.char])) for lam, grp in family]
+        projs.sort(key=lambda p: (-p[0].real, -p[0].imag))
+        out.append(projs)
     return out
 
 

@@ -275,52 +275,132 @@ def _real_or_raise(value, what: str, tol: float = 1e-12):
 class _EvenNLimit:
     """Even-N limits of tr(middle E^{N-extra_power}) / tr(E^N) from the dominant projectors of E.
 
-    Each middle must already be rescaled so each transfer step carries E/lambda_max.
-    Eigenvalues tied in magnitude are kept whole, sign-weighted and normalised by
-    their multiplicity; a phase that does not converge along even N with a
-    nonzero coefficient gives OscillatoryLimitError.  The per-projector data
-    (phase, sign, whether it oscillates, the total multiplicity) is set up once.
+    projectors holds the dominant projectors of each family of a stack; one family
+    is a stack of one.  Each middle must already be rescaled so each transfer step
+    carries E/lambda_max.  Eigenvalues tied in magnitude are kept whole,
+    sign-weighted and normalised by their multiplicity; a phase that does not
+    converge along even N with a nonzero coefficient gives OscillatoryLimitError.
+
+    The per-projector data (phase, sign, whether it oscillates, the total
+    multiplicity) is set up once, as arrays with a family axis and a term axis T,
+    zero-padded up to the largest number of dominant groups of a family, one set
+    per projector dtype, so that each family's coefficients are formed in its own
+    dtype.  The limit sums are array operations over (G, T, R) coefficients, and
+    every limit is bit for bit the one a loop over the family's terms forms on
+    numpy scalars: the terms are added in order from +0.0, and the sum is divided
+    by the multiplicity as numpy divides an array by a real array.  That is the
+    loop's division too: its sum of real terms was a Python complex, which divides
+    the real part, and its sum of complex terms a numpy complex128, which
+    multiplies by the reciprocal as the complex array division does; dividing the
+    real and imaginary parts of a complex sum apart would change bits.
     """
 
-    def __init__(self, projectors):
-        lmax = max(abs(lam) for lam, _ in projectors)
-        self.terms = []
-        self.total_mult = 0.0
-        for lam, p in projectors:
-            s = lam / lmax
-            self.total_mult += p.trace().real
-            oscillates = abs(s.imag) > 1e-8 or abs(abs(s) - 1.0) > 1e-8 or abs(s.real**2 - 1.0) > 1e-8
-            self.terms.append((p, s, oscillates, 1.0 if s.real > 0 else -1.0))
+    def __init__(self, projectors: Sequence[list[tuple[complex, np.ndarray]]]):
+        n_terms = max(map(len, projectors))
+        self.phases: list[list[complex]] = []
+        # per projector dtype: the families, and per family its projectors, signs and which terms oscillate
+        by_dtype: dict[str, tuple[list, list, list, list]] = {}
+        for k, projs in enumerate(projectors):
+            lmax = max(abs(lam) for lam, _ in projs)
+            phases = [lam / lmax for lam, _ in projs]
+            self.phases.append(phases)
+            char = projs[0][1].dtype.char
+            if char not in by_dtype:
+                by_dtype[char] = ([], [], [], [])
+            rows, stack, signs, oscillates = by_dtype[char]
+            rows.append(k)
+            stack.append([[p] for _, p in projs])
+            signs.append([[1.0 if s.real > 0 else -1.0] for s in phases])
+            oscillates.append(
+                [[abs(s.imag) > 1e-8 or abs(abs(s) - 1.0) > 1e-8 or abs(s.real**2 - 1.0) > 1e-8] for s in phases]
+            )
+        self.buckets = []
+        for rows, stack, signs, oscillates in by_dtype.values():
+            live = None  # every term enters the sum
+            any_oscillates = any([True] in family for family in oscillates)
+            if any_oscillates or any(len(family) < n_terms for family in stack):
+                # a term enters the sum when it does not oscillate and is not a padding, a zero projector
+                # with sign +1: its coefficient is 0.0, or NaN where a middle holds an infinite entry
+                zero = np.zeros_like(projectors[rows[0]][0][1])
+                live = [[[not o] for (o,) in family] + [[False]] * (n_terms - len(family)) for family in oscillates]
+                stack = [family + [[zero]] * (n_terms - len(family)) for family in stack]
+                signs = [family + [[1.0]] * (n_terms - len(family)) for family in signs]
+                oscillates = [family + [[False]] * (n_terms - len(family)) for family in oscillates]
+                live = np.array(live)
+            stack = np.array(stack)  # (G_k, T, 1, n, n)
+            # the multiplicity: the traces summed in order from 0.0, which a padding's 0.0 leaves unchanged
+            mult = _term_sum(stack.trace(axis1=-2, axis2=-1).real)
+            self.buckets.append((
+                slice(None) if len(rows) == len(projectors) else np.array(rows),
+                rows,
+                stack,
+                np.array(signs) if any([-1.0] in family for family in signs) else None,  # (G_k, T, 1); None: all +1
+                np.array(oscillates) if any_oscillates else None,
+                live,
+                mult,
+            ))
 
-    def values(self, middles: np.ndarray, extra_powers) -> list:
-        """One limit per middle of the (R, n, n) stack; an oscillating one is its OscillatoryLimitError."""
-        coeffs = [(p @ middles).trace(axis1=1, axis2=2) for p, *_ in self.terms]
-        out = []
-        for i, extra_power in enumerate(extra_powers):
-            value = 0.0 + 0.0j
-            for (_, s, oscillates, sign), coeff in zip(self.terms, coeffs):
-                if oscillates:
-                    if abs(coeff[i]) > 1e-10:
-                        value = OscillatoryLimitError(
-                            f"dominant eigenvalue phase {s:.6f} does not converge along even N"
-                        )
-                        break
-                    continue
-                value += sign**extra_power * coeff[i]
+    def values(self, middles: np.ndarray, extra_powers) -> list[list]:
+        """One limit per family and middle of the (G, R, n, n) stack, as one list per family.
+
+        A limit that oscillates holds its OscillatoryLimitError in place of a value,
+        and one whose imaginary part lies beyond tolerance its InconsistencyError.
+        """
+        out = np.empty(middles.shape[:2]) if len(self.buckets) > 1 else None
+        errors = []
+        for rows, members, p, signs, oscillates, live, mult in self.buckets:
+            coeffs = (p @ middles[rows, None]).trace(axis1=-2, axis2=-1)  # (G_k, T, R)
+            # each term is sign**extra_power * coeff; the per-family sum multiplied a complex coefficient by
+            # the complex (1 + 0j) even for a sign of +1, and a real one by 1.0, which leaves it as it is
+            if signs is not None:
+                terms = signs**extra_powers * coeffs
             else:
-                value = _real_or_raise(value / self.total_mult, "thermodynamic limit")
-            out.append(value)
+                terms = 1.0 * coeffs if coeffs.dtype.kind == "c" else coeffs
+            value = _term_sum(terms if live is None else np.where(live, terms, 0)) / mult
+            big = None
+            if oscillates is not None:
+                # abs of a complex scalar is hypot; np.abs of a complex array differs from it in the last bit
+                magnitudes = np.hypot(coeffs.real, coeffs.imag) if coeffs.dtype.kind == "c" else np.abs(coeffs)
+                big = oscillates & (magnitudes > 1e-10)
+                for j, r in zip(*big.any(axis=1).nonzero()):
+                    phase = self.phases[members[j]][big[j, :, r].argmax()]
+                    errors.append((members[j], r, OscillatoryLimitError(
+                        f"dominant eigenvalue phase {phase:.6f} does not converge along even N")))
+            if value.dtype.kind == "c":
+                im = value.imag
+                wrong = np.abs(im) > 1e-12 * np.fmax(1.0, np.hypot(value.real, im))
+                if big is not None:
+                    wrong &= ~big.any(axis=1)
+                for j, r in zip(*wrong.nonzero()):
+                    errors.append((members[j], r, InconsistencyError(
+                        f"thermodynamic limit has imaginary part {im[j, r]:.3e} beyond tolerance")))
+                value = value.real
+            if out is None:
+                out = value  # one bucket holds every family, in order
+            else:
+                out[rows] = value
+        out = out.tolist()
+        for k, r, error in errors:
+            out[k][r] = error
         return out
 
-    def value(self, middle: np.ndarray, extra_power: int) -> float:
-        """The limit for one middle; raises OscillatoryLimitError when it oscillates."""
-        return _raise_oscillatory(self.values(middle[None], [extra_power]))[0]
+
+def _term_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum over axis 1 of terms, added in order from +0.0, as a Python loop adds them to 0.0 + 0.0j."""
+    total = terms[:, 0] + 0.0
+    for t in range(1, terms.shape[1]):
+        total += terms[:, t]
+    return total
 
 
-def _raise_oscillatory(values: list) -> list:
-    """values, raising the first OscillatoryLimitError among them."""
+#: The errors a thermodynamic limit can hold in place of a value (_EvenNLimit.values).
+_LIMIT_ERRORS = (InconsistencyError, OscillatoryLimitError)
+
+
+def _raise_first(values: list, kinds=OscillatoryLimitError) -> list:
+    """values, raising the first error of kinds among them."""
     for v in values:
-        if isinstance(v, OscillatoryLimitError):
+        if isinstance(v, kinds):
             raise v
     return values
 
@@ -381,12 +461,16 @@ class TransferSpectrum:
     operator, and rho, projectors and every answer become lists with one entry
     per family, in order.  E, each E_O / rho, E / rho with its squarings and the
     products over separations are formed once for the stack; the
-    eigendecomposition, the rule that picks rho, the projectors and the even-N
-    limit sums are taken family by family.  Built from one MpsFamily, the
-    spectrum is the same code without the family axis, and each family of a
-    stack answers bit for bit as a spectrum built from it alone.  A stack takes
-    each step for all its families before the next step, so of several failing
-    families it raises the error of the first step met, not the first family's.
+    eigendecomposition and the rule that picks rho are taken family by family.
+    The thermodynamic tail runs as array operations over the family axis: the
+    dominant projectors of every family take one batched inverse per bucket of
+    groups (linalg._projectors), and the even-N limit sums are (G, T, R) arrays
+    (_EvenNLimit).  Built from one MpsFamily, the spectrum is the same code
+    without the family axis, and each family of a stack answers bit for bit as
+    a spectrum built from it alone.  A stack takes each step for all its
+    families before the next step, so of several failing families it raises the
+    error of the first step met, not the first family's; within the tail, the
+    first family's error is raised, as a loop over the families raises it.
     """
 
     def __init__(self, mps: MpsFamily | Sequence[MpsFamily]):
@@ -402,11 +486,15 @@ class TransferSpectrum:
         self._rho: list[float] | None = None
         self._ladder: _PowerLadder | None = None
         self._projectors: list | None = None
-        self._limits: list[_EvenNLimit] | None = None
+        self._limit: _EvenNLimit | None = None
 
     def _each(self, stacked) -> tuple | np.ndarray:
         """The per-family entries of an array with the spectrum's family axis, if it has one."""
         return (stacked,) if self._one else stacked
+
+    def _stacked(self, a: np.ndarray) -> np.ndarray:
+        """An array with the spectrum's family axis: for one family, a leading axis of length one."""
+        return a[None] if self._one else a
 
     def _out(self, per_family: list):
         """A list with one entry per family, as the spectrum answers: the one entry for one family."""
@@ -461,7 +549,7 @@ class TransferSpectrum:
     def _dominant(self) -> list:
         """Each family's dominant projectors from its eigendecomposition, made once."""
         if self._projectors is None:
-            self._projectors = list(map(linalg._projectors, self._eigensystem()))
+            self._projectors = linalg._projectors(self._eigensystem())
         return self._projectors
 
     @property
@@ -469,11 +557,11 @@ class TransferSpectrum:
         """Spectral projectors of the dominant eigenvalues of E."""
         return self._out(self._dominant())
 
-    def _even_n_limits(self) -> list[_EvenNLimit]:
-        """Each family's even-N limit data from its dominant projectors, made once."""
-        if self._limits is None:
-            self._limits = list(map(_EvenNLimit, self._dominant()))
-        return self._limits
+    def _even_n_limit(self) -> _EvenNLimit:
+        """The even-N limit data of every family from its dominant projectors, made once."""
+        if self._limit is None:
+            self._limit = _EvenNLimit(self._dominant())
+        return self._limit
 
     def dressed(self, obs: SpinObservable) -> np.ndarray:
         """E_O / rho for one observable; raises DegenerateNormError when rho vanishes."""
@@ -547,8 +635,12 @@ class TransferSpectrum:
         """
         return self._out(self._sweeps(obs1, obs2, rs, n_sites))
 
-    def _sweeps(self, obs1, obs2, rs, n_sites) -> list[list]:
-        """two_point_sweep's list of each family's values."""
+    def _sweeps(self, obs1, obs2, rs, n_sites, raising=InconsistencyError) -> list[list]:
+        """two_point_sweep's list of each family's values.
+
+        Of the errors a thermodynamic limit holds in place of a value, the first one of the
+        kinds raising is raised, family by family and in r order, as a loop over the families meets it.
+        """
         rs = list(rs)
         ring = n_sites is not None
         valid = list(takewhile((lambda r: 1 <= r < n_sites) if ring else (lambda r: r >= 1), rs))
@@ -558,6 +650,8 @@ class TransferSpectrum:
             values = self._ring_values(obs1, obs2, valid, n_sites)
         else:
             values = self._thermo_values(obs1, obs2, valid)
+            for family in values:
+                _raise_first(family, raising)
         if len(valid) < len(rs):
             raise ValueError("separation must satisfy 1 <= r < n_sites" if ring else "separation must be >= 1")
         return values
@@ -571,9 +665,8 @@ class TransferSpectrum:
     def _thermo_values(self, obs1, obs2, rs) -> list[list]:
         self._eigensystem()  # before rho, as in thermo_one_point
         middles = self.dressed(obs1)[..., None, :, :] @ self._powers().stack([r - 1 for r in rs])
-        middles = self._each(middles @ self.dressed(obs2)[..., None, :, :])
-        extra_powers = [r + 1 for r in rs]
-        return [limit.values(m, extra_powers) for limit, m in zip(self._even_n_limits(), middles)]
+        middles = self._stacked(middles @ self.dressed(obs2)[..., None, :, :])
+        return self._even_n_limit().values(middles, [r + 1 for r in rs])
 
     def ring_two_point(self, obs1: SpinObservable, obs2: SpinObservable, r: int, n_sites: int):
         """<O1_1 O2_{1+r}> on the ring: tr(E_O1 E^{r-1} E_O2 E^{N-r-1}) / tr(E^N).
@@ -587,8 +680,9 @@ class TransferSpectrum:
         # the eigendecomposition first, so that rho comes from it; then the middle, so that rho = 0
         # raises DegenerateNormError before the projectors' ZeroSpectrumError
         self._eigensystem()
-        middles = self._each(self.dressed(obs))
-        return self._out([limit.value(m, extra_power=1) for limit, m in zip(self._even_n_limits(), middles)])
+        middles = self._stacked(self.dressed(obs)[..., None, :, :])
+        values = self._even_n_limit().values(middles, [1])
+        return self._out([_raise_first(family, _LIMIT_ERRORS)[0] for family in values])
 
     def thermo_two_point(self, obs1: SpinObservable, obs2: SpinObservable, r: int):
         """N -> infinity limit of ring_two_point at fixed separation r >= 1.
@@ -597,7 +691,7 @@ class TransferSpectrum:
         eigenvalues tie in magnitude their contributions are summed with the sign
         weights appropriate to even N.
         """
-        return self._out([_raise_oscillatory(v)[0] for v in self._sweeps(obs1, obs2, [r], None)])
+        return self._out([v[0] for v in self._sweeps(obs1, obs2, [r], None, _LIMIT_ERRORS)])
 
 
 def ring_norm_sq(mps: MpsFamily, n_sites: int) -> float:

@@ -7,6 +7,7 @@ builder such as `models.model_I_hamiltonian` reaches every suite.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +35,11 @@ class Check:
 def frustration_suite(n_sites: int, g_values) -> list[Check]:
     """Zero-energy residuals of the model I, then the model II, chain on n_sites."""
     checks = []
+    # the model II Hamiltonian does not depend on g: one per suite, built when the model II checks start
+    ii_hamiltonian = functools.cache(models.model_II_hamiltonian)
     for which, builder, ham in (
         ("I", models.model_I, models.model_I_hamiltonian),
-        ("II", models.model_II, lambda g: models.model_II_hamiltonian()),
+        ("II", models.model_II, lambda g: ii_hamiltonian()),
     ):
         for g in g_values:
             res = parent.verify_zero_energy(builder(g), ham(g), n_sites)
@@ -46,13 +49,17 @@ def frustration_suite(n_sites: int, g_values) -> list[Check]:
 
 def closed_form_deviations(g: float) -> tuple[float, float, float]:
     """|closed form - transfer value| of model I <Sz^2>, <Sx^2> and G_par (adjacent zz) at g."""
-    cf = models.closed_form_correlators_I(g)
-    spectrum = mps.TransferSpectrum(models.model_I(g))
-    return (
-        abs(cf.sz2 - spectrum.thermo_one_point(spin.sz2())),
-        abs(cf.sx2 - spectrum.thermo_one_point(spin.sx2())),
-        abs(cf.g_par - spectrum.thermo_two_point(spin.sz(), spin.sz(), 1)),
-    )
+    return _closed_form_deviations([g])[0]
+
+
+def _closed_form_deviations(g_values) -> list[tuple[float, float, float]]:
+    """closed_form_deviations at each g of g_values, the transfer values from one stacked spectrum."""
+    closed = [models.closed_form_correlators_I(g) for g in g_values]
+    spectrum = mps.TransferSpectrum(list(models.model_families("I", g_values)))
+    sz2 = spectrum.thermo_one_point(spin.sz2())
+    sx2 = spectrum.thermo_one_point(spin.sx2())
+    g_par = spectrum.thermo_two_point(spin.sz(), spin.sz(), 1)
+    return [(abs(cf.sz2 - a), abs(cf.sx2 - b), abs(cf.g_par - c)) for cf, a, b, c in zip(closed, sz2, sx2, g_par)]
 
 
 def fitted_correlation_lengths(g: float) -> tuple[float, float]:
@@ -61,7 +68,7 @@ def fitted_correlation_lengths(g: float) -> tuple[float, float]:
     rs = np.arange(2, 13)
     xis = []
     for obs in (spin.sz(), spin.sx()):
-        corr = np.array(mps._raise_oscillatory(spectrum.two_point_sweep(obs, obs, rs.tolist())))
+        corr = np.array(mps._raise_first(spectrum.two_point_sweep(obs, obs, rs.tolist())))
         xis.append(-1.0 / np.polyfit(rs, np.log(np.abs(corr)), 1)[0])
     return xis[0], xis[1]
 
@@ -69,8 +76,7 @@ def fitted_correlation_lengths(g: float) -> tuple[float, float]:
 def formulas_suite(g_values) -> list[Check]:
     """Model I closed forms and fitted lengths, the word-matrix determinant, the root-family kernels."""
     checks = []
-    for g in g_values:
-        dev_sz2, dev_sx2, dev_gpar = closed_form_deviations(g)
+    for g, (dev_sz2, dev_sx2, dev_gpar) in zip(g_values, _closed_form_deviations(g_values)):
         checks.append(Check(f"model I g={g:g} <Sz^2> closed vs transfer", dev_sz2, 1e-8))
         checks.append(Check(f"model I g={g:g} <Sx^2> closed vs transfer", dev_sx2, 1e-8))
         checks.append(Check(f"model I g={g:g} G_par vs adjacent zz", dev_gpar, 1e-8))

@@ -80,6 +80,45 @@ def test_parent_keeps_the_negative_tol_refusal(capsys):
     assert capsys.readouterr().err == "error: tol must be nonnegative\n"
 
 
+@pytest.mark.parametrize("tol, message", [
+    ("-inf", "tol must be finite, got -inf"), ("-INF", "tol must be finite, got -inf"),
+    ("-1e-10", "tol must be nonnegative"), ("-2.5E+2", "tol must be nonnegative"),
+])
+def test_a_negative_tol_given_apart_reaches_its_refusal(tol, message, capsys):
+    # argparse read -inf and -1e-10 as options: "error: argument --tol: expected one argument"
+    assert run("parent", "--which", "I", "--g", "1.0", "--tol", tol) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("apart, joined", [
+    (("model", "--which", "I", "--g", "-1e-3"), ("model", "--which", "I", "--g=-1e-3")),
+    (("model", "--which", "I", "--g", "-2.5E+2"), ("model", "--which", "I", "--g=-2.5E+2")),
+    (("model", "--which", "II", "--g", "-1.5"), ("model", "--which", "II", "--g=-1.5")),
+    (("correlate", "--which", "I", "--channel", "zz", "--g", "-1e-3", "--r-max", "3"),
+     ("correlate", "--which", "I", "--channel", "zz", "--g=-1e-3", "--r-max", "3")),
+    (("verify", "--suite", "frustration", "--n-sites", "4", "--g", "-1e-3", "--g", "-.5"),
+     ("verify", "--suite", "frustration", "--n-sites", "4", "--g=-1e-3", "--g=-.5")),
+])
+def test_a_negative_number_given_apart_is_a_value(apart, joined, capsys):
+    parser = cli.build_parser()
+    assert parser.parse_args(list(apart)) == parser.parse_args(list(joined))
+    assert run(*apart) == 0
+    out = capsys.readouterr()
+    assert out.out and out.err == ""
+    assert run(*joined) == 0
+    assert capsys.readouterr() == out
+
+
+def test_a_g_sweep_takes_negative_bounds_with_exponents(capsys):
+    argv = ["correlate", "--which", "I", "--channel", "sz2", "--g-sweep", "-1e-3", "-2.5E-1", "3"]
+    assert cli.build_parser().parse_args(argv).g_sweep == ["-1e-3", "-2.5E-1", "3"]
+    assert run(*argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["-0.001", "-0.1255", "-0.25"]
+
+
 def test_parent_of_a_complex_family_keeps_imaginary_parts(tmp_path):
     rng = np.random.default_rng(5)
     mats = {lab: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for lab in ("1", "0", "-1")}
@@ -220,24 +259,35 @@ def test_correlate_oscillatory_rows_flagged(tmp_path):
         "ac015db25a799811447c9a250c4c20b8b0811f998da2a70a149457ce9aeb4c6d")
 
 
-#: sha256 of the CSV each r-sweep prints, recorded before the r-sweeps were stacked.
+#: sha256 of the text each g-sweep prints, with its line count: the first three recorded before the
+#: r-sweeps were stacked, the other four before the thermodynamic limits were summed over the family stack.
 CORRELATE_SHA256 = {
     "I zz thermo": (("--which", "I", "--channel", "zz", "--g-sweep", "0.1", "3.0", "30", "--r-max", "12"),
-                    "a06752dd1ad085d89a64bd279187ec3f69d81009603f312ece658c0ab53e9d8a"),
+                    1 + 30 * 12, "a06752dd1ad085d89a64bd279187ec3f69d81009603f312ece658c0ab53e9d8a"),
     "II zz thermo": (("--which", "II", "--channel", "zz", "--g-sweep", "0.1", "3.0", "30", "--r-max", "12"),
-                     "416c3b31e3d9fee73376d26f51ade677d55cb680635494b3783db5cfae29d9ae"),
+                     1 + 30 * 12, "416c3b31e3d9fee73376d26f51ade677d55cb680635494b3783db5cfae29d9ae"),
     "II xx ring": (("--which", "II", "--channel", "xx", "--g-sweep", "0.1", "3.0", "30", "--mode", "ring",
                     "--n-sites", "40", "--r-max", "12"),
-                   "173da1a2a8c119a00043b978ee94ed6730b0c29f65955304afcf68c3d627ea11"),
+                   1 + 30 * 12, "173da1a2a8c119a00043b978ee94ed6730b0c29f65955304afcf68c3d627ea11"),
+    "I xx thermo": (("--which", "I", "--channel", "xx", "--g-sweep", "0.1", "3.0", "30", "--r-max", "12"),
+                    1 + 30 * 12, "752dea1ccc30817272aa7ef904e9b49681f6699ab03c5e48aed40a320747655c"),
+    "I sz2 thermo": (("--which", "I", "--channel", "sz2", "--g-sweep", "0.1", "3.0", "30"),
+                     1 + 30, "eec1612b36fbb50c7320dbae8a02496b2ffb26433ea8aa71e1dcf1e9471a581f"),
+    "I zz thermo json": (("--which", "I", "--channel", "zz", "--g-sweep", "0.1", "3.0", "30", "--r-max", "12",
+                          "--format", "json"),
+                         4 + 30 * 12 * 7, "23700369378062a78e8b244e08819e94873a6a59517b7dd24f4bb89c9d7e6574"),
+    "I zz thermo r-min 3": (("--which", "I", "--channel", "zz", "--g-sweep", "0.1", "3.0", "30", "--r-min", "3",
+                             "--r-max", "12"),
+                            1 + 30 * 10, "daaefb1f392c264fbab4faa138faeb4aab606bb0ffc43306f6b93c9ed35c5b14"),
 }
 
 
 @pytest.mark.parametrize("case", list(CORRELATE_SHA256))
 def test_correlate_sweeps_are_byte_stable(case, capsys):
-    argv, digest = CORRELATE_SHA256[case]
+    argv, n_lines, digest = CORRELATE_SHA256[case]
     assert run("correlate", *argv) == 0
     out = capsys.readouterr().out
-    assert len(out.splitlines()) == 1 + 30 * 12
+    assert len(out.splitlines()) == n_lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -266,13 +316,14 @@ def test_correlate_sweep_builds_one_spectrum_per_g(monkeypatch, capsys):
 
 
 def _fail_for(monkeypatch, name, g, error):
-    """Make linalg.<name> raise error for model I at g; eig_all and _projectors know the family by E and its eigenvalues."""
+    """Make linalg.<name> raise error for model I at g; eig_all knows the family by E, and _projectors, which
+    takes the eig_all results of a whole stack, by its eigenvalues among them."""
     e = mps.transfer(models.model_I(g)).matrix
     real = getattr(linalg, name)
     mark = e.tobytes() if name == "eig_all" else linalg.eig_all(e)[0].tobytes()
 
     def failing(arg, *args, **kwargs):
-        if (arg if name == "eig_all" else arg[0]).tobytes() == mark:
+        if mark in ([arg.tobytes()] if name == "eig_all" else [eig[0].tobytes() for eig in arg]):
             raise error
         return real(arg, *args, **kwargs)
 
@@ -451,6 +502,26 @@ def test_verify_reports_failure_with_exit_3(tmp_path, monkeypatch):
     assert code == cli.EXIT_VERIFY_FAILED
     doc = json.loads(out.read_text())
     assert doc["all_passed"] is False
+
+
+def test_verify_builds_the_model_ii_hamiltonian_once_and_one_formulas_stack(monkeypatch, capsys):
+    counts = {"model_II_hamiltonian": [], "_matrix_stack": []}
+    for module, name in ((models, "model_II_hamiltonian"), (mps, "_matrix_stack")):
+        real = getattr(module, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            counts[name].append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert run("verify", "--suite", "frustration") == 0
+    assert len(counts["model_II_hamiltonian"]) == 1  # one per g before
+    assert run("verify", "--suite", "formulas") == 0
+    # the five closed-form g values as one stack, then the g = 1 family of the fitted lengths
+    stacks = [fams for (fams,) in counts["_matrix_stack"]]
+    assert [fams.params["g"] if isinstance(fams, MpsFamily) else [f.params["g"] for f in fams] for fams in stacks] == [
+        [0.3, 0.7, 1.0, 1.5, 2.0], 1.0]
+    assert capsys.readouterr().err == ""
 
 
 #: sha256 of the `verify --suite <s>` report on stdout, at the default sizes and g values.

@@ -469,13 +469,15 @@ def test_thermo_corr_refuses_a_negative_zero_count(zeros, r, channel, monkeypatc
 def _dominant_projector_bracket(r, channel):
     # float reference: V, U, X1, X2 as 9 x 9 matrices and the even-N limit from the dominant projectors of V
     v = _V.astype(float)
-    limit = _EvenNLimit(linalg.dominant_projectors(v))
+    limit = _EvenNLimit([linalg.dominant_projectors(v)])
     vmid = np.linalg.matrix_power(v / np.sqrt(2), r - 2)
     if channel == "zz":
         u = _U.astype(float)
-        return limit.value(u @ vmid @ u / 2, r)
-    x1, x2 = _X1.astype(float), _X2.astype(float)
-    return limit.value((x2 @ vmid @ x1 + x1 @ vmid @ x2) / (2 * np.sqrt(2)), r - 1)
+        middle, extra_power = u @ vmid @ u / 2, r
+    else:
+        x1, x2 = _X1.astype(float), _X2.astype(float)
+        middle, extra_power = (x2 @ vmid @ x1 + x1 @ vmid @ x2) / (2 * np.sqrt(2)), r - 1
+    return limit.values(middle[None, None], [extra_power])[0][0]
 
 
 @pytest.mark.parametrize("channel", ["zz", "xx"])

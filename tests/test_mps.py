@@ -491,7 +491,7 @@ def test_two_point_sweep_equals_the_one_r_calls(name):
             assert v == spectrum.ring_two_point(obs1, obs2, r, n_sites) == ring_two_point(fam, obs1, obs2, r, n_sites)
             # the per-r expressions the correlators used before the sweep
             middle = d1 @ np.linalg.matrix_power(s, r - 1) @ d2
-            assert t == mps._EvenNLimit(spectrum.projectors).value(middle, r + 1)
+            assert t == mps._EvenNLimit([spectrum.projectors]).values(middle[None, None], [r + 1])[0][0]
             num = np.eye(s.shape[0], dtype=s.dtype) @ d1 @ np.linalg.matrix_power(s, r - 1)
             num = num @ d2 @ np.linalg.matrix_power(s, n_sites - r - 1)
             assert v == _real_or_raise(np.trace(num) / den, "ring")
