@@ -314,6 +314,9 @@ class _EvenNLimit:
             oscillates.append(
                 [[abs(s.imag) > 1e-8 or abs(abs(s) - 1.0) > 1e-8 or abs(s.real**2 - 1.0) > 1e-8] for s in phases]
             )
+        # per dtype: the rows of the middles to take, their families, the (G_k, T, 1, n, n) projectors, the
+        # (G_k, T, 1) signs (None: all +1), oscillating terms (None: none) and live terms (None: all), and
+        # the (G_k, 1) multiplicities
         self.buckets = []
         for rows, stack, signs, oscillates in by_dtype.values():
             live = None  # every term enters the sum
@@ -334,7 +337,7 @@ class _EvenNLimit:
                 slice(None) if len(rows) == len(projectors) else np.array(rows),
                 rows,
                 stack,
-                np.array(signs) if any([-1.0] in family for family in signs) else None,  # (G_k, T, 1); None: all +1
+                np.array(signs) if any([-1.0] in family for family in signs) else None,
                 np.array(oscillates) if any_oscillates else None,
                 live,
                 mult,
