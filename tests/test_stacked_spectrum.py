@@ -302,7 +302,7 @@ def _rotation(theta: float) -> list:
 ZERO2 = [[0.0, 0.0], [0.0, 0.0]]
 CYCLE3 = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
 #: Stacks of one shape whose families mix every case of the even-N tail: real and complex eigenvectors,
-#: degenerate dominant groups (multiplicity 2, 4 and 9), a sign-weighted -rho, oscillating complex phases,
+#: degenerate dominant groups (multiplicity 2, 3, 4 and 9), a sign-weighted -rho, oscillating complex phases,
 #: and one to three dominant groups per family.
 TAIL_STACKS = {
     "d3 D2": {
@@ -317,7 +317,7 @@ TAIL_STACKS = {
         "one group of 9": _family(1, [np.eye(3).tolist()]),
         "three 3-fold phases": _family(1, [CYCLE3]),
         "unique": _family(1, [[[0.5, 0.2, 0.0], [0.1, 0.9, 0.3], [0.0, 0.4, 0.2]]]),
-        "1, -1 and a cycle": _family(1, [[[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]]]),
+        "+rho and -rho, D = 3": _family(1, [[[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]]]),
     },
 }
 TAIL_OBS = {
@@ -443,8 +443,8 @@ def _joined(parts: np.ndarray) -> np.ndarray:
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), n=st.integers(1, 2), n_families=st.integers(1, 4), n_r=st.integers(1, 3))
 def test_limit_sums_equal_the_loop_on_adversarial_projectors_and_middles(data, n, n_families, n_r):
-    # signed zeros, infinities, NaN, a multiplicity of 3 and a coefficient at the oscillation threshold:
-    # every limit of the (G, T, R) sums is the per-family loop's, errors included
+    # signed zeros, infinities, NaN, multiplicities other than powers of 2 and a coefficient at the
+    # oscillation threshold: every limit of the (G, T, R) sums is the per-family loop's, errors included
     draw = data.draw
     complex_middles = draw(st.booleans())
     projectors = [_projector_family(draw, n, draw(st.booleans())) for _ in range(n_families)]
