@@ -541,6 +541,34 @@ def test_verify_stdout_is_byte_stable(suite, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_SHA256[suite]
 
 
+#: (exit code, sha256 of stdout, stderr) of verify runs off the defaults: odd rings, g values
+#: outside the default list and the largest rings the suites read in Tier-1 time.
+VERIFY_PATH_SHA256 = {
+    "frustration N=5, three g": (
+        ("verify", "--suite", "frustration", "--n-sites", "5", "--g", "0.1", "--g", "2.5", "--g", "3.3"),
+        cli.EXIT_OK, "82e7d2a1c4e74eea80fbf6de0ae822866c00bc0d7f1886dcf7f59709e697a17c", ""),
+    "frustration N=8": (
+        ("verify", "--suite", "frustration", "--n-sites", "8"),
+        cli.EXIT_OK, "120ea9158cf76cd63afbd1f7436c766f1d07ff070849b5883ef64668f14366c3", ""),
+    "genstate N=5": (
+        ("verify", "--suite", "genstate", "--n-sites", "5"),
+        cli.EXIT_USAGE, hashlib.sha256(b"").hexdigest(),
+        "error: n_sites must be even: on an even ring the balanced-word constraint kills every odd-zero sector\n"),
+    "genstate N=8": (
+        ("verify", "--suite", "genstate", "--n-sites", "8"),
+        cli.EXIT_OK, "187c1a4b399823992ea1dfcdb8be7f3b9a6057ee8b5f48f70cc78abfbdb307ca", ""),
+}
+
+
+@pytest.mark.parametrize("case", list(VERIFY_PATH_SHA256))
+def test_verify_paths_are_byte_stable(case, capsys):
+    argv, code, digest, err = VERIFY_PATH_SHA256[case]
+    assert run(*argv) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    assert captured.err == err
+
+
 def test_verify_report_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run("verify", "--suite", "appendixA", "--out", str(a))
