@@ -69,16 +69,27 @@ def null_space(m, tol: float = DEFAULT_NULL_TOL) -> list[np.ndarray]:
     tol times the largest singular value.  Returns an empty list for full
     column rank; for the zero matrix every direction is null.
     """
-    a = _as_matrix(m)
+    return _null_spaces(_as_matrix(m)[None], tol)[0][0]
+
+
+def _null_spaces(a: np.ndarray, tol: float) -> list[tuple[list[np.ndarray], float]]:
+    """(null_space basis, largest singular value) of each matrix of a (G, rows, cols) stack.
+
+    One stacked SVD: numpy's svd runs the same LAPACK call on each matrix of a
+    stack, so each basis is bit for bit the one of the matrix alone.
+    """
     if not math.isfinite(tol):
         # NaN or inf would call every direction null
         raise ValueError(f"tol must be finite, got {tol}")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     _, s, vh = np.linalg.svd(a)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * smax))
-    return [phase_fix(vh[i].conj()) for i in range(rank, a.shape[1])]
+    out = []
+    for s_k, vh_k in zip(s, vh):
+        smax = s_k[0] if s_k.size else 0.0
+        rank = int(np.sum(s_k > tol * smax))
+        out.append(([phase_fix(vh_k[i].conj()) for i in range(rank, a.shape[-1])], smax))
+    return out
 
 
 def eig_all(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from math import inf, isfinite, log, sqrt
 import numpy as np
 
 from . import ed, spin
-from .mps import MpsFamily, _word_columns
+from .mps import MpsFamily, _stacked_families, _word_columns
 from .parent import LocalHamiltonian, local_hamiltonian_from_vectors
 
 _LABELS = spin.LABELS
@@ -36,37 +36,37 @@ def _general_stack(g, h, c) -> np.ndarray:
     return mats
 
 
-def _family(mats: np.ndarray, params: dict[str, float]) -> MpsFamily:
-    a1, a0, am = mats
-    return MpsFamily(d=3, D=3, labels=_LABELS, matrices={"1": a1, "0": a0, "-1": am}, params=params)
+def _families(mats: np.ndarray, params) -> Iterator[MpsFamily]:
+    """The families of a (G, 3, 3, 3) stack from _general_stack, each with its params; checked once as a stack."""
+    return _stacked_families(_LABELS, mats, params)
 
 
 def general_family(g: float, h: float, c: float) -> MpsFamily:
     """The three-parameter spin-1 family with bond dimension 3."""
-    return _family(_general_stack(g, h, c), {"g": float(g), "h": float(h), "c": float(c)})
+    return next(_families(_general_stack([g], [h], [c]), [{"g": float(g), "h": float(h), "c": float(c)}]))
 
 
 def model_I(g: float) -> MpsFamily:
     """Model I: A_0 = g diag(1, sqrt(2), 1), c = 1."""
-    return _family(_general_stack(g, sqrt(2.0) * g, 1.0), {"g": float(g)})
+    return next(_families(_general_stack([g], [sqrt(2.0) * g], 1.0), [{"g": float(g)}]))
 
 
 def model_II(g: float) -> MpsFamily:
     """Model II: A_0 = g * identity, c = 1."""
-    return _family(_general_stack(g, g, 1.0), {"g": float(g)})
+    return next(_families(_general_stack([g], [g], 1.0), [{"g": float(g)}]))
 
 
 def model_families(which: str, g_values) -> Iterator[MpsFamily]:
     """model_I (which "I") or model_II (which "II") at each g of g_values, in order.
 
     One (G, 3, 3, 3) stack holds the matrices of them all, bit for bit those
-    model_I or model_II builds; each family is made, and validated, when the
-    iteration reaches it, so a refused g ends the iteration with its error.
+    model_I or model_II builds; it is checked once, and each family holds its
+    entry of the stack without a copy.  A refused g ends the iteration with its
+    error when the iteration reaches it.
     """
     gs = np.asarray(g_values, dtype=float)
     h = {"I": sqrt(2.0) * gs, "II": gs}[which]
-    for g, mats in zip(gs.tolist(), _general_stack(gs, h, 1.0)):
-        yield _family(mats, {"g": g})
+    yield from _families(_general_stack(gs, h, 1.0), [{"g": g} for g in gs.tolist()])
 
 
 def aklt_family() -> MpsFamily:

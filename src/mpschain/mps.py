@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product, takewhile
@@ -83,12 +83,23 @@ def _matrix_from_json(grid) -> np.ndarray:
     return m
 
 
-def _refuse_non_finite(matrices: dict[str, np.ndarray]) -> None:
+def _check_labels(d: int, labels) -> None:
+    if len(labels) != d:
+        raise ValueError(f"expected {d} labels, got {len(labels)}")
+    if len(set(labels)) != d:
+        raise ValueError("labels must be distinct")
+
+
+def _refuse_non_finite(matrices: dict[str, np.ndarray], top: float) -> None:
     """Refuse a non-finite matrix, naming its label, and a family whose transfer operator overflows.
 
-    E's largest entries are its sum_i |A_i[a,b]|^2, formed here as transfer forms them; by
-    Cauchy-Schwarz they bound every other entry.
+    top is the largest |entry| of the matrices.  E's entries are at most d top^2, so below 1e300
+    they lie far inside the float range and nothing needs a closer look.  Otherwise E's largest
+    entries are its sum_i |A_i[a,b]|^2, formed here as transfer forms them; by Cauchy-Schwarz
+    they bound every other entry.
     """
+    if top * top * len(matrices) < 1e300:
+        return
     for lab, m in matrices.items():
         if not np.isfinite(m).all():
             raise ValueError(f"matrix {lab!r} has a non-finite entry")
@@ -98,12 +109,21 @@ def _refuse_non_finite(matrices: dict[str, np.ndarray]) -> None:
         raise ValueError("transfer operator overflows: sum_i |A_i[a,b]|^2 lies beyond the float range")
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class MpsFamily(_JsonFile):
     """A labeled set of D x D auxiliary matrices plus named parameters.
 
     labels are ordered to match the one-site observable basis; matrices maps
-    each label to its auxiliary matrix.
+    each label to its auxiliary matrix.  The family holds one read-only
+    (d, D, D) stack of its matrices, in label order and in their common dtype
+    (matrix_stack), and each entry of matrices is a read-only view of it; a
+    matrix whose own dtype differs from the common one keeps a read-only copy
+    in its own dtype.  The constructor copies and checks its input once.
     """
 
     d: int
@@ -111,33 +131,42 @@ class MpsFamily(_JsonFile):
     labels: tuple[str, ...]
     matrices: dict[str, np.ndarray] = field(repr=False)
     params: dict[str, float] = field(default_factory=dict)
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.labels) != self.d:
-            raise ValueError(f"expected {self.d} labels, got {len(self.labels)}")
-        if len(set(self.labels)) != self.d:
-            raise ValueError("labels must be distinct")
+        _check_labels(self.d, self.labels)
         if set(self.matrices) != set(self.labels):
             raise ValueError("matrices must carry exactly the family labels")
-        frozen = {}
+        given = []
         for lab in self.labels:
             m = np.asarray(self.matrices[lab])
             if m.shape != (self.D, self.D):
                 raise ValueError(f"matrix {lab!r} has shape {m.shape}, expected {(self.D, self.D)}")
-            m = m.copy()
-            m.flags.writeable = False
-            frozen[lab] = m
-        # E's entries are at most d top^2: far inside the float range, nothing needs a closer look
-        top = float(np.abs(np.array(list(frozen.values()))).max(initial=0.0))
-        if not top * top * self.d < 1e300:
-            _refuse_non_finite(frozen)
+            given.append(m)
+        stack = _frozen(np.array(given))
+        matrices = {
+            lab: view if m.dtype == stack.dtype else _frozen(m.copy())
+            for lab, m, view in zip(self.labels, given, stack)
+        }
+        _refuse_non_finite(matrices, float(np.abs(stack).max(initial=0.0)))
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "matrices", frozen)
+        object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "_stack", stack)
 
     def matrix_stack(self) -> np.ndarray:
-        """The d auxiliary matrices as one (d, D, D) array, in label order."""
-        return np.array([self.matrices[lab] for lab in self.labels])
+        """The d auxiliary matrices as one read-only (d, D, D) array, in label order; no copy."""
+        return self._stack
+
+    @classmethod
+    def _of_stack(cls, labels: tuple[str, ...], stack: np.ndarray, matrices: dict, params: dict) -> "MpsFamily":
+        """The family of a checked, read-only (d, D, D) stack and its label -> view map, made without
+        the checks and the copy of __init__ (_stacked_families)."""
+        fam = object.__new__(cls)
+        for name, value in (("d", len(labels)), ("D", stack.shape[-1]), ("labels", labels), ("matrices", matrices),
+                            ("params", params), ("_stack", stack)):
+            object.__setattr__(fam, name, value)
+        return fam
 
     def to_json_dict(self) -> dict:
         """JSON-ready dict; a complex matrix stores each entry as an [re, im] pair."""
@@ -158,6 +187,22 @@ class MpsFamily(_JsonFile):
             matrices={lab: _matrix_from_json(grid) for lab, grid in doc["matrices"].items()},
             params={k: float(v) for k, v in doc.get("params", {}).items()},
         )
+
+
+def _stacked_families(labels: tuple[str, ...], mats: np.ndarray, params: Iterable[dict]) -> Iterator[MpsFamily]:
+    """One MpsFamily per (d, D, D) entry of a (G, d, D, D) stack, in order, with the params of each.
+
+    The stack is frozen in place and checked once, and each family holds its entry and views of
+    it, without a copy; so the caller hands over a stack that nothing else writes to.  A family
+    that MpsFamily would refuse ends the iteration with the same error when the iteration
+    reaches it.
+    """
+    _check_labels(mats.shape[-3], labels)
+    tops = np.abs(_frozen(mats)).max(axis=(-3, -2, -1), initial=0.0).tolist()
+    for stack, top, p in zip(mats, tops, params):
+        matrices = dict(zip(labels, stack))
+        _refuse_non_finite(matrices, top)
+        yield MpsFamily._of_stack(labels, stack, matrices, p)
 
 
 @dataclass(frozen=True)
@@ -818,23 +863,31 @@ def amplitudes(mps: MpsFamily, n_sites: int) -> dict[tuple[str, ...], complex]:
 
 
 def amplitudes_vector(mps: MpsFamily, n_sites: int) -> np.ndarray:
-    """The amplitude map as a d^N vector, site 1 the most significant digit.
+    """The amplitude map as a d^N vector, site 1 the most significant digit: _amplitudes of a stack of one.
+
+    Every amplitude is bit for bit the trace of the full word.
+    """
+    return _amplitudes(mps.matrix_stack()[None], n_sites)[0]
+
+
+def _amplitudes(mats: np.ndarray, n_sites: int) -> np.ndarray:
+    """The amplitude maps of a (G, d, D, D) stack of families as a (G, d^N) array, in the stack's dtype.
 
     The last site forms only the diagonal entries of the words, each as the full product
     forms it, and they are summed over the diagonal in the order np.trace adds a diagonal:
     one after another while it holds fewer than 8 floats (D < 8 real, D < 4 complex),
     pairwise from there, which numpy's sum does on a contiguous copy.  So every amplitude
-    is bit for bit the trace of the full word.
+    is bit for bit the trace of the full word, and each family's row is the one it has alone.
     """
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
-    d, big_d = mps.d, mps.D
+    n_fam, d, big_d = mats.shape[0], mats.shape[-3], mats.shape[-1]
     _check_cap(d, n_sites, "amplitude")
-    mats = mps.matrix_stack()
-    # the last site: x[b, a, 1, w] and A[i, b, a] as m[b, a, i, 1]; in C order a varies faster than b
-    # even when there is one word (d = 1), so numpy sums b in order, never pairwise
-    x = _reversed_words(mats, n_sites - 1, "amplitude").reshape(big_d, big_d, 1, -1).swapaxes(0, 1)
-    m = mats.transpose(1, 2, 0)[..., None]
+    # the last site: x[g, b, a, 1, w] and A[g, i, b, a] as m[g, b, a, i, 1]; in C order a varies faster
+    # than b even when there is one word (d = 1), so numpy sums b in order, never pairwise
+    words = _reversed_words(mats, n_sites - 1, "amplitude")  # the empty word (N = 1) has no family axis
+    x = np.broadcast_to(words, (n_fam, *words.shape[-2:])).reshape(n_fam, big_d, big_d, 1, -1).swapaxes(1, 2)
+    m = mats.transpose(0, 2, 3, 1)[..., None]
     if mats.dtype.kind == "c":
         m, swap = _split(m)
         x = np.stack([x.real, x.imag])
@@ -842,7 +895,7 @@ def amplitudes_vector(mps: MpsFamily, n_sites: int) -> np.ndarray:
         diagonal = _joined(np.add.reduce(products, axis=-4, initial=0), mats.dtype)
     else:
         diagonal = np.add.reduce(np.multiply(x, m, order="C"), axis=-4, initial=0)
-    terms = diagonal.reshape(big_d, -1).T
+    terms = diagonal.reshape(n_fam, big_d, -1).swapaxes(1, 2)
     if big_d * (2 if np.iscomplexobj(terms) else 1) >= 8:
         terms = np.ascontiguousarray(terms)
-    return terms.sum(axis=-1).take(_digit_reversal(d, n_sites))
+    return terms.sum(axis=-1).take(_digit_reversal(d, n_sites), axis=-1)

@@ -119,21 +119,37 @@ def _canonical_subspace_basis(vectors: list[np.ndarray], tol: float = 1e-9) -> l
 
 
 def ground_null_space(mps: MpsFamily, k: int, tol: float = linalg.DEFAULT_NULL_TOL) -> NullSpaceBasis:
-    """Orthonormal kernel basis of the k-site word matrix.
+    """Orthonormal kernel basis of the k-site word matrix: _ground_null_spaces of a stack of one.
 
     An empty basis is a regular result ("no nearest-neighbor parent
     Hamiltonian at this k"), not an exception.
     """
-    m = word_matrix(mps, k)
-    if not m.any():
-        raise InvalidModelError("every k-site word vanishes; the family is degenerate")
-    kernel = linalg.null_space(m, tol)
-    canon = _canonical_subspace_basis(kernel)
-    smax = np.linalg.svd(m, compute_uv=False)[0]
-    for v in canon:
-        if np.linalg.norm(m @ v) > 10 * tol * smax:
-            raise KernelRecheckError("kernel re-check failed; tolerance too loose for this family")
-    return NullSpaceBasis(k=k, vectors=tuple(canon), tol=tol)
+    return _ground_null_spaces([mps], k, tol)[0]
+
+
+def _ground_null_spaces(families, k: int, tol: float = linalg.DEFAULT_NULL_TOL) -> list[NullSpaceBasis]:
+    """ground_null_space of each of a sequence of families of one shape, from one stacked word-matrix SVD.
+
+    Each basis is bit for bit the family's own: the stacked SVD runs the same
+    LAPACK call on each word matrix, and the canonical basis is taken per family.
+    Each kernel vector is re-checked against the bound 10 tol smax, smax the
+    largest singular value of that SVD.  A stack raises the first degenerate
+    family's InvalidModelError before any SVD, then the first failed re-check.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    words = _word_columns(np.array([fam.matrix_stack() for fam in families]), k, "word-matrix")
+    for m in words:
+        if not m.any():
+            raise InvalidModelError("every k-site word vanishes; the family is degenerate")
+    bases = []
+    for m, (kernel, smax) in zip(words, linalg._null_spaces(words, tol)):
+        canon = _canonical_subspace_basis(kernel)
+        for v in canon:
+            if np.linalg.norm(m @ v) > 10 * tol * smax:
+                raise KernelRecheckError("kernel re-check failed; tolerance too loose for this family")
+        bases.append(NullSpaceBasis(k=k, vectors=tuple(canon), tol=tol))
+    return bases
 
 
 def local_hamiltonian(basis: NullSpaceBasis, couplings=None) -> LocalHamiltonian:
@@ -197,49 +213,72 @@ def _local_dim(size: int, k: int) -> int:
 
 
 def _rotate(x: np.ndarray, m: int, d: int) -> np.ndarray:
-    """The d^N vector x (any C-order shape) with its first m sites moved last: one 2-D transpose copy."""
-    return x.reshape(d**m, -1).T.copy()
+    """Each row of a (G, d^N) stack x (any C-order shape after G) with its first m sites moved last:
+    one stacked 2-D transpose copy."""
+    return x.reshape(x.shape[0], d**m, -1).swapaxes(1, 2).copy()
 
 
 def chain_apply(h: LocalHamiltonian, n_sites: int, state: np.ndarray) -> np.ndarray:
-    """Apply H = sum_l h_{l..l+k-1} (periodic windows) to a d^N vector, matrix-free.
+    """Apply H = sum_l h_{l..l+k-1} (periodic windows) to a d^N vector, matrix-free: _chain_apply of one state."""
+    return _chain_apply(h.matrix, h.k, n_sites, np.asarray(state)[None])[0]
 
-    The state stays flat and is read in a frame: its sites rotated so that
+
+def _chain_apply(matrix: np.ndarray, k: int, n_sites: int, states: np.ndarray) -> np.ndarray:
+    """H applied to each row of a (G, d^N) stack of states; matrix is one (d^k, d^k) local term for
+    every row, or a (G, d^k, d^k) stack with one per row.
+
+    The states stay flat and are read in a frame: their sites rotated so that
     chain site `lead` comes first.  The window at site l sits at frame
-    position s = l - lead and is the contiguous view (d^s, d^k, rest) of the
-    state; h acts on it from the left in one matmul (a plain 2-D product when
-    s = 0) and the product is added into the same view of the output.  When
-    s would pass (N - k) // 2, the state and the output are both rotated so
-    that window leads; the output is rotated back once at the end.  Windows
+    position s = l - lead and is the contiguous view (G, d^s, d^k, rest) of
+    the stack; the local term acts on it from the left in one stacked matmul,
+    which multiplies each row's (d^k, rest) blocks as the product for that row
+    alone does, and the product is added into the same view of the output.
+    When s would pass (N - k) // 2, the states and the output are both rotated
+    so that window leads; the output is rotated back once at the end.  Windows
     are added in the fixed order l = 0..N-1, so every entry sums its terms in
-    that order.  The input is never written to.
+    that order, and each row is bit for bit the one-state result.  The input
+    is never written to.
     """
-    k = h.k
     if n_sites < k:
         raise ValueError(f"n_sites must be >= k = {k}")
-    d = _local_dim(h.dim, k)
-    psi = np.asarray(state)
-    if psi.shape != (d**n_sites,):
-        raise ValueError(f"state must have length {d**n_sites}, got {psi.shape}")
-    out = np.zeros(psi.shape, dtype=np.result_type(psi, h.matrix))
+    d = _local_dim(matrix.shape[-1], k)
+    psi = states
+    if psi.shape[1:] != (d**n_sites,):
+        raise ValueError(f"state must have length {d**n_sites}, got {psi.shape[1:]}")
+    # a per-row term meets the window blocks through a length-one axis
+    term = matrix if matrix.ndim == 2 else matrix[:, None]
+    out = np.zeros(psi.shape, dtype=np.result_type(psi, matrix))
     lead = 0
     for site in range(n_sites):
         s = site - lead
         if s > (n_sites - k) // 2:
             psi, out = _rotate(psi, s, d), _rotate(out, s, d)
             lead, s = site, 0
-        shape = (d**k, -1) if s == 0 else (d**s, d**k, -1)
+        shape = (psi.shape[0], d**s, d**k, -1)
         view = out.reshape(shape)
-        view += np.matmul(h.matrix, psi.reshape(shape))
-    return _rotate(out, n_sites - lead, d).reshape(-1) if lead else out
+        view += np.matmul(term, psi.reshape(shape))
+    return _rotate(out, n_sites - lead, d).reshape(psi.shape[0], -1) if lead else out
 
 
 def chain_residual(h: LocalHamiltonian, n_sites: int, state: np.ndarray) -> float:
     """Residual ||H state|| / ||state|| of the periodic chain; zero means state is in the kernel."""
-    nrm = np.linalg.norm(state)
-    if nrm == 0.0:
+    return _chain_residuals(h.matrix, h.k, n_sites, np.asarray(state)[None])[0]
+
+
+def _chain_residuals(matrix: np.ndarray, k: int, n_sites: int, states: np.ndarray) -> list[float]:
+    """chain_residual of each row of a (G, d^N) stack of states, with one local term or one per row (_chain_apply).
+
+    Each norm is the 1-D np.linalg.norm of its row, as for one state (a norm along an axis
+    sums in another order).  A zero row raises DegenerateNormError, and the errors come in
+    row order, as the one-state calls meet them.
+    """
+    norms = [np.linalg.norm(psi) for psi in states]
+    if norms[:1] == [0.0]:
         raise DegenerateNormError("zero state has no chain residual")
-    return float(np.linalg.norm(chain_apply(h, n_sites, state)) / nrm)
+    applied = _chain_apply(matrix, k, n_sites, states)
+    if 0.0 in norms:
+        raise DegenerateNormError("zero state has no chain residual")
+    return [float(np.linalg.norm(h_psi) / nrm) for h_psi, nrm in zip(applied, norms)]
 
 
 def verify_zero_energy(mps: MpsFamily, h: LocalHamiltonian, n_sites: int) -> float:

@@ -32,8 +32,28 @@ class Check:
         return bool(self.value > self.tolerance if self.comparison == ">" else self.value <= self.tolerance)
 
 
+def _until_error(make, items) -> tuple[list, Exception | None]:
+    """[make(x) for x in items] up to the first item that raises, with that error (None if none does).
+
+    A suite makes its inputs item by item this way, runs one stacked call on those made, and
+    then raises the error: so it meets its errors in the order a loop over the items does.
+    """
+    made = []
+    for x in items:
+        try:
+            made.append(make(x))
+        except Exception as exc:  # re-raised by the caller after the stacked call on the items before it
+            return made, exc
+    return made, None
+
+
 def frustration_suite(n_sites: int, g_values) -> list[Check]:
-    """Zero-energy residuals of the model I, then the model II, chain on n_sites."""
+    """Zero-energy residuals of the model I, then the model II, chain on n_sites.
+
+    Each model takes one stacked amplitude map of its families and one stacked chain residual,
+    with the per-g model I Hamiltonians as one stack of local terms and the g-independent model II
+    Hamiltonian shared.
+    """
     checks = []
     # the model II Hamiltonian does not depend on g: one per suite, built when the model II checks start
     ii_hamiltonian = functools.cache(models.model_II_hamiltonian)
@@ -41,46 +61,74 @@ def frustration_suite(n_sites: int, g_values) -> list[Check]:
         ("I", models.model_I, models.model_I_hamiltonian),
         ("II", models.model_II, lambda g: ii_hamiltonian()),
     ):
-        for g in g_values:
-            res = parent.verify_zero_energy(builder(g), ham(g), n_sites)
-            checks.append(Check(f"model {which} g={g:g} N={n_sites} zero-energy residual", res, 1e-10))
+        made, error = _until_error(lambda g: (builder(g), ham(g)), g_values)
+        if made:
+            fams, hams = zip(*made)
+            shared = all(h is hams[0] for h in hams)
+            matrix = hams[0].matrix if shared else np.array([h.matrix for h in hams])
+            states = mps._amplitudes(mps._matrix_stack(fams), n_sites)
+            residuals = parent._chain_residuals(matrix, hams[0].k, n_sites, states)
+            checks += [Check(f"model {which} g={g:g} N={n_sites} zero-energy residual", res, 1e-10)
+                       for g, res in zip(g_values, residuals)]
+        if error is not None:
+            raise error
     return checks
 
 
 def closed_form_deviations(g: float) -> tuple[float, float, float]:
     """|closed form - transfer value| of model I <Sz^2>, <Sx^2> and G_par (adjacent zz) at g."""
-    return _closed_form_deviations([g])[0]
+    return _model_i_checks([g])[0][0]
 
 
-def _closed_form_deviations(g_values) -> list[tuple[float, float, float]]:
-    """closed_form_deviations at each g of g_values, the transfer values from one stacked spectrum."""
+#: The separations of the fitted correlation lengths.
+_FIT_RS = range(2, 13)
+
+
+def _model_i_checks(g_values) -> tuple[list[tuple[float, float, float]], tuple[float, float]]:
+    """closed_form_deviations at each g of g_values and the g = 1 fitted_correlation_lengths, from one
+    stacked spectrum of the model I families; g = 1 is added to the stack when g_values lacks it."""
+    g_values = list(g_values)
     closed = [models.closed_form_correlators_I(g) for g in g_values]
-    spectrum = mps.TransferSpectrum(list(models.model_families("I", g_values)))
+    fit_row = g_values.index(1.0) if 1.0 in g_values else len(g_values)
+    spectrum = mps.TransferSpectrum(list(models.model_families("I", g_values + [1.0] * (fit_row == len(g_values)))))
     sz2 = spectrum.thermo_one_point(spin.sz2())
     sx2 = spectrum.thermo_one_point(spin.sx2())
     g_par = spectrum.thermo_two_point(spin.sz(), spin.sz(), 1)
-    return [(abs(cf.sz2 - a), abs(cf.sx2 - b), abs(cf.g_par - c)) for cf, a, b, c in zip(closed, sz2, sx2, g_par)]
+    deviations = [(abs(cf.sz2 - a), abs(cf.sx2 - b), abs(cf.g_par - c)) for cf, a, b, c in zip(closed, sz2, sx2, g_par)]
+    return deviations, _fitted_lengths(spectrum, fit_row)
 
 
-def fitted_correlation_lengths(g: float) -> tuple[float, float]:
-    """Model I (xi_par, xi_perp) from log-linear fits of |zz| and |xx| over r = 2..12."""
-    spectrum = mps.TransferSpectrum(models.model_I(g))
-    rs = np.arange(2, 13)
+def _fitted_lengths(spectrum: mps.TransferSpectrum, row: int) -> tuple[float, float]:
+    """(xi_par, xi_perp) of family row of a stacked spectrum from log-linear fits of |zz| and |xx| over _FIT_RS."""
+    rs = np.arange(_FIT_RS.start, _FIT_RS.stop)
     xis = []
     for obs in (spin.sz(), spin.sx()):
-        corr = np.array(mps._raise_first(spectrum.two_point_sweep(obs, obs, rs.tolist())))
+        corr = np.array(mps._raise_first(spectrum.two_point_sweep(obs, obs, _FIT_RS)[row]))
         xis.append(-1.0 / np.polyfit(rs, np.log(np.abs(corr)), 1)[0])
     return xis[0], xis[1]
 
 
+def fitted_correlation_lengths(g: float) -> tuple[float, float]:
+    """Model I (xi_par, xi_perp) from log-linear fits of |zz| and |xx| over r = 2..12."""
+    return _fitted_lengths(mps.TransferSpectrum([models.model_I(g)]), 0)
+
+
+#: The (g, h, c) of the root families, whose two-site word matrix is singular.
+_ROOT_FAMILIES = ((1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 2**0.5, 1.0), (1.0, -(2**0.5), 1.0), (1.0, 2.0, 0.0))
+
+
 def formulas_suite(g_values) -> list[Check]:
-    """Model I closed forms and fitted lengths, the word-matrix determinant, the root-family kernels."""
+    """Model I closed forms and fitted lengths, the word-matrix determinant, the root-family kernels.
+
+    The closed-form deviations and the g = 1 fitted lengths come from one stacked spectrum, and
+    the root-family kernels from one stacked null space.
+    """
     checks = []
-    for g, (dev_sz2, dev_sx2, dev_gpar) in zip(g_values, _closed_form_deviations(g_values)):
+    deviations, (xi_par, xi_perp) = _model_i_checks(g_values)
+    for g, (dev_sz2, dev_sx2, dev_gpar) in zip(g_values, deviations):
         checks.append(Check(f"model I g={g:g} <Sz^2> closed vs transfer", dev_sz2, 1e-8))
         checks.append(Check(f"model I g={g:g} <Sx^2> closed vs transfer", dev_sx2, 1e-8))
         checks.append(Check(f"model I g={g:g} G_par vs adjacent zz", dev_gpar, 1e-8))
-    xi_par, xi_perp = fitted_correlation_lengths(1.0)
     cf1 = models.closed_form_correlators_I(1.0)
     checks.append(Check("model I g=1 fitted xi_par vs closed form", abs(xi_par - cf1.xi_par), 1e-3))
     checks.append(Check("model I g=1 fitted xi_perp vs closed form", abs(xi_perp - cf1.xi_perp), 1e-3))
@@ -91,10 +139,15 @@ def formulas_suite(g_values) -> list[Check]:
         closed = models.det_exact_form(g, h, c)
         worst = max(worst, abs(det - closed) / max(1.0, abs(closed)))
     checks.append(Check("det(word matrix) vs exact closed form, 100 samples", worst, 1e-9))
-    for g, h, c in ((1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 2**0.5, 1.0), (1.0, -(2**0.5), 1.0), (1.0, 2.0, 0.0)):
-        dim = parent.ground_null_space(models.general_family(g, h, c), 2).dim
-        checks.append(Check(f"kernel at root family (g={g:g},h={h:.4g},c={c:g})", float(dim), 0.5, ">"))
+    roots = parent._ground_null_spaces([models.general_family(g, h, c) for g, h, c in _ROOT_FAMILIES], 2)
+    for (g, h, c), basis in zip(_ROOT_FAMILIES, roots):
+        checks.append(Check(f"kernel at root family (g={g:g},h={h:.4g},c={c:g})", float(basis.dim), 0.5, ">"))
     return checks
+
+
+def _sectors(n_sites: int) -> list[genstate.PsiN]:
+    """The expanded psi_n of every even zero count n = 0, 2, ..., N, in order."""
+    return [genstate.psi_n_expand(n_sites, z) for z in range(0, n_sites + 1, 2)]
 
 
 def sector_agreement(n_sites: int) -> list[tuple[bool, float]]:
@@ -102,10 +155,15 @@ def sector_agreement(n_sites: int) -> list[tuple[bool, float]]:
 
     Both come from one expansion of psi_n; H is the model II chain.
     """
+    return _sector_agreement(n_sites, _sectors(n_sites))
+
+
+def _sector_agreement(n_sites: int, sectors: list[genstate.PsiN]) -> list[tuple[bool, float]]:
+    """sector_agreement of the expanded sectors, their residuals from one stacked chain residual."""
     h_ii = models.model_II_hamiltonian()
-    out = []
-    for z in range(0, n_sites + 1, 2):
-        psi = genstate.psi_n_expand(n_sites, z)
+    oks = []
+    for psi in sectors:
+        z = psi.zeros
         ok = genstate.psi_n_norm(n_sites, z) == psi.norm_sq()
         ok &= genstate.corr_sz2(n_sites, z) == genstate.expectation_sz2(psi)
         ok &= genstate.corr_sperp2(n_sites, z) == genstate.expectation_sperp2(psi)
@@ -113,32 +171,53 @@ def sector_agreement(n_sites: int) -> list[tuple[bool, float]]:
             ok &= genstate.corr_zz(n_sites, z, r) == genstate.expectation_zz(psi, r)
             ok &= genstate.corr_xx(n_sites, z, r) == genstate.expectation_xx(psi, r)
             ok &= genstate.corr_sz2sz2(n_sites, z) == genstate.expectation_sz2sz2(psi, r)
-        out.append((ok, parent.chain_residual(h_ii, n_sites, psi.vector())))
-    return out
+        oks.append(ok)
+    states = np.zeros((len(sectors), 3**n_sites))
+    for row, psi in zip(states, sectors):
+        row[psi.index] = psi.values
+    return list(zip(oks, parent._chain_residuals(h_ii.matrix, h_ii.k, n_sites, states)))
 
 
 def generating_identity_deviation(n_sites: int, g_values) -> float:
     """Largest |model II amplitude - g**zeros * trace| over every string and g; 0 means exact."""
-    sectors = [genstate.psi_n_expand(n_sites, z) for z in range(0, n_sites + 1, 2)]
-    worst = 0.0
-    for g in g_values:
+    return _generating_identity_deviation(n_sites, _sectors(n_sites), g_values)
+
+
+def _generating_identity_deviation(n_sites: int, sectors: list[genstate.PsiN], g_values) -> float:
+    """generating_identity_deviation of the expanded sectors, the amplitude maps from one stacked call."""
+
+    families = models.model_families("II", g_values)
+
+    def make(g):
         recon = np.zeros(3**n_sites)
         for psi in sectors:
             recon[psi.index] = (g**psi.zeros) * psi.values
-        amps = mps.amplitudes_vector(models.model_II(g), n_sites)
-        worst = max(worst, float(np.max(np.abs(amps - recon))))
+        return recon, next(families)
+
+    made, error = _until_error(make, g_values)
+    worst = 0.0
+    if made:
+        recons, fams = zip(*made)
+        for recon, amps in zip(recons, mps._amplitudes(mps._matrix_stack(fams), n_sites)):
+            worst = max(worst, float(np.max(np.abs(amps - recon))))
+    if error is not None:
+        raise error
     return worst
 
 
 def genstate_suite(n_sites: int) -> list[Check]:
-    """psi_n formulas vs oracle, chain annihilation, the generating identity, the thermodynamic laws."""
-    sectors = sector_agreement(n_sites)
+    """psi_n formulas vs oracle, chain annihilation, the generating identity, the thermodynamic laws.
+
+    Each psi_n sector is expanded once, for both the sector checks and the generating identity.
+    """
+    sectors = _sectors(n_sites)
+    agreement = _sector_agreement(n_sites, sectors)
     return [
         Check(f"N={n_sites} formula vs oracle exact agreement (0 = exact)",
-              max(0.0 if ok else 1.0 for ok, _ in sectors), 0.0),
-        Check(f"N={n_sites} every psi_n annihilated by the chain", max(0.0, *(res for _, res in sectors)), 1e-10),
+              max(0.0 if ok else 1.0 for ok, _ in agreement), 0.0),
+        Check(f"N={n_sites} every psi_n annihilated by the chain", max(0.0, *(res for _, res in agreement)), 1e-10),
         Check(f"N={n_sites} generating identity (exact for integer g)",
-              generating_identity_deviation(n_sites, (1.0, 2.0, 3.0)), 0.0),
+              _generating_identity_deviation(n_sites, sectors, (1.0, 2.0, 3.0)), 0.0),
         Check("thermo zz at r=2 equals -1/2", abs(genstate.thermo_corr(2, 2, "zz") + 0.5), 1e-12),
         Check("thermo zz at r=5 vanishes", abs(genstate.thermo_corr(2, 5, "zz")), 1e-12),
         Check("thermo xx vanishes", abs(genstate.thermo_corr(2, 3, "xx")), 1e-12),

@@ -514,13 +514,17 @@ def test_verify_builds_the_model_ii_hamiltonian_once_and_one_formulas_stack(monk
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    def stacked_g():
+        stacks = [fams for (fams,) in counts["_matrix_stack"]]
+        counts["_matrix_stack"].clear()
+        return [fams.params["g"] if isinstance(fams, MpsFamily) else [f.params["g"] for f in fams] for fams in stacks]
+
     assert run("verify", "--suite", "frustration") == 0
     assert len(counts["model_II_hamiltonian"]) == 1  # one per g before
+    assert stacked_g() == [[0.3, 0.7, 1.0, 1.5]] * 2  # one amplitude stack per model
     assert run("verify", "--suite", "formulas") == 0
-    # the five closed-form g values as one stack, then the g = 1 family of the fitted lengths
-    stacks = [fams for (fams,) in counts["_matrix_stack"]]
-    assert [fams.params["g"] if isinstance(fams, MpsFamily) else [f.params["g"] for f in fams] for fams in stacks] == [
-        [0.3, 0.7, 1.0, 1.5, 2.0], 1.0]
+    # the five closed-form g values as one stack, which also gives the g = 1 fitted lengths
+    assert stacked_g() == [[0.3, 0.7, 1.0, 1.5, 2.0]]
     assert capsys.readouterr().err == ""
 
 

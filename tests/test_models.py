@@ -19,9 +19,11 @@ def test_model_builders():
 
 @pytest.mark.parametrize("g", [0.0, 0.3, 1, 2.7])
 def test_models_are_built_once_with_the_general_matrices(g, monkeypatch):
+    # a family is made by MpsFamily's constructor or, from a checked stack, by MpsFamily._of_stack
     built = []
-    init = models.MpsFamily.__post_init__
+    init, of_stack = models.MpsFamily.__post_init__, models.MpsFamily._of_stack
     monkeypatch.setattr(models.MpsFamily, "__post_init__", lambda self: (built.append(1), init(self)))
+    monkeypatch.setattr(models.MpsFamily, "_of_stack", lambda *args: (built.append(1), of_stack(*args))[1])
     for model, h in ((models.model_I, sqrt(2.0) * g), (models.model_II, g)):
         built.clear()
         fam = model(g)
