@@ -27,8 +27,8 @@ _LABELS = spin.LABELS
 
 def _general_stack(g, h, c) -> np.ndarray:
     """The (..., 3, 3, 3) stack of the family's A_1, A_0, A_-1, broadcast over arrays of g, h and c."""
-    g, h, c = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (g, h, c)))
-    mats = np.zeros(g.shape + (3, 3, 3))
+    g, h, c = (np.asarray(x, dtype=float) for x in (g, h, c))
+    mats = np.zeros(np.broadcast(g, h, c).shape + (3, 3, 3))
     mats[..., 0, 0, 1] = mats[..., 0, 1, 2] = 1.0
     mats[..., 1, 0, 0] = mats[..., 1, 2, 2] = g
     mats[..., 1, 1, 1] = h

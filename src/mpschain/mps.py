@@ -886,7 +886,7 @@ def _amplitudes(mats: np.ndarray, n_sites: int) -> np.ndarray:
     # the last site: x[g, b, a, 1, w] and A[g, i, b, a] as m[g, b, a, i, 1]; in C order a varies faster
     # than b even when there is one word (d = 1), so numpy sums b in order, never pairwise
     words = _reversed_words(mats, n_sites - 1, "amplitude")  # the empty word (N = 1) has no family axis
-    x = np.broadcast_to(words, (n_fam, *words.shape[-2:])).reshape(n_fam, big_d, big_d, 1, -1).swapaxes(1, 2)
+    x = words.reshape(-1, big_d, big_d, 1, words.shape[-1]).swapaxes(1, 2)
     m = mats.transpose(0, 2, 3, 1)[..., None]
     if mats.dtype.kind == "c":
         m, swap = _split(m)

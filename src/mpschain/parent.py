@@ -242,9 +242,9 @@ def _chain_apply(matrix: np.ndarray, k: int, n_sites: int, states: np.ndarray) -
     if n_sites < k:
         raise ValueError(f"n_sites must be >= k = {k}")
     d = _local_dim(matrix.shape[-1], k)
+    if states.shape[1:] != (d**n_sites,):
+        raise ValueError(f"state must have length {d**n_sites}, got {states.shape[1:]}")
     psi = states
-    if psi.shape[1:] != (d**n_sites,):
-        raise ValueError(f"state must have length {d**n_sites}, got {psi.shape[1:]}")
     # a per-row term meets the window blocks through a length-one axis
     term = matrix if matrix.ndim == 2 else matrix[:, None]
     out = np.zeros(psi.shape, dtype=np.result_type(psi, matrix))
@@ -261,7 +261,10 @@ def _chain_apply(matrix: np.ndarray, k: int, n_sites: int, states: np.ndarray) -
 
 
 def chain_residual(h: LocalHamiltonian, n_sites: int, state: np.ndarray) -> float:
-    """Residual ||H state|| / ||state|| of the periodic chain; zero means state is in the kernel."""
+    """Residual ||H state|| / ||state|| of the periodic chain; zero means state is in the kernel.
+
+    The one-state call of _chain_residuals.
+    """
     return _chain_residuals(h.matrix, h.k, n_sites, np.asarray(state)[None])[0]
 
 
@@ -282,5 +285,6 @@ def _chain_residuals(matrix: np.ndarray, k: int, n_sites: int, states: np.ndarra
 
 
 def verify_zero_energy(mps: MpsFamily, h: LocalHamiltonian, n_sites: int) -> float:
-    """Chain residual ||H psi|| / ||psi|| with psi from the brute-force amplitude map."""
+    """Chain residual ||H psi|| / ||psi|| with psi from the brute-force amplitude map: the one-family
+    call of mps._amplitudes and _chain_residuals, which verify's frustration suite runs on a stack."""
     return chain_residual(h, n_sites, amplitudes_vector(mps, n_sites))

@@ -77,40 +77,36 @@ def frustration_suite(n_sites: int, g_values) -> list[Check]:
 
 def closed_form_deviations(g: float) -> tuple[float, float, float]:
     """|closed form - transfer value| of model I <Sz^2>, <Sx^2> and G_par (adjacent zz) at g."""
-    return _model_i_checks([g])[0][0]
+    closed = models.closed_form_correlators_I(g)
+    return _closed_form_deviations([closed], mps.TransferSpectrum(list(models.model_families("I", [g]))))[0]
+
+
+def _closed_form_deviations(closed, spectrum: mps.TransferSpectrum) -> list[tuple[float, float, float]]:
+    """closed_form_deviations of each model I closed form of closed against the family of its row
+    of a stacked model I spectrum; rows past the last closed form are left out."""
+    sz2 = spectrum.thermo_one_point(spin.sz2())
+    sx2 = spectrum.thermo_one_point(spin.sx2())
+    g_par = spectrum.thermo_two_point(spin.sz(), spin.sz(), 1)
+    return [(abs(cf.sz2 - a), abs(cf.sx2 - b), abs(cf.g_par - c)) for cf, a, b, c in zip(closed, sz2, sx2, g_par)]
 
 
 #: The separations of the fitted correlation lengths.
 _FIT_RS = range(2, 13)
 
 
-def _model_i_checks(g_values) -> tuple[list[tuple[float, float, float]], tuple[float, float]]:
-    """closed_form_deviations at each g of g_values and the g = 1 fitted_correlation_lengths, from one
-    stacked spectrum of the model I families; g = 1 is added to the stack when g_values lacks it."""
-    g_values = list(g_values)
-    closed = [models.closed_form_correlators_I(g) for g in g_values]
-    fit_row = g_values.index(1.0) if 1.0 in g_values else len(g_values)
-    spectrum = mps.TransferSpectrum(list(models.model_families("I", g_values + [1.0] * (fit_row == len(g_values)))))
-    sz2 = spectrum.thermo_one_point(spin.sz2())
-    sx2 = spectrum.thermo_one_point(spin.sx2())
-    g_par = spectrum.thermo_two_point(spin.sz(), spin.sz(), 1)
-    deviations = [(abs(cf.sz2 - a), abs(cf.sx2 - b), abs(cf.g_par - c)) for cf, a, b, c in zip(closed, sz2, sx2, g_par)]
-    return deviations, _fitted_lengths(spectrum, fit_row)
+def fitted_correlation_lengths(g: float) -> tuple[float, float]:
+    """Model I (xi_par, xi_perp) from log-linear fits of |zz| and |xx| over r = 2..12."""
+    return _fitted_lengths(mps.TransferSpectrum([models.model_I(g)]), 0)
 
 
 def _fitted_lengths(spectrum: mps.TransferSpectrum, row: int) -> tuple[float, float]:
-    """(xi_par, xi_perp) of family row of a stacked spectrum from log-linear fits of |zz| and |xx| over _FIT_RS."""
+    """fitted_correlation_lengths of the family of row of a stacked spectrum."""
     rs = np.arange(_FIT_RS.start, _FIT_RS.stop)
     xis = []
     for obs in (spin.sz(), spin.sx()):
         corr = np.array(mps._raise_first(spectrum.two_point_sweep(obs, obs, _FIT_RS)[row]))
         xis.append(-1.0 / np.polyfit(rs, np.log(np.abs(corr)), 1)[0])
     return xis[0], xis[1]
-
-
-def fitted_correlation_lengths(g: float) -> tuple[float, float]:
-    """Model I (xi_par, xi_perp) from log-linear fits of |zz| and |xx| over r = 2..12."""
-    return _fitted_lengths(mps.TransferSpectrum([models.model_I(g)]), 0)
 
 
 #: The (g, h, c) of the root families, whose two-site word matrix is singular.
@@ -124,7 +120,12 @@ def formulas_suite(g_values) -> list[Check]:
     the root-family kernels from one stacked null space.
     """
     checks = []
-    deviations, (xi_par, xi_perp) = _model_i_checks(g_values)
+    g_values = list(g_values)
+    closed_forms = [models.closed_form_correlators_I(g) for g in g_values]
+    fit_row = g_values.index(1.0) if 1.0 in g_values else len(g_values)
+    spectrum = mps.TransferSpectrum(list(models.model_families("I", g_values + [1.0] * (fit_row == len(g_values)))))
+    deviations = _closed_form_deviations(closed_forms, spectrum)
+    xi_par, xi_perp = _fitted_lengths(spectrum, fit_row)
     for g, (dev_sz2, dev_sx2, dev_gpar) in zip(g_values, deviations):
         checks.append(Check(f"model I g={g:g} <Sz^2> closed vs transfer", dev_sz2, 1e-8))
         checks.append(Check(f"model I g={g:g} <Sx^2> closed vs transfer", dev_sx2, 1e-8))

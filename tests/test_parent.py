@@ -77,7 +77,8 @@ def test_failed_kernel_recheck_is_named(monkeypatch):
     # the word (1, 1) = A_1 A_1 is nonzero, so e_0 is no kernel vector of the word matrix
     # the kernels and their smax come from linalg._null_spaces, one stacked SVD; keep the true smax
     real = linalg._null_spaces
-    monkeypatch.setattr(linalg, "_null_spaces", lambda a, tol: [([np.eye(a.shape[-1])[0]], smax) for _, smax in real(a, tol)])
+    monkeypatch.setattr(linalg, "_null_spaces",
+                        lambda a, tol: [([np.eye(a.shape[-1])[0]], smax) for _, smax in real(a, tol)])
     with pytest.raises(mpschain.KernelRecheckError, match="kernel re-check failed") as err:
         ground_null_space(models.model_II(1.0), 2)
     assert isinstance(err.value, ArithmeticError)

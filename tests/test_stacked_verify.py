@@ -347,7 +347,8 @@ def test_a_matrix_of_another_dtype_keeps_its_own():
 
 _CLI_RUNS = {
     "verify all": ("verify", "--suite", "all"),
-    "correlate 30 g": ("correlate", "--which", "I", "--channel", "zz", "--g-sweep", "0.1", "3.0", "30", "--r-max", "12"),
+    "correlate 30 g": ("correlate", "--which", "I", "--channel", "zz", "--g-sweep", "0.1", "3.0", "30",
+                       "--r-max", "12"),
 }
 
 
