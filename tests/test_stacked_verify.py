@@ -247,7 +247,7 @@ def test_null_space_of_one_matrix_is_the_stack_of_one():
         got = linalg.null_space(m)
         assert len(got) == len(want) and all(_same(a, b) for a, b in zip(got, want))
     # the re-check bound comes from the kernel's own SVD
-    (kernel, smax), = linalg._null_spaces(m[None], 1e-10)
+    (_, smax), = linalg._null_spaces(m[None], 1e-10)
     assert smax == np.linalg.svd(m)[1][0]
 
 
