@@ -256,12 +256,16 @@ _FORMULAS_G = (0.3, 0.7, 1.0, 1.5, 2.0)
 
 
 def _cmd_verify(args) -> int:
+    def n_sites(default: int) -> int:
+        # an explicit --n-sites 0 reaches the suite, which refuses it
+        return default if args.n_sites is None else args.n_sites
+
     run = {
-        "frustration": lambda: verify.frustration_suite(args.n_sites or 6, args.g or _FRUSTRATION_G),
+        "frustration": lambda: verify.frustration_suite(n_sites(6), args.g or _FRUSTRATION_G),
         "formulas": lambda: verify.formulas_suite(_FORMULAS_G),
-        "genstate": lambda: verify.genstate_suite(args.n_sites or 6),
+        "genstate": lambda: verify.genstate_suite(n_sites(6)),
         "symmetry": verify.symmetry_suite,
-        "appendixA": lambda: verify.appendix_a_suite(args.n_sites or 4),
+        "appendixA": lambda: verify.appendix_a_suite(n_sites(4)),
     }
     results = {name: run[name]() for name in (verify.SUITES if args.suite == "all" else [args.suite])}
     all_passed = all(c.passed for checks in results.values() for c in checks)

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -285,52 +285,86 @@ def corr_xx(n_sites: int, zeros: int, r: int) -> Fraction:
 # Brute-force expectation values on explicit psi_n states (the oracle side)
 
 
-def _spins(psi: PsiN, s: int) -> np.ndarray:
-    """The m value at site s + 1 of every stored string."""
-    return 1 - (psi.index // 3 ** (psi.n_sites - 1 - s)) % 3
+def _expectations(psi: PsiN, channels, rs=()) -> dict:
+    """Brute-force expectation values of psi in the named channels, exact.
+
+    "norm" gives <psi|psi> as an int, "sz2" and "sperp2" give <S_z^2> and
+    <S_x^2> at site 1 as Fractions, and the two-point channels "zz", "xx" and
+    "sz2sz2" give a list with the Fraction at sites 1 and r for each r of rs,
+    in the order of rs.  One pass over the stored strings: the m values of
+    site 1 and of every site r are read once, and zz and sz2sz2 are one
+    integer product each over all the separations.  The S_x^2 cross terms
+    unbalance the string and drop out of sperp2.
+
+    S_x|m> is (1/sqrt2) times |0> for m = +-1 and |1> + |-1> for m = 0, so
+    moving the digit 1 - m of a site by s = +-1 is such a move exactly when
+    m is not -s.  xx gathers the targets index + s1 3^(N-1) + sr 3^(N-r) of
+    every sign pair and separation at once from a dense int64 table of the
+    amplitudes; a move off the ladder reads the table's trailing zero.
+    """
+    n_sites = psi.n_sites
+    for r in rs:
+        _check_r(n_sites, r)
+    top = 3 ** (n_sites - 1)
+    m1 = 1 - psi.index // top  # site 1 is the most significant digit
+    if len(rs):
+        r_place = np.array([3 ** (n_sites - r) for r in rs], dtype=np.int64)[:, None]
+        q = psi.index // r_place  # one row per separation
+        mr = q // 3  # mr = 1 - q % 3, formed in place: numpy takes ~3x longer for an int64 %
+        mr *= 3
+        mr -= q
+        mr += 1
+    else:  # the one-point channels read site 1 alone
+        r_place, mr = np.empty((0, 1), dtype=np.int64), np.empty((0, psi.index.size), dtype=np.int64)
+    w2 = psi.values * psi.values
+    norm = psi.norm_sq()
+    out = {}
+    for ch in channels:
+        if ch == "zz":
+            out[ch] = [Fraction(x, norm) for x in np.dot(mr, w2 * m1).tolist()]
+        elif ch == "xx":
+            table = np.zeros(3**n_sites + 1, dtype=np.int64)
+            table[psi.index] = psi.values
+            s = np.array([1, -1])
+            # axes: s1, sr, separation, string
+            moved = (m1 != -s[:, None])[:, None, None] & (mr != -s[:, None, None])
+            shift = s[:, None, None, None] * top + s[:, None, None] * r_place
+            target = np.where(moved, psi.index + shift, 3**n_sites)
+            num = (table[target] @ psi.values).sum(axis=(0, 1))
+            out[ch] = [Fraction(x, 2 * norm) for x in num.tolist()]
+        elif ch == "sz2sz2":
+            out[ch] = [Fraction(x, norm) for x in np.dot(mr * mr, w2 * m1 * m1).tolist()]
+        elif ch == "norm":
+            out[ch] = norm
+        elif ch == "sz2":
+            out[ch] = Fraction(int(w2 @ (m1 * m1)), norm)
+        elif ch == "sperp2":
+            out[ch] = Fraction(int(w2 @ (2 - m1 * m1)), 2 * norm)
+        else:
+            raise ValueError(f"unknown channel {ch!r}")
+    return out
 
 
 def expectation_sz2(psi: PsiN) -> Fraction:
-    m = _spins(psi, 0)
-    return Fraction(int((psi.values * psi.values) @ (m * m)), psi.norm_sq())
+    return _expectations(psi, ("sz2",))["sz2"]
 
 
 def expectation_sperp2(psi: PsiN) -> Fraction:
     """<S_x^2> at site 1; the S_x^2 cross terms unbalance the string and drop."""
-    m = _spins(psi, 0)
-    return Fraction(int((psi.values * psi.values) @ (2 - m * m)), 2 * psi.norm_sq())
+    return _expectations(psi, ("sperp2",))["sperp2"]
 
 
 def expectation_sz2sz2(psi: PsiN, r: int) -> Fraction:
-    _check_r(psi.n_sites, r)
-    m1, mr = _spins(psi, 0), _spins(psi, r - 1)
-    return Fraction(int((psi.values * psi.values) @ (m1 * m1 * mr * mr)), psi.norm_sq())
+    return _expectations(psi, ("sz2sz2",), [r])["sz2sz2"][0]
 
 
 def expectation_zz(psi: PsiN, r: int) -> Fraction:
-    _check_r(psi.n_sites, r)
-    return Fraction(int((psi.values * psi.values) @ (_spins(psi, 0) * _spins(psi, r - 1))), psi.norm_sq())
+    return _expectations(psi, ("zz",), [r])["zz"][0]
 
 
 def expectation_xx(psi: PsiN, r: int) -> Fraction:
-    """<S_x,1 S_x,r> evaluated directly on the stored strings, exact.
-
-    S_x|m> is (1/sqrt2) times |0> for m = +-1 and |1> + |-1> for m = 0.  Moving
-    the digit 1 - m of a site by s = +-1 is such a move exactly when m is 0 or
-    s, so each S_x target is index + s1 3^(N-1) + sr 3^(N-r), looked up in a
-    dense table of the amplitudes.
-    """
-    _check_r(psi.n_sites, r)
-    n_sites = psi.n_sites
-    table = np.zeros(3**n_sites, dtype=np.int64)
-    table[psi.index] = psi.values
-    m1, mr = _spins(psi, 0), _spins(psi, r - 1)
-    num = 0
-    for s1, sr in product((1, -1), repeat=2):
-        moved = ((m1 == 0) | (m1 == s1)) & ((mr == 0) | (mr == sr))
-        target = psi.index[moved] + s1 * 3 ** (n_sites - 1) + sr * 3 ** (n_sites - r)
-        num += int(psi.values[moved] @ table[target])
-    return Fraction(num, 2 * psi.norm_sq())
+    """<S_x,1 S_x,r> evaluated directly on the stored strings, exact (see _expectations)."""
+    return _expectations(psi, ("xx",), [r])["xx"][0]
 
 
 # ---------------------------------------------------------------------------

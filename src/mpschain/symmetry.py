@@ -90,23 +90,16 @@ def find_intertwiner(
         raise ValueError("target must carry exactly the family labels")
     D = mps.D
     eye = np.eye(D)
-    blocks = []
-    for lab in mps.labels:
-        a = mps.matrices[lab]
-        b = np.asarray(target[lab])
-        # vec(X A - B X) with row-major vec: (I (x) A^T - B (x) I) vec(X)
-        blocks.append(np.kron(eye, a.T) - np.kron(b, eye))
-    kernel = linalg.null_space(np.vstack(blocks), tol)
+    a_t = np.array([mps.matrices[lab].T for lab in mps.labels])
+    b = np.array([np.asarray(target[lab]) for lab in mps.labels])
+    # vec(X A - B X) with row-major vec: (I (x) A^T - B (x) I) vec(X), one block per label; each
+    # Kronecker product holds the entry products np.kron forms, on axes (label, i, k, j, l)
+    system = eye[:, None, :, None] * a_t[:, None, :, None, :] - b[:, :, None, :, None] * eye[:, None, :]
+    kernel = linalg.null_space(system.reshape(-1, D * D), tol)
     if not kernel:
         return IntertwinerResult(found=False, diagnosis="no solution: the intertwiner system has full rank")
-    candidates = [v.reshape(D, D) for v in kernel]
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        w = rng.standard_normal(len(kernel))
-        mix = sum(c * v for c, v in zip(w, kernel))
-        candidates.append((mix / np.linalg.norm(mix)).reshape(D, D))
     best_noninv = None
-    for x in candidates:
+    for x in _candidates(kernel, D):
         cond = np.linalg.cond(x)
         res = max(_fro(x @ mps.matrices[lab] - np.asarray(target[lab]) @ x) for lab in mps.labels)
         if cond < 1e8:
@@ -120,6 +113,21 @@ def find_intertwiner(
                 diagnosis="non-invertible commutant: every solution is singular",
             )
     return best_noninv
+
+
+def _candidates(kernel: list[np.ndarray], D: int):
+    """The kernel vectors as D x D matrices, then 20 normalized random mixes of them.
+
+    The mixes come from one default_rng(7) stream and are drawn only once the
+    search reaches them: most searches stop at a kernel vector.
+    """
+    for v in kernel:
+        yield v.reshape(D, D)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        w = rng.standard_normal(len(kernel))
+        mix = sum(c * v for c, v in zip(w, kernel))
+        yield (mix / np.linalg.norm(mix)).reshape(D, D)
 
 
 def spherical_tensor_residual(mps: MpsFamily, bond_rep) -> float:

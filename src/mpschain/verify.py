@@ -8,6 +8,7 @@ builder such as `models.model_I_hamiltonian` reaches every suite.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,26 @@ def _fitted_lengths(spectrum: mps.TransferSpectrum, row: int) -> tuple[float, fl
 _ROOT_FAMILIES = ((1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 2**0.5, 1.0), (1.0, -(2**0.5), 1.0), (1.0, 2.0, 0.0))
 
 
+def _det_exact_forms(g: np.ndarray, h: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """models.det_exact_form at each entry of three float64 arrays, bit for bit its value on the entries.
+
+    On float64 scalars each ** is one libm pow, so the square and c**6 stay one math.pow per
+    entry: numpy's array ** squares by a product and can round c**6 differently.  Every other
+    step rounds the same on arrays as on scalars.
+    """
+    square = np.array([math.pow(x, 2) for x in (g * g - h * h).tolist()])
+    return square * (2 * g * g - h * h) * np.array([math.pow(x, 6) for x in c.tolist()])
+
+
+def _det_deviation(samples: np.ndarray) -> float:
+    """Largest |det(word matrix) - det_exact_form| / max(1, |det_exact_form|) over the (g, h, c) rows
+    of samples, from one stacked determinant and the closed forms as arrays."""
+    g, h, c = samples.T
+    closed = _det_exact_forms(g, h, c)
+    deviation = np.abs(models.det_word_matrix(g, h, c) - closed) / np.maximum(1.0, np.abs(closed))
+    return float(np.max(deviation, initial=0.0))
+
+
 def formulas_suite(g_values) -> list[Check]:
     """Model I closed forms and fitted lengths, the word-matrix determinant, the root-family kernels.
 
@@ -134,12 +155,7 @@ def formulas_suite(g_values) -> list[Check]:
     checks.append(Check("model I g=1 fitted xi_par vs closed form", abs(xi_par - cf1.xi_par), 1e-3))
     checks.append(Check("model I g=1 fitted xi_perp vs closed form", abs(xi_perp - cf1.xi_perp), 1e-3))
     samples = np.random.default_rng(42).uniform(-2.0, 2.0, (100, 3))
-    worst = 0.0
-    # one stacked determinant; the closed form stays per sample, on the same float64 scalars
-    for (g, h, c), det in zip(samples, models.det_word_matrix(*samples.T)):
-        closed = models.det_exact_form(g, h, c)
-        worst = max(worst, abs(det - closed) / max(1.0, abs(closed)))
-    checks.append(Check("det(word matrix) vs exact closed form, 100 samples", worst, 1e-9))
+    checks.append(Check("det(word matrix) vs exact closed form, 100 samples", _det_deviation(samples), 1e-9))
     roots = parent._ground_null_spaces([models.general_family(g, h, c) for g, h, c in _ROOT_FAMILIES], 2)
     for (g, h, c), basis in zip(_ROOT_FAMILIES, roots):
         checks.append(Check(f"kernel at root family (g={g:g},h={h:.4g},c={c:g})", float(basis.dim), 0.5, ">"))
@@ -160,19 +176,22 @@ def sector_agreement(n_sites: int) -> list[tuple[bool, float]]:
 
 
 def _sector_agreement(n_sites: int, sectors: list[genstate.PsiN]) -> list[tuple[bool, float]]:
-    """sector_agreement of the expanded sectors, their residuals from one stacked chain residual."""
+    """sector_agreement of the expanded sectors: each sector's oracle values at every separation
+    from one pass over its strings, the residuals from one stacked chain residual."""
     h_ii = models.model_II_hamiltonian()
+    rs = range(2, n_sites)
     oks = []
     for psi in sectors:
         z = psi.zeros
-        ok = genstate.psi_n_norm(n_sites, z) == psi.norm_sq()
-        ok &= genstate.corr_sz2(n_sites, z) == genstate.expectation_sz2(psi)
-        ok &= genstate.corr_sperp2(n_sites, z) == genstate.expectation_sperp2(psi)
-        for r in range(2, n_sites):
-            ok &= genstate.corr_zz(n_sites, z, r) == genstate.expectation_zz(psi, r)
-            ok &= genstate.corr_xx(n_sites, z, r) == genstate.expectation_xx(psi, r)
-            ok &= genstate.corr_sz2sz2(n_sites, z) == genstate.expectation_sz2sz2(psi, r)
-        oks.append(ok)
+        oracle = genstate._expectations(psi, ("norm", "sz2", "sperp2", "zz", "xx", "sz2sz2"), rs)
+        oks.append(
+            genstate.psi_n_norm(n_sites, z) == oracle["norm"]
+            and genstate.corr_sz2(n_sites, z) == oracle["sz2"]
+            and genstate.corr_sperp2(n_sites, z) == oracle["sperp2"]
+            and [genstate.corr_zz(n_sites, z, r) for r in rs] == oracle["zz"]
+            and [genstate.corr_xx(n_sites, z, r) for r in rs] == oracle["xx"]
+            and oracle["sz2sz2"] == [genstate.corr_sz2sz2(n_sites, z)] * len(rs)
+        )
     states = np.zeros((len(sectors), 3**n_sites))
     for row, psi in zip(states, sectors):
         row[psi.index] = psi.values

@@ -573,6 +573,20 @@ def test_verify_paths_are_byte_stable(case, capsys):
     assert captured.err == err
 
 
+@pytest.mark.parametrize("suite, err", [
+    ("genstate", "n_sites must be at least 2, got 0"),
+    ("frustration", "n_sites must be >= 1"),
+    ("appendixA", "chain shorter than the local term's support"),
+    ("all", "n_sites must be >= 1"),
+])
+def test_verify_n_sites_zero_reaches_the_suites_refusal(suite, err, capsys):
+    # 0 is a ring size the suite refuses, not a request for the default size
+    assert run("verify", "--suite", suite, "--n-sites", "0") == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 def test_verify_report_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run("verify", "--suite", "appendixA", "--out", str(a))
