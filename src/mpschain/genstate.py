@@ -288,10 +288,9 @@ def corr_xx(n_sites: int, zeros: int, r: int) -> Fraction:
 def _expectations(psi: PsiN, channels, rs=()) -> dict:
     """Brute-force expectation values of psi in the named channels, exact.
 
-    "norm" gives <psi|psi> as an int, "sz2" and "sperp2" give <S_z^2> and
-    <S_x^2> at site 1 as Fractions, and the two-point channels "zz", "xx" and
-    "sz2sz2" give a list with the Fraction at sites 1 and r for each r of rs,
-    in the order of rs.  One pass over the stored strings: the m values of
+    "sz2" and "sperp2" give <S_z^2> and <S_x^2> at site 1 as Fractions, and
+    the two-point channels "zz", "xx" and "sz2sz2" give a list with the
+    Fraction at sites 1 and r for each r of rs, in the order of rs.  One pass over the stored strings: the m values of
     site 1 and of every site r are read once, and zz and sz2sz2 are one
     integer product each over all the separations.  The S_x^2 cross terms
     unbalance the string and drop out of sperp2.
@@ -307,15 +306,19 @@ def _expectations(psi: PsiN, channels, rs=()) -> dict:
         _check_r(n_sites, r)
     top = 3 ** (n_sites - 1)
     m1 = 1 - psi.index // top  # site 1 is the most significant digit
-    if len(rs):
-        r_place = np.array([3 ** (n_sites - r) for r in rs], dtype=np.int64)[:, None]
-        q = psi.index // r_place  # one row per separation
-        mr = q // 3  # mr = 1 - q % 3, formed in place: numpy takes ~3x longer for an int64 %
+    # the m values of site r, one row per separation
+    r_place = [3 ** (n_sites - r) for r in rs]
+    if len(rs) > 1:
+        # 1 - q % 3 as four in-place steps, which numpy runs faster than an int64 % on a broadcast q
+        q = psi.index // np.array(r_place, dtype=np.int64)[:, None]
+        mr = q // 3
         mr *= 3
         mr -= q
         mr += 1
+    elif len(rs) == 1:  # the one-r calls: a division by a scalar costs numpy least
+        mr = (1 - psi.index // r_place[0] % 3)[None]
     else:  # the one-point channels read site 1 alone
-        r_place, mr = np.empty((0, 1), dtype=np.int64), np.empty((0, psi.index.size), dtype=np.int64)
+        mr = np.empty((0, psi.index.size), dtype=np.int64)
     w2 = psi.values * psi.values
     norm = psi.norm_sq()
     out = {}
@@ -328,14 +331,12 @@ def _expectations(psi: PsiN, channels, rs=()) -> dict:
             s = np.array([1, -1])
             # axes: s1, sr, separation, string
             moved = (m1 != -s[:, None])[:, None, None] & (mr != -s[:, None, None])
-            shift = s[:, None, None, None] * top + s[:, None, None] * r_place
+            shift = s[:, None, None, None] * top + s[:, None, None] * np.array(r_place, dtype=np.int64)[:, None]
             target = np.where(moved, psi.index + shift, 3**n_sites)
             num = (table[target] @ psi.values).sum(axis=(0, 1))
             out[ch] = [Fraction(x, 2 * norm) for x in num.tolist()]
         elif ch == "sz2sz2":
             out[ch] = [Fraction(x, norm) for x in np.dot(mr * mr, w2 * m1 * m1).tolist()]
-        elif ch == "norm":
-            out[ch] = norm
         elif ch == "sz2":
             out[ch] = Fraction(int(w2 @ (m1 * m1)), norm)
         elif ch == "sperp2":

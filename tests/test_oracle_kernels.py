@@ -53,12 +53,11 @@ def _sperp2_reference(psi: PsiN) -> Fraction:
 
 
 _REFERENCES = {"zz": _zz_reference, "xx": _xx_reference, "sz2sz2": _sz2sz2_reference}
-_CHANNELS = ("norm", "sz2", "sperp2", "zz", "xx", "sz2sz2")
+_CHANNELS = ("sz2", "sperp2", "zz", "xx", "sz2sz2")
 
 
 def _assert_oracle(psi: PsiN, rs) -> None:
     got = genstate._expectations(psi, _CHANNELS, rs)
-    assert type(got["norm"]) is int and got["norm"] == psi.norm_sq()
     assert got["sz2"] == _sz2_reference(psi) and type(got["sz2"]) is Fraction
     assert got["sperp2"] == _sperp2_reference(psi) and type(got["sperp2"]) is Fraction
     for channel, reference in _REFERENCES.items():
