@@ -290,10 +290,11 @@ def _expectations(psi: PsiN, channels, rs=()) -> dict:
 
     "sz2" and "sperp2" give <S_z^2> and <S_x^2> at site 1 as Fractions, and
     the two-point channels "zz", "xx" and "sz2sz2" give a list with the
-    Fraction at sites 1 and r for each r of rs, in the order of rs.  One pass over the stored strings: the m values of
-    site 1 and of every site r are read once, and zz and sz2sz2 are one
-    integer product each over all the separations.  The S_x^2 cross terms
-    unbalance the string and drop out of sperp2.
+    Fraction at sites 1 and r for each r of rs, in the order of rs.  One
+    pass over the stored strings: the m values of site 1 and of every site r
+    are read once, and zz and sz2sz2 are one integer product each over all
+    the separations.  The S_x^2 cross terms unbalance the string and drop
+    out of sperp2.
 
     S_x|m> is (1/sqrt2) times |0> for m = +-1 and |1> + |-1> for m = 0, so
     moving the digit 1 - m of a site by s = +-1 is such a move exactly when
