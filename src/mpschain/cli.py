@@ -221,26 +221,25 @@ def _cmd_genstate(args) -> int:
     n, z = args.n_sites, args.zeros
     if n % 2 or z % 2:
         raise _UsageError("ring size and zero count must be even (odd-zero sectors vanish)")
+    two_point = args.obs in ("zz", "xx", "sz2sz2")
+    r_values = [args.r] if args.r is not None else range(args.r_min, args.r_max + 1)
+    if two_point and not r_values:
+        raise _UsageError(f"empty separation range: --r-min {args.r_min} exceeds --r-max {args.r_max}")
     rows: list[tuple[int, int, int | None, str, Fraction]] = []
     if args.norm:
         rows.append((n, z, None, "norm", Fraction(genstate.psi_n_norm(n, z))))
-    if args.obs:
-        if args.obs in ("sz2", "sperp2"):
-            fn = genstate.corr_sz2 if args.obs == "sz2" else genstate.corr_sperp2
-            rows.append((n, z, None, args.obs, fn(n, z)))
-        else:
-            if args.r is not None:
-                r_values = [args.r]
-            else:
-                r_values = list(range(args.r_min, args.r_max + 1))
-            fn = {
-                "zz": genstate.corr_zz,
-                "xx": genstate.corr_xx,
-                "sz2sz2": genstate.corr_sz2sz2,
-            }[args.obs]
-            for r in r_values:
-                val = fn(n, z, r) if args.obs != "sz2sz2" else fn(n, z)
-                rows.append((n, z, r, args.obs, val))
+    if two_point:
+        fn = {
+            "zz": genstate.corr_zz,
+            "xx": genstate.corr_xx,
+            "sz2sz2": genstate.corr_sz2sz2,
+        }[args.obs]
+        for r in r_values:
+            val = fn(n, z, r) if args.obs != "sz2sz2" else fn(n, z)
+            rows.append((n, z, r, args.obs, val))
+    elif args.obs:
+        fn = genstate.corr_sz2 if args.obs == "sz2" else genstate.corr_sperp2
+        rows.append((n, z, None, args.obs, fn(n, z)))
     if not rows:
         raise _UsageError("nothing to do: pass --obs and/or --norm")
     _write_text(args.out, genstate.correlator_table_text(rows))

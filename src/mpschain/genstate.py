@@ -20,10 +20,17 @@ binomial sums of exact integer traces of the transfer blocks
 with X1 acting on the bra tensor factor and X2 on the ket factor.  V and U
 conserve the bond charge q = i - j and X1, X2 shift it by one, so V splits
 into path-graph blocks of sizes 1, 2, 3, 2, 1 and every trace the sums need
-has a closed form in powers of 2; no matrix is multiplied.  The
-thermodynamic laws are the exact rational limits of the same closed forms
-as the outer arc grows.  Everything here is exact integer/rational
-arithmetic; each limit is converted to a float once, at the end.
+has a closed form in powers of 2; no matrix is multiplied.  corr_zz and
+corr_xx walk their sum over the split of the zeros between the two arcs
+with a running binomial product: two comb calls give its first term, and
+each later term is the previous one times a small integer, divided exactly
+by another, with its trace weight a sign or a shift.  One value costs three
+comb calls (the third for the norm), that one multiply and one exact
+division per term, and one Fraction; at N = 20000 the comb calls and the
+Fraction dominate.  The thermodynamic laws are the exact rational limits of
+the same closed forms as the outer arc grows.  Everything here is exact
+integer/rational arithmetic; each limit is converted to a float once, at
+the end.
 
 The brute-force oracle the closed forms are checked against stores each
 explicit psi_n (up to EXPAND_MAX_SITES sites) as int64 arrays of basis
@@ -59,29 +66,6 @@ def _tr_v(m: int) -> int:
     if m == 0:
         return 9
     return 0 if m % 2 else 2 ** (m // 2 + 1) + 4
-
-
-def _tr_u_v_u(a: int, b: int) -> int:
-    """tr(U V^a U V^b)."""
-    if (a + b) % 2:
-        return 0
-    if a % 2:
-        return 4
-    if a and b:
-        return -4
-    return -_tr_v(a + b) if a + b else -8
-
-
-def _x_leg(m: int) -> int:
-    """One V power's share of _tr_x_pair, which is additive over the two powers."""
-    if m == 0:
-        return 8
-    return 2 ** ((m + 5) // 2) if m % 2 else 3 * 2 ** (m // 2 + 1)
-
-
-def _tr_x_pair(a: int, b: int) -> int:
-    """tr(X2 V^a X1 V^b) + tr(X1 V^a X2 V^b)."""
-    return _x_leg(a) + _x_leg(b) if (a + b) % 2 else 0
 
 
 def _word_trace(word) -> int:
@@ -246,16 +230,43 @@ def _check_nnr(n_sites: int, zeros: int, r: int) -> None:
 def corr_zz(n_sites: int, zeros: int, r: int) -> Fraction:
     """<S_z,1 S_z,r> on psi_n, operators at sites 1 and r (r = 2 is adjacent).
 
-    Exact binomial sum over the split of the zero count between the two arcs:
-    sum_k C(r-2, k) C(N-r, n-k) tr(U V^(r-2-k) U V^(N-r-n+k)) over
-    C(N, n) tr(V^(N-n)).
+    Exact binomial sum over the split of the zero count between the two arcs,
+    k zeros on the inner arc of r - 2 sites and n - k on the outer arc of
+    N - r sites:
+
+        sum_k c_k tr(U V^a U V^b),   c_k = C(r-2, k) C(N-r, n-k),  a = r-2-k,  b = N-r-n+k,
+
+    over C(N, n) tr(V^(N-n)).  a + b = N - n - 2 is even, so the trace is +4
+    for odd a and -4 for even a, except at an edge term (a = 0 or b = 0),
+    where it is -tr V^(a+b), or -8 when a + b = 0.
+
+    The sum walks k upward from its first valid value with a running
+    binomial product: two comb calls give c_k there, and each later c_(k+1)
+    is c_k a (n-k) divided exactly by (k+1)(b+1).  The +-4 weights collect
+    in one running alternating sum, and the edge terms are corrected once
+    at the end.  One value costs three comb calls (the third is the
+    denominator's C(N, n)), one multiply and one exact division by a small
+    integer per term, and one Fraction.
     """
     _check_nnr(n_sites, zeros, r)
+    k_lo, k_hi = max(0, zeros - (n_sites - r)), min(r - 2, zeros)
     num = 0
-    for k in range(0, r - 1):
-        if not 0 <= zeros - k <= n_sites - r:
-            continue
-        num += comb(r - 2, k) * comb(n_sites - r, zeros - k) * _tr_u_v_u(r - 2 - k, n_sites - r - zeros + k)
+    if k_lo <= k_hi:
+        a, b = r - 2 - k_lo, n_sites - r - zeros + k_lo
+        alt = c = comb(r - 2, k_lo) * comb(n_sites - r, zeros - k_lo)
+        edge = c if b == 0 else 0  # the first term is the outer edge when b = 0
+        for k in range(k_lo, k_hi):
+            c = c * (a * (zeros - k)) // ((k + 1) * (b + 1))
+            a, b = a - 1, b + 1
+            alt = c - alt
+        # alt = c_hi - c_(hi-1) + ..., and the last term (a = a_hi) weighs +4 when a_hi is odd
+        num = 4 * alt if a % 2 else -4 * alt
+        # the last term is the inner edge when a = 0; at m = a + b = 0 it is the one term, already counted
+        m = a + b
+        if a == 0 and m:
+            edge += c
+        # an edge term weighs -4 - 2^(m/2+1) = -4 - tr V^m + 4, and -8 at m = 0
+        num -= edge << (m // 2 + 1 if m else 2)
     return Fraction(num, comb(n_sites, zeros) * _tr_v(n_sites - zeros))
 
 
@@ -266,19 +277,39 @@ def corr_xx(n_sites: int, zeros: int, r: int) -> Fraction:
     so the inner arc keeps k zeros and the outer arc n-1-k; the exact sum is
 
         (1/2) sum_k C(r-2, k) C(N-r, n-1-k)
-                    [tr(X2 V^(r-2-k) X1 V^(N-r-n+1+k)) + (X1 <-> X2)]
+                    [tr(X2 V^a X1 V^b) + (X1 <-> X2)],   a = r-2-k,  b = N-r-n+1+k,
 
-    over C(N, n) tr(V^(N-n)).  The binomial and exponent bookkeeping here is
-    pinned by exact agreement with the brute-force oracle on explicit psi_n
-    states (see the test suite); n = 0 vanishes identically.
+    over C(N, n) tr(V^(N-n)).  a + b = N - n - 1 is odd, and then half the
+    bracket is one leg per V power, L(a) + L(b), with L(m) = 4 * 2^(m//2) for
+    odd m, 3 * 2^(m//2) for even m > 0 and L(0) = 4.
+
+    The sum walks k with the running binomial product of corr_zz (one
+    multiply and one exact division per term).  Each term adds c_k shifted
+    by a//2 and by b//2 to two running sums, one for each parity of the
+    leg; the parities swap at every step, so the two sums swap places
+    instead of being chosen per term.  The odd sum weighs 4 and the even
+    sum 3, and each edge leg (a = 0 or b = 0) adds its c_k once more at the
+    end.  One value costs three comb calls and one Fraction; n = 0 vanishes
+    identically.  The binomial and exponent bookkeeping is pinned by exact
+    agreement with the brute-force oracle on explicit psi_n states and with
+    the per-term reference sums (see the test suite).
     """
     _check_nnr(n_sites, zeros, r)
+    k_lo, k_hi = max(0, zeros - 1 - (n_sites - r)), min(r - 2, zeros - 1)
     num = 0
-    for k in range(0, r - 1):
-        if not 0 <= zeros - 1 - k <= n_sites - r:
-            continue
-        num += comb(r - 2, k) * comb(n_sites - r, zeros - 1 - k) * _tr_x_pair(r - 2 - k, n_sites - r - zeros + 1 + k)
-    return Fraction(num, 2 * comb(n_sites, zeros) * _tr_v(n_sites - zeros))
+    if k_lo <= k_hi:
+        a, b = r - 2 - k_lo, n_sites - r - zeros + 1 + k_lo
+        c = comb(r - 2, k_lo) * comb(n_sites - r, zeros - 1 - k_lo)
+        edge = c if b == 0 else 0  # L(0) = 4 is one more than 3 * 2^0
+        # x takes the legs of b's parity at the current k, y those of a's parity
+        x, y = c << b // 2, c << a // 2
+        for k in range(k_lo, k_hi):
+            c = c * (a * (zeros - 1 - k)) // ((k + 1) * (b + 1))
+            a, b = a - 1, b + 1
+            x, y = y + (c << b // 2), x + (c << a // 2)
+        odd, even = (y, x) if a % 2 else (x, y)
+        num = 4 * odd + 3 * even + edge + (c if a == 0 else 0)
+    return Fraction(num, comb(n_sites, zeros) * _tr_v(n_sites - zeros))
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +410,12 @@ def _limit_bracket(r: int, channel: str) -> Fraction:
     Only the dominant eigenvalues +-sqrt2 of V grow: tr V^m = 2^(m/2+1) + 4
     for even m >= 2.  So
     zz: tr(U V^(r-2) U V^b) / tr V^(b+r) keeps only -tr V^b / tr V^(b+2),
-        which tends to -1/2 at r = 2; every other _tr_u_v_u branch is a
+        which tends to -1/2 at r = 2; every other weight of corr_zz is a
         constant +-4 over a growing trace;
-    xx: _tr_x_pair(r-2, b) / (2 tr V^(b+r-1)) keeps only the outer leg
-        _x_leg(b), a power of sqrt2 like the trace: the ratio is 2^-(r-2)/2
-        for even r (odd b) and 3 * 2^-(r+1)/2 for odd r (even b).
+    xx: the bracket of corr_xx over 2 tr V^(b+r-1), (L(r-2) + L(b)) /
+        tr V^(b+r-1), keeps only the outer leg L(b), a power of sqrt2 like
+        the trace: the ratio is 2^-(r-2)/2 for even r (odd b) and
+        3 * 2^-(r+1)/2 for odd r (even b).
     """
     if channel == "zz":
         return Fraction(-1, 2) if r == 2 else Fraction(0)

@@ -447,6 +447,40 @@ def test_genstate_rejects_odd(tmp_path, capsys):
     assert capsys.readouterr().err.endswith("\nerror: n_sites must be at least 2, got 0\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("--obs", "zz", "--r-min", "5", "--r-max", "3"),
+    ("--obs", "xx", "--r-min", "5", "--r-max", "3", "--norm"),
+])
+def test_genstate_refuses_an_empty_separation_range(argv, capsys):
+    # refused before any row is computed, the norm row included
+    assert run("genstate", "--n-sites", "8", "--zeros", "2", *argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty separation range: --r-min 5 exceeds --r-max 3\n"
+
+
+def test_genstate_one_point_rows_ignore_the_separation_range(capsys):
+    assert run("genstate", "--n-sites", "8", "--zeros", "2", "--obs", "sz2", "--r-min", "5", "--r-max", "3",
+               "--norm") == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["8,2,,norm,560,1,560", "8,2,,sz2,3,4,0.75"]
+
+
+#: sha256 of two 149-separation genstate tables, recorded before the correlator sums walked running binomials
+GENSTATE_SHA256 = {
+    "xx": "a572f7965788409af7e03f1efc1f395b1e2ba097eb2059006c6e4b3cc546eeb8",
+    "zz": "b7d373e21af2b18b03c1ad0f436b750ca819db40f526cdd8878a66f39c05c9ca",
+}
+
+
+@pytest.mark.parametrize("obs", list(GENSTATE_SHA256))
+def test_genstate_tables_are_byte_stable(obs, capsys):
+    assert run("genstate", "--n-sites", "200", "--zeros", "100", "--obs", obs, "--r-min", "2", "--r-max", "150",
+               "--norm") == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 2 + 149
+    assert hashlib.sha256(out.encode()).hexdigest() == GENSTATE_SHA256[obs]
+
+
 @pytest.mark.parametrize("g, message", [
     ("inf", "matrix '0' has a non-finite entry"),
     ("nan", "matrix '0' has a non-finite entry"),

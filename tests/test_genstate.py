@@ -204,6 +204,29 @@ _X2 = np.kron(_I3, _X)
 _POWERS = 60
 
 
+def _tr_u_v_u(a: int, b: int) -> int:
+    """tr(U V^a U V^b), the weight of one corr_zz term."""
+    if (a + b) % 2:
+        return 0
+    if a % 2:
+        return 4
+    if a and b:
+        return -4
+    return -genstate._tr_v(a + b) if a + b else -8
+
+
+def _x_leg(m: int) -> int:
+    """One V power's share of _tr_x_pair, which is additive over the two powers."""
+    if m == 0:
+        return 8
+    return 2 ** ((m + 5) // 2) if m % 2 else 3 * 2 ** (m // 2 + 1)
+
+
+def _tr_x_pair(a: int, b: int) -> int:
+    """tr(X2 V^a X1 V^b) + tr(X1 V^a X2 V^b), the weight of one corr_xx term."""
+    return _x_leg(a) + _x_leg(b) if (a + b) % 2 else 0
+
+
 @pytest.fixture(scope="module")
 def v_powers():
     # for a, b <= 60 the dressed words below have entries of magnitude <= 2^31 and V^120 <= 2^60,
@@ -219,17 +242,17 @@ def test_tr_v_closed_form(v_powers):
 
 def test_tr_u_v_u_closed_form(v_powers):
     for a, b in product(range(_POWERS + 1), repeat=2):
-        assert genstate._tr_u_v_u(a, b) == int(np.trace(_U @ v_powers[a] @ _U @ v_powers[b])), (a, b)
+        assert _tr_u_v_u(a, b) == int(np.trace(_U @ v_powers[a] @ _U @ v_powers[b])), (a, b)
 
 
 def test_tr_x_pair_closed_form(v_powers):
     for a, b in product(range(_POWERS + 1), repeat=2):
         pair = np.trace(_X2 @ v_powers[a] @ _X1 @ v_powers[b]) + np.trace(_X1 @ v_powers[a] @ _X2 @ v_powers[b])
-        assert genstate._tr_x_pair(a, b) == int(pair), (a, b)
+        assert _tr_x_pair(a, b) == int(pair), (a, b)
 
 
 def test_closed_form_traces_are_python_ints():
-    for value in (genstate._tr_v(120), genstate._tr_u_v_u(0, 120), genstate._tr_x_pair(59, 60)):
+    for value in (genstate._tr_v(120), _tr_u_v_u(0, 120), _tr_x_pair(59, 60)):
         assert type(value) is int
 
 
@@ -242,6 +265,74 @@ def test_word_trace_rule_matches_matrix_products():
             assert genstate._word_trace(word) == int(np.trace(prod)), word
     assert len(layer) == 2**12
     assert genstate._word_trace(()) == 3
+
+
+# ---------------------------------------------------------------------------
+# the walked correlator sums against their per-term reference
+
+
+def _corr_zz_reference(n_sites: int, zeros: int, r: int) -> Fraction:
+    """corr_zz as one comb pair and one closed-form trace per arc split k."""
+    num = 0
+    for k in range(0, r - 1):
+        if not 0 <= zeros - k <= n_sites - r:
+            continue
+        num += comb(r - 2, k) * comb(n_sites - r, zeros - k) * _tr_u_v_u(r - 2 - k, n_sites - r - zeros + k)
+    return Fraction(num, comb(n_sites, zeros) * genstate._tr_v(n_sites - zeros))
+
+
+def _corr_xx_reference(n_sites: int, zeros: int, r: int) -> Fraction:
+    """corr_xx as one comb pair and one closed-form trace pair per arc split k."""
+    num = 0
+    for k in range(0, r - 1):
+        if not 0 <= zeros - 1 - k <= n_sites - r:
+            continue
+        num += comb(r - 2, k) * comb(n_sites - r, zeros - 1 - k) * _tr_x_pair(r - 2 - k, n_sites - r - zeros + 1 + k)
+    return Fraction(num, 2 * comb(n_sites, zeros) * genstate._tr_v(n_sites - zeros))
+
+
+_REFERENCES = ((corr_zz, _corr_zz_reference), (corr_xx, _corr_xx_reference))
+
+
+def _assert_matches_reference(n_sites: int, zeros: int, r: int) -> None:
+    for walked, reference in _REFERENCES:
+        value = walked(n_sites, zeros, r)
+        assert type(value) is Fraction
+        assert value == reference(n_sites, zeros, r), (walked.__name__, n_sites, zeros, r)
+
+
+def test_walked_sums_match_the_reference_on_every_small_ring():
+    # every edge case of the walk: first and last split on an arc edge, one split, no split (n = 0 or N for xx)
+    for n_sites in range(2, 41, 2):
+        for zeros in range(0, n_sites + 1, 2):
+            for r in range(2, n_sites):
+                _assert_matches_reference(n_sites, zeros, r)
+
+
+@pytest.mark.parametrize("n_sites, samples", [(100, 40), (200, 40), (2000, 8)])
+def test_walked_sums_match_the_reference_on_sampled_large_rings(n_sites, samples):
+    rng = np.random.default_rng(n_sites)
+    for _ in range(samples):
+        _assert_matches_reference(n_sites, 2 * int(rng.integers(0, n_sites // 2 + 1)), int(rng.integers(2, n_sites)))
+
+
+def test_walked_sums_match_the_reference_at_twenty_thousand_sites():
+    _assert_matches_reference(20000, 10000, 4)
+
+
+@pytest.mark.parametrize("walked", [corr_zz, corr_xx])
+@pytest.mark.parametrize("r", [2, 3, 40, 150, 199])
+def test_one_correlator_value_makes_at_most_three_comb_calls(walked, r, monkeypatch):
+    # two comb calls start the walk and one gives the denominator's C(N, n), whatever the term count
+    calls = []
+
+    def counting_comb(n, k):
+        calls.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr(genstate, "comb", counting_comb)
+    walked(200, 100, r)
+    assert len(calls) <= 3, calls
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +588,10 @@ def test_limit_bracket_is_the_limit_of_the_closed_form_ratios(channel):
     for r in range(2, 41):
         if channel == "zz":
             b = 400 + r % 2
-            ratio = Fraction(genstate._tr_u_v_u(r - 2, b), genstate._tr_v(b + r))
+            ratio = Fraction(_tr_u_v_u(r - 2, b), genstate._tr_v(b + r))
         else:
             b = 401 - r % 2
-            ratio = Fraction(genstate._tr_x_pair(r - 2, b), 2 * genstate._tr_v(b + r - 1))
+            ratio = Fraction(_tr_x_pair(r - 2, b), 2 * genstate._tr_v(b + r - 1))
         assert abs(ratio - genstate._limit_bracket(r, channel)) < Fraction(1, 2**100), r
 
 
