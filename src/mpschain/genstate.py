@@ -265,7 +265,7 @@ def corr_zz(n_sites: int, zeros: int, r: int) -> Fraction:
         m = a + b
         if a == 0 and m:
             edge += c
-        # an edge term weighs -4 - 2^(m/2+1) = -4 - tr V^m + 4, and -8 at m = 0
+        # an edge term weighs -tr V^m = -4 - 2^(m/2+1) in place of -4, and -8 = -4 - 4 at m = 0
         num -= edge << (m // 2 + 1 if m else 2)
     return Fraction(num, comb(n_sites, zeros) * _tr_v(n_sites - zeros))
 

@@ -302,7 +302,7 @@ def _assert_matches_reference(n_sites: int, zeros: int, r: int) -> None:
 
 
 def test_walked_sums_match_the_reference_on_every_small_ring():
-    # every edge case of the walk: first and last split on an arc edge, one split, no split (n = 0 or N for xx)
+    # every edge case of the walk: first and last split on an arc edge, one split, no split (n = N; n = 0 for xx)
     for n_sites in range(2, 41, 2):
         for zeros in range(0, n_sites + 1, 2):
             for r in range(2, n_sites):
