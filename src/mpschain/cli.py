@@ -145,27 +145,8 @@ def _correlate_values(args, spectrum: TransferSpectrum) -> list:
 
 
 def _correlate_rows(args, families, g_values) -> list[tuple[float, list[tuple]]]:
-    """Each family's g with its rows (r, value, flag), from one stacked TransferSpectrum of them all.
-
-    families yields them in g order; a refused one ends the sweep, and its error is
-    raised after those of the families before it, as the per-g loop meets them.
-    """
-    fams, refusal = [], None
-    try:
-        for fam in families:
-            fams.append(fam)
-    except ValueError as exc:
-        refusal = exc
-    values = []
-    if fams:
-        try:
-            values = _correlate_values(args, TransferSpectrum(fams))
-        except Exception:
-            # a stack meets its errors step by step, each step for every family; the error to
-            # report is the one the per-g loop, one family after another, meets first
-            values = [v for fam in fams for v in _correlate_values(args, TransferSpectrum([fam]))]
-    if refusal is not None:
-        raise refusal
+    """Each family's g with its rows (r, value, flag), from one stacked TransferSpectrum of them all."""
+    values = _correlate_values(args, TransferSpectrum(families)) if families else []  # an empty sweep has no rows
     if args.channel in _ONE_POINT:
         return [(g, [(None, value, "")]) for g, value in zip(g_values, values)]
     r_values = range(args.r_min, args.r_max + 1)
@@ -176,6 +157,8 @@ def _correlate_rows(args, families, g_values) -> list[tuple[float, list[tuple]]]
 
 
 def _cmd_correlate(args) -> int:
+    if args.mode != "closed" and args.channel in _TWO_POINT and args.r_min > args.r_max:
+        raise _UsageError(f"empty separation range: --r-min {args.r_min} exceeds --r-max {args.r_max}")
     if args.g_sweep is not None:
         lo, hi, num = args.g_sweep
         g_values = [float(x) for x in np.linspace(float(lo), float(hi), int(num))]
@@ -217,6 +200,12 @@ def _cmd_correlate(args) -> int:
     return EXIT_OK
 
 
+def _corr_sz2sz2(n_sites: int, zeros: int, r: int) -> Fraction:
+    """genstate.corr_sz2sz2, the same at every separation, with n_sites, zeros and r checked as corr_zz checks them."""
+    genstate._check_nnr(n_sites, zeros, r)
+    return genstate.corr_sz2sz2(n_sites, zeros)
+
+
 def _cmd_genstate(args) -> int:
     n, z = args.n_sites, args.zeros
     if n % 2 or z % 2:
@@ -229,14 +218,8 @@ def _cmd_genstate(args) -> int:
     if args.norm:
         rows.append((n, z, None, "norm", Fraction(genstate.psi_n_norm(n, z))))
     if two_point:
-        fn = {
-            "zz": genstate.corr_zz,
-            "xx": genstate.corr_xx,
-            "sz2sz2": genstate.corr_sz2sz2,
-        }[args.obs]
-        for r in r_values:
-            val = fn(n, z, r) if args.obs != "sz2sz2" else fn(n, z)
-            rows.append((n, z, r, args.obs, val))
+        fn = {"zz": genstate.corr_zz, "xx": genstate.corr_xx, "sz2sz2": _corr_sz2sz2}[args.obs]
+        rows += [(n, z, r, args.obs, fn(n, z, r)) for r in r_values]
     elif args.obs:
         fn = genstate.corr_sz2 if args.obs == "sz2" else genstate.corr_sperp2
         rows.append((n, z, None, args.obs, fn(n, z)))
@@ -251,7 +234,6 @@ def _cmd_genstate(args) -> int:
 
 
 _FRUSTRATION_G = (0.3, 0.7, 1.0, 1.5)
-_FORMULAS_G = (0.3, 0.7, 1.0, 1.5, 2.0)
 
 
 def _cmd_verify(args) -> int:
@@ -261,7 +243,7 @@ def _cmd_verify(args) -> int:
 
     run = {
         "frustration": lambda: verify.frustration_suite(n_sites(6), args.g or _FRUSTRATION_G),
-        "formulas": lambda: verify.formulas_suite(_FORMULAS_G),
+        "formulas": verify.formulas_suite,
         "genstate": lambda: verify.genstate_suite(n_sites(6)),
         "symmetry": verify.symmetry_suite,
         "appendixA": lambda: verify.appendix_a_suite(n_sites(4)),
@@ -334,7 +316,7 @@ def build_parser() -> _Parser:
     pv.add_argument("--g", type=float, action="append", default=None,
                     help="a g value of the frustration suite; repeat it for several (default "
                          f"{', '.join(map(str, _FRUSTRATION_G))}). The formulas suite always runs at "
-                         f"g = {', '.join(map(str, _FORMULAS_G))}")
+                         f"g = {', '.join(map(str, verify.FORMULAS_G))}")
     pv.add_argument("--out", default=None, help="report path (default stdout)")
     pv.set_defaults(fn=_cmd_verify)
     return p

@@ -194,9 +194,7 @@ def _block_rows(dim: int, max_iter: int) -> int:
     return min(max_iter + 1, -(-_LANCZOS_BLOCK_BYTES // (8 * dim)))
 
 
-def _lanczos_smallest(
-    matvec, dim: int, max_iter: int = 400, tol: float = 1e-11, seed: int = 1234
-) -> tuple[float, list[np.ndarray]]:
+def _lanczos_smallest(matvec, dim: int, max_iter: int = 400) -> tuple[float, list[np.ndarray]]:
     """Smallest eigenvalue and the kept Krylov basis, by Lanczos with full reorthogonalization.
 
     The basis vectors are the rows of fixed-size row blocks, filled in
@@ -204,7 +202,8 @@ def _lanczos_smallest(
     After the three-term update, w is reorthogonalized against every kept
     row by block classical Gram-Schmidt (c = V @ w, w -= c @ V per block),
     and the pass runs a second time only when the first shrank ||w|| below
-    ||w|| / sqrt(2) (the Daniel-Gragg-Kaufman-Stewart test).  A fixed-seed
+    ||w|| / sqrt(2) (the Daniel-Gragg-Kaufman-Stewart test).  It stops once
+    the Ritz value theta moves by at most 1e-11 max(1, |theta|).  A fixed-seed
     start vector keeps runs reproducible.  max_iter below 1 is refused
     before anything is allocated.
     """
@@ -215,7 +214,7 @@ def _lanczos_smallest(
     rows = _block_rows(dim, max_iter)
     blocks = [np.empty((rows, dim))]
     q = blocks[0][0]
-    np.random.default_rng(seed).standard_normal(dim, out=q)
+    np.random.default_rng(1234).standard_normal(dim, out=q)
     q /= np.linalg.norm(q)
     alphas: list[float] = []
     betas: list[float] = []
@@ -237,7 +236,7 @@ def _lanczos_smallest(
             before = b
         theta = eigh_tridiagonal(alphas, betas, eigvals_only=True, select="i", select_range=(0, 0))[0]
         increment = abs(theta - theta_prev)
-        if b < 1e-13 or (it >= 3 and increment <= tol * max(1.0, abs(theta))):
+        if b < 1e-13 or (it >= 3 and increment <= 1e-11 * max(1.0, abs(theta))):
             return float(theta), kept
         theta_prev = theta
         betas.append(b)

@@ -187,9 +187,8 @@ def _projectors(eigs, rel_tol: float = 1e-9) -> list[list[tuple[complex, np.ndar
     inverse and one stacked R (L^H R)^{-1} L^H.  numpy's inv and matmul make, for
     each matrix of a stack, the LAPACK and BLAS call they make for that matrix
     alone, and the stacks keep each group's memory layout, so every projector is
-    bit for bit the one a loop over the groups forms.  The matrices are taken in
-    order up to the first all-zero spectrum, so the error raised is the one such
-    a loop meets first.
+    bit for bit the one a loop over the groups forms.  The first all-zero
+    spectrum raises ZeroSpectrumError before any projector is formed.
     """
     vals = np.array([w for w, _, _ in eigs])
     mags = np.abs(vals)
@@ -199,7 +198,7 @@ def _projectors(eigs, rel_tol: float = 1e-9) -> list[list[tuple[complex, np.ndar
     groups: list[list[tuple[complex, list[int]]]] = []
     for top, row, w in zip(tops, mags.tolist(), vals.tolist()):
         if top == 0.0:
-            break
+            raise ZeroSpectrumError("all-zero spectrum: no dominant eigenvalue")
         cut = (1.0 - rel_tol) * top
         family: list[tuple[complex, list[int]]] = []
         for i, mag in enumerate(row):
@@ -232,8 +231,6 @@ def _projectors(eigs, rel_tol: float = 1e-9) -> list[list[tuple[complex, np.ndar
                 "defective dominant eigenvalue: left/right eigenvector overlap is singular"
             ) from exc
         stacks[size, char] = iter(R @ overlap_inv @ Lh)
-    if len(groups) < len(tops):
-        raise ZeroSpectrumError("all-zero spectrum: no dominant eigenvalue")
     out = []
     for k, family in enumerate(groups):
         projs = [(lam, next(stacks[len(grp), eigs[k][2].dtype.char])) for lam, grp in family]

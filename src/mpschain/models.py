@@ -12,7 +12,6 @@ model I (h = sqrt(2) g) and model II (h = g, where A_0 = g * identity).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from math import inf, isfinite, log, sqrt
 
@@ -36,37 +35,32 @@ def _general_stack(g, h, c) -> np.ndarray:
     return mats
 
 
-def _families(mats: np.ndarray, params) -> Iterator[MpsFamily]:
-    """The families of a (G, 3, 3, 3) stack from _general_stack, each with its params; checked once as a stack."""
-    return _stacked_families(_LABELS, mats, params)
-
-
 def general_family(g: float, h: float, c: float) -> MpsFamily:
     """The three-parameter spin-1 family with bond dimension 3."""
-    return next(_families(_general_stack([g], [h], [c]), [{"g": float(g), "h": float(h), "c": float(c)}]))
+    return _stacked_families(_LABELS, _general_stack([g], [h], [c]), [{"g": float(g), "h": float(h), "c": float(c)}])[0]
 
 
 def model_I(g: float) -> MpsFamily:
     """Model I: A_0 = g diag(1, sqrt(2), 1), c = 1."""
-    return next(_families(_general_stack([g], [sqrt(2.0) * g], 1.0), [{"g": float(g)}]))
+    return _stacked_families(_LABELS, _general_stack([g], [sqrt(2.0) * g], 1.0), [{"g": float(g)}])[0]
 
 
 def model_II(g: float) -> MpsFamily:
     """Model II: A_0 = g * identity, c = 1."""
-    return next(_families(_general_stack([g], [g], 1.0), [{"g": float(g)}]))
+    return _stacked_families(_LABELS, _general_stack([g], [g], 1.0), [{"g": float(g)}])[0]
 
 
-def model_families(which: str, g_values) -> Iterator[MpsFamily]:
+def model_families(which: str, g_values) -> list[MpsFamily]:
     """model_I (which "I") or model_II (which "II") at each g of g_values, in order.
 
     One (G, 3, 3, 3) stack holds the matrices of them all, bit for bit those
     model_I or model_II builds; it is checked once, and each family holds its
-    entry of the stack without a copy.  A refused g ends the iteration with its
-    error when the iteration reaches it.
+    entry of the stack without a copy.  The first refused g raises its error
+    before any family is made.
     """
     gs = np.asarray(g_values, dtype=float)
     h = {"I": sqrt(2.0) * gs, "II": gs}[which]
-    yield from _families(_general_stack(gs, h, 1.0), [{"g": g} for g in gs.tolist()])
+    return _stacked_families(_LABELS, _general_stack(gs, h, 1.0), [{"g": g} for g in gs.tolist()])
 
 
 def aklt_family() -> MpsFamily:

@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product, takewhile
+from itertools import product
 
 import numpy as np
 
@@ -189,20 +189,20 @@ class MpsFamily(_JsonFile):
         )
 
 
-def _stacked_families(labels: tuple[str, ...], mats: np.ndarray, params: Iterable[dict]) -> Iterator[MpsFamily]:
+def _stacked_families(labels: tuple[str, ...], mats: np.ndarray, params: Iterable[dict]) -> list[MpsFamily]:
     """One MpsFamily per (d, D, D) entry of a (G, d, D, D) stack, in order, with the params of each.
 
     The stack is frozen in place and checked once, and each family holds its entry and views of
-    it, without a copy; so the caller hands over a stack that nothing else writes to.  A family
-    that MpsFamily would refuse ends the iteration with the same error when the iteration
-    reaches it.
+    it, without a copy; so the caller hands over a stack that nothing else writes to.  The whole
+    stack is checked before any family is made: the first family that MpsFamily would refuse
+    raises the same error.
     """
     _check_labels(mats.shape[-3], labels)
     tops = np.abs(_frozen(mats)).max(axis=(-3, -2, -1), initial=0.0).tolist()
-    for stack, top, p in zip(mats, tops, params):
-        matrices = dict(zip(labels, stack))
+    entries = [dict(zip(labels, stack)) for stack in mats]
+    for matrices, top in zip(entries, tops):
         _refuse_non_finite(matrices, top)
-        yield MpsFamily._of_stack(labels, stack, matrices, p)
+    return [MpsFamily._of_stack(labels, stack, matrices, p) for stack, matrices, p in zip(mats, entries, params)]
 
 
 @dataclass(frozen=True)
@@ -308,10 +308,10 @@ def dressed_transfer(mps: MpsFamily | Sequence[MpsFamily], obs: SpinObservable) 
     return TransferOperator(f"dressed:{obs.name}", _dressed_matrix(_matrix_stack(mps), obs))
 
 
-def _real_or_raise(value, what: str, tol: float = 1e-12):
+def _real_or_raise(value, what: str):
     if isinstance(value, (complex, np.complexfloating)):
         scale = max(1.0, abs(value))
-        if abs(value.imag) > tol * scale:
+        if abs(value.imag) > 1e-12 * scale:
             raise InconsistencyError(f"{what} has imaginary part {value.imag:.3e} beyond tolerance")
         return float(value.real)
     return float(value)
@@ -515,10 +515,14 @@ class TransferSpectrum:
     groups (linalg._projectors), and the even-N limit sums are (G, T, R) arrays
     (_EvenNLimit).  Built from one MpsFamily, the spectrum is the same code
     without the family axis, and each family of a stack answers bit for bit as
-    a spectrum built from it alone.  A stack takes each step for all its
-    families before the next step, so of several failing families it raises the
-    error of the first step met, not the first family's; within the tail, the
-    first family's error is raised, as a loop over the families raises it.
+    a spectrum built from it alone.
+
+    Every call that runs a stack (of families, states or separations) meets its
+    errors by one rule, here and in the stacked kernels of parent, linalg, models
+    and verify.  First every input of the stack is checked: the families'
+    refusals, the separations, the states' norms.  Then each step is taken for
+    the whole stack before the next, and the first error met is raised; within
+    one step the items are checked in order.
     """
 
     def __init__(self, mps: MpsFamily | Sequence[MpsFamily]):
@@ -678,8 +682,8 @@ class TransferSpectrum:
         with n_sites None it is the N -> infinity limit taken along even N, where
         an r whose value oscillates holds its OscillatoryLimitError in place of a
         value.  The dressed operators and the powers of E/rho are formed once and
-        every r-dependent product is taken on a stack.  Any other error is raised
-        as the one-r calls, taken in order, would meet it first.
+        every r-dependent product is taken on a stack.  A separation out of range
+        is refused before anything is computed.
         """
         return self._out(self._sweeps(obs1, obs2, rs, n_sites))
 
@@ -687,21 +691,19 @@ class TransferSpectrum:
         """two_point_sweep's list of each family's values.
 
         Of the errors a thermodynamic limit holds in place of a value, the first one of the
-        kinds raising is raised, family by family and in r order, as a loop over the families meets it.
+        kinds raising is raised, family by family and in r order.
         """
         rs = list(rs)
         ring = n_sites is not None
-        valid = list(takewhile((lambda r: 1 <= r < n_sites) if ring else (lambda r: r >= 1), rs))
-        if not valid:
-            values = [[] for _ in self._each(self.e)]
-        elif ring:
-            values = self._ring_values(obs1, obs2, valid, n_sites)
-        else:
-            values = self._thermo_values(obs1, obs2, valid)
-            for family in values:
-                _raise_first(family, raising)
-        if len(valid) < len(rs):
+        if not all(1 <= r < n_sites if ring else r >= 1 for r in rs):
             raise ValueError("separation must satisfy 1 <= r < n_sites" if ring else "separation must be >= 1")
+        if not rs:
+            return [[] for _ in self._each(self.e)]
+        if ring:
+            return self._ring_values(obs1, obs2, rs, n_sites)
+        values = self._thermo_values(obs1, obs2, rs)
+        for family in values:
+            _raise_first(family, raising)
         return values
 
     def _ring_values(self, obs1, obs2, rs, n_sites) -> list[list[float]]:

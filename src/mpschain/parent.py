@@ -94,7 +94,7 @@ def word_matrix(mps: MpsFamily, k: int) -> np.ndarray:
     return _word_columns(mps.matrix_stack(), k, "word-matrix")
 
 
-def _canonical_subspace_basis(vectors: list[np.ndarray], tol: float = 1e-9) -> list[np.ndarray]:
+def _canonical_subspace_basis(vectors: list[np.ndarray]) -> list[np.ndarray]:
     """Deterministic orthonormal basis of span(vectors).
 
     Gram-Schmidt of the subspace projections of the coordinate vectors taken
@@ -111,7 +111,7 @@ def _canonical_subspace_basis(vectors: list[np.ndarray], tol: float = 1e-9) -> l
         for q in out:
             w -= (q.conj() @ w) * q
         nrm = np.linalg.norm(w)
-        if nrm > tol:
+        if nrm > 1e-9:
             out.append(linalg.phase_fix(w / nrm))
         if len(out) == len(vectors):
             break
@@ -272,15 +272,12 @@ def _chain_residuals(matrix: np.ndarray, k: int, n_sites: int, states: np.ndarra
     """chain_residual of each row of a (G, d^N) stack of states, with one local term or one per row (_chain_apply).
 
     Each norm is the 1-D np.linalg.norm of its row, as for one state (a norm along an axis
-    sums in another order).  A zero row raises DegenerateNormError, and the errors come in
-    row order, as the one-state calls meet them.
+    sums in another order).  A zero row raises DegenerateNormError before H is applied.
     """
     norms = [np.linalg.norm(psi) for psi in states]
-    if norms[:1] == [0.0]:
-        raise DegenerateNormError("zero state has no chain residual")
-    applied = _chain_apply(matrix, k, n_sites, states)
     if 0.0 in norms:
         raise DegenerateNormError("zero state has no chain residual")
+    applied = _chain_apply(matrix, k, n_sites, states)
     return [float(np.linalg.norm(h_psi) / nrm) for h_psi, nrm in zip(applied, norms)]
 
 

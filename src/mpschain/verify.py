@@ -7,7 +7,6 @@ builder such as `models.model_I_hamiltonian` reaches every suite.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -33,53 +32,31 @@ class Check:
         return bool(self.value > self.tolerance if self.comparison == ">" else self.value <= self.tolerance)
 
 
-def _until_error(make, items) -> tuple[list, Exception | None]:
-    """[make(x) for x in items] up to the first item that raises, with that error (None if none does).
-
-    A suite makes its inputs item by item this way, runs one stacked call on those made, and
-    then raises the error: so it meets its errors in the order a loop over the items does.
-    """
-    made = []
-    for x in items:
-        try:
-            made.append(make(x))
-        except Exception as exc:  # re-raised by the caller after the stacked call on the items before it
-            return made, exc
-    return made, None
-
-
 def frustration_suite(n_sites: int, g_values) -> list[Check]:
     """Zero-energy residuals of the model I, then the model II, chain on n_sites.
 
     Each model takes one stacked amplitude map of its families and one stacked chain residual,
     with the per-g model I Hamiltonians as one stack of local terms and the g-independent model II
-    Hamiltonian shared.
+    Hamiltonian shared.  No g value gives no check.
     """
+    if len(g_values) == 0:
+        return []
     checks = []
-    # the model II Hamiltonian does not depend on g: one per suite, built when the model II checks start
-    ii_hamiltonian = functools.cache(models.model_II_hamiltonian)
-    for which, builder, ham in (
-        ("I", models.model_I, models.model_I_hamiltonian),
-        ("II", models.model_II, lambda g: ii_hamiltonian()),
-    ):
-        made, error = _until_error(lambda g: (builder(g), ham(g)), g_values)
-        if made:
-            fams, hams = zip(*made)
-            shared = all(h is hams[0] for h in hams)
-            matrix = hams[0].matrix if shared else np.array([h.matrix for h in hams])
-            states = mps._amplitudes(mps._matrix_stack(fams), n_sites)
-            residuals = parent._chain_residuals(matrix, hams[0].k, n_sites, states)
-            checks += [Check(f"model {which} g={g:g} N={n_sites} zero-energy residual", res, 1e-10)
-                       for g, res in zip(g_values, residuals)]
-        if error is not None:
-            raise error
+    for which in ("I", "II"):
+        fams = models.model_families(which, g_values)
+        hams = [models.model_I_hamiltonian(g) for g in g_values] if which == "I" else [models.model_II_hamiltonian()]
+        matrix = hams[0].matrix if len(hams) == 1 else np.array([h.matrix for h in hams])
+        states = mps._amplitudes(mps._matrix_stack(fams), n_sites)
+        residuals = parent._chain_residuals(matrix, hams[0].k, n_sites, states)
+        checks += [Check(f"model {which} g={g:g} N={n_sites} zero-energy residual", res, 1e-10)
+                   for g, res in zip(g_values, residuals)]
     return checks
 
 
 def closed_form_deviations(g: float) -> tuple[float, float, float]:
     """|closed form - transfer value| of model I <Sz^2>, <Sx^2> and G_par (adjacent zz) at g."""
     closed = models.closed_form_correlators_I(g)
-    return _closed_form_deviations([closed], mps.TransferSpectrum(list(models.model_families("I", [g]))))[0]
+    return _closed_form_deviations([closed], mps.TransferSpectrum(models.model_families("I", [g])))[0]
 
 
 def _closed_form_deviations(closed, spectrum: mps.TransferSpectrum) -> list[tuple[float, float, float]]:
@@ -134,20 +111,22 @@ def _det_deviation(samples: np.ndarray) -> float:
     return float(np.max(deviation, initial=0.0))
 
 
-def formulas_suite(g_values) -> list[Check]:
+#: The g values of the formulas suite's closed-form checks; the g = 1 family also gives the fitted lengths.
+FORMULAS_G = (0.3, 0.7, 1.0, 1.5, 2.0)
+
+
+def formulas_suite() -> list[Check]:
     """Model I closed forms and fitted lengths, the word-matrix determinant, the root-family kernels.
 
-    The closed-form deviations and the g = 1 fitted lengths come from one stacked spectrum, and
-    the root-family kernels from one stacked null space.
+    The closed-form deviations at FORMULAS_G and the g = 1 fitted lengths come from one stacked
+    spectrum, and the root-family kernels from one stacked null space.
     """
     checks = []
-    g_values = list(g_values)
-    closed_forms = [models.closed_form_correlators_I(g) for g in g_values]
-    fit_row = g_values.index(1.0) if 1.0 in g_values else len(g_values)
-    spectrum = mps.TransferSpectrum(list(models.model_families("I", g_values + [1.0] * (fit_row == len(g_values)))))
+    closed_forms = [models.closed_form_correlators_I(g) for g in FORMULAS_G]
+    spectrum = mps.TransferSpectrum(models.model_families("I", FORMULAS_G))
     deviations = _closed_form_deviations(closed_forms, spectrum)
-    xi_par, xi_perp = _fitted_lengths(spectrum, fit_row)
-    for g, (dev_sz2, dev_sx2, dev_gpar) in zip(g_values, deviations):
+    xi_par, xi_perp = _fitted_lengths(spectrum, FORMULAS_G.index(1.0))
+    for g, (dev_sz2, dev_sx2, dev_gpar) in zip(FORMULAS_G, deviations):
         checks.append(Check(f"model I g={g:g} <Sz^2> closed vs transfer", dev_sz2, 1e-8))
         checks.append(Check(f"model I g={g:g} <Sx^2> closed vs transfer", dev_sx2, 1e-8))
         checks.append(Check(f"model I g={g:g} G_par vs adjacent zz", dev_gpar, 1e-8))
@@ -205,23 +184,16 @@ def generating_identity_deviation(n_sites: int, g_values) -> float:
 
 def _generating_identity_deviation(n_sites: int, sectors: list[genstate.PsiN], g_values) -> float:
     """generating_identity_deviation of the expanded sectors, the amplitude maps from one stacked call."""
-
-    families = models.model_families("II", g_values)
-
-    def make(g):
-        recon = np.zeros(3**n_sites)
+    if len(g_values) == 0:
+        return 0.0
+    fams = models.model_families("II", g_values)
+    recons = np.zeros((len(g_values), 3**n_sites))
+    for recon, g in zip(recons, g_values):
         for psi in sectors:
             recon[psi.index] = (g**psi.zeros) * psi.values
-        return recon, next(families)
-
-    made, error = _until_error(make, g_values)
     worst = 0.0
-    if made:
-        recons, fams = zip(*made)
-        for recon, amps in zip(recons, mps._amplitudes(mps._matrix_stack(fams), n_sites)):
-            worst = max(worst, float(np.max(np.abs(amps - recon))))
-    if error is not None:
-        raise error
+    for recon, amps in zip(recons, mps._amplitudes(mps._matrix_stack(fams), n_sites)):
+        worst = max(worst, float(np.max(np.abs(amps - recon))))
     return worst
 
 

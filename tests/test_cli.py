@@ -341,28 +341,43 @@ def _first_error_of_the_per_g_loop(g_values, r_max):
     return None
 
 
-@pytest.mark.parametrize("sweep, eig_fails_at, projectors_fail_at, message", [
-    (("1", "1e200", "3"), None, None, "transfer operator overflows: sum_i |A_i[a,b]|^2 lies beyond the float range"),
-    (("1", "1e200", "3"), 1.0, None, "eig fails at g = 1.0"),
-    # the stack decomposes g = 1, 1.5 and 2 before it forms a projector; the per-g loop meets g = 1's projectors first
-    (("1", "3", "5"), 2.0, 1.0, "projectors fail at g = 1.0"),
-    (("1", "3", "5"), 1.0, 2.0, "eig fails at g = 1.0"),
-    (("1", "3", "5"), 2.5, 1.5, "projectors fail at g = 1.5"),
-])
-def test_correlate_sweep_raises_the_error_the_per_g_loop_meets_first(
-    monkeypatch, capsys, sweep, eig_fails_at, projectors_fail_at, message
-):
+def _failing_sweep_stderr(monkeypatch, capsys, sweep, eig_fails_at, projectors_fail_at) -> str:
+    """The stderr of a failed model I zz g-sweep with eig_all and _projectors made to fail at the given g."""
     if eig_fails_at is not None:
         _fail_for(monkeypatch, "eig_all", eig_fails_at, np.linalg.LinAlgError(f"eig fails at g = {eig_fails_at}"))
     if projectors_fail_at is not None:
         _fail_for(monkeypatch, "_projectors", projectors_fail_at,
                   linalg.ZeroSpectrumError(f"projectors fail at g = {projectors_fail_at}"))
-    g_values = [float(x) for x in np.linspace(float(sweep[0]), float(sweep[1]), int(sweep[2]))]
-    assert str(_first_error_of_the_per_g_loop(g_values, 4)) == message
     assert run("correlate", "--which", "I", "--channel", "zz", "--g-sweep", *sweep, "--r-max", "4") == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    return captured.err
+
+
+@pytest.mark.parametrize("sweep, eig_fails_at, projectors_fail_at, message", [
+    (("1", "1e200", "3"), None, None, "transfer operator overflows: sum_i |A_i[a,b]|^2 lies beyond the float range"),
+    (("1", "3", "5"), 1.0, 2.0, "eig fails at g = 1.0"),
+])
+def test_correlate_sweep_raises_the_error_the_per_g_loop_meets_first(
+    monkeypatch, capsys, sweep, eig_fails_at, projectors_fail_at, message
+):
+    g_values = [float(x) for x in np.linspace(float(sweep[0]), float(sweep[1]), int(sweep[2]))]
+    err = _failing_sweep_stderr(monkeypatch, capsys, sweep, eig_fails_at, projectors_fail_at)
+    assert str(_first_error_of_the_per_g_loop(g_values, 4)) == message
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("sweep, eig_fails_at, projectors_fail_at, message", [
+    # g = 1e200 is refused before any family is decomposed; the per-g loop met g = 1's eig failure first
+    (("1", "1e200", "3"), 1.0, None, "transfer operator overflows: sum_i |A_i[a,b]|^2 lies beyond the float range"),
+    # the stack decomposes every g before it forms a projector, so an eig failure at a later g comes first
+    (("1", "3", "5"), 2.0, 1.0, "eig fails at g = 2.0"),
+    (("1", "3", "5"), 2.5, 1.5, "eig fails at g = 2.5"),
+])
+def test_correlate_sweep_raises_a_refusal_then_the_earliest_failing_step(
+    monkeypatch, capsys, sweep, eig_fails_at, projectors_fail_at, message
+):
+    assert _failing_sweep_stderr(monkeypatch, capsys, sweep, eig_fails_at, projectors_fail_at) == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("g", ["1e60", "1e77", "1e100"])
@@ -406,6 +421,15 @@ def test_python_m_mpschain_runs_the_cli(capsys):
     assert proc.returncode == 0, proc.stderr
     assert run("verify", "--suite", "all") == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+def test_python_m_mpschain_help_exits_zero():
+    src = str(Path(mpschain.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "mpschain", "--help"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: mpschain")
 
 
 def test_correlate_json_format(tmp_path):
@@ -465,6 +489,64 @@ def test_genstate_one_point_rows_ignore_the_separation_range(capsys):
     assert capsys.readouterr().out.splitlines()[1:] == ["8,2,,norm,560,1,560", "8,2,,sz2,3,4,0.75"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--g", "1.0", "--channel", "zz"),
+    ("--g", "1.0", "--channel", "xx", "--mode", "ring", "--n-sites", "10"),
+    ("--g-sweep", "0.1", "3", "30", "--channel", "identity"),
+    # refused before any family is built: g = 1e200 is an overflowing family
+    ("--g", "1e200", "--channel", "zz"),
+    ("--g-sweep", "1", "1e200", "3", "--channel", "zz", "--mode", "ring", "--n-sites", "10"),
+])
+def test_correlate_refuses_an_empty_separation_range(argv, capsys):
+    assert run("correlate", "--which", "I", *argv, "--r-min", "5", "--r-max", "3") == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty separation range: --r-min 5 exceeds --r-max 3\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("--g", "1.0", "--mode", "ring", "--n-sites", "10", "--r-max", "12"), "separation must satisfy 1 <= r < n_sites"),
+    (("--g-sweep", "0.1", "3", "30", "--r-min", "0", "--r-max", "3"), "separation must be >= 1"),
+])
+def test_correlate_refuses_a_separation_out_of_range(argv, err, capsys):
+    assert run("correlate", "--which", "I", "--channel", "zz", *argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("channel", ["zz", "sz2"])
+def test_correlate_empty_g_sweep_prints_only_the_header(channel, capsys):
+    assert run("correlate", "--which", "I", "--channel", channel, "--g-sweep", "0.1", "3", "0") == 0
+    assert capsys.readouterr().out == "g,r,channel,value,flag\n"
+
+
+@pytest.mark.parametrize("argv", [("--channel", "sz2"), ("--channel", "zz", "--mode", "closed")])
+def test_correlate_one_point_and_closed_rows_ignore_the_separation_range(argv, capsys):
+    assert run("correlate", "--which", "I", "--g", "1.0", *argv) == 0
+    rows = capsys.readouterr().out
+    assert run("correlate", "--which", "I", "--g", "1.0", *argv, "--r-min", "5", "--r-max", "3") == 0
+    assert capsys.readouterr().out == rows
+
+
+@pytest.mark.parametrize("obs", ["zz", "sz2sz2"])
+@pytest.mark.parametrize("argv", [
+    ("--n-sites", "8", "--zeros", "2", "--r", "99"),
+    ("--n-sites", "8", "--zeros", "2", "--r-min", "2", "--r-max", "8", "--norm"),
+    ("--n-sites", "2", "--zeros", "0"),
+])
+def test_genstate_sz2sz2_refuses_a_separation_as_zz_does(obs, argv, capsys):
+    assert run("genstate", "--obs", obs, *argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: operator sites are 1 and r with 2 <= r <= N-1\n"
+
+
+def test_genstate_sz2sz2_rows_hold_one_value_at_every_separation(capsys):
+    assert run("genstate", "--n-sites", "8", "--zeros", "2", "--obs", "sz2sz2", "--r-min", "2", "--r-max", "7") == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [f"8,2,{r},sz2sz2,15,28,0.5357142857142857" for r in range(2, 8)]
+
+
 #: sha256 of two 149-separation genstate tables, recorded before the correlator sums walked running binomials
 GENSTATE_SHA256 = {
     "xx": "a572f7965788409af7e03f1efc1f395b1e2ba097eb2059006c6e4b3cc546eeb8",
@@ -501,6 +583,29 @@ def test_usage_errors():
     assert run("correlate", "--which", "II", "--g", "1", "--channel", "zz",
                "--mode", "ring") == cli.EXIT_USAGE  # missing --n-sites
     assert run("bogus") == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("parent", "--which", "file", "--in", "model.json", "--g", "1"), "--which file excludes --g/--h/--c"),
+    (("parent", "--which", "I", "--g", "1", "--in", "model.json"), "--in requires --which file"),
+    (("model", "--which", "general", "--g", "1"), "--which general requires --h"),
+    (("correlate", "--which", "file", "--in", "model.json", "--channel", "zz", "--g-sweep", "0.1", "1", "3"),
+     "--g-sweep excludes --which file"),
+    (("correlate", "--which", "general", "--h", "1", "--channel", "zz", "--g-sweep", "0.1", "1", "3"),
+     "--g-sweep supports --which I or II"),
+    (("correlate", "--which", "II", "--g", "1", "--channel", "zz", "--mode", "closed"),
+     "--mode closed evaluates the model I closed forms"),
+    (("correlate", "--which", "I", "--g", "1", "--channel", "zz", "--mode", "ring", "--n-sites", "5"),
+     "ring size must be even for the solvable models"),
+    (("correlate", "--which", "II", "--g", "1", "--channel", "sz2", "--mode", "ring", "--n-sites", "7"),
+     "ring size must be even for the solvable models"),
+    (("genstate", "--n-sites", "4", "--zeros", "2"), "nothing to do: pass --obs and/or --norm"),
+])
+def test_cli_refusals(argv, err, capsys):
+    assert run(*argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
 
 
 def test_verify_appendix_suite(tmp_path):
@@ -616,6 +721,19 @@ def test_verify_paths_are_byte_stable(case, capsys):
 def test_verify_n_sites_zero_reaches_the_suites_refusal(suite, err, capsys):
     # 0 is a ring size the suite refuses, not a request for the default size
     assert run("verify", "--suite", suite, "--n-sites", "0") == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("g_values, err", [
+    # g = 0 gives model I's zero state on an odd ring; g = 1e200 is refused before any residual is taken
+    (("0", "1e200"), "transfer operator overflows: sum_i |A_i[a,b]|^2 lies beyond the float range"),
+    (("0",), "zero state has no chain residual"),
+])
+def test_verify_frustration_refuses_every_g_before_it_runs_a_residual(g_values, err, capsys):
+    argv = [arg for g in g_values for arg in ("--g", g)]
+    assert run("verify", "--suite", "frustration", "--n-sites", "5", *argv) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {err}\n"

@@ -126,11 +126,16 @@ def test_model_families_build_model_i_and_ii_bit_for_bit():
                 assert not fam.matrices[lab].flags.writeable
 
 
-def test_model_families_end_at_a_refused_g():
-    fams = models.model_families("I", [1.0, 0.5, 1e200, 2.0])
-    assert [f.params["g"] for f in (next(fams), next(fams))] == [1.0, 0.5]
-    with pytest.raises(ValueError, match="transfer operator overflows"):
-        next(fams)
+@pytest.mark.parametrize("g_values, message", [
+    ([1.0, 0.5, 1e200, 2.0], "transfer operator overflows: sum_i |A_i[a,b]|^2 lies beyond the float range"),
+    ([1.0, 1e200], "transfer operator overflows: sum_i |A_i[a,b]|^2 lies beyond the float range"),
+    ([1.0, np.inf, 1e200], "matrix '0' has a non-finite entry"),
+])
+def test_model_families_raise_the_first_refused_g_when_called(g_values, message):
+    # the whole stack is checked before any family is made, so the call itself raises
+    with pytest.raises(ValueError) as exc:
+        models.model_families("I", g_values)
+    assert str(exc.value) == message
 
 
 def test_spin_component_completeness():

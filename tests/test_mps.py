@@ -510,22 +510,30 @@ def test_two_point_sweep_flags_each_oscillatory_r():
     assert spectrum.two_point_sweep(one, one, [1, 2], 6) == [spectrum.ring_two_point(one, one, r, 6) for r in (1, 2)]
 
 
-def test_two_point_sweep_raises_in_the_one_r_order():
+def test_two_point_sweep_refuses_a_separation_before_computing_anything():
     zero = TransferSpectrum(MpsFamily(d=1, D=2, labels=("x",), matrices={"x": np.array([[0.0, 1.0], [0.0, 0.0]])}))
     one, two = spin.identity(1), spin.identity(2)
     assert zero.two_point_sweep(one, one, []) == zero.two_point_sweep(one, one, [], 4) == []
-    # an error met at an earlier r comes before an invalid later r
+    # an invalid r is refused before the errors that computing a valid r meets
+    ring_message = "separation must satisfy 1 <= r < n_sites"
+    for call, message in [
+        (lambda: zero.two_point_sweep(one, two, [1, 4], 4), ring_message),
+        (lambda: zero.two_point_sweep(one, one, [1, 0]), "separation must be >= 1"),
+        (lambda: zero.two_point_sweep(one, one, [0, 1]), "separation must be >= 1"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert type(exc.value) is ValueError and str(exc.value) == message
     with pytest.raises(ValueError, match="observable dimension"):
-        zero.two_point_sweep(one, two, [1, 4], 4)
+        zero.two_point_sweep(one, two, [1], 4)
     with pytest.raises(DegenerateNormError):
-        zero.two_point_sweep(one, one, [1, 0])
-    with pytest.raises(ValueError, match="separation must be >= 1"):
-        zero.two_point_sweep(one, one, [0, 1])
+        zero.two_point_sweep(one, one, [1])
     spectrum = TransferSpectrum(models.model_I(1.0))
-    with pytest.raises(ValueError, match="separation must be >= 1"):
+    with pytest.raises(ValueError, match="^separation must be >= 1$"):
         spectrum.two_point_sweep(spin.sz(), spin.sz(), [1, 2, 0])
-    with pytest.raises(ValueError, match="1 <= r < n_sites"):
+    with pytest.raises(ValueError, match="^separation must satisfy 1 <= r < n_sites$"):
         spectrum.two_point_sweep(spin.sz(), spin.sz(), [1, 2, 8], 8)
+    assert spectrum._rho is None and spectrum._eig is None  # nothing was computed
 
 
 def _count_calls(monkeypatch, module, name):

@@ -485,13 +485,9 @@ def test_limit_sums_keep_the_loop_arithmetic_where_it_shows(lam, p, middle, extr
     assert _text(got) == _text([expected])
 
 
-@pytest.mark.parametrize("names, error", [
-    (["unique, real vectors", "degenerate group", "zero spectrum"], "EigenConvergenceError"),
-    (["unique, real vectors", "zero spectrum", "degenerate group"], "ZeroSpectrumError"),
-])
-def test_stacked_projectors_raise_the_error_a_loop_over_the_families_meets_first(monkeypatch, names, error):
-    # the overlap L^H R of the degenerate group, the one 4 x 4 overlap, is made singular; the zero
-    # spectrum has no dominant eigenvalue
+def _singular_overlap_stack(monkeypatch, names) -> list[MpsFamily]:
+    """The named families, with the overlap L^H R of the degenerate group, the one 4 x 4 overlap, made
+    singular; the zero spectrum has no dominant eigenvalue."""
     real_inv = np.linalg.inv
 
     def inv(a):
@@ -501,7 +497,23 @@ def test_stacked_projectors_raise_the_error_a_loop_over_the_families_meets_first
 
     monkeypatch.setattr(np.linalg, "inv", inv)
     fams = {**TAIL_STACKS["d3 D2"], "zero spectrum": _family(3, [ZERO2, [[0.0, 1.0], [0.0, 0.0]], ZERO2])}
-    stack = [fams[name] for name in names]
+    return [fams[name] for name in names]
+
+
+@pytest.mark.parametrize("names, error", [
+    (["unique, real vectors", "zero spectrum", "degenerate group"], "ZeroSpectrumError"),
+])
+def test_stacked_projectors_raise_the_error_a_loop_over_the_families_meets_first(monkeypatch, names, error):
+    stack = _singular_overlap_stack(monkeypatch, names)
     loop = _outcome(lambda: [TransferSpectrum(f).projectors for f in stack])
     assert loop.startswith(error)
     assert _outcome(lambda: TransferSpectrum(stack).projectors) == loop
+
+
+def test_stacked_projectors_raise_a_zero_spectrum_before_a_singular_overlap(monkeypatch):
+    # the dominant groups of every family are found before any overlap is inverted; a loop over the
+    # families met the degenerate group's EigenConvergenceError first
+    stack = _singular_overlap_stack(monkeypatch, ["unique, real vectors", "degenerate group", "zero spectrum"])
+    with pytest.raises(linalg.ZeroSpectrumError) as exc:
+        TransferSpectrum(stack).projectors
+    assert str(exc.value) == "all-zero spectrum: no dominant eigenvalue"

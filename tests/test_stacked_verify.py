@@ -184,19 +184,20 @@ def test_stacked_residuals_of_the_frustration_suite_are_the_per_g_ones():
         assert [c.value.hex() for c in checks] == [w.hex() for w in want]
 
 
-def test_a_zero_state_raises_in_row_order():
+def test_a_zero_state_is_refused_before_the_chain_is_applied():
     h = models.model_II_hamiltonian().matrix
     x = np.random.default_rng(3).standard_normal(81)
     zero = np.zeros(81)
     for states in ([zero, x], [x, zero], [x, x, zero]):
-        with pytest.raises(DegenerateNormError, match="zero state has no chain residual"):
+        with pytest.raises(DegenerateNormError, match="^zero state has no chain residual$"):
             parent._chain_residuals(h, 2, 4, np.array(states))
-    # a ring shorter than the term: the zero first row is met first, else the ring is refused
+    # a ring shorter than the term: a zero row in any place is refused first, else the ring is refused
     x3 = np.random.default_rng(4).standard_normal(3)
-    with pytest.raises(DegenerateNormError):
-        parent._chain_residuals(h, 2, 1, np.array([np.zeros(3), x3]))
+    for states in ([np.zeros(3), x3], [x3, np.zeros(3)]):
+        with pytest.raises(DegenerateNormError, match="^zero state has no chain residual$"):
+            parent._chain_residuals(h, 2, 1, np.array(states))
     with pytest.raises(ValueError, match="n_sites must be >= k = 2"):
-        parent._chain_residuals(h, 2, 1, np.array([x3, np.zeros(3)]))
+        parent._chain_residuals(h, 2, 1, np.array([x3, x3]))
     with pytest.raises(ValueError, match=r"state must have length 81, got \(80,\)"):
         parent.chain_residual(models.model_II_hamiltonian(), 4, np.ones(80))
 
@@ -295,22 +296,21 @@ def test_family_refusals_are_the_one_matrix_checks(case):
     assert want is not None or case == "large but finite"
 
 
-def test_stacked_families_are_refused_as_the_constructor_refuses_them():
+def test_a_family_stack_is_checked_whole_and_refused_as_the_constructor_refuses():
     gs = [0.5, 1e155, 1e200, np.inf, np.nan, -1e160]
     for g in gs:
         mats = models._general_stack([g], [g], [1.0])
         want = _refusal(3, 3, ("1", "0", "-1"), dict(zip(("1", "0", "-1"), mats[0].copy())))
         got = None
         try:
-            next(models._families(mats, [{"g": g}]))
+            mps._stacked_families(("1", "0", "-1"), mats, [{"g": g}])
         except ValueError as exc:
             got = type(exc), str(exc)
         assert got == want, g
-    # a refused g ends the iteration when it is reached
-    fams = models.model_families("II", [1.0, 1e200, 2.0])
-    assert next(fams).params == {"g": 1.0}
-    with pytest.raises(ValueError, match="transfer operator overflows"):
-        next(fams)
+    # the whole stack is checked first: a refused g raises when the families are asked for
+    with pytest.raises(ValueError) as exc:
+        models.model_families("II", [1.0, 1e200, 2.0])
+    assert str(exc.value) == "transfer operator overflows: sum_i |A_i[a,b]|^2 lies beyond the float range"
 
 
 def test_a_family_holds_one_frozen_stack_and_views_of_it():
