@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import re
 import sys
 from fractions import Fraction
@@ -58,6 +59,29 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
+
+
+class _GSweep(argparse.Action):
+    """--g-sweep MIN MAX STEPS, read as two finite floats and a non-negative int, each refused by name."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        lo, hi, steps = values
+        bounds = []
+        for name, text in (("MIN", lo), ("MAX", hi)):
+            try:
+                x = float(text)
+            except ValueError:
+                raise argparse.ArgumentError(self, f"{name} must be a number, got {text!r}") from None
+            if not math.isfinite(x):
+                raise argparse.ArgumentError(self, f"{name} must be finite, got {text}")
+            bounds.append(x)
+        try:
+            num = int(steps)
+        except ValueError:
+            num = None
+        if num is None or num < 0:
+            raise argparse.ArgumentError(self, f"STEPS must be a non-negative integer, got {steps!r}")
+        setattr(namespace, self.dest, (*bounds, num))
 
 
 def _fmt(x: float) -> str:
@@ -160,12 +184,11 @@ def _cmd_correlate(args) -> int:
     if args.mode != "closed" and args.channel in _TWO_POINT and args.r_min > args.r_max:
         raise _UsageError(f"empty separation range: --r-min {args.r_min} exceeds --r-max {args.r_max}")
     if args.g_sweep is not None:
-        lo, hi, num = args.g_sweep
-        g_values = [float(x) for x in np.linspace(float(lo), float(hi), int(num))]
         if args.which == "file":
             raise _UsageError("--g-sweep excludes --which file")
         if args.which == "general":
             raise _UsageError("--g-sweep supports --which I or II")
+        g_values = [float(x) for x in np.linspace(*args.g_sweep)]
         families = models.model_families(args.which, g_values)
     else:
         fam = _resolve_model(args)
@@ -291,7 +314,7 @@ def build_parser() -> _Parser:
     pc.add_argument("--n-sites", type=int, default=None, help="ring size (ring mode)")
     pc.add_argument("--r-min", type=int, default=1, help="smallest separation")
     pc.add_argument("--r-max", type=int, default=1, help="largest separation")
-    pc.add_argument("--g-sweep", nargs=3, metavar=("MIN", "MAX", "STEPS"), default=None)
+    pc.add_argument("--g-sweep", nargs=3, metavar=("MIN", "MAX", "STEPS"), action=_GSweep, default=None)
     pc.add_argument("--format", default="csv", choices=["csv", "json"])
     pc.add_argument("--out", default="-", help="output path (default stdout)")
     pc.set_defaults(fn=_cmd_correlate)
@@ -336,7 +359,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, parent.KernelRecheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -179,80 +179,54 @@ def dense_matrix(op: ChainOperator) -> np.ndarray:
     return dense_chain(op.local.matrix, op.local.k, op.n_sites)
 
 
-#: Bytes per block of the Lanczos basis: 32 MiB, the ceiling of glibc
-#: malloc's dynamic mmap threshold, so a block of full size is always a fresh
-#: mapping that is returned to the system when the solve ends.  A smaller block can be served
-#: from the heap and stay resident there, by an amount that follows the
-#: iteration count: with 16-row blocks the oracle benchmark's peak RSS jumped
-#: between 156 and 178 MiB from one seed to the next (BENCH_11.json).  Rows
-#: are written one per iteration, so only the rows in use are resident.
-_LANCZOS_BLOCK_BYTES = 32 << 20
+def _lanczos_smallest(matvec, dim: int, max_iter: int = 400) -> tuple[float, float]:
+    """Smallest eigenvalue and its Ritz residual, by plain Lanczos.
 
-
-def _block_rows(dim: int, max_iter: int) -> int:
-    """Rows per Lanczos basis block: _LANCZOS_BLOCK_BYTES of rows, or the max_iter + 1 a solve can write if fewer."""
-    return min(max_iter + 1, -(-_LANCZOS_BLOCK_BYTES // (8 * dim)))
-
-
-def _lanczos_smallest(matvec, dim: int, max_iter: int = 400) -> tuple[float, list[np.ndarray]]:
-    """Smallest eigenvalue and the kept Krylov basis, by Lanczos with full reorthogonalization.
-
-    The basis vectors are the rows of fixed-size row blocks, filled in
-    place; the basis is returned as those blocks cut to the rows in use.
-    After the three-term update, w is reorthogonalized against every kept
-    row by block classical Gram-Schmidt (c = V @ w, w -= c @ V per block),
-    and the pass runs a second time only when the first shrank ||w|| below
-    ||w|| / sqrt(2) (the Daniel-Gragg-Kaufman-Stewart test).  It stops once
-    the Ritz value theta moves by at most 1e-11 max(1, |theta|).  A fixed-seed
-    start vector keeps runs reproducible.  max_iter below 1 is refused
-    before anything is allocated.
+    The three-term recurrence runs without reorthogonalization, so a solve
+    holds three vectors, q, the previous q and w, whatever its length.  The
+    lost orthogonality only shows once a Ritz value has converged (Paige), so
+    the Ritz residual beta_j |s_j|, s_j the last entry of the lowest
+    eigenvector of the tridiagonal T, stays a valid stop: the solve returns
+    once it is at most 1e-6 max(1, |theta|), from the fourth iteration on,
+    or at once when w vanishes (an invariant subspace).  The Ritz value's
+    error then falls as the square of the residual.  A fixed-seed start
+    vector keeps runs reproducible.  max_iter below 1 is refused before
+    anything is allocated.
     """
     from scipy.linalg import eigh_tridiagonal
 
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    rows = _block_rows(dim, max_iter)
-    blocks = [np.empty((rows, dim))]
-    q = blocks[0][0]
-    np.random.default_rng(1234).standard_normal(dim, out=q)
+    q = np.random.default_rng(1234).standard_normal(dim)
     q /= np.linalg.norm(q)
     alphas: list[float] = []
     betas: list[float] = []
     theta_prev = np.inf
-    w = matvec(q)
     for it in range(max_iter):
+        w = matvec(q)
         alphas.append(float(q @ w))
         w -= alphas[-1] * q
         if it:
             w -= betas[-1] * q_prev
-        kept = blocks[:-1] + [blocks[-1][: it % rows + 1]]
-        before = np.linalg.norm(w)
-        for _ in range(2):
-            for v in kept:
-                w -= (v @ w) @ v
-            b = float(np.linalg.norm(w))
-            if b >= before / np.sqrt(2):
-                break
-            before = b
-        theta = eigh_tridiagonal(alphas, betas, eigvals_only=True, select="i", select_range=(0, 0))[0]
+        b = float(np.linalg.norm(w))
+        thetas, s = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
+        theta = float(thetas[0])
+        residual = b * abs(float(s[-1, 0]))
         increment = abs(theta - theta_prev)
-        if b < 1e-13 or (it >= 3 and increment <= 1e-11 * max(1.0, abs(theta))):
-            return float(theta), kept
+        if b < 1e-13 or (it >= 3 and residual <= 1e-6 * max(1.0, abs(theta))):
+            return theta, residual
         theta_prev = theta
         betas.append(b)
-        if (it + 1) % rows == 0:
-            blocks.append(np.empty((rows, dim)))
-        q_prev, q = q, blocks[-1][(it + 1) % rows]
-        np.divide(w, b, out=q)
-        w = matvec(q)
+        w /= b
+        q_prev, q = q, w
     raise LanczosConvergenceError(
         f"no convergence after {max_iter} iterations; last Ritz value {theta:.6e}, "
-        f"last increment {increment:.3e}"
+        f"last residual {residual:.3e}, last increment {increment:.3e}"
     )
 
 
 def ground_energy(op: ChainOperator) -> float:
-    """Smallest eigenvalue, dense below the dense cap and Lanczos above it."""
+    """Smallest eigenvalue, dense below the dense cap and by plain Lanczos (_lanczos_smallest) above it."""
     if op.n_sites > ITER_MAX_SITES:
         raise ValueError(f"n_sites {op.n_sites} exceeds the iterative cap {ITER_MAX_SITES}")
     if op.is_dense():

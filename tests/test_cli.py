@@ -113,7 +113,7 @@ def test_a_negative_number_given_apart_is_a_value(apart, joined, capsys):
 
 def test_a_g_sweep_takes_negative_bounds_with_exponents(capsys):
     argv = ["correlate", "--which", "I", "--channel", "sz2", "--g-sweep", "-1e-3", "-2.5E-1", "3"]
-    assert cli.build_parser().parse_args(argv).g_sweep == ["-1e-3", "-2.5E-1", "3"]
+    assert cli.build_parser().parse_args(argv).g_sweep == (-0.001, -0.25, 3)
     assert run(*argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["-0.001", "-0.1255", "-0.25"]
@@ -513,6 +513,33 @@ def test_correlate_refuses_a_separation_out_of_range(argv, err, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("--which", "I", "--g-sweep", "0.1", "3", "2.5"), "STEPS must be a non-negative integer, got '2.5'"),
+    (("--which", "file", "--g-sweep", "0", "1", "-1"), "STEPS must be a non-negative integer, got '-1'"),
+    (("--which", "I", "--g-sweep", "0.3", "inf", "3"), "MAX must be finite, got inf"),
+    (("--which", "II", "--g-sweep", "nan", "1", "0"), "MIN must be finite, got nan"),
+    (("--which", "I", "--g-sweep", "x", "1", "3"), "MIN must be a number, got 'x'"),
+])
+def test_correlate_g_sweep_is_refused_by_the_parser(argv, err, capsys, monkeypatch):
+    # every refusal comes from argparse, before any family is built; any warning fails the test
+    monkeypatch.setattr(models, "model_families", None)
+    assert run("correlate", *argv, "--channel", "zz") == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: argument --g-sweep: {err}\n"
+
+
+def test_parent_kernel_recheck_failure_is_one_error_line(capsys):
+    # the k = 3 word matrix of g = 1e80 overflows the re-check norm; numpy's
+    # overflow warning still comes first (refusing that overflow from the
+    # inputs is open), and the error ends the run as one line
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert run("parent", "--which", "I", "--g", "1e80", "--k", "3") == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: kernel re-check failed; tolerance too loose for this family\n"
 
 
 @pytest.mark.parametrize("channel", ["zz", "sz2"])
