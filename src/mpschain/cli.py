@@ -62,7 +62,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _GSweep(argparse.Action):
-    """--g-sweep MIN MAX STEPS, read as two finite floats and a non-negative int, each refused by name."""
+    """--g-sweep MIN MAX STEPS: two finite floats with a finite span and a non-negative int, each refused by name."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         lo, hi, steps = values
@@ -75,6 +75,8 @@ class _GSweep(argparse.Action):
             if not math.isfinite(x):
                 raise argparse.ArgumentError(self, f"{name} must be finite, got {text}")
             bounds.append(x)
+        if not math.isfinite(bounds[1] - bounds[0]):
+            raise argparse.ArgumentError(self, f"MAX - MIN must be finite, got {hi} - {lo}")
         try:
             num = int(steps)
         except ValueError:

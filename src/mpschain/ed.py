@@ -12,7 +12,6 @@ the family label order (1, 0, -1 for spin-1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,10 @@ from .parent import LocalHamiltonian, _local_dim, chain_apply, chain_residual
 DENSE_MAX_SITES = 8
 #: Hard ceiling for matrix-free iterative work.
 ITER_MAX_SITES = 12
+#: Eigenvalues at most this count towards a kernel (kernel_dimension, report).
+_KERNEL_TOL = 1e-8
+#: Iterations a Lanczos ground-energy solve may take.
+_LANCZOS_MAX_ITER = 400
 
 
 class AmbiguousKernelError(RuntimeError):
@@ -179,7 +182,7 @@ def dense_matrix(op: ChainOperator) -> np.ndarray:
     return dense_chain(op.local.matrix, op.local.k, op.n_sites)
 
 
-def _lanczos_smallest(matvec, dim: int, max_iter: int = 400) -> tuple[float, float]:
+def _lanczos_smallest(matvec, dim: int) -> tuple[float, float]:
     """Smallest eigenvalue and its Ritz residual, by plain Lanczos.
 
     The three-term recurrence runs without reorthogonalization, so a solve
@@ -190,19 +193,17 @@ def _lanczos_smallest(matvec, dim: int, max_iter: int = 400) -> tuple[float, flo
     once it is at most 1e-6 max(1, |theta|), from the fourth iteration on,
     or at once when w vanishes (an invariant subspace).  The Ritz value's
     error then falls as the square of the residual.  A fixed-seed start
-    vector keeps runs reproducible.  max_iter below 1 is refused before
-    anything is allocated.
+    vector keeps runs reproducible.  A solve not converged after
+    _LANCZOS_MAX_ITER iterations raises LanczosConvergenceError.
     """
     from scipy.linalg import eigh_tridiagonal
 
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     q = np.random.default_rng(1234).standard_normal(dim)
     q /= np.linalg.norm(q)
     alphas: list[float] = []
     betas: list[float] = []
     theta_prev = np.inf
-    for it in range(max_iter):
+    for it in range(_LANCZOS_MAX_ITER):
         w = matvec(q)
         alphas.append(float(q @ w))
         w -= alphas[-1] * q
@@ -220,7 +221,7 @@ def _lanczos_smallest(matvec, dim: int, max_iter: int = 400) -> tuple[float, flo
         w /= b
         q_prev, q = q, w
     raise LanczosConvergenceError(
-        f"no convergence after {max_iter} iterations; last Ritz value {theta:.6e}, "
+        f"no convergence after {_LANCZOS_MAX_ITER} iterations; last Ritz value {theta:.6e}, "
         f"last residual {residual:.3e}, last increment {increment:.3e}"
     )
 
@@ -250,24 +251,16 @@ def _kernel_count(w: np.ndarray, tol: float) -> int:
     return count
 
 
-def _check_kernel_tol(tol: float) -> None:
-    """Refuse a kernel tolerance that is not a finite number >= 0; NaN or a negative one would count no eigenvalue."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"kernel tolerance must be finite and nonnegative, got {tol}")
+def kernel_dimension(op: ChainOperator) -> int:
+    """Number of eigenvalues at most _KERNEL_TOL, with a spectral-gap sanity check.
 
-
-def kernel_dimension(op: ChainOperator, tol: float = 1e-8) -> int:
-    """Number of eigenvalues at most tol, with a spectral-gap sanity check.
-
-    The first eigenvalue above the count must be at least 100 * tol away,
-    otherwise the count is ambiguous and AmbiguousKernelError reports the
-    candidate range instead of a silent number.  The spectrum comes from the
-    connected blocks of the sparse chain, never from the dense matrix.  A tol
-    that is not finite and nonnegative is refused before any diagonalization.
+    The first eigenvalue above the count must be at least 100 * _KERNEL_TOL
+    away, otherwise the count is ambiguous and AmbiguousKernelError reports
+    the candidate range instead of a silent number.  The spectrum comes from
+    the connected blocks of the sparse chain, never from the dense matrix.
     """
-    _check_kernel_tol(tol)
     _check_dense(op.n_sites)
-    return _kernel_count(_block_spectrum(op), tol)
+    return _kernel_count(_block_spectrum(op), _KERNEL_TOL)
 
 
 def overlap_with_kernel(op: ChainOperator, state: np.ndarray) -> float:
@@ -282,18 +275,17 @@ def overlap_with_kernel(op: ChainOperator, state: np.ndarray) -> float:
     return chain_residual(op.local, op.n_sites, state)
 
 
-def report(op: ChainOperator, kernel_tol: float = 1e-8) -> dict:
-    """Spectrum/degeneracy summary as a JSON-ready dictionary; kernel_tol as in kernel_dimension."""
-    _check_kernel_tol(kernel_tol)
+def report(op: ChainOperator) -> dict:
+    """Spectrum/degeneracy summary as a JSON-ready dictionary; the kernel counted as in kernel_dimension."""
     w = spectrum(op)
     try:
-        kdim: int | list[int] = _kernel_count(w, kernel_tol)
+        kdim: int | list[int] = _kernel_count(w, _KERNEL_TOL)
     except AmbiguousKernelError as exc:
         kdim = [exc.low, exc.high]
     return {
         "n_sites": op.n_sites,
         "ground_energy": float(w[0]),
         "kernel_dim": kdim,
-        "kernel_tol": kernel_tol,
+        "kernel_tol": _KERNEL_TOL,
         "spectrum_head": [float(x) for x in w[:20]],
     }

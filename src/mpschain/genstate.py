@@ -50,7 +50,7 @@ from math import comb
 
 import numpy as np
 
-#: Largest ring psi_n_expand and model_ii_word_traces enumerate.
+#: Largest ring psi_n_expand enumerates.
 EXPAND_MAX_SITES = 10
 
 
@@ -103,12 +103,6 @@ class PsiN:
     zeros: int
     index: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_amplitudes(cls, n_sites: int, zeros: int, amplitudes: dict[tuple[int, ...], int]) -> PsiN:
-        digits = 1 - np.array(list(amplitudes), dtype=np.int64).reshape(len(amplitudes), n_sites)
-        values = np.array(list(amplitudes.values()), dtype=np.int64)
-        return cls(n_sites=n_sites, zeros=zeros, index=digits @ _place_values(n_sites), values=values)
 
     @cached_property
     def amplitudes(self) -> dict[tuple[int, ...], int]:
@@ -164,20 +158,6 @@ def psi_n_expand(n_sites: int, zeros: int) -> PsiN:
     index = (w[zero_sites].sum(axis=1)[:, None] + free @ digits.T).ravel()
     values = np.tile(np.array(traces, dtype=np.int64), placements)
     return PsiN(n_sites=n_sites, zeros=zeros, index=index, values=values)
-
-
-def model_ii_word_traces(n_sites: int) -> dict[tuple[int, ...], tuple[int, int]]:
-    """All nonzero model II amplitudes as (zero count, integer trace) pairs.
-
-    The ring amplitude at parameter g is g**zeros * trace, exactly; summing
-    the sectors with g weights reconstructs the full MPS amplitude map.
-    """
-    _check_expand(n_sites, 0)
-    out: dict[tuple[int, ...], tuple[int, int]] = {}
-    for zeros in range(0, n_sites + 1, 2):
-        for cfg, t in psi_n_expand(n_sites, zeros).amplitudes.items():
-            out[cfg] = (zeros, t)
-    return out
 
 
 def psi_n_norm(n_sites: int, zeros: int) -> int:
@@ -382,15 +362,6 @@ def expectation_sz2(psi: PsiN) -> Fraction:
     return _expectations(psi, ("sz2",))["sz2"]
 
 
-def expectation_sperp2(psi: PsiN) -> Fraction:
-    """<S_x^2> at site 1; the S_x^2 cross terms unbalance the string and drop."""
-    return _expectations(psi, ("sperp2",))["sperp2"]
-
-
-def expectation_sz2sz2(psi: PsiN, r: int) -> Fraction:
-    return _expectations(psi, ("sz2sz2",), [r])["sz2sz2"][0]
-
-
 def expectation_zz(psi: PsiN, r: int) -> Fraction:
     return _expectations(psi, ("zz",), [r])["zz"][0]
 
@@ -422,21 +393,6 @@ def _limit_bracket(r: int, channel: str) -> Fraction:
     if channel == "xx":
         return Fraction(3, 2 ** ((r + 1) // 2)) if r % 2 else Fraction(1, 2 ** (r // 2 - 1))
     raise ValueError("channel must be 'zz' or 'xx'")
-
-
-def thermo_corr_finite(n_sites: int, zeros: int, r: int, channel: str) -> float:
-    """Dominant-eigenvalue approximation of corr_zz/corr_xx at large even N.
-
-    The arc-split prefactor C(N-r, n)/C(N, n) (zz) or C(N-r, n-1)/C(N, n) (xx)
-    times the limit bracket; used to exhibit the limit laws at finite N.
-    xx at n = 0 is 0, as corr_xx is.
-    """
-    _check_nnr(n_sites, zeros, r)
-    bracket = _limit_bracket(r, channel)
-    inner_zeros = zeros if channel == "zz" else zeros - 1
-    if inner_zeros < 0:
-        return 0.0
-    return float(Fraction(comb(n_sites - r, inner_zeros), comb(n_sites, zeros)) * bracket)
 
 
 def thermo_corr(zeros: int, r: int, channel: str) -> float:

@@ -41,12 +41,12 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
-def phase_fix(v: np.ndarray, zero_tol: float = 1e-9) -> np.ndarray:
+def phase_fix(v: np.ndarray) -> np.ndarray:
     """Normalize a vector and make its first nonzero component real-positive.
 
     The sign/phase convention used across the package so eigenvectors and
     kernel bases are reproducible run to run.  "Nonzero" means magnitude
-    above zero_tol times the largest component.
+    above 1e-9 times the largest component.
     """
     v = np.asarray(v)
     nrm = np.linalg.norm(v)
@@ -54,7 +54,7 @@ def phase_fix(v: np.ndarray, zero_tol: float = 1e-9) -> np.ndarray:
         return v.copy()
     v = v / nrm
     mags = np.abs(v)
-    idx = int(np.flatnonzero(mags > zero_tol * mags.max())[0])
+    idx = int(np.flatnonzero(mags > 1e-9 * mags.max())[0])
     pivot = v[idx]
     v = v * (np.conj(pivot) / abs(pivot))
     if not np.iscomplexobj(np.asarray(v)) or np.max(np.abs(v.imag)) == 0.0:
@@ -159,26 +159,23 @@ def _geev_keeps_scale(m) -> bool:
     return top == 0.0 or 1e-130 <= top <= 1e130
 
 
-def dominant_projectors(m, rel_tol: float = 1e-9) -> list[tuple[complex, np.ndarray]]:
+def dominant_projectors(m) -> list[tuple[complex, np.ndarray]]:
     """Spectral projectors of the dominant eigenvalues of m.
 
-    Returns one (eigenvalue, projector) pair per distinct dominant eigenvalue,
-    built from matched left/right eigenvectors: P = R (L^H R)^{-1} L^H.  The
+    Returns one (eigenvalue, projector) pair per distinct dominant eigenvalue
+    (modulus at least (1 - 1e-9) times the largest), built from matched left/right eigenvectors: P = R (L^H R)^{-1} L^H.  The
     trace of each projector equals the eigenvalue's multiplicity.  Where geev
     returns the eigenvalues of a rescaled m (_geev_keeps_scale), each eigenvalue
     is m's own, tr(P m) / tr(P).
     """
     a = _as_square(m)
-    if not 0.0 <= rel_tol < 1.0:
-        # NaN or a negative rel_tol would call no eigenvalue dominant, 1 or more every one
-        raise ValueError(f"rel_tol must lie in [0, 1), got {rel_tol}")
-    out = _projectors([eig_all(a)], rel_tol)[0]
+    out = _projectors([eig_all(a)])[0]
     if _geev_keeps_scale(a):
         return out
     return [(complex((p @ a).trace() / p.trace()), p) for _, p in out]
 
 
-def _projectors(eigs, rel_tol: float = 1e-9) -> list[list[tuple[complex, np.ndarray]]]:
+def _projectors(eigs) -> list[list[tuple[complex, np.ndarray]]]:
     """dominant_projectors from each (w, vl, vr) of a sequence of eig_all calls on matrices of one size.
 
     One list per matrix; TransferSpectrum calls it on the eig_all results it also
@@ -199,7 +196,7 @@ def _projectors(eigs, rel_tol: float = 1e-9) -> list[list[tuple[complex, np.ndar
     for top, row, w in zip(tops, mags.tolist(), vals.tolist()):
         if top == 0.0:
             raise ZeroSpectrumError("all-zero spectrum: no dominant eigenvalue")
-        cut = (1.0 - rel_tol) * top
+        cut = (1.0 - 1e-9) * top
         family: list[tuple[complex, list[int]]] = []
         for i, mag in enumerate(row):
             if mag >= cut:

@@ -207,10 +207,8 @@ def _stacked_families(labels: tuple[str, ...], mats: np.ndarray, params: Iterabl
 
 @dataclass(frozen=True)
 class TransferOperator:
-    """A D^2 x D^2 transfer operator of one family, plain or observable-dressed,
-    or the (G, D^2, D^2) stack of the operators of G families."""
+    """The D^2 x D^2 transfer operator E of one family, or the (G, D^2, D^2) stack of the operators of G families."""
 
-    kind: str
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -296,16 +294,7 @@ def transfer(mps: MpsFamily | Sequence[MpsFamily]) -> TransferOperator:
 
     A sequence of families of one shape gives the (G, D^2, D^2) stack of their operators.
     """
-    return TransferOperator("plain", _transfer_matrix(_matrix_stack(mps)))
-
-
-def dressed_transfer(mps: MpsFamily | Sequence[MpsFamily], obs: SpinObservable) -> TransferOperator:
-    """Observable-dressed operator E_O = sum_ij conj(A_i) (x) A_j <i|O|j>, formed in at least float64.
-
-    The d^2 weighted products are summed in order, (i, j) = (0, 0), (0, 1), ..., from 0.
-    A sequence of families of one shape gives the (G, D^2, D^2) stack of their operators.
-    """
-    return TransferOperator(f"dressed:{obs.name}", _dressed_matrix(_matrix_stack(mps), obs))
+    return TransferOperator(_transfer_matrix(_matrix_stack(mps)))
 
 
 def _real_or_raise(value, what: str):

@@ -272,11 +272,15 @@ def _chain_residuals(matrix: np.ndarray, k: int, n_sites: int, states: np.ndarra
     """chain_residual of each row of a (G, d^N) stack of states, with one local term or one per row (_chain_apply).
 
     Each norm is the 1-D np.linalg.norm of its row, as for one state (a norm along an axis
-    sums in another order).  A zero row raises DegenerateNormError before H is applied.
+    sums in another order).  A zero row, or one whose norm overflows or is NaN, raises
+    DegenerateNormError before H is applied: an infinite norm would read every residual as 0.
     """
-    norms = [np.linalg.norm(psi) for psi in states]
+    with np.errstate(over="ignore"):
+        norms = [np.linalg.norm(psi) for psi in states]
     if 0.0 in norms:
         raise DegenerateNormError("zero state has no chain residual")
+    if not np.isfinite(norms).all():
+        raise DegenerateNormError("state norm is not finite (overflow or NaN): no chain residual")
     applied = _chain_apply(matrix, k, n_sites, states)
     return [float(np.linalg.norm(h_psi) / nrm) for h_psi, nrm in zip(applied, norms)]
 

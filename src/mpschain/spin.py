@@ -14,9 +14,6 @@ import numpy as np
 #: Label order of the spin-1 physical basis, m = +1, 0, -1.
 LABELS = ("1", "0", "-1")
 
-#: m value carried by each label.
-LABEL_TO_M = {"1": 1, "0": 0, "-1": -1}
-
 
 def spin_generators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S_z, S_+, S_-) for spin s in the basis m = s, s-1, ..., -s."""

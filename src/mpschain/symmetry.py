@@ -53,33 +53,7 @@ def check_generator_condition(mps: MpsFamily, phys_gen: np.ndarray, bond_gen: np
     return res
 
 
-def solve_bond_generator(mps: MpsFamily, phys_gen: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares bond generator for the invariance condition, with residual.
-
-    Solves the linear system for calT; an irreducible residual means no bond
-    representation realizes the symmetry on this family.
-    """
-    t = np.asarray(phys_gen)
-    D, d = mps.D, mps.d
-    mats = mps.matrix_stack()
-    basis = [np.zeros((D, D)) for _ in range(D * D)]
-    for idx in range(D * D):
-        basis[idx][idx // D, idx % D] = 1.0
-    cols = []
-    for b in basis:
-        cols.append(np.concatenate([(b @ mats[i] - mats[i] @ b).reshape(-1) for i in range(d)]))
-    a = np.stack(cols, axis=1)
-    rhs = np.concatenate([sum(t[i, j] * mats[j] for j in range(d)).reshape(-1) for i in range(d)])
-    sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    ct = sol.reshape(D, D)
-    return ct, check_generator_condition(mps, t, ct)
-
-
-def find_intertwiner(
-    mps: MpsFamily,
-    target: dict[str, np.ndarray],
-    tol: float = linalg.DEFAULT_NULL_TOL,
-) -> IntertwinerResult:
+def find_intertwiner(mps: MpsFamily, target: dict[str, np.ndarray]) -> IntertwinerResult:
     """Invertible X with X A_m = A'_m X for every label m.
 
     Solves the stacked commutant-style linear system by null space, filters
@@ -95,7 +69,7 @@ def find_intertwiner(
     # vec(X A - B X) with row-major vec: (I (x) A^T - B (x) I) vec(X), one block per label; each
     # Kronecker product holds the entry products np.kron forms, on axes (label, i, k, j, l)
     system = eye[:, None, :, None] * a_t[:, None, :, None, :] - b[:, :, None, :, None] * eye[:, None, :]
-    kernel = linalg.null_space(system.reshape(-1, D * D), tol)
+    kernel = linalg.null_space(system.reshape(-1, D * D))
     if not kernel:
         return IntertwinerResult(found=False, diagnosis="no solution: the intertwiner system has full rank")
     best_noninv = None

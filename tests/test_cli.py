@@ -521,6 +521,8 @@ def test_correlate_refuses_a_separation_out_of_range(argv, err, capsys):
     (("--which", "I", "--g-sweep", "0.3", "inf", "3"), "MAX must be finite, got inf"),
     (("--which", "II", "--g-sweep", "nan", "1", "0"), "MIN must be finite, got nan"),
     (("--which", "I", "--g-sweep", "x", "1", "3"), "MIN must be a number, got 'x'"),
+    *[(("--which", "I", "--g-sweep", "-1e308", "1e308", steps), "MAX - MIN must be finite, got 1e308 - -1e308")
+      for steps in ("0", "1", "3")],
 ])
 def test_correlate_g_sweep_is_refused_by_the_parser(argv, err, capsys, monkeypatch):
     # every refusal comes from argparse, before any family is built; any warning fails the test
@@ -764,6 +766,15 @@ def test_verify_frustration_refuses_every_g_before_it_runs_a_residual(g_values, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {err}\n"
+
+
+def test_verify_frustration_refuses_a_state_whose_norm_overflows(capsys):
+    # at g = 1e30 the N = 6 amplitudes (~g^6) are finite but ||psi|| overflows: both residuals read 0 and
+    # passed; the norm is refused before H is applied, with no numpy warning (a warning fails the test)
+    assert run("verify", "--suite", "frustration", "--n-sites", "6", "--g", "1e30") == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: state norm is not finite (overflow or NaN): no chain residual\n"
 
 
 def test_verify_report_deterministic(tmp_path):

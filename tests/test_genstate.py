@@ -18,18 +18,22 @@ from mpschain.genstate import (
     corr_xx,
     corr_zz,
     degeneracy_lower_bound,
-    expectation_sperp2,
     expectation_sz2,
-    expectation_sz2sz2,
     expectation_xx,
     expectation_zz,
-    model_ii_word_traces,
     psi_n_expand,
     psi_n_norm,
     thermo_corr,
-    thermo_corr_finite,
 )
 from mpschain.mps import _EvenNLimit, amplitudes
+
+
+def _sperp2(psi):
+    return genstate._expectations(psi, ("sperp2",))["sperp2"]
+
+
+def _sz2sz2(psi, r):
+    return genstate._expectations(psi, ("sz2sz2",), [r])["sz2sz2"][0]
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +112,6 @@ def test_psi_expansion_matches_reference_enumeration_in_order(n_sites):
         assert all(type(a) is int for _, a in got)
 
 
-def test_word_traces_key_order():
-    expected = [
-        (cfg, (zeros, t)) for zeros in range(0, 9, 2) for cfg, t in _reference_expansion(8, zeros).items()
-    ]
-    assert list(model_ii_word_traces(8).items()) == expected
-
-
 def test_psi_rejects_odd_and_caps():
     with pytest.raises(ValueError):
         psi_n_expand(5, 2)
@@ -138,8 +135,6 @@ def test_expansion_errors_come_in_order_cap_evens_range(monkeypatch):
         (psi_n_expand, (6, 3), "zeros must be even"),
         (psi_n_expand, (6, 8), "zeros must lie in"),
         (psi_n_expand, (6, -2), "zeros must lie in"),
-        (model_ii_word_traces, (12,), "expansion cap 10"),
-        (model_ii_word_traces, (7,), "n_sites must be even"),
         (psi_n_norm, (7, 3), "n_sites must be even"),
         (psi_n_norm, (6, 3), "zeros must be even"),
         (psi_n_norm, (6, 8), "zeros must lie in"),
@@ -363,19 +358,19 @@ def test_exact_formula_oracle_equivalence():
     for n in (4, 6, 8, 10):
         for z in range(0, n + 1, 2):
             psi = psi_n_expand(n, z)
-            pairs = [(corr_sz2(n, z), expectation_sz2(psi)), (corr_sperp2(n, z), expectation_sperp2(psi))]
+            pairs = [(corr_sz2(n, z), expectation_sz2(psi)), (corr_sperp2(n, z), _sperp2(psi))]
             for r in range(2, n):
                 pairs += [
                     (corr_zz(n, z, r), expectation_zz(psi, r)),
                     (corr_xx(n, z, r), expectation_xx(psi, r)),
-                    (corr_sz2sz2(n, z), expectation_sz2sz2(psi, r)),
+                    (corr_sz2sz2(n, z), _sz2sz2(psi, r)),
                 ]
             for formula, oracle in pairs:
                 assert type(oracle) is Fraction
                 assert formula == oracle, (n, z)
 
 
-@pytest.mark.parametrize("fn", [expectation_zz, expectation_xx, expectation_sz2sz2])
+@pytest.mark.parametrize("fn", [expectation_zz, expectation_xx, _sz2sz2])
 @pytest.mark.parametrize("r", [0, 1, 6])
 def test_expectations_reject_separations_outside_the_ring(fn, r):
     # r = 1 puts both operators on site 1; r = 0 and r = N wrap to a neighbour of site 1
@@ -399,7 +394,7 @@ def test_corr_bad_arguments():
 
 def test_generating_identity_exact():
     for n in (4, 6):
-        traces = model_ii_word_traces(n)
+        traces = {cfg: (z, t) for z in range(0, n + 1, 2) for cfg, t in psi_n_expand(n, z).amplitudes.items()}
         for g in (1.0, 2.0, 3.0, 4.0, 5.0):
             amps = amplitudes(models.model_II(g), n)
             for cfg_labels, amp in amps.items():
@@ -449,7 +444,7 @@ def test_psi_n_is_constant_on_every_model_ii_block(n_sites):
 
 
 def test_psin_vector_indexing():
-    psi = PsiN.from_amplitudes(n_sites=2, zeros=2, amplitudes={(0, 0): 3})
+    psi = PsiN(n_sites=2, zeros=2, index=np.array([1 * 3 + 1]), values=np.array([3]))
     vec = psi.vector()
     assert vec[1 * 3 + 1] == 3.0
     assert np.count_nonzero(vec) == 1
@@ -512,24 +507,16 @@ def test_array_oracle_equals_the_dict_loops(n_sites):
         assert list(zip(map(tuple, digits), psi.values)) == list(amps.items())
         assert type(psi.norm_sq()) is int and psi.norm_sq() == _loop_norm_sq(amps)
         assert psi.vector().tobytes() == _loop_vector(n_sites, amps).tobytes()
-        pairs = [(expectation_sz2(psi), _loop_sz2(amps)), (expectation_sperp2(psi), _loop_sperp2(amps))]
+        pairs = [(expectation_sz2(psi), _loop_sz2(amps)), (_sperp2(psi), _loop_sperp2(amps))]
         for r in range(2, n_sites):
             pairs += [
                 (expectation_zz(psi, r), _loop_zz(amps, r)),
                 (expectation_xx(psi, r), _loop_xx(amps, r)),
-                (expectation_sz2sz2(psi, r), _loop_sz2sz2(amps, r)),
+                (_sz2sz2(psi, r), _loop_sz2sz2(amps, r)),
             ]
         for got, want in pairs:
             assert type(got) is Fraction
             assert got == want, (n_sites, zeros)
-
-
-def test_from_amplitudes_round_trips_the_expansion():
-    for zeros in (0, 2, 6):
-        psi = psi_n_expand(6, zeros)
-        again = PsiN.from_amplitudes(6, zeros, psi.amplitudes)
-        assert np.array_equal(again.index, psi.index) and np.array_equal(again.values, psi.values)
-        assert again.index.dtype == again.values.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -607,11 +594,6 @@ def test_exact_sums_approach_the_limit_bracket():
                     assert drift <= Fraction(2 * zeros, n_sites), (n_sites, zeros, r, channel)
 
 
-def test_thermo_corr_finite_xx_at_zero_zeros_is_zero():
-    for n_sites, r in ((4, 2), (10, 3), (400, 7)):
-        assert thermo_corr_finite(n_sites, 0, r, "xx") == 0.0 == float(corr_xx(n_sites, 0, r))
-
-
 def test_genstate_imports_nothing_from_the_package():
     tree = ast.parse(Path(genstate.__file__).read_text(encoding="utf-8"))
     assert [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level] == []
@@ -623,11 +605,6 @@ def test_thermo_finite_size_approach():
     assert -0.51 <= float(val) <= -0.49
     assert abs(float(corr_zz(400, 2, 3))) <= 0.01
     assert abs(float(corr_xx(400, 2, 2))) <= 0.02
-    # and the dominant-eigen finite-N approximation tracks the exact value
-    approx = thermo_corr_finite(400, 2, 2, "zz")
-    assert approx == pytest.approx(float(val), abs=1e-3)
-    approx_xx = thermo_corr_finite(400, 2, 2, "xx")
-    assert approx_xx == pytest.approx(float(corr_xx(400, 2, 2)), abs=1e-3)
 
 
 def test_thermo_xx_prefactor_scaling():

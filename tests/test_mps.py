@@ -18,7 +18,6 @@ from mpschain.mps import (
     _real_or_raise,
     amplitudes,
     amplitudes_vector,
-    dressed_transfer,
     ring_norm_sq,
     ring_one_point,
     ring_two_point,
@@ -179,6 +178,11 @@ def _kron_transfer(fam):
     return sum(np.kron(m.conj(), m) for m in mats)
 
 
+def _dressed(fam, obs):
+    """One family's E_O, as TransferSpectrum.dressed forms it before the division by rho."""
+    return mps._dressed_matrix(mps._matrix_stack(fam), obs)
+
+
 def _kron_dressed(fam, obs):
     mats, o = fam.matrix_stack(), obs.matrix
     return sum(o[i, j] * np.kron(mats[i].conj(), mats[j]) for i in range(fam.d) for j in range(fam.d))
@@ -191,7 +195,7 @@ def test_transfer_builders_equal_the_kron_sums(name):
     fam = models.model_I(0.0) if name == "model_I_g0" else FAMILIES[name]
     assert transfer(fam).matrix.tobytes() == _kron_transfer(fam).tobytes()
     for obs in (spin.sz(), spin.sx(), spin.sz2(), spin.SpinObservable("S_y", spin.SY), spin.zero()):
-        assert dressed_transfer(fam, obs).matrix.tobytes() == _kron_dressed(fam, obs).tobytes()
+        assert _dressed(fam, obs).tobytes() == _kron_dressed(fam, obs).tobytes()
 
 
 def test_integer_family_transfer_is_formed_in_floats():
@@ -199,7 +203,7 @@ def test_integer_family_transfer_is_formed_in_floats():
     fam = MpsFamily(d=1, D=1, labels=("x",), matrices={"x": np.array([[2**40]])})
     assert fam.matrices["x"].dtype == np.int64
     assert transfer(fam).matrix.tolist() == [[1.2089258196146292e+24]]
-    assert dressed_transfer(fam, spin.identity(1)).matrix.tolist() == [[1.2089258196146292e+24]]
+    assert _dressed(fam, spin.identity(1)).tolist() == [[1.2089258196146292e+24]]
     assert ring_norm_sq(fam, 2) == 2.0**160
     small = MpsFamily(d=2, D=2, labels=("a", "b"), matrices={"a": np.array([[1, 2], [0, 3]]), "b": np.eye(2, dtype=int)})
     as_float = MpsFamily(d=2, D=2, labels=("a", "b"), matrices={k: m.astype(float) for k, m in small.matrices.items()})
@@ -208,19 +212,19 @@ def test_integer_family_transfer_is_formed_in_floats():
 
 def test_dressed_identity_is_plain():
     fam = models.model_I(0.8)
-    assert np.allclose(dressed_transfer(fam, spin.identity()).matrix, transfer(fam).matrix)
+    assert np.allclose(_dressed(fam, spin.identity()), transfer(fam).matrix)
 
 
 def test_dressed_model_ii_sz_and_sz2():
     fam = models.model_II(0.9)
     v, u = _v_and_u(fam)
-    assert np.allclose(dressed_transfer(fam, spin.sz()).matrix, u, atol=1e-14)
-    assert np.allclose(dressed_transfer(fam, spin.sz2()).matrix, v, atol=1e-14)
+    assert np.allclose(_dressed(fam, spin.sz()), u, atol=1e-14)
+    assert np.allclose(_dressed(fam, spin.sz2()), v, atol=1e-14)
 
 
 def test_dressed_dimension_mismatch():
     with pytest.raises(ValueError):
-        dressed_transfer(models.model_II(1.0), spin.identity(2))
+        _dressed(models.model_II(1.0), spin.identity(2))
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +585,7 @@ def test_dressed_operators_are_keyed_by_content():
     first = spectrum.dressed(spin.SpinObservable("O", spin.SZ))
     assert spectrum.dressed(spin.SpinObservable("O", spin.SZ.copy())) is first
     other = spectrum.dressed(spin.SpinObservable("O", spin.SX))
-    assert np.array_equal(other, dressed_transfer(spectrum.mps, spin.sx()).matrix / spectrum.rho)
+    assert np.array_equal(other, _dressed(spectrum.mps, spin.sx()) / spectrum.rho)
     assert not np.array_equal(other, first)
 
 

@@ -70,7 +70,8 @@ def _random_state(n_sites: int, seed: int) -> PsiN:
     rng = np.random.default_rng(seed)
     configs = {tuple(int(m) for m in rng.integers(-1, 2, n_sites)) for _ in range(3 ** n_sites // 3)}
     amps = {cfg: int(a) for cfg, a in zip(sorted(configs), rng.integers(-3, 4, len(configs))) if a}
-    return PsiN.from_amplitudes(n_sites, 0, amps)
+    index = (1 - np.array(list(amps), dtype=np.int64)) @ genstate._place_values(n_sites)
+    return PsiN(n_sites, 0, index, np.array(list(amps.values()), dtype=np.int64))
 
 
 @pytest.mark.parametrize("n_sites", [4, 6, 8])
@@ -96,11 +97,11 @@ def test_the_oracle_takes_unsorted_repeated_and_single_separations():
 def test_the_public_expectations_are_the_single_r_ones():
     for psi in (psi_n_expand(8, 2), psi_n_expand(10, 4), _random_state(6, 5)):
         assert genstate.expectation_sz2(psi) == _sz2_reference(psi)
-        assert genstate.expectation_sperp2(psi) == _sperp2_reference(psi)
+        assert genstate._expectations(psi, ("sperp2",))["sperp2"] == _sperp2_reference(psi)
         for r in range(2, psi.n_sites):
             assert genstate.expectation_zz(psi, r) == _zz_reference(psi, r)
             assert genstate.expectation_xx(psi, r) == _xx_reference(psi, r)
-            assert genstate.expectation_sz2sz2(psi, r) == _sz2sz2_reference(psi, r)
+            assert genstate._expectations(psi, ("sz2sz2",), [r])["sz2sz2"] == [_sz2sz2_reference(psi, r)]
 
 
 def test_no_separation_gives_empty_lists_and_a_bad_one_is_refused():

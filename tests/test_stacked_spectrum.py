@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mpschain import cli, linalg, models, mps, spin
-from mpschain.mps import MpsFamily, OscillatoryLimitError, TransferSpectrum, dressed_transfer, transfer
+from mpschain.mps import MpsFamily, OscillatoryLimitError, TransferSpectrum, _dressed_matrix, _matrix_stack, transfer
 
 CHANNELS = ("zz", "xx", "identity", "sz2", "sx2")
 # 0 gives model I's oscillating limits; 1e70 puts E beyond geev's scaling limits, so rho comes from eigvals
@@ -185,9 +185,9 @@ def test_stacked_builders_equal_the_per_family_builders():
             e = transfer(fams).matrix
             assert e.shape == (5, big_d**2, big_d**2) and not e.flags.writeable
             for obs in (spin.sz(), spin.sx2(), spin.SpinObservable("S_y", spin.SY)):
-                stacked = dressed_transfer(fams, obs).matrix
+                stacked = _dressed_matrix(_matrix_stack(fams), obs)
                 for k, fam in enumerate(fams):
-                    assert stacked[k].tobytes() == dressed_transfer(fam, obs).matrix.tobytes()
+                    assert stacked[k].tobytes() == _dressed_matrix(_matrix_stack(fam), obs).tobytes()
             for k, fam in enumerate(fams):
                 assert e[k].tobytes() == transfer(fam).matrix.tobytes()
 

@@ -202,6 +202,27 @@ def test_a_zero_state_is_refused_before_the_chain_is_applied():
         parent.chain_residual(models.model_II_hamiltonian(), 4, np.ones(80))
 
 
+def test_a_state_whose_norm_overflows_is_refused_before_the_chain_is_applied(monkeypatch):
+    # ||psi|| of 1e160 entries overflows to inf, which read ||H psi|| / ||psi|| as 0: a false pass
+    h = models.model_II_hamiltonian()
+    x = np.random.default_rng(5).standard_normal(81)
+    big = np.full(81, 1e160)
+    nan = np.where(np.arange(81) == 7, np.nan, x)
+    # entries of 1e150 keep a finite norm: the residual is the reference's, bit for bit
+    assert parent.chain_residual(h, 4, 1e150 * x).hex() == _chain_residual_reference(h.matrix, 2, 4, 1e150 * x).hex()
+
+    def applied(*args):
+        raise AssertionError("H applied to a state whose norm is not finite")
+
+    monkeypatch.setattr(parent, "_chain_apply", applied)
+    message = r"^state norm is not finite \(overflow or NaN\): no chain residual$"
+    for states in ([big], [x, big], [nan, x]):
+        with pytest.raises(DegenerateNormError, match=message):
+            parent._chain_residuals(h.matrix, 2, 4, np.array(states))
+    with pytest.raises(DegenerateNormError, match=message):
+        parent.chain_residual(h, 4, big)
+
+
 # ---------------------------------------------------------------------------
 # null spaces
 

@@ -15,20 +15,6 @@ def test_generator_condition_zero_generators():
     assert symmetry.check_generator_condition(fam, np.zeros((3, 3)), np.zeros((3, 3))) == 0.0
 
 
-def test_generator_condition_sx_breaks():
-    fam = models.model_I(1.0)
-    _, residual = symmetry.solve_bond_generator(fam, spin.SX)
-    assert residual > 0.1
-
-
-def test_generator_condition_sx_solvable_elsewhere():
-    # the valence-bond family is fully rotation invariant: the least-squares
-    # solve finds an exact bond generator for S_x too
-    fam = models.aklt_family()
-    _, residual = symmetry.solve_bond_generator(fam, spin.SX)
-    assert residual < 1e-10
-
-
 def test_z_invariance_implies_balanced_amplitudes():
     # cross-module property: zero generator residual forces amplitudes with
     # unbalanced +-1 counts to vanish
@@ -37,7 +23,7 @@ def test_z_invariance_implies_balanced_amplitudes():
         for n in (4, 6):
             amps = amplitudes(fam, n)
             for cfg, val in amps.items():
-                total = sum(spin.LABEL_TO_M[lab] for lab in cfg)
+                total = sum(int(lab) for lab in cfg)
                 if total != 0:
                     assert abs(val) < 1e-14
 
@@ -67,7 +53,7 @@ def test_self_intertwiner_is_identity():
 def test_intertwiner_conjugation_residual_bound():
     fam = models.general_family(1.1, 1.1, 1.0)
     target = {"1": fam.matrices["-1"], "0": fam.matrices["0"], "-1": fam.matrices["1"]}
-    res = symmetry.find_intertwiner(fam, target, tol=1e-10)
+    res = symmetry.find_intertwiner(fam, target)
     x = res.matrix
     xinv = np.linalg.inv(x)
     worst = max(
