@@ -166,7 +166,8 @@ def _correlate_values(args, spectrum: TransferSpectrum) -> list:
     if args.channel in _ONE_POINT:
         obs = _ONE_POINT[args.channel]()
         return spectrum.thermo_one_point(obs) if n_sites is None else spectrum.ring_one_point(obs, n_sites)
-    obs = _TWO_POINT[args.channel]()
+    # the identity exists in every dimension: the families' own d, not spin 1's
+    obs = spin.identity(spectrum.mps[0].d) if args.channel == "identity" else _TWO_POINT[args.channel]()
     return spectrum.two_point_sweep(obs, obs, range(args.r_min, args.r_max + 1), n_sites)
 
 

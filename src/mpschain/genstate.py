@@ -43,6 +43,7 @@ Python int before it enters a Fraction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -421,13 +422,15 @@ def correlator_table_text(rows) -> str:
 
     rows are (n_sites, zeros, r_or_None, channel, Fraction) tuples; the float
     column is printed with 17 significant digits so tables are reproducible.
+    The exact columns go through Decimal, which prints every digit of an int
+    that str() would refuse beyond sys.get_int_max_str_digits().
     """
     lines = ["N,n,r,channel,value_num,value_den,value_float"]
     for n_sites, zeros, r, channel, value in rows:
         value = Fraction(value)
         r_txt = "" if r is None else str(r)
         lines.append(
-            f"{n_sites},{zeros},{r_txt},{channel},{value.numerator},{value.denominator},"
+            f"{n_sites},{zeros},{r_txt},{channel},{Decimal(value.numerator)},{Decimal(value.denominator)},"
             f"{float(value):.17g}"
         )
     return "\n".join(lines) + "\n"

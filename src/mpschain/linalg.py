@@ -236,15 +236,6 @@ def _projectors(eigs) -> list[list[tuple[complex, np.ndarray]]]:
     return out
 
 
-def trace_power(m, n: int):
-    """tr(m**n) for integer n >= 1, by repeated squaring (exact for defective m)."""
-    a = _as_square(m)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    tot = np.trace(np.linalg.matrix_power(a, n))
-    return complex(tot) if np.iscomplexobj(a) else float(tot)
-
-
 def spectral_radius(m) -> float:
     """Largest eigenvalue magnitude of a square matrix.
 

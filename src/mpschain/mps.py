@@ -42,14 +42,6 @@ class OscillatoryLimitError(ValueError):
     """The thermodynamic limit does not converge along even ring sizes."""
 
 
-class NormOverflowError(OverflowError):
-    """tr(E^N) lies beyond the float range; log10 holds log10 |tr(E^N)|."""
-
-    def __init__(self, message: str, log10: float):
-        super().__init__(message)
-        self.log10 = log10
-
-
 def _json_text(doc: dict) -> str:
     """The package's one JSON text form: two-space indent, sorted keys, a final newline."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -613,34 +605,6 @@ class TransferSpectrum:
             self._dressed[key] = _dressed_matrix(self._mats, obs) / rho
         return self._dressed[key]
 
-    def ring_norm_sq(self, n_sites: int):
-        """Squared norm tr(E^N) of the ring state.
-
-        Raises NormOverflowError, whose message gives log10 tr(E^N), when the
-        value lies beyond the float range: when it overflows, or when it
-        underflows to 0 although tr((E/rho)^N) does not vanish.
-        """
-        if n_sites < 2:
-            raise ValueError("n_sites must be >= 2")
-        return self._out([self._norm_sq(k, e, n_sites) for k, e in enumerate(self._each(self.e))])
-
-    def _norm_sq(self, k: int, e: np.ndarray, n_sites: int) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = linalg.trace_power(e, n_sites)
-        if np.isfinite(value) and (value != 0 or self._rhos()[k] == 0.0):
-            return _real_or_raise(value, "tr(E^N)")
-        scaled = _real_or_raise(self._each(self._powers().power(n_sites))[k].trace(), "tr((E/rho)^N)")
-        if value == 0 and scaled == 0.0:
-            return _real_or_raise(value, "tr(E^N)")
-        log_rho, log_scaled = np.log10(self._rhos()[k]), np.log10(abs(scaled))
-        log10 = n_sites * log_rho + log_scaled
-        tr = "tr" if scaled > 0 else "-tr"
-        raise NormOverflowError(
-            f"tr(E^N) at N={n_sites} lies beyond the float range: log10 {tr}(E^N) = "
-            f"N log10 rho + log10 {tr}((E/rho)^N) = {n_sites} * {log_rho:.12g} + ({log_scaled:.3g}) = {log10:.12g}",
-            log10,
-        )
-
     def _ring_start(self, obs1: SpinObservable, obs2: SpinObservable, n_sites: int):
         """Each family's tr((E/rho)^N), and the head 1 @ E_O1 / rho of a ring correlator's chain.
 
@@ -733,11 +697,6 @@ class TransferSpectrum:
         return self._out([v[0] for v in self._sweeps(obs1, obs2, [r], None, _LIMIT_ERRORS)])
 
 
-def ring_norm_sq(mps: MpsFamily, n_sites: int) -> float:
-    """Squared norm tr(E^N) of the ring state; see TransferSpectrum.ring_norm_sq."""
-    return TransferSpectrum(mps).ring_norm_sq(n_sites)
-
-
 def ring_one_point(mps: MpsFamily, obs: SpinObservable, n_sites: int) -> float:
     """<O> on the finite ring: tr(E_O E^{N-1}) / tr(E^N)."""
     return TransferSpectrum(mps).ring_one_point(obs, n_sites)
@@ -779,6 +738,12 @@ def _joined(x: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return out
 
 
+def _refuse_overflow(words: np.ndarray, k: int) -> None:
+    """Refuse k-site words, or their traces, that overflowed the float range (formed under np.errstate)."""
+    if not np.isfinite(words).all():
+        raise ValueError(f"the {k}-site words overflow the float range")
+
+
 def _reversed_words(mats: np.ndarray, k: int, what: str) -> np.ndarray:
     """The k-site words A_{i_1}...A_{i_k} as (..., D^2, d^k) columns, i_k the most significant digit.
 
@@ -789,7 +754,7 @@ def _reversed_words(mats: np.ndarray, k: int, what: str) -> np.ndarray:
     numpy's sum-of-products contraction "...wab,...ibc->...wiac" sums each entry, so every
     word is bit for bit that contraction's (tests/test_words.py keeps it as the reference),
     while the inner loops run over the long word axis.  A complex stack is carried as split
-    parts (_split).
+    parts (_split).  Words that overflow the float range are refused by name, without a numpy warning.
     """
     _check_cap(mats.shape[-3], k, what)
     big_d = mats.shape[-1]
@@ -803,8 +768,10 @@ def _reversed_words(mats: np.ndarray, k: int, what: str) -> np.ndarray:
     if complex_:
         x = np.stack([x, np.zeros_like(x)])
     shape = m.shape[:-4] + (big_d, big_d, 1, -1)
-    for _ in range(k):
-        x = np.add.reduce(x[0] * m + x[1] * swap if complex_ else x * m, axis=-3, initial=0).reshape(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k):
+            x = np.add.reduce(x[0] * m + x[1] * swap if complex_ else x * m, axis=-3, initial=0).reshape(shape)
+    _refuse_overflow(x, k)
     x = x.reshape(*x.shape[:-4], big_d * big_d, -1)
     return _joined(x, mats.dtype) if complex_ else x
 
@@ -869,6 +836,7 @@ def _amplitudes(mats: np.ndarray, n_sites: int) -> np.ndarray:
     one after another while it holds fewer than 8 floats (D < 8 real, D < 4 complex),
     pairwise from there, which numpy's sum does on a contiguous copy.  So every amplitude
     is bit for bit the trace of the full word, and each family's row is the one it has alone.
+    Amplitudes that overflow the float range are refused by name, without a numpy warning.
     """
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
@@ -879,14 +847,17 @@ def _amplitudes(mats: np.ndarray, n_sites: int) -> np.ndarray:
     words = _reversed_words(mats, n_sites - 1, "amplitude")  # the empty word (N = 1) has no family axis
     x = words.reshape(-1, big_d, big_d, 1, words.shape[-1]).swapaxes(1, 2)
     m = mats.transpose(0, 2, 3, 1)[..., None]
-    if mats.dtype.kind == "c":
-        m, swap = _split(m)
-        x = np.stack([x.real, x.imag])
-        products = np.add(np.multiply(x[0], m, order="C"), np.multiply(x[1], swap, order="C"))
-        diagonal = _joined(np.add.reduce(products, axis=-4, initial=0), mats.dtype)
-    else:
-        diagonal = np.add.reduce(np.multiply(x, m, order="C"), axis=-4, initial=0)
-    terms = diagonal.reshape(n_fam, big_d, -1).swapaxes(1, 2)
-    if big_d * (2 if np.iscomplexobj(terms) else 1) >= 8:
-        terms = np.ascontiguousarray(terms)
-    return terms.sum(axis=-1).take(_digit_reversal(d, n_sites), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mats.dtype.kind == "c":
+            m, swap = _split(m)
+            x = np.stack([x.real, x.imag])
+            products = np.add(np.multiply(x[0], m, order="C"), np.multiply(x[1], swap, order="C"))
+            diagonal = _joined(np.add.reduce(products, axis=-4, initial=0), mats.dtype)
+        else:
+            diagonal = np.add.reduce(np.multiply(x, m, order="C"), axis=-4, initial=0)
+        terms = diagonal.reshape(n_fam, big_d, -1).swapaxes(1, 2)
+        if big_d * (2 if np.iscomplexobj(terms) else 1) >= 8:
+            terms = np.ascontiguousarray(terms)
+        amps = terms.sum(axis=-1)
+    _refuse_overflow(amps, n_sites)
+    return amps.take(_digit_reversal(d, n_sites), axis=-1)

@@ -146,8 +146,13 @@ def _ground_null_spaces(families, k: int, tol: float = linalg.DEFAULT_NULL_TOL) 
     for m, (kernel, smax) in zip(words, linalg._null_spaces(words, tol)):
         canon = _canonical_subspace_basis(kernel)
         for v in canon:
-            if np.linalg.norm(m @ v) > 10 * tol * smax:
-                raise KernelRecheckError("kernel re-check failed; tolerance too loose for this family")
+            with np.errstate(over="ignore"):
+                residual = np.linalg.norm(m @ v)
+            if residual > 10 * tol * smax:
+                raise KernelRecheckError(
+                    f"kernel re-check overflows: |M v| of a {k}-site kernel vector lies beyond the float range"
+                    if residual == np.inf else "kernel re-check failed; tolerance too loose for this family"
+                )
         bases.append(NullSpaceBasis(k=k, vectors=tuple(canon), tol=tol))
     return bases
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import log
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import mpschain
-from mpschain import cli, linalg, models, mps, parent, spin
+from mpschain import cli, genstate, linalg, models, mps, parent, spin
 from mpschain.mps import MpsFamily
 from mpschain.parent import LocalHamiltonian
 
@@ -389,6 +390,23 @@ def test_correlate_closed_mode_refuses_a_g_where_the_closed_forms_overflow(g, ca
     assert captured.err == f"error: the model I closed forms overflow or are not finite at g = {float(g)!r}\n"
 
 
+@pytest.mark.parametrize("mode, extra, n_sites", [("thermo", (), None), ("ring", ("--n-sites", "7"), 7)])
+def test_correlate_identity_channel_takes_the_family_dimension(mode, extra, n_sites, tmp_path, capsys):
+    # a d = 2 family was refused with "observable dimension 3 != physical dimension 2"
+    rng = np.random.default_rng(8)
+    fam = MpsFamily(d=2, D=2, labels=("a", "b"), matrices={lab: rng.normal(size=(2, 2)) for lab in "ab"})
+    path = tmp_path / "d2.json"
+    fam.save(path)
+    assert run("correlate", "--which", "file", "--in", str(path), "--channel", "identity", "--mode", mode,
+               "--r-min", "1", "--r-max", "3", *extra) == 0
+    values = mps.TransferSpectrum(fam).two_point_sweep(spin.identity(2), spin.identity(2), range(1, 4), n_sites)
+    assert values == pytest.approx([1.0] * 3, abs=1e-12)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == "g,r,channel,value,flag\n" + "".join(
+        f"nan,{r},identity,{v:.17g},\n" for r, v in zip((1, 2, 3), values))
+
+
 def test_correlate_complex_family_from_file(tmp_path):
     rng = np.random.default_rng(3)
     fam = MpsFamily(
@@ -534,14 +552,31 @@ def test_correlate_g_sweep_is_refused_by_the_parser(argv, err, capsys, monkeypat
 
 
 def test_parent_kernel_recheck_failure_is_one_error_line(capsys):
-    # the k = 3 word matrix of g = 1e80 overflows the re-check norm; numpy's
-    # overflow warning still comes first (refusing that overflow from the
-    # inputs is open), and the error ends the run as one line
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert run("parent", "--which", "I", "--g", "1e80", "--k", "3") == cli.EXIT_USAGE
+    # the k = 3 words of g = 1e80 are finite, but the re-check norm |M v| squares past the float range:
+    # numpy warned of the overflow and the error blamed the tolerance; the overflow is named, with no
+    # warning (a warning fails the test)
+    for which in ("I", "II"):
+        assert run("parent", "--which", which, "--g", "1e80", "--k", "3") == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: kernel re-check overflows: |M v| of a 3-site kernel vector lies beyond the float range\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("verify", "--suite", "frustration", "--n-sites", "6", "--g", "1e60"), "the 6-site words overflow the float range"),
+    (("parent", "--which", "I", "--g", "1e110", "--k", "3"), "the 3-site words overflow the float range"),
+    *[(("verify", "--suite", "frustration", "--n-sites", n, "--g", g),
+       f"the model I null vector's norm overflows or is not finite at g = {float(g)!r}")
+      for n, g in (("2", "1e77"), ("3", "3e77"), ("4", "1e80"), ("6", "1e100"))],
+], ids=["verify-N6-g1e60", "parent-k3-g1e110", "verify-N2-g1e77", "verify-N3-g3e77", "verify-N4-g1e80", "verify-N6-g1e100"])
+def test_overflowing_words_and_null_vectors_are_one_named_error(argv, err, capsys):
+    # numpy warned of each overflow (five warnings at g = 1e100), then the run ended in a non-finite
+    # norm or "SVD did not converge"; each is now refused by name, with no warning
+    assert run(*argv) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: kernel re-check failed; tolerance too loose for this family\n"
+    assert captured.err == f"error: {err}\n"
 
 
 @pytest.mark.parametrize("channel", ["zz", "sz2"])
@@ -590,6 +625,22 @@ def test_genstate_tables_are_byte_stable(obs, capsys):
     out = capsys.readouterr().out
     assert len(out.splitlines()) == 2 + 149
     assert hashlib.sha256(out.encode()).hexdigest() == GENSTATE_SHA256[obs]
+
+
+def test_genstate_prints_values_beyond_the_int_to_str_digit_limit(capsys):
+    # value_den has about 4523 digits: CPython's int-to-str guard (4300 digits) ended the run with exit 1
+    # after the work was done; the process-wide limit is left as it was
+    limit = sys.get_int_max_str_digits()
+    assert run("genstate", "--n-sites", "30000", "--zeros", "2", "--obs", "xx", "--r", "3") == 0
+    assert sys.get_int_max_str_digits() == limit
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    header, row, *rest = captured.out.split("\n")
+    assert header == "N,n,r,channel,value_num,value_den,value_float" and rest == [""]
+    n_, z_, r_, channel, num, den, fl = row.split(",")
+    assert (n_, z_, r_, channel) == ("30000", "2", "3", "xx") and len(den) > limit
+    value = genstate.corr_xx(30000, 2, 3)
+    assert Fraction(Decimal(num)) / Fraction(Decimal(den)) == value and fl == f"{float(value):.17g}"
 
 
 @pytest.mark.parametrize("g, message", [

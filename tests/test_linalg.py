@@ -151,30 +151,6 @@ def test_eig_all_refuses_what_scipy_eig_refuses(m):
         assert str(got.value) == str(want.value)
 
 
-def test_trace_power_identity():
-    assert linalg.trace_power(np.eye(9), 5) == pytest.approx(9.0)
-
-
-def test_trace_power_model_ii_v():
-    assert linalg.trace_power(_V, 2) == pytest.approx(8.0, abs=1e-10)
-    assert linalg.trace_power(_V, 4) == pytest.approx(12.0, abs=1e-10)
-
-
-def test_trace_power_matches_explicit_product():
-    for seed in range(4):
-        rng = np.random.default_rng(seed)
-        m = rng.standard_normal((6, 6))
-        for n in range(1, 7):
-            explicit = np.trace(np.linalg.matrix_power(m, n))
-            assert abs(linalg.trace_power(m, n) - explicit) < 1e-10 * max(1.0, abs(explicit))
-
-
-def test_trace_power_defective_matrix():
-    # a Jordan block has no eigenbasis; repeated squaring is exact on it
-    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
-    assert linalg.trace_power(jordan, 6) == pytest.approx(2.0, abs=1e-10)
-
-
 def test_phase_fix_convention():
     v = linalg.phase_fix(np.array([0.0, -2.0, 1.0]))
     assert v[1] > 0

@@ -282,7 +282,6 @@ def test_sigma_equivalence():
     rep = models.sigma_equivalence_check(4)
     assert rep.local_conjugation_residual <= 1e-12
     assert rep.spectrum_deviation <= 1e-10
-    assert len(rep.spectrum_plus) == 81
 
 
 def test_sigma_equivalence_odd_rejected():

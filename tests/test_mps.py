@@ -1,6 +1,6 @@
 import json
 import warnings
-from math import log10, sqrt
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -12,13 +12,11 @@ from mpschain.mps import (
     CapExceededError,
     DegenerateNormError,
     MpsFamily,
-    NormOverflowError,
     OscillatoryLimitError,
     TransferSpectrum,
     _real_or_raise,
     amplitudes,
     amplitudes_vector,
-    ring_norm_sq,
     ring_one_point,
     ring_two_point,
     thermo_one_point,
@@ -204,7 +202,6 @@ def test_integer_family_transfer_is_formed_in_floats():
     assert fam.matrices["x"].dtype == np.int64
     assert transfer(fam).matrix.tolist() == [[1.2089258196146292e+24]]
     assert _dressed(fam, spin.identity(1)).tolist() == [[1.2089258196146292e+24]]
-    assert ring_norm_sq(fam, 2) == 2.0**160
     small = MpsFamily(d=2, D=2, labels=("a", "b"), matrices={"a": np.array([[1, 2], [0, 3]]), "b": np.eye(2, dtype=int)})
     as_float = MpsFamily(d=2, D=2, labels=("a", "b"), matrices={k: m.astype(float) for k, m in small.matrices.items()})
     assert transfer(small).matrix.tobytes() == transfer(as_float).matrix.tobytes()
@@ -229,52 +226,6 @@ def test_dressed_dimension_mismatch():
 
 # ---------------------------------------------------------------------------
 # ring quantities
-
-
-def test_ring_norm_model_ii_values():
-    assert ring_norm_sq(models.model_II(0.0), 4) == pytest.approx(12.0, abs=1e-12)
-    assert ring_norm_sq(models.model_II(1.0), 2) == pytest.approx(17.0, abs=1e-12)
-
-
-def test_ring_norm_identity_transfer():
-    fam = MpsFamily(d=1, D=2, labels=("x",), matrices={"x": np.eye(2)})
-    assert ring_norm_sq(fam, 5) == pytest.approx(4.0)
-
-
-def test_ring_norm_sq_overflow_is_named_and_silent():
-    fam = models.model_I(2.0)
-    e = transfer(fam).matrix
-    lam1 = (3 * 4.0 + sqrt(4.0**2 + 8.0)) / 2  # unique dominant eigenvalue of model I at g = 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert ring_norm_sq(fam, 300) == np.trace(np.linalg.matrix_power(e, 300))
-        for n in (600, 2000):
-            with pytest.raises(NormOverflowError) as info:
-                ring_norm_sq(fam, n)
-            assert isinstance(info.value, OverflowError)
-            assert info.value.log10 == pytest.approx(n * log10(lam1), abs=1e-9)
-            assert "log10 tr(E^N) = N log10 rho + log10 tr((E/rho)^N)" in str(info.value)
-    assert round(info.value.log10) == 1854
-
-
-def test_ring_norm_sq_underflow_is_named_and_silent():
-    fam = models.model_I(1.0)
-    small = MpsFamily(d=fam.d, D=fam.D, labels=fam.labels, matrices={k: 0.1 * m for k, m in fam.matrices.items()})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert ring_norm_sq(small, 100) == 5.153775211109887e-153
-        with pytest.raises(NormOverflowError) as info:
-            ring_norm_sq(small, 400)
-    assert "beyond the float range" in str(info.value)
-    # rho = 3 / 100 (model I at g = 1 has lambda_1 = 3), and tr((E/rho)^N) tends to 1
-    assert info.value.log10 == pytest.approx(400 * log10(0.03), abs=1e-9)
-    assert round(info.value.log10) == -609
-
-
-def test_ring_norm_sq_exact_zero_stays_zero():
-    # a nilpotent transfer operator has tr(E^N) = 0 exactly, not an underflow
-    nil = MpsFamily(d=1, D=2, labels=("a",), matrices={"a": np.array([[0.0, 1.0], [0.0, 0.0]])})
-    assert ring_norm_sq(nil, 6) == 0.0
 
 
 def test_ring_one_point_identity():
@@ -359,7 +310,6 @@ def test_zero_radius_family_raises_in_argument_order():
         thermo_one_point(fam, two)
     with pytest.raises(DegenerateNormError):
         thermo_two_point(fam, one, two, 1)
-    assert ring_norm_sq(fam, 4) == 0.0
 
 
 def test_real_or_raise():
@@ -442,8 +392,6 @@ def test_transfer_spectrum_methods_equal_module_functions(name):
     fam = FAMILIES[name]
     spectrum = TransferSpectrum(fam)
     observables = (spin.sz(), spin.sx(), spin.sz2(), spin.SpinObservable("S_y", spin.SY))
-    for n in (2, 9, 40):
-        assert spectrum.ring_norm_sq(n) == ring_norm_sq(fam, n)
     for obs in observables:
         assert spectrum.thermo_one_point(obs) == thermo_one_point(fam, obs)
         for n in (2, 7, 40):

@@ -14,7 +14,6 @@ ALLOWED = {
     "verify.generating_identity_deviation": "the acceptance battery's API (tests/test_acceptance.py)",
     "models.spin_form_report": "the acceptance battery's API (tests/test_acceptance.py)",
     "models.det_closed_form": "criterion 4's quoted determinant form (tests/test_acceptance.py)",
-    "mps.ring_norm_sq": "the one-family ring norm, beside ring_one_point and ring_two_point",
 }
 
 

@@ -81,8 +81,7 @@ def _answer(call) -> str:
 
 def _ring_queries(s: TransferSpectrum, obs: list) -> list:
     o1, o2 = obs[0], obs[1]
-    calls = [lambda n=n: s.ring_norm_sq(n) for n in (2, 7, 40, 400, 2000)]
-    calls += [lambda o=o, n=n: s.ring_one_point(o, n) for o in obs for n in (2, 5, 30, 400)]
+    calls = [lambda o=o, n=n: s.ring_one_point(o, n) for o in obs for n in (2, 5, 30, 400)]
     calls += [lambda a=a, b=b, n=n: s.two_point_sweep(a, b, range(1, 13), n)
               for a, b in ((o1, o1), (o1, o2), (o2, obs[-1])) for n in (13, 30, 400)]
     calls += [lambda: s.ring_two_point(o1, o1, 3, 7), lambda: s.ring_two_point(o1, o2, 0, 7),
@@ -118,7 +117,6 @@ def _record(fam: MpsFamily, order: str) -> str:
 def _module_record(fam: MpsFamily) -> str:
     o1, o2 = _observables(fam.d)[:2]
     calls = [
-        lambda: mps.ring_norm_sq(fam, 30),
         lambda: mps.ring_one_point(fam, o2, 30),
         lambda: mps.ring_two_point(fam, o1, o2, 3, 30),
         lambda: mps.thermo_one_point(fam, o2),
@@ -132,92 +130,92 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-#: Recorded before the transfer-spectrum glue was reworked; the sha256 of each record.
+#: The sha256 of each record, recorded before the ring norm was deleted, with these queries.
 PINS = {
-    "I g=0.0 ring": "2ca7cab83c177513aec8e8be4640c3f04158b8504ae49e6a4cdc2202b3a3cd36",
-    "I g=0.0 thermo": "a53cbbfe7ae963ede8c7ee2c9c745925e9c9cd7e751a89c4e41cddee0aa6583e",
-    "I g=0.0 module": "a278febb16c77d499ce47313cdbc924b84c60cc1782c1ebe40a0aa208c9c1e71",
-    "I g=0.1 ring": "a218023cea0a436ff6ea315338b20980c2c56b5574ec8719d5c9e5eca38a5ec1",
-    "I g=0.1 thermo": "a22187a9552072671b057ac5b9c944489dccaa8d78a0e74bdae3b5d6a2be0cd8",
-    "I g=0.1 module": "0e40e5a9e9ab0b8971a79bf936fabf03e4de2dcb12ab1ab81ecc2070973f79f6",
-    "I g=0.5 ring": "7d86c82b044b4367e7a8e57b25ef890a06e0c2b6aa22f1858cd0d8cdaf3e5ec6",
-    "I g=0.5 thermo": "d26be1cd69402db5a67225cb16d041b969eab1ebb76800a8eb21acd3ccb84891",
-    "I g=0.5 module": "61d9520826a9edca38224231c2656d6c55c576f84e2045945580927bb342017c",
-    "I g=0.8 ring": "fe81cb1abeb2ed941ca14def5588db4a9c3aafc0f99be80a5754a0cee53e9e91",
-    "I g=0.8 thermo": "d96e5e839956949985c32bdd9f49d4d5240dfd8e77a33577f89de78993cb97b3",
-    "I g=0.8 module": "cd9b40c17f8be7a52d6dcd5fac7fdfe1002362eb90203c6145e7d05697d75a7d",
-    "I g=1.0 ring": "3f8efbc1a87a11463c62899002d584e3223f17c24d4dd577f3a8535b5e624bfd",
-    "I g=1.0 thermo": "5835c420933845648e646e9f11131bb5983fc1d9aad1212d3b2660854d41b334",
-    "I g=1.0 module": "19f1c191a7ac8c4e51421a644c8cfdc03476aaa2ed970f624e3c9d736bb0f036",
-    "I g=1.7 ring": "83b00387597d4ce2a9d5d1f8351e7c0e1a9fb436b52d94ebdbaa6e43467e5b61",
-    "I g=1.7 thermo": "96b242382ad0d715a44ede52d11c10007ffdb92dafefc45271e197bb9c70758d",
-    "I g=1.7 module": "5734ccb958c6119ed263eb28ef43476a96d83cba8e9964994ecc66c73fb733d5",
-    "I g=3.0 ring": "8c26bdb0028001cbcf7c12a3416d53054a5eaba6de794dcd3d9abc20bdb543cc",
-    "I g=3.0 thermo": "50c0818af164152e4f1ab94bd438ded49599ed3e957d8d41ba860776fd226070",
-    "I g=3.0 module": "c85c6606848971bffb60d127193d3e2501b598864bf97305118553fa15ff8964",
-    "II g=0.0 ring": "2ca7cab83c177513aec8e8be4640c3f04158b8504ae49e6a4cdc2202b3a3cd36",
-    "II g=0.0 thermo": "a53cbbfe7ae963ede8c7ee2c9c745925e9c9cd7e751a89c4e41cddee0aa6583e",
-    "II g=0.0 module": "a278febb16c77d499ce47313cdbc924b84c60cc1782c1ebe40a0aa208c9c1e71",
-    "II g=0.1 ring": "45813abe44f7db3009105cac0eb9bf034ddcf95da5d99038eedf2dd31a26e3b5",
-    "II g=0.1 thermo": "aedf3ed95ed72c85d67fcd377ec094dddfe21c2566445d91a7d7067ce233625a",
-    "II g=0.1 module": "e88b70dc27ffadbeaf25df88d8453b1bd64698bb04412bacf81dc4aeeb82e5db",
-    "II g=0.5 ring": "46a5de35bf133512f6d351ab31f6402cffbe9e8df3d0ca6e6b6daf963c1b7c56",
-    "II g=0.5 thermo": "deabbdaf675cf3db3782d170d4576fed535b65d7ac7ebccfc8abdf6c592aabba",
-    "II g=0.5 module": "bc69f0e09b3c2fde54a2e37186bc3c2060806cf8677b8d7994bf6b0ba3b2451b",
-    "II g=1.0 ring": "ce24ff07edc69bd3a1a501640f4112f351279d2b763db4cda6bb5f25b8c8d12c",
-    "II g=1.0 thermo": "970f13c746a3b4863630ae70c1934ef3b2bc2f0917e155a24f2c6a7ab77d86b0",
-    "II g=1.0 module": "aac8a0c5ebdc50761019cbf182ab82083692e8d54b1f8566571e2f6c1c66ea37",
-    "II g=1.3 ring": "3c90ee9b7a75554e3fcd96e17d001747c913ab2ea2ab928fbf62aa70795de443",
-    "II g=1.3 thermo": "3146949e83739cd634429568c782b551b0ee36cdfb22aae76e30c7c9d35156f1",
-    "II g=1.3 module": "bc58f9466ec300cf339a60066144716d15b4fa4fcc21f5f6baf77fa543ca11e6",
-    "II g=3.0 ring": "85903efd34718bb77c187f4d82c6764e16d32db5e590857e27a04ac35801d347",
-    "II g=3.0 thermo": "73aab42e39c675a202c766e03bdb19b47bfbea1b13a9a0a57648620027601992",
-    "II g=3.0 module": "92703230fae9bcbc666091ca74aba592cc4de11aff3c6fbab6f3a96bc93b5ad0",
-    "aklt ring": "e5bd0c4e012ffb53d5d03f0c08b401ebf9ecf67c5038622bf751b3bcd86f28df",
-    "aklt thermo": "dc068a6ad2b6402b61fec6060158f85fe87e11408fad5ab440d1afa7ebb55205",
-    "aklt module": "e5a4b5636afe275eb7a626b0b0f826b3e653b9b8986eb4c6ab6a100fdeec889a",
-    "real D=1 ring": "a8b2ddfca89cecd7aeacd04d78fb6f80fc3fb9c502d784180771dbb25bd8bf51",
-    "real D=1 thermo": "147dceb5d0a973051d2e176c00c597a6c425ecc033354093a216a99fb2714bc2",
-    "real D=1 module": "be7f0ae446695ef5a29c9004d5e6e3cd6c4801e00e6e488d31f565e3be63f804",
-    "complex D=1 ring": "44fecfb1e202fcd8ff01ca8df38ba4b3a9df0aadc5f6468420703d9eb8457f58",
-    "complex D=1 thermo": "49c331fd26aff7c9a1163393f7f5c30af8149468d7aa65bfaca0da4cc7149af0",
-    "complex D=1 module": "c7575b977c66b71d0abc0e07ac9b15c88e5eb3ff4b3d21063f74d83653f33ff9",
-    "real D=2 ring": "58879581609f6fb27133b6ec5b093c039de4708f829d9242ccf1d763f2fce0df",
-    "real D=2 thermo": "c0781356712771d944faeae31c96009c68bbb71a559300a158f18fdbcc9e18c8",
-    "real D=2 module": "6a11de9ed5b439b9dd52732c5b97868b44c5c7712044383ef3b59e87ded0943b",
-    "complex D=2 ring": "dc90dd2a80aad017162f43bf157c23d501d16e5e3af9fa5a4a4be604c5ac6145",
-    "complex D=2 thermo": "f7cd6374279c58061fe6f7ecf3d8b079eabc3d84c53eab2b48fd523017cb1858",
-    "complex D=2 module": "7761403e8653161a98449f942ffaba2a63d02b7fd0787dc26a48ebea63bcac2c",
-    "real D=3 ring": "ae49ea546e892049c35b0ea76408acac52e727abd09902b461b57bc26bf18d91",
-    "real D=3 thermo": "ee1ee8617079d09f024ab6c7eaab1c4ff403d68eec9f663c42bb13b6d98ebd68",
-    "real D=3 module": "a576ae0f11dc6225d0ba3b845872d6eb8d4aee3a1fe01de868790b0045e9382d",
-    "complex D=3 ring": "e156fc08314b22ad47f8b8efcde483f7e46437b3f3b198dfaf0fbfabce0ffed0",
-    "complex D=3 thermo": "f660fc78105407dddb500f6d05d5103d2c582ed44dfebb70a58d9d9dd2f60248",
-    "complex D=3 module": "d4d8a90150af4bd7d0e285a519671a9960e439c753afed257016da1f9f25826c",
-    "real D=4 ring": "150199f16882073e01046727636a1c483b1f53e990a43a6963a3a63541317b59",
-    "real D=4 thermo": "8eae1a96c74a8caeacaaf0b502e7f9c9702021f6d34ffe9d0cde5644ebbfdcb5",
-    "real D=4 module": "278ebd0cc49037e6b21d8939261546b8a70428e732825645896e638853d45d98",
-    "complex D=4 ring": "e0591152ba92d0b3c2abeba73c4336812ac70b06323ada49d8cd4325321b3473",
-    "complex D=4 thermo": "2c2e9b01591225c99bdda59f0e5130b7a3b690cab7c05225afc5a2fd831aa54a",
-    "complex D=4 module": "38761faf15c2f831b0c25a51f6bde7e380cfed49beffb1d25ecede48e6cb2c24",
-    "I g=1e150 ring": "aec0fae56719145b26c301ee08a6f910a650c34658bdd18961a0185d4907e8b9",
-    "I g=1e150 thermo": "7d3bca8a9853d240f5ac9466fae0322e5ce80b00a8ce62f34a0f14e7e04fabe2",
-    "I g=1e150 module": "d11d1f9869d7903d44b49911a40d06114f952f9aa6db2d746ecc573483c252aa",
-    "I g=1e70 ring": "4b72bc98d98193f42f1be69091ef176509c2a4bfafe9ce6be823da75afe7ff4d",
-    "I g=1e70 thermo": "2b31685989cd053aab1087ad1407809b18442ae224acabb0f146e76d5a223ce3",
-    "I g=1e70 module": "71f25a1380ed2ecdb0bb52e7ecbe388caf40f198ef5948dce801404be55dd0b2",
-    "I g=0.7 x 1e-75 ring": "b50697bb86667ea3c934da281f836bc242cf0ad790ec9f701af3d6a596d2ca39",
-    "I g=0.7 x 1e-75 thermo": "2d3a075bab08032a31a534f353f3d56570e5e513c97131be6aa02fd290668d62",
-    "I g=0.7 x 1e-75 module": "0c04c73b8c0e25310a76112b583d53cb629d107419eb1f3868dd73077d8af972",
-    "complex D=2 x 1e72 ring": "5fdfcf829a1e103f1be17136e59595f7e5874f9d41de8624745813de42652424",
-    "complex D=2 x 1e72 thermo": "797ab9f36a56fb6bcb57de5791b8609090569964f4e5bce80f89c32bfd204d36",
-    "complex D=2 x 1e72 module": "f0d3f1af2e971232501e13190f4d779ae04cb7ed2b447e54383595f39e68e017",
-    "rotation ring": "0463eb37438d15b73bb09cbf44fc398fda750606becefae4cbda9547ff876078",
-    "rotation thermo": "4e0b879d2475fcd1a803de6cafdf033deeaafbfc2da5c2641717c0e25eee0aa6",
-    "rotation module": "0955f2005017cbb98c055fff80eac8db3f8217dae66cc409bd45524b87a507a9",
-    "nilpotent ring": "c93afd52bd298afad97318eb89afdcdf51f6ae448239b94351c7310824112373",
-    "nilpotent thermo": "4e60b997286e89c338230aca0ee04582d14fb7f91cd9369ff244a66b8fb13bc1",
-    "nilpotent module": "727eb37e5159b7995a1470036f0abe8d732499400b299279c7419b151c20b548",
+    "I g=0.0 ring": "118d2930c385f54abeb91348c00f6a2629c9547c0b0fd5695b7e0fc42e1de4c4",
+    "I g=0.0 thermo": "8dbf1408db3ae7ebecd4d4a2cdab5c3e886e8baabe96953a4228bb01532ac4f7",
+    "I g=0.0 module": "8cfcfd777393099475ff1dab804626ae699b5dc039bc69cd7e02723b1608d264",
+    "I g=0.1 ring": "aec2a350ceb8ac92d1bb24c70397872ded15e917d35b48aa3ad45663ba36b144",
+    "I g=0.1 thermo": "9de63911b990f313fc723822fbd4b36954d2f7ce57314f8a31614203a6953aaf",
+    "I g=0.1 module": "c4c6c41716e459512d36af556ec212e00c6bb4e96ddaaea41947255aa2ba47b2",
+    "I g=0.5 ring": "dcf32f62157a5dee970a288ec6dfc4d47fd5e1ee380eb8929583cbe18de054da",
+    "I g=0.5 thermo": "f9ac4f6f9c8f36d353db55e69460bb3c3e0cd9c6b2a5b0eaab801a0604466876",
+    "I g=0.5 module": "09dcc1803ca40d743eb7e06089c6055f1ce93c848133b2682a4fee21ead4306a",
+    "I g=0.8 ring": "c0e396df1ff179e733c62d984231a78d6df4651daa17ea242724d88ea7144a3a",
+    "I g=0.8 thermo": "53bec66dacafdede653d860eb84cd2a7ba8b4416f0f796ed89d0dfd24e2416df",
+    "I g=0.8 module": "d258bc6d742ed51d119857077baed4205cb39c1761981e242898a7c49a78e38a",
+    "I g=1.0 ring": "909e4de5f1fee139cb76a976a1196cc9a5c9a39fa1a7865671b186cf84a9be94",
+    "I g=1.0 thermo": "c9d50ae9ac454f65021d4266108198ef5c53983ae5404f93413f2e6029811d75",
+    "I g=1.0 module": "0571c96be925d6309d20e63714f9f7e8637a914309305c77e502f967881f8554",
+    "I g=1.7 ring": "287464607c4be68aae4a7cc2f81a0effc35de1164e607e1c77fb0689409720a5",
+    "I g=1.7 thermo": "347ca245b96910681167a4f7bd6016b9498dc1d89be12016fcc177ac03538c56",
+    "I g=1.7 module": "e35fa8b2896cd0afccb764ac2b923ddc53cca70f9d6a8385b2e48052ee9ea78a",
+    "I g=3.0 ring": "69d3f294ea0020ee8c51aa17e8ce2f082d3ba06e0701fe90368c4f2a58c0ce02",
+    "I g=3.0 thermo": "0e7f744fdd7bddfb7764c49bea4e8bda0d8ce0e68bd2b27b5a1e923ac716a89f",
+    "I g=3.0 module": "a70dbc5ec429e9a3d7dbbece5f5c2582014d735b9c10b90ae7b1f1a4a9fcf410",
+    "II g=0.0 ring": "118d2930c385f54abeb91348c00f6a2629c9547c0b0fd5695b7e0fc42e1de4c4",
+    "II g=0.0 thermo": "8dbf1408db3ae7ebecd4d4a2cdab5c3e886e8baabe96953a4228bb01532ac4f7",
+    "II g=0.0 module": "8cfcfd777393099475ff1dab804626ae699b5dc039bc69cd7e02723b1608d264",
+    "II g=0.1 ring": "65496e5a12520207d018c277366229992bb7c715df1de3d0660ad7993465b572",
+    "II g=0.1 thermo": "89cdba56d62e4a62f32a13d30f92e795191c0328300f69d74df340e083248387",
+    "II g=0.1 module": "a852a044fa473a61640aa535ca3105a9ff66e5aabf14344ed351f5cb4e8dcb6d",
+    "II g=0.5 ring": "422e01e2d2852269a899202b4cab40b689a8a10f24ab0d472c32ae249022c9e4",
+    "II g=0.5 thermo": "a5150afea7cd5fcb1e8140e150dcc73ecd7f34be2293c48e256f59dd2a7ad05f",
+    "II g=0.5 module": "21151636981fac76f198c365e82798a5540a9ec89f012b35fc157aeb5c322aa6",
+    "II g=1.0 ring": "c29f859574203558eb32e3f720dc943382c49351e62c5f591c03df293e66e256",
+    "II g=1.0 thermo": "3849ea54fe27eb08ea4a920a922bc2a59ee35e5f4c3bc24bab3ac4156a98ab5c",
+    "II g=1.0 module": "b5987f3b503e1beace04f1cfc6594b4cb6793a69586903be747396966caa6c4c",
+    "II g=1.3 ring": "f4d38738b856fcc64b80146bc6b2a238b02d77f7999543cd42948373ff4413fe",
+    "II g=1.3 thermo": "ca907358b191c737602c55d5f43dd4cb526161065c7ddce3e88a318c6877a78f",
+    "II g=1.3 module": "56c474fb65236120250ee00d7e9efde103b40b896b75fe05cd219e598596557f",
+    "II g=3.0 ring": "8a49cdd8e4c82e9d2b62fbabb1e74710926e3926c80f08bca788c51b06479fb2",
+    "II g=3.0 thermo": "9a2b03a30e04e81ca2bcdd69591b1449b666472339c5e453c656f6a7573c92b8",
+    "II g=3.0 module": "5b382c684981569de81d98334683219ca898fcc5ac43fe94545b37a99f850b06",
+    "aklt ring": "1b02646884df3ee5c92824c145cb665ce299d0eec16cccac678c18fd6f53b603",
+    "aklt thermo": "3fad67639d6ff0ea136e7d9670eec9c05c13eb6adff94ebff613c6476f9cb892",
+    "aklt module": "196a41f49831eb01cff34f84026ffe2f56932f8baf138afc43f544f86a57f524",
+    "real D=1 ring": "b18d21fe6030df34e7b612f241c13360154d26a8b87a6eb465caefda465f0385",
+    "real D=1 thermo": "0a65f9eafe7dfa3b83a691bb0f34461e68c9e8ffc0a6da346f3b3da99ca4dd6f",
+    "real D=1 module": "3254ea9775240fb551abb747a3134018140820b436c2ec3a28026a8aa642d649",
+    "complex D=1 ring": "56c7babf3725ecc903779e487da705233a9c930dadea5e9a0210b6dc98c07249",
+    "complex D=1 thermo": "bf25743539de0e34af36a7534b190258370587983a9719dcb898f0d32ff8bc16",
+    "complex D=1 module": "f997bd46c0411c05a2ac254015798cd46f930940a2ddc9a01738acaf01db79fe",
+    "real D=2 ring": "917cb9eafcfe1bc35af15cd6480cba397af6b8227974c5e8d3fa20fdef2748dc",
+    "real D=2 thermo": "c643259d5800298aeaec3d7e350069b7bda6f9db9875d2169e98561586ea6493",
+    "real D=2 module": "5c9b7838336066fe1fa8a9bf8cf60912cb89ff54f79ca5e68348906484835108",
+    "complex D=2 ring": "9288fd276068c2582abd6715e7af686d3e2f23c1375975182c53b63e3543b8b4",
+    "complex D=2 thermo": "0682d2c888ed4b654c64637b309e4b3d3edd438fedc56ae8ac1136cce1997885",
+    "complex D=2 module": "8a821398efb81a84a0e23448c9108f5693f90c5510d28887415b1deda8be0350",
+    "real D=3 ring": "01edbce079e318ea466c3bf8d1e072b4a58fd6309eef8f2538c1ea919833e634",
+    "real D=3 thermo": "41b7ce9af9dc0b213ab502be245045df543bfa0b8766096bd46cdf191c80301a",
+    "real D=3 module": "d9959c2f05882deb48e26290a944829fab7ef0722104e57be1fe884c55b5e857",
+    "complex D=3 ring": "42369c9d5db9e799261db47db305558205cb636bf8f6bfddbcb37ea6689cc06c",
+    "complex D=3 thermo": "6dd7845c240a08422c145ea230d7b483d46d312b9fbd4b4836359d0eeaedd011",
+    "complex D=3 module": "9be9b99f4a95dc68ba7c75af9afec8ef346c0b19d699433a031d21faf66b8167",
+    "real D=4 ring": "2e079f59d2b8e25b4d735f3039c6043206946c2d553b144168b8a72471a089a6",
+    "real D=4 thermo": "974bb5ab556e75701cb4a7be218be04c93e19bcb171438219a8b4c51727bc0eb",
+    "real D=4 module": "502287f83fa3ea3d0e31bb7be1c87cfae1e7318b8c95ddd707c22ad54f138968",
+    "complex D=4 ring": "1729f82908fabe6290682f5fdef3d2c2a42bbaac2b5fcdd69f409d46c3ef91a4",
+    "complex D=4 thermo": "ba94abb0eb8ea469ab09f7593282aacc0e02b23f58e889213bae841a31d51546",
+    "complex D=4 module": "5ddb294d7254dcfb259f6655b7fbef4d379446700d49f9128fb7b652a5828dea",
+    "I g=1e150 ring": "0babf65a73589aa870300fc3246c55755c500072e8bce07373a2d7f2e7d33dd6",
+    "I g=1e150 thermo": "f498b3000c117caaee3550f96d7e4b2f13dc5c2fea67d76d1e5f49d30c40d1b2",
+    "I g=1e150 module": "793504be22cb4530ce5906a196d6e841cbc0e1abaaee5f916868614f18519d00",
+    "I g=1e70 ring": "0ba19bba51ac23796129159295eab23d71f13edf4f7151765dff2e0d972e9423",
+    "I g=1e70 thermo": "166adc86b0cc5edf79c1730bceb91c90257b3f4e04157a9bc7a03d7db45c0934",
+    "I g=1e70 module": "9824e9794bd1c2c7f80eaf3e175d519c6b1598c57accf243fc72c35cc360d9fe",
+    "I g=0.7 x 1e-75 ring": "c916b79f2cb47f6daa4ca0c28207acd9445e5490dc3db326a70bfb68cd386835",
+    "I g=0.7 x 1e-75 thermo": "f8f65fd58deedd175def779af65c4ce75aeb8608e7739586e7c6f60d26c4f4cf",
+    "I g=0.7 x 1e-75 module": "0b713b5c11d880ec2460779658fab5e4776451e204a6498b60dc11310b893b4a",
+    "complex D=2 x 1e72 ring": "c567923e0f429d8509deefb707210245bb1503bed4177665cfc08952d805d39b",
+    "complex D=2 x 1e72 thermo": "ac9266105afdeb421a5f28f1411f162ac34616f6f9291a8be8b04d3d8a8ac9e1",
+    "complex D=2 x 1e72 module": "f72c258f236c104f303e6ec3dfd1be4853bddc0d54ec03d3ebfb33377a505037",
+    "rotation ring": "31d26ae838183dd2f5688a9c9e6b0335eb609b95db0236b7e51e246dff283b8b",
+    "rotation thermo": "6e907a94b63c08a9f38b3017e304640829a96c82572dbd9e7d428419f33694c2",
+    "rotation module": "126c9f5793a63a7bf47ee2dfcbb0bd52dd2b711046d69855faad7ea88384b43e",
+    "nilpotent ring": "16181ea566a90fdfc9f2c96a67a5f15b644aefd7bd0884fc198c26eeca077aa6",
+    "nilpotent thermo": "0158387efcde3f0cd2715105cc70273c7495fb48a4f4c06377831c31b1af4327",
+    "nilpotent module": "8992902cf969d8f66b3f0b5c5b31b7c6e21a1d81669cc8b53f32dc613a542cf2",
 }
 
 

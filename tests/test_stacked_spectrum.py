@@ -122,7 +122,6 @@ def test_stacked_rows_flag_each_oscillatory_r_as_the_per_family_spectra(mode, ch
 def _queries(obs: list, thermo_first: bool) -> list:
     o1, o2 = obs[0], obs[-1]
     ring = [
-        lambda s: s.ring_norm_sq(6),
         lambda s: s.ring_one_point(o1, 8),
         lambda s: s.two_point_sweep(o1, o2, range(1, 8), 8),
         lambda s: s.ring_two_point(o2, o1, 3, 10),
