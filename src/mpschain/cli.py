@@ -130,7 +130,7 @@ def _resolve_model(args) -> MpsFamily:
         return models.general_family(args.g, args.h, 1.0 if args.c is None else args.c)
     if args.h is not None or args.c is not None:
         raise _UsageError("--h/--c only apply to the general family")
-    return models.model_I(args.g) if args.which == "I" else models.model_II(args.g)
+    return models.model_families(args.which, [args.g])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +359,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, FileNotFoundError, parent.KernelRecheckError) as exc:
+    except (_UsageError, ValueError, FileNotFoundError, parent.KernelRecheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

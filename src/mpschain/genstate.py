@@ -423,14 +423,19 @@ def correlator_table_text(rows) -> str:
     rows are (n_sites, zeros, r_or_None, channel, Fraction) tuples; the float
     column is printed with 17 significant digits so tables are reproducible.
     The exact columns go through Decimal, which prints every digit of an int
-    that str() would refuse beyond sys.get_int_max_str_digits().
+    that str() would refuse beyond sys.get_int_max_str_digits().  A value whose
+    float lies beyond the float range raises ValueError, naming its row.
     """
     lines = ["N,n,r,channel,value_num,value_den,value_float"]
     for n_sites, zeros, r, channel, value in rows:
         value = Fraction(value)
         r_txt = "" if r is None else str(r)
+        try:
+            approx = float(value)
+        except OverflowError:
+            raise ValueError(f"row {n_sites},{zeros},{r_txt},{channel}: value_float lies beyond the float range") from None
         lines.append(
             f"{n_sites},{zeros},{r_txt},{channel},{Decimal(value.numerator)},{Decimal(value.denominator)},"
-            f"{float(value):.17g}"
+            f"{approx:.17g}"
         )
     return "\n".join(lines) + "\n"

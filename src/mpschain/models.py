@@ -42,24 +42,25 @@ def general_family(g: float, h: float, c: float) -> MpsFamily:
 
 def model_I(g: float) -> MpsFamily:
     """Model I: A_0 = g diag(1, sqrt(2), 1), c = 1."""
-    return _stacked_families(_LABELS, _general_stack([g], [sqrt(2.0) * g], 1.0), [{"g": float(g)}])[0]
+    return model_families("I", [g])[0]
 
 
 def model_II(g: float) -> MpsFamily:
     """Model II: A_0 = g * identity, c = 1."""
-    return _stacked_families(_LABELS, _general_stack([g], [g], 1.0), [{"g": float(g)}])[0]
+    return model_families("II", [g])[0]
 
 
 def model_families(which: str, g_values) -> list[MpsFamily]:
     """model_I (which "I") or model_II (which "II") at each g of g_values, in order.
 
-    One (G, 3, 3, 3) stack holds the matrices of them all, bit for bit those
-    model_I or model_II builds; it is checked once, and each family holds its
-    entry of the stack without a copy.  The first refused g raises its error
-    before any family is made.
+    One (G, 3, 3, 3) stack holds the matrices of them all; it is checked once,
+    and each family holds its entry of the stack without a copy.  The first
+    refused g raises its error before any family is made, with no numpy warning
+    where model I's h = sqrt(2) g overflows.
     """
     gs = np.asarray(g_values, dtype=float)
-    h = {"I": sqrt(2.0) * gs, "II": gs}[which]
+    with np.errstate(over="ignore"):
+        h = {"I": sqrt(2.0) * gs, "II": gs}[which]
     return _stacked_families(_LABELS, _general_stack(gs, h, 1.0), [{"g": g} for g in gs.tolist()])
 
 

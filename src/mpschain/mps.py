@@ -47,19 +47,6 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-class _JsonFile:
-    """save/load through _json_text for a class with to_json_dict and from_json_dict."""
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_json_text(self.to_json_dict()))
-
-    @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
-
-
 def _matrix_to_json(m: np.ndarray) -> list:
     """Rows of floats; a complex matrix stores each entry as an [re, im] pair."""
     if np.iscomplexobj(m):
@@ -107,7 +94,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MpsFamily(_JsonFile):
+class MpsFamily:
     """A labeled set of D x D auxiliary matrices plus named parameters.
 
     labels are ordered to match the one-site observable basis; matrices maps
@@ -171,7 +158,10 @@ class MpsFamily(_JsonFile):
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "MpsFamily":
+    def load(cls, path) -> "MpsFamily":
+        """The family of a JSON file in to_json_dict's form, as _json_text writes it."""
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
         return cls(
             d=int(doc["d"]),
             D=int(doc["D"]),
@@ -210,10 +200,6 @@ class TransferOperator:
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[-1]
 
 
 def _matrix_stack(mps: MpsFamily | Sequence[MpsFamily]) -> np.ndarray:

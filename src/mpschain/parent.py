@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .mps import DegenerateNormError, MpsFamily, TransferSpectrum, amplitudes_vector
-from .mps import _JsonFile, _matrix_from_json, _matrix_to_json, _word_columns, _words
+from .mps import _matrix_to_json, _word_columns, _words
 
 
 class InvalidModelError(ValueError):
@@ -43,7 +43,7 @@ class NullSpaceBasis:
 
 
 @dataclass(frozen=True)
-class LocalHamiltonian(_JsonFile):
+class LocalHamiltonian:
     """k-site operator sum_a J_a |conj(e_a)><conj(e_a)| over the kernel basis e_a, positive couplings."""
 
     k: int
@@ -68,20 +68,6 @@ class LocalHamiltonian(_JsonFile):
             "basis": _matrix_to_json(np.array(self.basis.vectors)),
             "matrix": _matrix_to_json(self.matrix),
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "LocalHamiltonian":
-        basis = NullSpaceBasis(
-            k=int(doc["k"]),
-            vectors=tuple(_matrix_from_json(doc["basis"])),
-            tol=linalg.DEFAULT_NULL_TOL,
-        )
-        return cls(
-            k=int(doc["k"]),
-            matrix=_matrix_from_json(doc["matrix"]),
-            couplings=tuple(float(j) for j in doc["couplings"]),
-            basis=basis,
-        )
 
 
 def word_matrix(mps: MpsFamily, k: int) -> np.ndarray:

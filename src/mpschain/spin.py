@@ -76,6 +76,3 @@ def sx2() -> SpinObservable:
 def identity(d: int = 3) -> SpinObservable:
     return SpinObservable("1", np.eye(d))
 
-
-def zero(d: int = 3) -> SpinObservable:
-    return SpinObservable("0", np.zeros((d, d)))

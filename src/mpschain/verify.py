@@ -7,7 +7,6 @@ builder such as `models.model_I_hamiltonian` reaches every suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,23 +90,11 @@ def _fitted_lengths(spectrum: mps.TransferSpectrum, row: int) -> tuple[float, fl
 _ROOT_FAMILIES = ((1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 2**0.5, 1.0), (1.0, -(2**0.5), 1.0), (1.0, 2.0, 0.0))
 
 
-def _det_exact_forms(g: np.ndarray, h: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """models.det_exact_form at each entry of three float64 arrays, bit for bit its value on the entries.
-
-    On float64 scalars each ** is one libm pow, so the square and c**6 stay one math.pow per
-    entry: numpy's array ** squares by a product and can round c**6 differently.  Every other
-    step rounds the same on arrays as on scalars.
-    """
-    square = np.array([math.pow(x, 2) for x in (g * g - h * h).tolist()])
-    return square * (2 * g * g - h * h) * np.array([math.pow(x, 6) for x in c.tolist()])
-
-
 def _det_deviation(samples: np.ndarray) -> float:
     """Largest |det(word matrix) - det_exact_form| / max(1, |det_exact_form|) over the (g, h, c) rows
-    of samples, from one stacked determinant and the closed forms as arrays."""
-    g, h, c = samples.T
-    closed = _det_exact_forms(g, h, c)
-    deviation = np.abs(models.det_word_matrix(g, h, c) - closed) / np.maximum(1.0, np.abs(closed))
+    of samples, from one stacked determinant and det_exact_form per row."""
+    closed = np.array([models.det_exact_form(g, h, c) for g, h, c in samples.tolist()])
+    deviation = np.abs(models.det_word_matrix(*samples.T) - closed) / np.maximum(1.0, np.abs(closed))
     return float(np.max(deviation, initial=0.0))
 
 
@@ -171,9 +158,7 @@ def _sector_agreement(n_sites: int, sectors: list[genstate.PsiN]) -> list[tuple[
             and [genstate.corr_xx(n_sites, z, r) for r in rs] == oracle["xx"]
             and oracle["sz2sz2"] == [genstate.corr_sz2sz2(n_sites, z)] * len(rs)
         )
-    states = np.zeros((len(sectors), 3**n_sites))
-    for row, psi in zip(states, sectors):
-        row[psi.index] = psi.values
+    states = np.array([psi.vector() for psi in sectors])
     return list(zip(oks, parent._chain_residuals(h_ii.matrix, h_ii.k, n_sites, states)))
 
 

@@ -14,11 +14,15 @@ import pytest
 import mpschain
 from mpschain import cli, genstate, linalg, models, mps, parent, spin
 from mpschain.mps import MpsFamily
-from mpschain.parent import LocalHamiltonian
 
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def write_family(path, fam: MpsFamily) -> None:
+    """Write fam's JSON text as `mpschain model --out` writes a family."""
+    path.write_text(mps._json_text(fam.to_json_dict()), encoding="utf-8")
 
 
 def test_model_ii_json(tmp_path):
@@ -125,12 +129,12 @@ def test_parent_of_a_complex_family_keeps_imaginary_parts(tmp_path):
     mats = {lab: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for lab in ("1", "0", "-1")}
     fam = MpsFamily(d=3, D=2, labels=("1", "0", "-1"), matrices=mats)
     m, h = tmp_path / "m.json", tmp_path / "h.json"
-    fam.save(m)
+    write_family(m, fam)
     assert run("parent", "--which", "file", "--in", str(m), "--out", str(h)) == 0
     doc = json.loads(h.read_text())
     assert all(len(entry) == 2 for row in doc["matrix"] for entry in row)
     want = parent.local_hamiltonian(parent.ground_null_space(fam, 2)).matrix
-    got = LocalHamiltonian.load(h).matrix
+    got = mps._matrix_from_json(doc["matrix"])
     assert got.dtype == want.dtype == np.complex128
     assert np.array_equal(got, want)
 
@@ -249,7 +253,7 @@ def test_correlate_oscillatory_rows_flagged(tmp_path):
         matrices={"1": rot, "0": np.zeros((2, 2)), "-1": np.zeros((2, 2))},
     )
     path = tmp_path / "rot.json"
-    fam.save(path)
+    write_family(path, fam)
     out = tmp_path / "osc.csv"
     code = run("correlate", "--which", "file", "--in", str(path), "--channel", "zz",
                "--mode", "thermo", "--r-min", "2", "--r-max", "3", "--out", str(out))
@@ -396,7 +400,7 @@ def test_correlate_identity_channel_takes_the_family_dimension(mode, extra, n_si
     rng = np.random.default_rng(8)
     fam = MpsFamily(d=2, D=2, labels=("a", "b"), matrices={lab: rng.normal(size=(2, 2)) for lab in "ab"})
     path = tmp_path / "d2.json"
-    fam.save(path)
+    write_family(path, fam)
     assert run("correlate", "--which", "file", "--in", str(path), "--channel", "identity", "--mode", mode,
                "--r-min", "1", "--r-max", "3", *extra) == 0
     values = mps.TransferSpectrum(fam).two_point_sweep(spin.identity(2), spin.identity(2), range(1, 4), n_sites)
@@ -414,7 +418,7 @@ def test_correlate_complex_family_from_file(tmp_path):
         matrices={lab: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for lab in spin.LABELS},
     )
     path = tmp_path / "complex.json"
-    fam.save(path)
+    write_family(path, fam)
     for mode, extra, expected, digest in (
         ("thermo", (), lambda r: mps.thermo_two_point(fam, spin.sz(), spin.sz(), r),
          "94778caf8a2267cd672c58ea20be784f9aeb6382b629b94c75d87e49559119d1"),
@@ -643,6 +647,18 @@ def test_genstate_prints_values_beyond_the_int_to_str_digit_limit(capsys):
     assert Fraction(Decimal(num)) / Fraction(Decimal(den)) == value and fl == f"{float(value):.17g}"
 
 
+def test_genstate_refuses_a_float_column_beyond_the_float_range(capsys):
+    # psi_n's squared norm passes the float range from N = 2006 on: float() ended the run in an
+    # OverflowError traceback; N = 2004 (8.6e307) keeps its bytes
+    assert run("genstate", "--n-sites", "2010", "--zeros", "2", "--norm") == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: row 2010,2,,norm: value_float lies beyond the float range\n"
+    assert run("genstate", "--n-sites", "2004", "--zeros", "2", "--norm") == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "3f0196b7555ee4cd784fd7aeca0f0f05923086607fa5da5bfd3cc6a20c257892")
+
+
 @pytest.mark.parametrize("g, message", [
     ("inf", "matrix '0' has a non-finite entry"),
     ("nan", "matrix '0' has a non-finite entry"),
@@ -651,6 +667,18 @@ def test_genstate_prints_values_beyond_the_int_to_str_digit_limit(capsys):
 def test_correlate_refuses_non_finite_and_overflowing_families(g, message, capsys):
     # refused when the family is built, before LAPACK sees the matrices; any warning fails the test
     assert run("correlate", "--which", "I", "--g", g, "--channel", "zz") == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--g-sweep", "1e308", "1.7e308", "2"), "transfer operator overflows: sum_i |A_i[a,b]|^2 lies beyond the float range"),
+    (("--g", "1.7e308"), "matrix '0' has a non-finite entry"),
+], ids=["g-sweep", "g"])
+def test_model_i_refuses_an_overflowing_h_without_a_warning(argv, message, capsys):
+    # h = sqrt(2) g overflows at g = 1.7e308: the sweep printed numpy's overflow warning before its refusal
+    assert run("correlate", "--which", "I", "--channel", "zz", *argv) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

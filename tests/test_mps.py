@@ -14,6 +14,7 @@ from mpschain.mps import (
     MpsFamily,
     OscillatoryLimitError,
     TransferSpectrum,
+    _json_text,
     _real_or_raise,
     amplitudes,
     amplitudes_vector,
@@ -105,18 +106,23 @@ def test_family_matrices_immutable():
         fam.matrices["0"][0, 0] = 99.0
 
 
+def _write_family(path, fam: MpsFamily) -> str:
+    """Write fam's JSON text, as the CLI writes it, to path; return the text."""
+    text = _json_text(fam.to_json_dict())
+    path.write_text(text, encoding="utf-8")
+    return text
+
+
 def test_json_round_trip(tmp_path):
     fam = models.general_family(0.7, 1.3, 0.4)
     path = tmp_path / "fam.json"
-    fam.save(path)
+    text1 = _write_family(path, fam)
     back = MpsFamily.load(path)
     for lab in fam.labels:
         assert np.array_equal(back.matrices[lab], fam.matrices[lab])
     assert back.params == fam.params
     # identical re-dump, byte for byte
-    text1 = path.read_text()
-    back.save(path)
-    assert path.read_text() == text1
+    assert _write_family(path, back) == text1
     doc = json.loads(text1)
     assert set(doc) == {"d", "D", "labels", "matrices", "params"}
 
@@ -135,16 +141,14 @@ def test_json_round_trip_complex_family(tmp_path):
     signed["0"][1, 1] = complex(0.0, -0.0)
     fam = MpsFamily(d=3, D=2, labels=fam.labels, matrices=signed)
     path = tmp_path / "fam.json"
-    fam.save(path)
-    doc = json.loads(path.read_text())
+    text1 = _write_family(path, fam)
+    doc = json.loads(text1)
     assert doc["matrices"]["1"][0][0] == [-0.0, -0.0]
     back = MpsFamily.load(path)
     for lab in fam.labels:
         assert back.matrices[lab].dtype == np.complex128
         assert back.matrices[lab].tobytes() == fam.matrices[lab].tobytes()
-    text1 = path.read_text()
-    back.save(path)
-    assert path.read_text() == text1
+    assert _write_family(path, back) == text1
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +196,8 @@ def test_transfer_builders_equal_the_kron_sums(name):
     # so every entry matches bit for bit, signed zeros included
     fam = models.model_I(0.0) if name == "model_I_g0" else FAMILIES[name]
     assert transfer(fam).matrix.tobytes() == _kron_transfer(fam).tobytes()
-    for obs in (spin.sz(), spin.sx(), spin.sz2(), spin.SpinObservable("S_y", spin.SY), spin.zero()):
+    for obs in (spin.sz(), spin.sx(), spin.sz2(), spin.SpinObservable("S_y", spin.SY),
+                spin.SpinObservable("0", np.zeros((3, 3)))):
         assert _dressed(fam, obs).tobytes() == _kron_dressed(fam, obs).tobytes()
 
 
