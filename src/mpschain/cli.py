@@ -146,13 +146,12 @@ def _cmd_model(args) -> int:
 def _cmd_parent(args) -> int:
     fam = _resolve_model(args)
     basis = parent.ground_null_space(fam, args.k, tol=args.tol)
+    if not basis.is_empty and args.out:  # written before the report line, so a failed write prints no row
+        _write_text(args.out, _json_text(parent.local_hamiltonian(basis).to_json_dict()))
     print(f"kernel dimension at k={args.k}: {basis.dim}")
     if basis.is_empty:
         print(f"no nearest-neighbor parent Hamiltonian at k={args.k}", file=sys.stderr)
         return EXIT_NO_PARENT
-    ham = parent.local_hamiltonian(basis)
-    if args.out:
-        _write_text(args.out, _json_text(ham.to_json_dict()))
     return EXIT_OK
 
 
@@ -183,6 +182,27 @@ def _correlate_rows(args, families, g_values) -> list[tuple[float, list[tuple]]]
     ]
 
 
+#: Most bytes a correlate run may hold, as _refuse_oversized estimates them before any family is built.
+_CORRELATE_BUDGET = 2**30
+
+
+def _refuse_oversized(args, n_families: int, big_d: int, itemsize: int = 8) -> None:
+    """Refuse a correlate run of G families and R separations whose estimated bytes pass the budget.
+
+    two_point_sweep holds up to five (G, R, D^2, D^2) stacks at once (two power stacks, and the
+    products of the ring chain, or the thermodynamic middles and their products with the
+    projectors), and each family holds about 26 D^2 x D^2 matrices of its own: E, its
+    eigenvectors and dominant projectors, the dressed operators, its rows.  At D = 3 in float64
+    that is ~3.2 KiB per (family, separation) pair and ~16 KiB per family, above the 2.0-2.7 KiB
+    and ~15 KiB measured by peak RSS.  A one-point channel or the closed forms count R = 1.
+    """
+    n_seps = args.r_max - args.r_min + 1 if args.mode != "closed" and args.channel in _TWO_POINT else 1
+    need = n_families * (5 * n_seps + 26) * big_d**4 * itemsize
+    if need > _CORRELATE_BUDGET:
+        raise _UsageError(f"correlate request too large: G = {n_families} families x R = {n_seps} separations "
+                          f"needs about {need / 2**30:.3g} GiB, past the {_CORRELATE_BUDGET / 2**30:g} GiB budget")
+
+
 def _cmd_correlate(args) -> int:
     if args.mode != "closed" and args.channel in _TWO_POINT and args.r_min > args.r_max:
         raise _UsageError(f"empty separation range: --r-min {args.r_min} exceeds --r-max {args.r_max}")
@@ -191,10 +211,12 @@ def _cmd_correlate(args) -> int:
             raise _UsageError("--g-sweep excludes --which file")
         if args.which == "general":
             raise _UsageError("--g-sweep supports --which I or II")
+        _refuse_oversized(args, args.g_sweep[2], 3)  # models I and II have D = 3
         g_values = [float(x) for x in np.linspace(*args.g_sweep)]
         families = models.model_families(args.which, g_values)
     else:
         fam = _resolve_model(args)
+        _refuse_oversized(args, 1, fam.D, fam.matrix_stack().dtype.itemsize)
         g_values = [fam.params.get("g", float("nan"))]
         families = [fam]
     if args.mode == "closed":
@@ -359,7 +381,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (_UsageError, ValueError, FileNotFoundError, parent.KernelRecheckError) as exc:
+    except (_UsageError, ValueError, OSError, parent.KernelRecheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -159,15 +159,32 @@ class MpsFamily:
 
     @classmethod
     def load(cls, path) -> "MpsFamily":
-        """The family of a JSON file in to_json_dict's form, as _json_text writes it."""
+        """The family of a JSON file in to_json_dict's form, as _json_text writes it.
+
+        A missing key, or one whose value does not convert, is refused with a ValueError naming the file and the key.
+        """
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: expected a JSON object holding a family")
+
+        def read(key, convert, default=None):
+            try:
+                return convert(doc[key] if default is None else doc.get(key, default))
+            except (KeyError, TypeError, ValueError, AttributeError, OverflowError):
+                raise ValueError(f"{path}: key {key!r} is missing or malformed") from None
+
+        def strings(values) -> tuple[str, ...]:
+            if isinstance(values, str) or not all(isinstance(v, str) for v in values):
+                raise TypeError("labels must be a list of strings")
+            return tuple(values)
+
         return cls(
-            d=int(doc["d"]),
-            D=int(doc["D"]),
-            labels=tuple(doc["labels"]),
-            matrices={lab: _matrix_from_json(grid) for lab, grid in doc["matrices"].items()},
-            params={k: float(v) for k, v in doc.get("params", {}).items()},
+            d=read("d", int),
+            D=read("D", int),
+            labels=read("labels", strings),
+            matrices=read("matrices", lambda m: {lab: _matrix_from_json(grid) for lab, grid in m.items()}),
+            params=read("params", lambda p: {k: float(v) for k, v in p.items()}, {}),
         )
 
 
@@ -197,9 +214,7 @@ class TransferOperator:
         m = np.asarray(self.matrix)
         if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
             raise ValueError("transfer operator must be square")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(m.copy()))
 
 
 def _matrix_stack(mps: MpsFamily | Sequence[MpsFamily]) -> np.ndarray:
@@ -497,8 +512,7 @@ class TransferSpectrum:
         self.mps = mps if self._one else tuple(mps)
         # the matrices are stacked and cast once; E and every E_O are formed from this stack
         self._mats = _matrix_stack(self.mps)
-        self.e = _transfer_matrix(self._mats)
-        self.e.flags.writeable = False
+        self.e = _frozen(_transfer_matrix(self._mats))
         self._dressed: dict[tuple, np.ndarray] = {}
         # made on first use and kept: plain attributes, as cached_property locks on every first access
         self._eig: list | None = None
@@ -594,8 +608,8 @@ class TransferSpectrum:
     def _ring_start(self, obs1: SpinObservable, obs2: SpinObservable, n_sites: int):
         """Each family's tr((E/rho)^N), and the head 1 @ E_O1 / rho of a ring correlator's chain.
 
-        Errors come in the order the one-r correlators meet them: an observable of
-        the wrong dimension, then DegenerateNormError when rho or tr(E^N) vanishes.
+        Errors come in this order: an observable of the wrong dimension, then
+        DegenerateNormError when rho or tr(E^N) vanishes.
         The chain starts from the identity: 1 @ E_O1 can differ from E_O1 in signed zeros.
         """
         d = self._mats.shape[-3]
@@ -615,54 +629,33 @@ class TransferSpectrum:
         return self._out([_real_or_raise(t / d, "normalized correlator") for t, d in zip(num, den)])
 
     def two_point_sweep(self, obs1: SpinObservable, obs2: SpinObservable, rs, n_sites: int | None = None) -> list:
-        """<O1_1 O2_{1+r}> at each separation r in rs, r = 1 meaning adjacent sites.
+        """<O1_1 O2_{1+r}> at each separation r in rs, r = 1 meaning adjacent sites: the one two-point query.
 
         On the ring of n_sites sites the value is tr(E_O1 E^{r-1} E_O2 E^{N-r-1}) / tr(E^N);
-        with n_sites None it is the N -> infinity limit taken along even N, where
-        an r whose value oscillates holds its OscillatoryLimitError in place of a
-        value.  The dressed operators and the powers of E/rho are formed once and
-        every r-dependent product is taken on a stack.  A separation out of range
-        is refused before anything is computed.
-        """
-        return self._out(self._sweeps(obs1, obs2, rs, n_sites))
-
-    def _sweeps(self, obs1, obs2, rs, n_sites, raising=InconsistencyError) -> list[list]:
-        """two_point_sweep's list of each family's values.
-
-        Of the errors a thermodynamic limit holds in place of a value, the first one of the
-        kinds raising is raised, family by family and in r order.
+        with n_sites None it is the N -> infinity limit taken along even N: E_O1 E^{r-1} E_O2
+        contracted with the dominant projectors, eigenvalues tied in magnitude summed with the
+        sign weights of even N.  There an r whose value oscillates holds its OscillatoryLimitError
+        in place of a value, and the first InconsistencyError is raised, family by family and in
+        r order.  The dressed operators and the powers of E/rho are formed once and every
+        r-dependent product is taken on a stack.  A separation out of range is refused before
+        anything is computed.
         """
         rs = list(rs)
         ring = n_sites is not None
         if not all(1 <= r < n_sites if ring else r >= 1 for r in rs):
             raise ValueError("separation must satisfy 1 <= r < n_sites" if ring else "separation must be >= 1")
         if not rs:
-            return [[] for _ in self._each(self.e)]
+            return self._out([[] for _ in self._each(self.e)])
         if ring:
-            return self._ring_values(obs1, obs2, rs, n_sites)
-        values = self._thermo_values(obs1, obs2, rs)
-        for family in values:
-            _raise_first(family, raising)
-        return values
-
-    def _ring_values(self, obs1, obs2, rs, n_sites) -> list[list[float]]:
-        den, head = self._ring_start(obs1, obs2, n_sites)
-        num = head[..., None, :, :] @ self._powers().stack([r - 1 for r in rs]) @ self.dressed(obs2)[..., None, :, :]
-        num = self._each((num @ self._powers().stack([n_sites - r - 1 for r in rs])).trace(axis1=-2, axis2=-1))
-        return [[_real_or_raise(t / d, "normalized correlator") for t in ts] for ts, d in zip(num, den)]
-
-    def _thermo_values(self, obs1, obs2, rs) -> list[list]:
+            den, head = self._ring_start(obs1, obs2, n_sites)
+            num = head[..., None, :, :] @ self._powers().stack([r - 1 for r in rs]) @ self.dressed(obs2)[..., None, :, :]
+            num = self._each((num @ self._powers().stack([n_sites - r - 1 for r in rs])).trace(axis1=-2, axis2=-1))
+            return self._out([[_real_or_raise(t / d, "normalized correlator") for t in ts] for ts, d in zip(num, den)])
         self._eigensystem()  # before rho, as in thermo_one_point
         middles = self.dressed(obs1)[..., None, :, :] @ self._powers().stack([r - 1 for r in rs])
         middles = self._stacked(middles @ self.dressed(obs2)[..., None, :, :])
-        return self._even_n_limit().values(middles, [r + 1 for r in rs])
-
-    def ring_two_point(self, obs1: SpinObservable, obs2: SpinObservable, r: int, n_sites: int):
-        """<O1_1 O2_{1+r}> on the ring: tr(E_O1 E^{r-1} E_O2 E^{N-r-1}) / tr(E^N).
-
-        r is the separation between the two sites, so r = 1 means adjacent.
-        """
-        return self._out([v[0] for v in self._sweeps(obs1, obs2, [r], n_sites)])
+        values = self._even_n_limit().values(middles, [r + 1 for r in rs])
+        return self._out([_raise_first(family, InconsistencyError) for family in values])
 
     def thermo_one_point(self, obs: SpinObservable):
         """N -> infinity limit of ring_one_point, taken along even N."""
@@ -673,15 +666,6 @@ class TransferSpectrum:
         values = self._even_n_limit().values(middles, [1])
         return self._out([_raise_first(family, _LIMIT_ERRORS)[0] for family in values])
 
-    def thermo_two_point(self, obs1: SpinObservable, obs2: SpinObservable, r: int):
-        """N -> infinity limit of ring_two_point at fixed separation r >= 1.
-
-        Contracts E_O1 E^{r-1} E_O2 between the dominant eigenvectors; when several
-        eigenvalues tie in magnitude their contributions are summed with the sign
-        weights appropriate to even N.
-        """
-        return self._out([v[0] for v in self._sweeps(obs1, obs2, [r], None, _LIMIT_ERRORS)])
-
 
 def ring_one_point(mps: MpsFamily, obs: SpinObservable, n_sites: int) -> float:
     """<O> on the finite ring: tr(E_O E^{N-1}) / tr(E^N)."""
@@ -691,8 +675,8 @@ def ring_one_point(mps: MpsFamily, obs: SpinObservable, n_sites: int) -> float:
 def ring_two_point(
     mps: MpsFamily, obs1: SpinObservable, obs2: SpinObservable, r: int, n_sites: int
 ) -> float:
-    """<O1_1 O2_{1+r}> on the ring; r = 1 means adjacent sites."""
-    return TransferSpectrum(mps).ring_two_point(obs1, obs2, r, n_sites)
+    """<O1_1 O2_{1+r}> on the ring; r = 1 means adjacent sites: a sweep of one r."""
+    return TransferSpectrum(mps).two_point_sweep(obs1, obs2, [r], n_sites)[0]
 
 
 def thermo_one_point(mps: MpsFamily, obs: SpinObservable) -> float:
@@ -701,8 +685,8 @@ def thermo_one_point(mps: MpsFamily, obs: SpinObservable) -> float:
 
 
 def thermo_two_point(mps: MpsFamily, obs1: SpinObservable, obs2: SpinObservable, r: int) -> float:
-    """N -> infinity limit of ring_two_point at fixed separation r >= 1."""
-    return TransferSpectrum(mps).thermo_two_point(obs1, obs2, r)
+    """N -> infinity limit of ring_two_point at fixed separation r >= 1: a sweep of one r that raises its error."""
+    return _raise_first(TransferSpectrum(mps).two_point_sweep(obs1, obs2, [r]), _LIMIT_ERRORS)[0]
 
 
 def _check_cap(d: int, k: int, what: str) -> None:
@@ -765,9 +749,7 @@ def _reversed_words(mats: np.ndarray, k: int, what: str) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _identity(n: int, dtype: np.dtype) -> np.ndarray:
     """The n x n identity of dtype, read-only; cached: np.eye costs about as much as a 9 x 9 product."""
-    eye = np.eye(n, dtype=dtype)
-    eye.flags.writeable = False
-    return eye
+    return _frozen(np.eye(n, dtype=dtype))
 
 
 @lru_cache(maxsize=64)
@@ -776,23 +758,12 @@ def _digit_reversal(d: int, k: int) -> np.ndarray:
     order = np.zeros(1, dtype=np.intp)
     for s in range(k):
         order = (order[:, None] + d**s * np.arange(d)).ravel()
-    order.flags.writeable = False
-    return order
+    return _frozen(order)
 
 
 def _word_columns(mats: np.ndarray, k: int, what: str) -> np.ndarray:
     """The (..., D^2, d^k) word matrices: column (i_1...i_k), i_1 most significant, is A_{i_1}...A_{i_k} flattened."""
     return _reversed_words(mats, k, what).take(_digit_reversal(mats.shape[-3], k), axis=-1)
-
-
-def _words(mats: np.ndarray, k: int, what: str) -> np.ndarray:
-    """The (..., d^k, D, D) stack of k-site words A_{i_1}...A_{i_k}, i_1 the most significant digit.
-
-    mats is a (..., d, D, D) stack of auxiliary matrices; its leading axes batch families.
-    """
-    rows = _reversed_words(mats, k, what).swapaxes(-1, -2)
-    words = rows.take(_digit_reversal(mats.shape[-3], k), axis=-2)
-    return words.reshape(*rows.shape[:-2], -1, *mats.shape[-2:])
 
 
 def amplitudes(mps: MpsFamily, n_sites: int) -> dict[tuple[str, ...], complex]:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .mps import DegenerateNormError, MpsFamily, TransferSpectrum, amplitudes_vector
-from .mps import _matrix_to_json, _word_columns, _words
+from .mps import _frozen, _matrix_to_json, _word_columns
 
 
 class InvalidModelError(ValueError):
@@ -52,10 +52,7 @@ class LocalHamiltonian:
     basis: NullSpaceBasis
 
     def __post_init__(self):
-        m = np.asarray(self.matrix)
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(np.asarray(self.matrix).copy()))
 
     @property
     def dim(self) -> int:
@@ -183,7 +180,7 @@ def reduced_density(mps: MpsFamily, k: int, n_sites: int) -> np.ndarray:
     """
     if not 1 <= k < n_sites:
         raise ValueError("need 1 <= k < n_sites")
-    words = _words(mps.matrix_stack(), k, "reduced-density")
+    words = _word_columns(mps.matrix_stack(), k, "reduced-density").T.reshape(-1, mps.D, mps.D)
     env = np.linalg.matrix_power(TransferSpectrum(mps).scaled, n_sites - k).reshape(mps.D, mps.D, mps.D, mps.D)
     rho = np.einsum("Iab,Jcd,bdac->IJ", words.conj(), words, env)
     tr = np.trace(rho)

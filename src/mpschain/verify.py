@@ -63,7 +63,7 @@ def _closed_form_deviations(closed, spectrum: mps.TransferSpectrum) -> list[tupl
     of a stacked model I spectrum; rows past the last closed form are left out."""
     sz2 = spectrum.thermo_one_point(spin.sz2())
     sx2 = spectrum.thermo_one_point(spin.sx2())
-    g_par = spectrum.thermo_two_point(spin.sz(), spin.sz(), 1)
+    g_par = [mps._raise_first(v, mps._LIMIT_ERRORS)[0] for v in spectrum.two_point_sweep(spin.sz(), spin.sz(), [1])]
     return [(abs(cf.sz2 - a), abs(cf.sx2 - b), abs(cf.g_par - c)) for cf, a, b, c in zip(closed, sz2, sx2, g_par)]
 
 

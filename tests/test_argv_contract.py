@@ -1,0 +1,150 @@
+"""One property over the argv grammar of cli.main: every argv ends in its rows or in one error line.
+
+The argvs cover all five commands with g at zero, tiny, ordinary, huge and non-finite values, and
+sizes small enough that each example stays cheap (verify N <= 6, genstate N <= 2000, parent k <= 4).
+Each run is in process, with every warning an error.  An output path of "." is a directory, which
+every command must refuse to write to.
+"""
+
+import contextlib
+import io
+import json
+import math
+import warnings
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mpschain import cli
+
+G_VALUES = ["0", "1e-300", "-1e-300", "0.7", "1e30", "1e80", "1e155", "inf", "-inf", "nan"]
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """An argv of one command: mostly well formed, with each required option left out or a stray
+    one added now and then, and values drawn past their ranges."""
+    g = st.sampled_from(G_VALUES) | st.just("0.7")  # an ordinary g half the time, so that rows get printed
+    command = draw(st.sampled_from(["model", "parent", "correlate", "genstate", "verify"]))
+    argv = [command]
+
+    def rarely() -> bool:
+        return draw(st.integers(0, 9)) == 0
+
+    def maybe(flag: str, values, usually: bool = False) -> None:
+        if rarely() if usually else draw(st.booleans()):
+            return
+        argv.extend([flag, str(draw(values))])
+
+    if command in ("model", "parent", "correlate"):
+        which = draw(st.sampled_from(["I", "II", "general"]))
+        argv += ["--which", which]
+        if command == "correlate" and draw(st.booleans()):
+            argv += ["--g-sweep", draw(g), draw(g), str(draw(st.integers(0, 3)))]
+        else:
+            maybe("--g", g, usually=True)
+        if which == "general":
+            maybe("--h", g, usually=True)
+            maybe("--c", g)
+        elif rarely():
+            argv += ["--h", draw(g)]  # a stray option, which models I and II refuse
+    if command == "parent":
+        maybe("--k", st.integers(1, 4))
+    elif command == "correlate":
+        argv += ["--channel", draw(st.sampled_from(["sz2", "sx2", "zz", "xx", "identity"]))]
+        mode = draw(st.sampled_from(["ring", "thermo", "closed"]))
+        argv += ["--mode", mode]
+        maybe("--n-sites", st.integers(-1, 12) if rarely() else st.integers(1, 6).map(lambda h: 2 * h),
+              usually=mode == "ring")
+        r_min = draw(st.integers(-1, 4) if rarely() else st.integers(1, 4))
+        argv += ["--r-min", str(r_min), "--r-max", str(r_min + draw(st.integers(-1, 6)))]
+        maybe("--format", st.sampled_from(["csv", "json"]))
+    elif command == "genstate":
+        half = draw(st.integers(-1, 1000))
+        zeros = 2 * draw(st.integers(-1, half + 1))
+        n_sites = 2 * half + (1 if rarely() else 0)
+        argv += ["--n-sites", str(n_sites), "--zeros", str(zeros)]
+        maybe("--obs", st.sampled_from(["zz", "xx", "sz2", "sperp2", "sz2sz2"]), usually=True)
+        if draw(st.booleans()):
+            maybe("--r", st.integers(-1, 8))
+        else:
+            maybe("--r-min", st.integers(-1, 8))
+            maybe("--r-max", st.integers(-1, 8))
+        if draw(st.booleans()):
+            argv.append("--norm")
+    elif command == "verify":
+        argv += ["--suite", draw(st.sampled_from(["frustration", "formulas", "genstate", "symmetry", "appendixA", "all"]))]
+        maybe("--n-sites", st.integers(-1, 6))
+        maybe("--g", g)
+    if rarely():
+        argv += ["--out", "."]
+    return argv
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _finite(text: str | None) -> bool:
+    return text in (None, "") or math.isfinite(float(text))
+
+
+def _unflagged_values(out: str) -> list[str | None]:
+    """The value of every unflagged row: the value and value_float columns of a CSV table, and each
+    "value" of a JSON document whose row holds no flag."""
+    if out.startswith("{"):
+        values, todo = [], [json.loads(out)]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, dict):
+                if "value" in node and not node.get("flag"):
+                    values.append(node["value"])
+                todo += node.values()
+            elif isinstance(node, list):
+                todo += node
+        return values
+    header, *rows = (line.split(",") for line in out.splitlines())
+    cols = [header.index(name) for name in ("value", "value_float") if name in header]
+    flag = header.index("flag") if "flag" in header else None
+    return [row[c] for row in rows if flag is None or not row[flag] for c in cols]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(argv=argvs())
+# argvs that once ended in a traceback, a warning or a late refusal: overflowing kernels, non-finite
+# sweep bounds, a fractional or negative STEPS, overflowing amplitudes and null vectors, and genstate
+# columns past the int-to-str limit
+@example(argv=["parent", "--which", "I", "--g", "1e80", "--k", "3"])
+@example(argv=["parent", "--which", "I", "--g", "1e100", "--k", "3"])
+@example(argv=["parent", "--which", "II", "--g", "1e80", "--k", "3"])
+@example(argv=["parent", "--which", "I", "--g", "1e110", "--k", "3"])
+@example(argv=["parent", "--which", "I", "--g", "1e150", "--k", "3"])
+@example(argv=["correlate", "--which", "I", "--channel", "zz", "--g-sweep", "0.3", "inf", "3"])
+@example(argv=["correlate", "--which", "I", "--channel", "zz", "--g-sweep", "0.1", "3", "2.5"])
+@example(argv=["correlate", "--which", "file", "--channel", "zz", "--g-sweep", "0", "1", "-1"])
+@example(argv=["correlate", "--which", "I", "--channel", "zz", "--g-sweep", "1e308", "1.7e308", "2"])
+@example(argv=["correlate", "--which", "I", "--channel", "zz", "--g", "1.7e308"])
+@example(argv=["verify", "--suite", "frustration", "--n-sites", "6", "--g", "1e100"])
+@example(argv=["verify", "--suite", "frustration", "--n-sites", "6", "--g", "1e60"])
+@example(argv=["verify", "--suite", "frustration", "--n-sites", "6", "--g", "1e30"])
+@example(argv=["genstate", "--n-sites", "60000", "--zeros", "30000", "--obs", "zz", "--r", "3"])
+@example(argv=["genstate", "--n-sites", "30000", "--zeros", "2", "--obs", "xx", "--r", "3"])
+@example(argv=["genstate", "--n-sites", "2010", "--zeros", "2", "--norm"])
+# a directory as the family file or the output, and correlate requests past the memory budget
+@example(argv=["correlate", "--which", "file", "--in", ".", "--channel", "zz"])
+@example(argv=["model", "--which", "I", "--g", "1", "--out", "."])
+@example(argv=["parent", "--which", "I", "--g", "1", "--out", "."])
+@example(argv=["correlate", "--which", "I", "--channel", "zz", "--g-sweep", "0", "1", "100000", "--r-max", "100000"])
+@example(argv=["correlate", "--which", "I", "--channel", "zz", "--g-sweep", "0.1", "3", "3000", "--r-max", "3000"])
+def test_every_argv_ends_in_its_rows_or_in_one_error_line(argv):
+    code, out, err = _run(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NO_PARENT, cli.EXIT_VERIFY_FAILED)
+    if code == cli.EXIT_USAGE:
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1 and err.startswith(("error:", "usage:")), err
+    if code == cli.EXIT_OK and argv[0] in ("correlate", "genstate", "verify"):
+        assert all(_finite(v) for v in _unflagged_values(out)), out

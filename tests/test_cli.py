@@ -716,6 +716,71 @@ def test_cli_refusals(argv, err, capsys):
     assert captured.err == f"error: {err}\n"
 
 
+@pytest.mark.parametrize("text, err", [
+    ("{}", "key 'd' is missing or malformed"),
+    ("[]", "expected a JSON object holding a family"),
+    ('{"d": 1, "D": 1, "labels": [["a"]], "matrices": {}}', "key 'labels' is missing or malformed"),
+    ('{"d": 1, "D": 1, "labels": ["a"], "matrices": []}', "key 'matrices' is missing or malformed"),
+    ('{"d": 1, "D": 1, "labels": ["a"], "matrices": {"a": [["x"]]}}', "key 'matrices' is missing or malformed"),
+    ('{"d": 1, "D": 1, "labels": ["a"], "matrices": {"a": [[1.0]]}, "params": 3}', "key 'params' is missing or malformed"),
+    ('{"d": 1e400, "D": 1, "labels": ["a"], "matrices": {"a": [[1.0]]}}', "key 'd' is missing or malformed"),
+])
+def test_a_malformed_family_file_is_one_error_line_naming_the_key(text, err, tmp_path, capsys):
+    # a missing key ended in a KeyError traceback, a file holding a list in a TypeError
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    assert run("correlate", "--which", "file", "--in", str(path), "--channel", "zz") == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {err}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("correlate", "--which", "file", "--in", "{dir}", "--channel", "zz"),
+    ("model", "--which", "I", "--g", "1", "--out", "{dir}"),
+    ("parent", "--which", "I", "--g", "1", "--out", "{dir}"),
+    ("correlate", "--which", "I", "--g", "1", "--channel", "zz", "--out", "{dir}"),
+])
+def test_a_directory_path_is_one_error_line(argv, tmp_path, capsys):
+    # each ended in an IsADirectoryError traceback; parent printed its kernel line before it
+    assert run(*[a.format(dir=tmp_path) for a in argv]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("--g-sweep", "0", "1", "100000", "--r-max", "100000"),
+     "G = 100000 families x R = 100000 separations needs about 3.02e+04 GiB"),
+    (("--g-sweep", "0.1", "3", "3000", "--r-max", "3000"), "G = 3000 families x R = 3000 separations needs about 27.2 GiB"),
+    (("--g-sweep", "0", "1", "100000", "--mode", "closed", "--r-max", "5"),
+     "G = 100000 families x R = 1 separations needs about 1.87 GiB"),
+    (("--g", "0.7", "--r-max", str(10**12)), f"G = 1 families x R = {10**12} separations needs about 3.02e+06 GiB"),
+])
+def test_an_oversized_correlate_request_is_refused_before_any_family_is_built(argv, err, monkeypatch, capsys):
+    # nothing bounded the (G, R, D^2, D^2) separation stacks: --g-sweep 0.1 3 3000 --r-max 3000 needs ~16 GiB
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past the budget")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    monkeypatch.setattr(cli, "TransferSpectrum", refuse)
+    if "--g-sweep" in argv:
+        monkeypatch.setattr(models, "model_families", refuse)
+    assert run("correlate", "--which", "I", "--channel", "zz", *argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: correlate request too large: {err}, past the 1 GiB budget\n"
+
+
+def test_the_cli_workload_and_the_measured_runs_lie_inside_the_correlate_budget(capsys):
+    # the benchmark's 30 x 12 sweep, and the runs whose peak RSS was measured: 181 MiB and 221 MiB
+    for argv in (("--g-sweep", "0.1", "3", "30", "--r-max", "12"), ("--g-sweep", "0.1", "3", "300", "--r-max", "300"),
+                 ("--g", "0.7", "--r-max", "60000")):
+        args = cli.build_parser().parse_args(["correlate", "--which", "I", "--channel", "zz", *argv])
+        n_families = args.g_sweep[2] if args.g_sweep else 1
+        cli._refuse_oversized(args, n_families, 3)
+
+
 def test_verify_appendix_suite(tmp_path):
     out = tmp_path / "report.json"
     code = run("verify", "--suite", "appendixA", "--n-sites", "4", "--out", str(out))

@@ -403,9 +403,9 @@ def test_transfer_spectrum_methods_equal_module_functions(name):
             assert spectrum.ring_one_point(obs, n) == ring_one_point(fam, obs, n)
         for obs2 in observables:
             for r in (1, 2, 5, 12):
-                assert spectrum.thermo_two_point(obs, obs2, r) == thermo_two_point(fam, obs, obs2, r)
+                assert spectrum.two_point_sweep(obs, obs2, [r])[0] == thermo_two_point(fam, obs, obs2, r)
                 for n in (r + 1, 16, 40):
-                    assert spectrum.ring_two_point(obs, obs2, r, n) == ring_two_point(fam, obs, obs2, r, n)
+                    assert spectrum.two_point_sweep(obs, obs2, [r], n)[0] == ring_two_point(fam, obs, obs2, r, n)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -444,8 +444,8 @@ def test_two_point_sweep_equals_the_one_r_calls(name):
         d1, d2, s = spectrum.dressed(obs1), spectrum.dressed(obs2), spectrum.scaled
         den = np.trace(np.linalg.matrix_power(s, n_sites))
         for r, t, v in zip(rs, thermo, ring):
-            assert t == spectrum.thermo_two_point(obs1, obs2, r) == thermo_two_point(fam, obs1, obs2, r)
-            assert v == spectrum.ring_two_point(obs1, obs2, r, n_sites) == ring_two_point(fam, obs1, obs2, r, n_sites)
+            assert t == spectrum.two_point_sweep(obs1, obs2, [r])[0] == thermo_two_point(fam, obs1, obs2, r)
+            assert v == spectrum.two_point_sweep(obs1, obs2, [r], n_sites)[0] == ring_two_point(fam, obs1, obs2, r, n_sites)
             # the per-r expressions the correlators used before the sweep
             middle = d1 @ np.linalg.matrix_power(s, r - 1) @ d2
             assert t == mps._EvenNLimit([spectrum.projectors]).values(middle[None, None], [r + 1])[0][0]
@@ -457,14 +457,17 @@ def test_two_point_sweep_equals_the_one_r_calls(name):
 def test_two_point_sweep_flags_each_oscillatory_r():
     th = 1.0
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    spectrum = TransferSpectrum(MpsFamily(d=1, D=2, labels=("x",), matrices={"x": rot}))
+    fam = MpsFamily(d=1, D=2, labels=("x",), matrices={"x": rot})
+    spectrum = TransferSpectrum(fam)
     one = spin.identity(1)
     values = spectrum.two_point_sweep(one, one, [1, 2, 3])
     assert all(isinstance(v, OscillatoryLimitError) for v in values)
+    # the sweep of one r holds the same error, and the module-level call raises it
+    assert str(spectrum.two_point_sweep(one, one, [2])[0]) == str(values[1])
     with pytest.raises(OscillatoryLimitError) as exc:
-        spectrum.thermo_two_point(one, one, 2)
+        thermo_two_point(fam, one, one, 2)
     assert str(exc.value) == str(values[1])
-    assert spectrum.two_point_sweep(one, one, [1, 2], 6) == [spectrum.ring_two_point(one, one, r, 6) for r in (1, 2)]
+    assert spectrum.two_point_sweep(one, one, [1, 2], 6) == [ring_two_point(fam, one, one, r, 6) for r in (1, 2)]
 
 
 def test_two_point_sweep_refuses_a_separation_before_computing_anything():
@@ -522,13 +525,13 @@ def test_transfer_spectrum_builds_each_piece_once(monkeypatch):
 
     spectrum = TransferSpectrum(models.model_I(1.0))
     for r in range(1, 13):
-        spectrum.thermo_two_point(spin.sz(), spin.sz(), r)  # a fresh observable object on every call
-        spectrum.ring_two_point(spin.sz(), spin.sz(), r, 20)
+        spectrum.two_point_sweep(spin.sz(), spin.sz(), [r])  # a fresh observable object on every call
+        spectrum.two_point_sweep(spin.sz(), spin.sz(), [r], 20)
     spectrum.thermo_one_point(spin.sz2())
     assert tally() == {"_matrix_stack": 1, "_transfer_matrix": 1, "_dressed_matrix": 2, "spectral_radius": 0, "eig_all": 1}
     spectrum = TransferSpectrum(models.model_I(1.0))
     for r in range(1, 13):
-        spectrum.ring_two_point(spin.sz(), spin.sz(), r, 20)
+        spectrum.two_point_sweep(spin.sz(), spin.sz(), [r], 20)
     spectrum.ring_one_point(spin.sz2(), 20)
     assert tally() == {"_matrix_stack": 1, "_transfer_matrix": 1, "_dressed_matrix": 2, "spectral_radius": 1, "eig_all": 0}
 
@@ -590,8 +593,9 @@ def test_batched_words_equal_the_per_family_words(batch):
         fams = [_random_complex_family(seed, D=2) for seed in (11, 12, 13)]
     mats = np.stack([fam.matrix_stack() for fam in fams])
     for n in range(1, 9):
-        words = mps._words(mats, n, "amplitude")
-        assert words.shape == (len(fams), 3**n, fams[0].D, fams[0].D)
+        columns = mps._word_columns(mats, n, "amplitude")
+        assert columns.shape == (len(fams), fams[0].D ** 2, 3**n)
+        words = columns.swapaxes(-1, -2).reshape(len(fams), 3**n, fams[0].D, fams[0].D)
         for fam, fam_words in zip(fams, words):
             assert np.array_equal(np.trace(fam_words, axis1=1, axis2=2), amplitudes_vector(fam, n))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -152,6 +153,43 @@ def test_kernel_rho_duality():
         rho = reduced_density(fam, 2, 6)
         for v in basis.vectors:
             assert np.linalg.norm(rho @ v) < 1e-10
+
+
+def _complex_family(big_d: int) -> MpsFamily:
+    rng = np.random.default_rng(50 + big_d)
+    shape = (big_d, big_d)
+    mats = {lab: rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for lab in ("1", "0", "-1")}
+    return MpsFamily(d=3, D=big_d, labels=("1", "0", "-1"), matrices=mats)
+
+
+DENSITY_FAMILIES = {
+    "I g=0.7": lambda: models.model_I(0.7),
+    "II g=1.3": lambda: models.model_II(1.3),
+    "aklt": models.aklt_family,
+    **{f"complex D={big_d}": lambda big_d=big_d: _complex_family(big_d) for big_d in (2, 3, 4)},
+}
+
+#: sha256 of the bytes of reduced_density at k = 1..3 on rings of 4, 7 and 30 sites, per family, recorded
+#: while the words were still built in their own (d^k, D, D) layout.
+DENSITY_PINS = {
+    "I g=0.7": "ff508a3dcbeca20d899c48b22bcfe0742f494a26ce54ce2a588c8ebdcbdb0e12",
+    "II g=1.3": "f1fdc997da089eb8673ce2b0a63836fed5511e3e419086db0d08bea076b4decc",
+    "aklt": "b0237bdddb558052233905b13bc71d9325bd29b21a7dc7e2cd6be47cc1ac69a0",
+    "complex D=2": "7db78fa49f540258684636c17bcb2bdf15259fb3d2bb9fcf7bfa653670bd7f42",
+    "complex D=3": "1bdd0379b4401097a977782ee09d72403f4ce57734e46c80f856c2f35f7b739a",
+    "complex D=4": "1eb9a75564e6a59e05d644cccd5c46e6a9ce9bde24724ba21c30657590516e0e",
+}
+
+
+@pytest.mark.parametrize("name", list(DENSITY_FAMILIES))
+def test_reduced_density_is_bit_identical(name):
+    fam = DENSITY_FAMILIES[name]()
+    record = []
+    for k in (1, 2, 3):
+        for n in (4, 7, 30):
+            rho = reduced_density(fam, k, n)
+            record.append(f"{rho.dtype.str} {rho.shape} {rho.tobytes().hex()}")
+    assert hashlib.sha256("\n".join(record).encode()).hexdigest() == DENSITY_PINS[name]
 
 
 def test_chain_apply_zero_term():

@@ -84,7 +84,7 @@ def _ring_queries(s: TransferSpectrum, obs: list) -> list:
     calls = [lambda o=o, n=n: s.ring_one_point(o, n) for o in obs for n in (2, 5, 30, 400)]
     calls += [lambda a=a, b=b, n=n: s.two_point_sweep(a, b, range(1, 13), n)
               for a, b in ((o1, o1), (o1, o2), (o2, obs[-1])) for n in (13, 30, 400)]
-    calls += [lambda: s.ring_two_point(o1, o1, 3, 7), lambda: s.ring_two_point(o1, o2, 0, 7),
+    calls += [lambda: s.two_point_sweep(o1, o1, [3], 7)[0], lambda: s.two_point_sweep(o1, o2, [0], 7)[0],
               lambda: s.ring_one_point(o1, 1), lambda: s.ring_one_point(spin.identity(s.mps.d + 1), 6)]
     return calls
 
@@ -94,8 +94,8 @@ def _thermo_queries(s: TransferSpectrum, obs: list) -> list:
     calls = [lambda o=o: s.thermo_one_point(o) for o in obs]
     calls += [lambda a=a, b=b: s.two_point_sweep(a, b, range(1, 13))
               for a, b in ((o1, o1), (o1, o2), (o2, obs[-1]))]
-    calls += [lambda r=r: s.thermo_two_point(o2, o2, r) for r in (1, 4, 9)]
-    calls += [lambda: s.thermo_two_point(o1, o1, 0), lambda: s.thermo_one_point(spin.identity(s.mps.d + 1))]
+    calls += [lambda r=r: s.two_point_sweep(o2, o2, [r])[0] for r in (1, 4, 9)]
+    calls += [lambda: s.two_point_sweep(o1, o1, [0])[0], lambda: s.thermo_one_point(spin.identity(s.mps.d + 1))]
     return calls
 
 

@@ -124,12 +124,12 @@ def _queries(obs: list, thermo_first: bool) -> list:
     ring = [
         lambda s: s.ring_one_point(o1, 8),
         lambda s: s.two_point_sweep(o1, o2, range(1, 8), 8),
-        lambda s: s.ring_two_point(o2, o1, 3, 10),
+        lambda s: s.two_point_sweep(o2, o1, [3], 10),
     ]
     thermo = [
         lambda s: s.thermo_one_point(o2),
         lambda s: s.two_point_sweep(o1, o2, range(1, 7)),
-        lambda s: s.thermo_two_point(o1, o1, 2),
+        lambda s: s.two_point_sweep(o1, o1, [2]),
     ]
     pieces = [lambda s: s.e, lambda s: s.rho, lambda s: s.scaled, lambda s: s.dressed(o1), lambda s: s.projectors]
     return (thermo + ring if thermo_first else ring + thermo) + pieces
@@ -338,7 +338,7 @@ def test_the_tail_stacks_cover_every_case_of_the_tail():
 def _tail_queries(obs: list) -> list:
     calls = [lambda s, o=o: s.thermo_one_point(o) for o in obs]
     calls += [lambda s, a=a, b=b: s.two_point_sweep(a, b, range(1, 9)) for a in obs[:2] for b in obs[1:]]
-    calls += [lambda s, a=a, r=r: s.thermo_two_point(a, obs[0], r) for a in obs for r in (1, 2, 5)]
+    calls += [lambda s, a=a, r=r: s.two_point_sweep(a, obs[0], [r]) for a in obs for r in (1, 2, 5)]
     return calls
 
 

@@ -1,4 +1,4 @@
-"""The word builder mps._words: bit for bit against the einsum contraction it replaced, and its cap."""
+"""The word builder mps._word_columns: bit for bit against the einsum contraction it replaced, and its cap."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ KINDS = ("real", "complex", "signed_zero", "complex_signed_zero", "batched", "ba
 
 
 def _einsum_reference(mats: np.ndarray, k: int) -> np.ndarray:
-    """The earlier _words: one einsum per site, the new site the least significant digit."""
+    """The (..., d^k, D, D) words by one einsum per site, the new site the least significant digit."""
     big_d = mats.shape[-1]
     words = np.eye(big_d, dtype=mats.dtype)[None]
     for _ in range(k):
@@ -45,12 +45,14 @@ def test_words_equal_the_einsum_bit_for_bit(kind, d):
             mats = _stack(kind, d, big_d, seed=100 * d + 10 * big_d + k)
             if d**k > WORD_CAP:
                 with pytest.raises(CapExceededError):
-                    mps._words(mats, k, "amplitude")
+                    mps._word_columns(mats, k, "amplitude")
                 continue
             want = _einsum_reference(mats, k)
-            assert _same_bits(mps._words(mats, k, "amplitude"), want), (kind, d, big_d, k)
+            got = mps._word_columns(mats, k, "word-matrix")
             columns = want.reshape(mats.shape[:-3] + (d**k, big_d * big_d)).swapaxes(-1, -2)
-            assert _same_bits(mps._word_columns(mats, k, "word-matrix"), columns), (kind, d, big_d, k)
+            assert _same_bits(got, columns), (kind, d, big_d, k)
+            # the (..., d^k, D, D) stack of words that reduced_density reads
+            assert _same_bits(got.swapaxes(-1, -2).reshape(want.shape), want), (kind, d, big_d, k)
 
 
 @pytest.mark.parametrize("build", [lambda: models.model_I(0.7), lambda: models.model_II(1.3)], ids=["I", "II"])
@@ -104,9 +106,9 @@ def test_cap_refuses_before_any_allocation(monkeypatch):
     for name in ("zeros", "empty", "eye", "ones", "stack", "zeros_like", "empty_like"):
         monkeypatch.setattr(np, name, refuse)
     for call in (
-        lambda: mps._words(mats, 11, "amplitude"),
-        lambda: mps._words(batched, 11, "amplitude"),
         lambda: mps._word_columns(mats, 11, "word-matrix"),
+        lambda: mps._word_columns(batched, 11, "word-matrix"),
+        lambda: parent.reduced_density(fam, 11, 12),
         lambda: amplitudes_vector(fam, 11),
     ):
         with pytest.raises(CapExceededError):
