@@ -1,8 +1,11 @@
 """Independent exact-diagonalization oracle on the full d^N Hilbert space.
 
-Dense operators are assembled by scattering the local term into each window,
-independently of the tensor-contraction path in parent.chain_apply, so the two
-routes check each other.  Spectra and reports stay dense.  Kernel counts come
+Dense operators are assembled by scattering the whole local term into each
+window, independently of the matrix-free path in parent.chain_apply, which
+multiplies each window by the term's (S, S) block on its support S (the union
+of its nonzero rows and columns) only, so the two routes check each other.
+Matrix-free operators (Lanczos ground energies, overlaps with the kernel) run
+parent.chain_apply.  Spectra and reports stay dense.  Kernel counts come
 from the connected blocks of the same scatter held sparse: the nonzero pattern
 of the chain splits into exact diagonal blocks, diagonalized one size at a
 time, so no d^N x d^N matrix is built for them.  Basis convention, fixed

@@ -568,15 +568,27 @@ class TransferSpectrum:
             raise DegenerateNormError("transfer operator has zero spectral radius")
         return rho[0] if self._one else np.array(rho)[:, None, None]
 
+    def _over_rho(self, m: np.ndarray, rho) -> np.ndarray:
+        """m / rho for E or an E_O, rho from _nonzero_rho.  Dividing by rho >= 1 cannot leave the float
+        range; below 1, a quotient that does (rho has underflowed) raises DegenerateNormError, before
+        any power of it is formed."""
+        if min(self._rhos()) >= 1.0:
+            return m / rho
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return m / rho
+        except FloatingPointError:
+            raise DegenerateNormError("transfer operator's spectral radius underflows: E / rho is not finite") from None
+
     def _powers(self) -> _PowerLadder:
-        """The powers of E / rho, made with E / rho; raises DegenerateNormError when rho vanishes."""
+        """The powers of E / rho, made with E / rho; raises DegenerateNormError when rho vanishes or underflows."""
         if self._ladder is None:
-            self._ladder = _PowerLadder(self.e / self._nonzero_rho())
+            self._ladder = _PowerLadder(self._over_rho(self.e, self._nonzero_rho()))
         return self._ladder
 
     @property
     def scaled(self) -> np.ndarray:
-        """E / rho; raises DegenerateNormError when rho vanishes."""
+        """E / rho; raises DegenerateNormError when rho vanishes or underflows."""
         return self._powers().squares[0]
 
     def _dominant(self) -> list:
@@ -597,12 +609,12 @@ class TransferSpectrum:
         return self._limit
 
     def dressed(self, obs: SpinObservable) -> np.ndarray:
-        """E_O / rho for one observable; raises DegenerateNormError when rho vanishes."""
+        """E_O / rho for one observable; raises DegenerateNormError when rho vanishes or underflows."""
         m = obs.matrix
         key = (obs.name, m.dtype.str, m.shape, m.tobytes())
         if key not in self._dressed:
             rho = self._nonzero_rho()
-            self._dressed[key] = _dressed_matrix(self._mats, obs) / rho
+            self._dressed[key] = self._over_rho(_dressed_matrix(self._mats, obs), rho)
         return self._dressed[key]
 
     def _ring_start(self, obs1: SpinObservable, obs2: SpinObservable, n_sites: int):

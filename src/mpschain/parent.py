@@ -211,6 +211,22 @@ def chain_apply(h: LocalHamiltonian, n_sites: int, state: np.ndarray) -> np.ndar
     return _chain_apply(h.matrix, h.k, n_sites, np.asarray(state)[None])[0]
 
 
+def _support(matrix: np.ndarray, n_sites: int, k: int):
+    """The window indices a local term (or a (G, d^k, d^k) stack of them) reads or writes: the union of
+    its nonzero rows and columns, as a slice when they form an arithmetic progression, else an index
+    array.  A full or empty support, or a chain of one window (whose one-column product would take
+    another BLAS path than the full term's), gives slice(None)."""
+    nonzero = matrix != 0
+    rows = (nonzero.any(axis=-1) | nonzero.any(axis=-2)).reshape(-1, matrix.shape[-1]).any(axis=0)
+    idx = np.flatnonzero(rows).tolist()
+    if n_sites == k or len(idx) in (0, len(rows)):
+        return slice(None)
+    step = idx[1] - idx[0] if len(idx) > 1 else 1
+    if idx == list(range(idx[0], idx[-1] + 1, step)):
+        return slice(idx[0], idx[-1] + 1, step)
+    return np.array(idx)
+
+
 def _chain_apply(matrix: np.ndarray, k: int, n_sites: int, states: np.ndarray) -> np.ndarray:
     """H applied to each row of a (G, d^N) stack of states; matrix is one (d^k, d^k) local term for
     every row, or a (G, d^k, d^k) stack with one per row.
@@ -218,14 +234,24 @@ def _chain_apply(matrix: np.ndarray, k: int, n_sites: int, states: np.ndarray) -
     The states stay flat and are read in a frame: their sites rotated so that
     chain site `lead` comes first.  The window at site l sits at frame
     position s = l - lead and is the contiguous view (G, d^s, d^k, rest) of
-    the stack; the local term acts on it from the left in one stacked matmul,
-    which multiplies each row's (d^k, rest) blocks as the product for that row
-    alone does, and the product is added into the same view of the output.
-    When s would pass (N - k) // 2, the states and the output are both rotated
-    so that window leads; the output is rotated back once at the end.  Windows
-    are added in the fixed order l = 0..N-1, so every entry sums its terms in
+    the stack.  The local term acts on its support S only (_support, found
+    once per call): the (S, S) block of the term multiplies the S rows of that
+    view from the left in one stacked matmul, which multiplies each row's
+    (|S|, rest) blocks as the product for that row alone does, and the
+    product is added into the S rows of the same view of the output.  The
+    rows and columns left out are zero, so each kept entry sums the same
+    nonzero products in the same order as the full term; for real terms of
+    size d^k <= 9 (the models') that is the full product bit for bit.  BLAS
+    groups the sums of a 27 x 27 term, and a complex one-entry product, by
+    the product's shape, so those can move in the last bits.  When s would
+    pass (N - k) // 2, the states and the output are both rotated so that
+    window leads; the output is rotated back once at the end.  Windows are
+    added in the fixed order l = 0..N-1, so every entry sums its terms in
     that order, and each row is bit for bit the one-state result.  The input
-    is never written to.
+    is never written to.  A state entry whose window index lies outside S in
+    every window is never multiplied, so a non-finite one no longer spreads
+    NaN (0 * inf) as the full product did; _chain_residuals refuses
+    non-finite states anyway.
     """
     if n_sites < k:
         raise ValueError(f"n_sites must be >= k = {k}")
@@ -233,8 +259,9 @@ def _chain_apply(matrix: np.ndarray, k: int, n_sites: int, states: np.ndarray) -
     if states.shape[1:] != (d**n_sites,):
         raise ValueError(f"state must have length {d**n_sites}, got {states.shape[1:]}")
     psi = states
+    support = _support(matrix, n_sites, k)
     # a per-row term meets the window blocks through a length-one axis
-    term = matrix if matrix.ndim == 2 else matrix[:, None]
+    term = (matrix if matrix.ndim == 2 else matrix[:, None])[..., support, :][..., support]
     out = np.zeros(psi.shape, dtype=np.result_type(psi, matrix))
     lead = 0
     for site in range(n_sites):
@@ -243,8 +270,7 @@ def _chain_apply(matrix: np.ndarray, k: int, n_sites: int, states: np.ndarray) -
             psi, out = _rotate(psi, s, d), _rotate(out, s, d)
             lead, s = site, 0
         shape = (psi.shape[0], d**s, d**k, -1)
-        view = out.reshape(shape)
-        view += np.matmul(term, psi.reshape(shape))
+        out.reshape(shape)[:, :, support] += np.matmul(term, psi.reshape(shape)[:, :, support])
     return _rotate(out, n_sites - lead, d).reshape(psi.shape[0], -1) if lead else out
 
 

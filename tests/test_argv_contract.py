@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from mpschain import cli
 
-G_VALUES = ["0", "1e-300", "-1e-300", "0.7", "1e30", "1e80", "1e155", "inf", "-inf", "nan"]
+G_VALUES = ["0", "1e-300", "-1e-300", "1e-160", "0.7", "1e30", "1e80", "1e155", "1e160", "inf", "-inf", "nan"]
 
 
 @st.composite
@@ -128,6 +128,8 @@ def _unflagged_values(out: str) -> list[str | None]:
 @example(argv=["correlate", "--which", "file", "--channel", "zz", "--g-sweep", "0", "1", "-1"])
 @example(argv=["correlate", "--which", "I", "--channel", "zz", "--g-sweep", "1e308", "1.7e308", "2"])
 @example(argv=["correlate", "--which", "I", "--channel", "zz", "--g", "1.7e308"])
+@example(argv=["correlate", "--which", "general", "--g", "1e-160", "--h", "1e-300", "--c", "-1e-300",
+                "--channel", "sx2", "--mode", "ring", "--n-sites", "50", "--r-min", "5", "--r-max", "6"])
 @example(argv=["verify", "--suite", "frustration", "--n-sites", "6", "--g", "1e100"])
 @example(argv=["verify", "--suite", "frustration", "--n-sites", "6", "--g", "1e60"])
 @example(argv=["verify", "--suite", "frustration", "--n-sites", "6", "--g", "1e30"])

@@ -1,5 +1,6 @@
 """The matrix-free chain kernel parent.chain_apply: bit for bit against the per-window transpose
-contraction it replaced, and against the dense window scatter of ed.dense_chain."""
+contraction it replaced, also for terms that act on part of the window space only, and against
+the dense window scatter of ed.dense_chain."""
 
 import numpy as np
 import pytest
@@ -98,3 +99,89 @@ def test_edge_cases_match_the_dense_chain(term, kind):
         want = ed.dense_chain(h.matrix, k, n) @ state
         assert np.linalg.norm(out - want) <= 1e-13 * np.linalg.norm(want), n
 
+
+_SUPPORTS = {
+    "single": lambda dim: [dim // 2],
+    "contiguous": lambda dim: list(range(1, dim // 2 + 1)),
+    "strided": lambda dim: list(range(0, dim, 3)),
+    "scattered": lambda dim: [0, 1, dim - 1],
+    "full": lambda dim: list(range(dim)),
+    "zero": lambda dim: [],
+    # nonzero rows {0} and columns {dim - 2}: the support is their union
+    "off_diagonal": lambda dim: ([0], [dim - 2]),
+}
+
+
+def _term_on(support, seed: int, d: int, k: int, complex_: bool) -> LocalHamiltonian:
+    """A random term whose rows and columns outside the support are zero; a (rows, columns) pair
+    keeps those rows and columns only."""
+    rows, cols = support if isinstance(support, tuple) else (support, support)
+    h = _random_term(seed, d, k, complex_)
+    keep_rows, keep_cols = np.zeros((2, d**k), dtype=bool)
+    keep_rows[rows] = True
+    keep_cols[cols] = True
+    matrix = np.where(keep_rows[:, None] & keep_cols[None, :], h.matrix, 0)
+    return LocalHamiltonian(k=k, matrix=matrix, couplings=(), basis=h.basis)
+
+
+def _assert_matches(out: np.ndarray, want: np.ndarray, exact: bool, n: int) -> None:
+    if exact:
+        assert np.array_equal(out, want), n
+    else:
+        assert np.linalg.norm(out - want) <= 1e-13 * np.linalg.norm(want), n
+
+
+def _bit_pinned(d: int, k: int, complex_: bool) -> bool:
+    """Real terms of size d^k <= 9 (the models' size) match the reference bit for bit.  Complex
+    and 27 x 27 terms round their last bits by the product's shape in BLAS, the full term too:
+    they match it to rounding."""
+    return not complex_ and d**k <= 9
+
+
+_D_K = [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("d, k", _D_K)
+@pytest.mark.parametrize("support", list(_SUPPORTS))
+def test_terms_on_a_support_match_the_moveaxis_contraction(support, d, k, complex_):
+    h = _term_on(_SUPPORTS[support](d**k), 5, d, k, complex_)
+    # the support is a slice exactly when it is an arithmetic progression (full and empty included)
+    rows = np.flatnonzero(h.matrix.any(axis=0) | h.matrix.any(axis=1))
+    assert isinstance(parent._support(h.matrix, k + 1, k), slice) == (len(set(np.diff(rows).tolist())) <= 1)
+    rng = np.random.default_rng(d * 10 + k)
+    for n in range(k, 13 if d == 2 else 11):
+        state = rng.standard_normal(d**n)
+        if complex_:
+            state = state + 1j * rng.standard_normal(d**n)
+        out = parent.chain_apply(h, n, state)
+        _assert_matches(out, _moveaxis_reference(h, n, state), _bit_pinned(d, k, complex_), n)
+        if support == "zero":
+            assert not out.any()
+
+
+@pytest.mark.parametrize("d, k", _D_K)
+@pytest.mark.parametrize("rows", [("single", "strided", "zero"), ("scattered", "off_diagonal", "full")])
+def test_per_row_terms_with_different_supports_match_their_one_state_products(rows, d, k):
+    # the kernel applies the union of the rows' supports to every row
+    terms = [_term_on(_SUPPORTS[name](d**k), g, d, k, False) for g, name in enumerate(rows)]
+    stack = np.stack([h.matrix for h in terms])
+    rng = np.random.default_rng(d + k)
+    for n in range(k, 13 if d == 2 else 11):
+        states = rng.standard_normal((len(terms), d**n))
+        applied = parent._chain_apply(stack, k, n, states)
+        for h, state, row in zip(terms, states, applied):
+            _assert_matches(row, _moveaxis_reference(h, n, state), _bit_pinned(d, k, False), n)
+
+
+def test_a_non_finite_entry_outside_every_support_no_longer_spreads_nan():
+    # model II acts on the |S^z| = 1 pair states only: no window of |1 1 ... 1> (index 0) is one
+    h = models.model_II_hamiltonian()
+    n = 6
+    state = np.random.default_rng(3).standard_normal(3**n)
+    state[0] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_moveaxis_reference(h, n, state)).any()
+    finite = state.copy()
+    finite[0] = 0.0
+    assert np.array_equal(parent.chain_apply(h, n, state), parent.chain_apply(h, n, finite))

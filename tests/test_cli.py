@@ -684,6 +684,19 @@ def test_model_i_refuses_an_overflowing_h_without_a_warning(argv, message, capsy
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("channel, mode", [("sx2", "ring"), ("zz", "ring"), ("sx2", "thermo"), ("zz", "thermo")])
+def test_correlate_refuses_a_spectral_radius_that_underflows(channel, mode, capsys):
+    # E keeps entries near 1 while rho underflows: E / rho printed six warnings and a nan row with exit 0
+    argv = ["correlate", "--which", "general", "--g", "1e-160", "--h", "1e-300", "--c", "-1e-300",
+            "--channel", channel, "--mode", mode]
+    if mode == "ring":
+        argv += ["--n-sites", "50", "--r-min", "5", "--r-max", "6"]
+    assert run(*argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: transfer operator's spectral radius underflows: E / rho is not finite\n"
+
+
 def test_usage_errors():
     assert run("model", "--which", "I") == cli.EXIT_USAGE  # missing --g
     assert run("model", "--which", "I", "--g", "1", "--h", "2") == cli.EXIT_USAGE
@@ -866,6 +879,13 @@ VERIFY_PATH_SHA256 = {
     "frustration N=8": (
         ("verify", "--suite", "frustration", "--n-sites", "8"),
         cli.EXIT_OK, "120ea9158cf76cd63afbd1f7436c766f1d07ff070849b5883ef64668f14366c3", ""),
+    # the states leave L2 here (the amplitude cap refuses N = 11): an odd ring and the largest even one
+    "frustration N=9, two g": (
+        ("verify", "--suite", "frustration", "--n-sites", "9", "--g", "0.1", "--g", "2.5"),
+        cli.EXIT_OK, "bb49dcbb37189570da360afb73c0578665b0bcbe9c76684f53921a527bd67239", ""),
+    "frustration N=10": (
+        ("verify", "--suite", "frustration", "--n-sites", "10"),
+        cli.EXIT_OK, "68b9f2cafa974b48b218c42fe44c0a2efe08b1b6414e5e9570f476ffa45e0d72", ""),
     "genstate N=5": (
         ("verify", "--suite", "genstate", "--n-sites", "5"),
         cli.EXIT_USAGE, hashlib.sha256(b"").hexdigest(),
