@@ -6,11 +6,13 @@ multiplies each window by the term's (S, S) block on its support S (the union
 of its nonzero rows and columns) only, so the two routes check each other.
 Matrix-free operators (Lanczos ground energies, overlaps with the kernel) run
 parent.chain_apply.  Spectra and reports stay dense.  Kernel counts come
-from the connected blocks of the same scatter held sparse: the nonzero pattern
-of the chain splits into exact diagonal blocks, diagonalized one size at a
-time, so no d^N x d^N matrix is built for them.  Basis convention, fixed
-package-wide: site 1 is the most significant digit and the physical order is
-the family label order (1, 0, -1 for spin-1).
+from the same entries held sparse: the nonzero pattern of the chain splits
+into exact diagonal blocks, and the one-site shift, which commutes with the
+periodic chain, splits those into momentum sectors about N times smaller,
+diagonalized one size at a time.  No d^N x d^N matrix is built for them and
+no site cap applies; a byte budget refuses a count before its arrays exist.
+Basis convention, fixed package-wide: site 1 is the most significant digit and
+the physical order is the family label order (1, 0, -1 for spin-1).
 """
 
 from __future__ import annotations
@@ -21,10 +23,16 @@ import numpy as np
 
 from .parent import LocalHamiltonian, _local_dim, chain_apply, chain_residual
 
-#: Hard ceiling for dense diagonalization (full spectra, kernel counts).
+#: Hard ceiling for dense diagonalization (full spectra, reports).
 DENSE_MAX_SITES = 8
 #: Hard ceiling for matrix-free iterative work.
 ITER_MAX_SITES = 12
+#: Bytes a kernel count may hold at once: its labels and entries, and one chunk of sector stacks.
+_KERNEL_BUDGET = 2**29
+#: Bytes per entry of a sector matrix while a chunk is summed (two bincounts and one complex stack).
+_STACK_ENTRY_BYTES = 32
+#: Bytes a chunk of sector stacks aims at, so that a large count peaks near the size of its labels.
+_CHUNK_BYTES = 2**25
 #: Eigenvalues at most this count towards a kernel (kernel_dimension, report).
 _KERNEL_TOL = 1e-8
 #: Iterations a Lanczos ground-energy solve may take.
@@ -82,18 +90,23 @@ def _check_dense(n_sites: int) -> None:
         raise ValueError(f"n_sites {n_sites} exceeds the dense cap {DENSE_MAX_SITES}")
 
 
-def _window_entries(h: np.ndarray, d: int, k: int, n_sites: int):
-    """The nonzero entries of h on every periodic window, as chain indices.
-
-    Yields one (rows, cols, vals) triple per window start, in window order:
-    the nonzero entries of h (x) 1 with their basis indices relabelled so
-    that the window's k sites lead.  vals is the same array every time.
-    """
+def _term_entries(h: np.ndarray, d: int, k: int, n_sites: int):
+    """The nonzero entries (rows, cols, vals) of h (x) 1, the term on the first k sites."""
     rest = np.arange(d ** (n_sites - k))
     r, c = np.nonzero(h)
     rows = (r[:, None] * rest.size + rest).ravel()
     cols = (c[:, None] * rest.size + rest).ravel()
-    vals = np.repeat(h[r, c], rest.size)
+    return rows, cols, np.repeat(h[r, c], rest.size)
+
+
+def _window_entries(h: np.ndarray, d: int, k: int, n_sites: int):
+    """The nonzero entries of h on every periodic window, as chain indices.
+
+    Yields one (rows, cols, vals) triple per window start, in window order:
+    the entries of _term_entries with their basis indices relabelled so that
+    the window's k sites lead.  vals is the same array every time.
+    """
+    rows, cols, vals = _term_entries(h, d, k, n_sites)
     index = np.arange(d**n_sites).reshape((d,) * n_sites)
     for start in range(n_sites):
         sites = [(start + j) % n_sites for j in range(k)]
@@ -141,43 +154,134 @@ def _components(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
         labels = hook[labels]
 
 
-def _blocks(op: ChainOperator):
-    """The chain as exact diagonal blocks: the connected components of its nonzero pattern.
+def _labelling_bytes(op: ChainOperator, n_sectors: int) -> int:
+    """Upper estimate of the bytes _sector_spectrum holds before its sector stacks.
 
-    Yields one (states, matrices) pair per block size s: states is an
-    (n_blocks, s) array of chain indices, ascending along each row, and
-    matrices the (n_blocks, s, s) stack of the chain restricted to them.
-    Each block is the dense matrix's submatrix bit for bit (the same entries
-    summed window by window in the same order), so it keeps the dense
-    triangle orientation.  A term that couples every basis state gives one
-    block of the whole space.
+    Per state: twenty arrays of orbit labels, sector states and their
+    temporaries.  Per entry of the term on the first window: ten arrays.
+    Per entry and sector: fourteen.
+    """
+    d, n = op.d, op.n_sites
+    entries = np.count_nonzero(op.local.matrix) * d ** (n - op.local.k)
+    return 8 * (20 * d**n + (10 + 14 * n_sectors) * entries)
+
+
+def _refuse_past_budget(n_sites: int, need: int) -> None:
+    if need > _KERNEL_BUDGET:
+        raise ValueError(
+            f"kernel count at n_sites {n_sites} needs an estimated {need} bytes, "
+            f"which exceeds the {_KERNEL_BUDGET} byte budget"
+        )
+
+
+def _sector_spectrum(op: ChainOperator) -> np.ndarray:
+    """Full sorted spectrum from the translation sectors of the exact blocks.
+
+    The one-site shift T (the last site moved first) commutes with the
+    periodic chain.  Each state s is labelled with its orbit representative
+    r (its smallest rotation), the first shift l_s with T^l_s s = r and the
+    orbit's period p.  The Bloch states of momentum k = 2 pi m / N are built
+    on the representatives whose period allows m (m p = 0 mod N); as the
+    windows are the shifts of the first one, the chain reads there
+        H_m[r', r] = N / sqrt(p_r p_r') sum <t|h (x) 1|c> e^{-ik (l_t - l_c)},
+    summed over the entries of the first window's term with c in the orbit
+    of r and t in that of r'.  Each H_m splits further by the connected
+    blocks of the representatives, and the blocks of one size and dtype are
+    diagonalized as one eigvalsh stack.  A real term has H_{N-m} = conj(H_m),
+    so only m <= N/2 is built and the sectors 0 < m < N/2 count twice; a
+    complex term builds all N.  A block of one state is its own eigenvalue.
+
+    Two byte estimates guard the work, each against _KERNEL_BUDGET: the
+    labels and entries before any array of d^N states exists, then the
+    largest block before any sector stack does.  The blocks are laid out one
+    after another and summed in chunks of whole blocks within the room the
+    labels leave (one chunk when all fit); eigvalsh treats each matrix of a
+    stack on its own, so chunking leaves every value unchanged.
     """
     h = op.local.matrix
-    dim = op.dim
-    rows, cols, vals = map(np.concatenate, zip(*_window_entries(h, op.d, op.local.k, op.n_sites)))
-    _, labels = np.unique(_components(rows, cols, dim), return_inverse=True)
-    sizes = np.bincount(labels)
-    # states grouped by block, ascending chain index inside each block
-    order = np.argsort(labels, kind="stable")
-    first = np.cumsum(sizes) - sizes
-    pos = np.empty(dim, dtype=np.intp)
-    pos[order] = np.arange(dim) - np.repeat(first, sizes)
-    slot = np.empty(sizes.size, dtype=np.intp)
-    entry_size = sizes[labels[rows]]
-    for s in np.unique(sizes):
-        blocks = np.flatnonzero(sizes == s)
-        slot[blocks] = np.arange(blocks.size)
-        sel = entry_size == s
-        r, c = rows[sel], cols[sel]
-        matrices = np.zeros((blocks.size, s, s), dtype=h.dtype)
-        # unbuffered, in window order: each entry sums exactly as in dense_chain
-        np.add.at(matrices, (slot[labels[r]], pos[r], pos[c]), vals[sel])
-        yield order[first[blocks, None] + np.arange(s)], matrices
-
-
-def _block_spectrum(op: ChainOperator) -> np.ndarray:
-    """Full sorted spectrum from the exact blocks, one batched eigvalsh per block size."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(m).ravel() for _, m in _blocks(op)]))
+    d, k, n = op.d, op.local.k, op.n_sites
+    dim = d**n
+    real = h.dtype.kind != "c"
+    n_m = n // 2 + 1 if real else n
+    held = _labelling_bytes(op, n_m)
+    _refuse_past_budget(n, held)
+    # T^j s keyed by j, n T^j s + j, for every state s: the running minimum
+    # over j is the representative and the first shift that reaches it
+    scaled = np.arange(0, n * dim, n)
+    keyed = scaled.copy()
+    for j in range(1, n):
+        view = keyed.reshape(-1, d**j)
+        np.minimum(view, scaled.reshape(d**j, -1).T + j, out=view)
+    rep, shift = np.divmod(keyed, n)
+    period = np.bincount(rep, minlength=dim)  # the orbit sizes, at the representatives
+    reps = period.nonzero()[0]
+    rid = np.empty(dim, dtype=np.intp)
+    rid[reps] = np.arange(reps.size)
+    rows, cols, vals = _term_entries(h, d, k, n)
+    t, c = rid[rep[rows]], rid[rep[cols]]
+    period = period[reps]
+    amp = vals * (n / np.sqrt(period[t] * period[c]))
+    labels = _components(t, c, reps.size)
+    # the sector states (m, r), m-major, and each entry in every sector both its ends allow
+    allow = np.arange(n_m)[:, None] * period % n == 0
+    sm, sr = np.nonzero(allow)
+    sid = np.empty(allow.shape, dtype=np.intp)
+    sid[sm, sr] = np.arange(sm.size)
+    mi, ei = np.nonzero(allow[:, t] & allow[:, c])
+    src, dst = sid[mi, c[ei]], sid[mi, t[ei]]
+    vals = amp[ei] * np.exp(-2j * np.pi / n * np.arange(n))[mi * (shift[rows] - shift[cols])[ei] % n]
+    # blocks are (m, component) pairs; sorted by size, dtype and block, the states of a block
+    # lie together in ascending order and the blocks of one kind form one run
+    block = sm * reps.size + labels[sr]
+    size = np.bincount(block)[block]
+    kind = 2 * size + ((2 * sm % n != 0) | (not real))  # odd: a complex sector
+    order = np.argsort(kind * (n_m * reps.size) + block, kind="stable")
+    ordered = block[order]
+    start = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    bsize, bkind = size[order[start]], kind[order[start]]
+    squares = bsize * bsize
+    off = np.concatenate(([0], np.cumsum(squares)))  # block i fills off[i]:off[i+1] of one flat layout
+    pos = np.empty(sm.size, dtype=np.intp)
+    pos[order] = np.arange(sm.size) - np.repeat(start, bsize)
+    base = np.empty(sm.size, dtype=np.intp)
+    base[order] = np.repeat(off[:-1], bsize)
+    flat = base[dst] + pos[dst] * size[dst] + pos[src]
+    # the blocks that start in one stretch of `step` entries of the layout form a chunk, which
+    # sums its entries at _STACK_ENTRY_BYTES per matrix entry; with one more matrix (eigvalsh's
+    # workspace) it stays within _CHUNK_BYTES, or within two of the largest blocks when those
+    # outgrow it, and always within the room the labels leave
+    largest = int(squares.max())
+    _refuse_past_budget(n, held + 2 * _STACK_ENTRY_BYTES * largest)
+    step = max(min(_KERNEL_BUDGET - held, _CHUNK_BYTES) // _STACK_ENTRY_BYTES - largest, largest)
+    chunk = off[:-1] // step  # 0, 1, ... in steps of one, as no block outgrows a step
+    bounds, cuts = [0, int(off[-1])], [0, flat.size]
+    if chunk[-1] > 0:  # entries sorted by place, so each chunk's entries are one slice
+        bounds = off[np.searchsorted(chunk, np.arange(chunk[-1] + 2))]
+        o = np.argsort(flat, kind="stable")
+        flat, vals = flat[o], vals[o]
+        cuts = np.searchsorted(flat, bounds)
+    # pieces: the blocks of one kind in one chunk, each one eigvalsh stack
+    pieces = np.flatnonzero(np.concatenate(([True], (bkind[1:] != bkind[:-1]) | (chunk[1:] != chunk[:-1]), [True])))
+    heads = pieces[:-1]
+    parts, at = [], -1
+    for ch, kd, first, end in zip(chunk[heads].tolist(), bkind[heads].tolist(), heads.tolist(), pieces[1:].tolist()):
+        if ch != at:  # the next chunk's entries, summed into its stretch of the layout
+            at, lo, e, im = ch, bounds[ch], slice(cuts[ch], cuts[ch + 1]), None
+            re = np.bincount(flat[e] - lo, vals.real[e], bounds[ch + 1] - lo)
+        s, complex_ = divmod(kd, 2)
+        a, b = off[first] - lo, off[end] - lo
+        if s == 1:  # a one-state block is its own (real) eigenvalue; a copy lets the chunk go
+            w = re[a:b].copy()
+        else:
+            w = re[a:b]
+            if complex_:
+                if im is None:
+                    im = np.bincount(flat[e] - lo, vals.imag[e], bounds[ch + 1] - lo)
+                w = 1j * im[a:b]
+                w += re[a:b]
+            w = np.linalg.eigvalsh(w.reshape(-1, s, s)).ravel()
+        parts += [w, w] if complex_ and real else [w]
+    return np.sort(np.concatenate(parts))
 
 
 def dense_matrix(op: ChainOperator) -> np.ndarray:
@@ -260,10 +364,12 @@ def kernel_dimension(op: ChainOperator) -> int:
     The first eigenvalue above the count must be at least 100 * _KERNEL_TOL
     away, otherwise the count is ambiguous and AmbiguousKernelError reports
     the candidate range instead of a silent number.  The spectrum comes from
-    the connected blocks of the sparse chain, never from the dense matrix.
+    the translation sectors of the connected blocks (_sector_spectrum), never
+    from the dense matrix, so no site cap applies: a chain whose labels,
+    entries or largest sector block would pass _KERNEL_BUDGET bytes is
+    refused with a ValueError before the arrays are made.
     """
-    _check_dense(op.n_sites)
-    return _kernel_count(_block_spectrum(op), _KERNEL_TOL)
+    return _kernel_count(_sector_spectrum(op), _KERNEL_TOL)
 
 
 def overlap_with_kernel(op: ChainOperator, state: np.ndarray) -> float:

@@ -75,12 +75,12 @@ _LANCZOS_CHAINS = {
 
 
 @pytest.mark.parametrize("name, n", [(name, n) for name in _LANCZOS_CHAINS for n in (6, 7, 8)])
-def test_matrix_free_ground_energy_matches_the_block_spectrum(name, n):
-    # the exact blocks are the dense matrix's diagonal blocks bit for bit, so
-    # their eigvalsh is the dense spectrum without the 3^N x 3^N matrix
+def test_matrix_free_ground_energy_matches_the_sector_spectrum(name, n):
+    # the translation sectors of the exact blocks give the whole spectrum
+    # without the 3^N x 3^N matrix
     op = ChainOperator(n, _LANCZOS_CHAINS[name](), mode="matrix-free")
     e = ed.ground_energy(op)
-    assert abs(e - ed._block_spectrum(op)[0]) <= 1e-10
+    assert abs(e - ed._sector_spectrum(op)[0]) <= 1e-10
     assert ed.ground_energy(op) == e
 
 
@@ -153,7 +153,7 @@ def test_lanczos_matvec_counts_are_pinned(name, matvecs):
 
 
 def test_kernel_dimension_h1_equals_transfer_count():
-    for n in (4, 6):
+    for n in (4, 6, 9):
         op = ChainOperator(n, models.limit_hamiltonian_h1())
         assert ed.kernel_dimension(op) == models.adjacency_ground_count(n)
 
@@ -302,7 +302,7 @@ def test_site_caps_refuse_before_allocating():
     calls = [
         lambda: ed.dense_chain(h.matrix, 2, 9),
         lambda: ed.spectrum(dense),
-        lambda: ed.kernel_dimension(dense),
+        lambda: ed.kernel_dimension(ChainOperator(16, h)),  # past the byte budget, not a site cap
         lambda: ed.ground_energy(dense),
         lambda: ed.ground_energy(ChainOperator(13, h, mode="matrix-free")),
     ]
@@ -353,8 +353,8 @@ def test_wraparound_embedding_matches_contraction(h, k):
         assert np.array_equal(ed.dense_chain(h, k, n), np.stack(columns, axis=1))
 
 
-#: Connected blocks of the model II chain at N = 3..8; each holds one kernel vector.
-MODEL_II_BLOCKS = {3: 14, 4: 26, 5: 48, 6: 88, 7: 166, 8: 314}
+#: Connected blocks of the model II chain at N = 3..9; each holds one kernel vector.
+MODEL_II_BLOCKS = {3: 14, 4: 26, 5: 48, 6: 88, 7: 166, 8: 314, 9: 606}
 
 
 def _totient(d):
@@ -366,10 +366,16 @@ def _binary_necklaces(length):
     return sum(_totient(d) * 2 ** (length // d) for d in range(1, length + 1) if length % d == 0) // length
 
 
+def _block_labels(op):
+    """Each state labelled by the smallest state of its connected block of the chain."""
+    rows, cols, _ = map(np.concatenate, zip(*ed._window_entries(op.local.matrix, op.d, op.local.k, op.n_sites)))
+    return ed._components(rows, cols, op.dim)
+
+
 def test_model_ii_has_one_block_per_kernel_vector():
     for n, want in MODEL_II_BLOCKS.items():
         op = ChainOperator(n, models.model_II_hamiltonian())
-        assert sum(len(states) for states, _ in ed._blocks(op)) == want
+        assert np.unique(_block_labels(op)).size == want
         assert ed.kernel_dimension(op) == want
         # the +-1-only strings, the all-zero string, and one ground state per cyclic +-1 word (up to
         # rotation) of the N - n nonzero sites in each sector 0 < n < N
@@ -380,10 +386,10 @@ def test_model_ii_blocks_are_half_graph_laplacians():
     # zero row sums and non-positive off-diagonals: each connected block is half a graph
     # Laplacian, with the constant vector on its states as its one zero mode
     for n in range(4, 8):
-        for _, matrices in ed._blocks(ChainOperator(n, models.model_II_hamiltonian())):
-            assert np.max(np.abs(matrices.sum(axis=2))) <= 1e-14
-            off = matrices[:, ~np.eye(matrices.shape[1], dtype=bool)]
-            assert off.size == 0 or off.max() <= 0.0
+        h = ed.dense_matrix(ChainOperator(n, models.model_II_hamiltonian(), mode="dense"))
+        assert np.max(np.abs(h.sum(axis=1))) <= 1e-14
+        np.fill_diagonal(h, 0.0)
+        assert h.max() <= 0.0
 
 
 def test_model_i_kernel_is_the_g1_kernel_rescaled():
@@ -483,17 +489,14 @@ def test_block_route_equals_the_dense_spectrum(op):
     from scipy.sparse.csgraph import connected_components
 
     dense = ed.dense_matrix(op)
-    blocks = list(ed._blocks(op))
-    # the blocks partition the states into the connected components of the dense pattern
-    states = np.concatenate([s.ravel() for s, _ in blocks])
-    assert np.array_equal(np.sort(states), np.arange(op.dim))
-    assert all(np.all(np.diff(s, axis=1) > 0) for s, _ in blocks)  # ascending: the dense triangles
-    n_components, _ = connected_components(coo_array(dense != 0), directed=False)
-    assert sum(len(s) for s, _ in blocks) == n_components
-    assert all(np.array_equal(dense[s[:, :, None], s[:, None, :]], m) for s, m in blocks)
-    assert sum(np.count_nonzero(m) for _, m in blocks) == np.count_nonzero(dense)
+    # the block labels partition the states as the connected components of the dense pattern do
+    labels = _block_labels(op)
+    n_components, theirs = connected_components(coo_array(dense != 0), directed=False)
+    assert np.unique(labels).size == n_components
+    assert np.unique(np.stack([labels, theirs]), axis=1).shape[1] == n_components
+    assert np.all(labels <= np.arange(op.dim)) and np.all(labels[labels] == labels)  # the smallest state
     w = ed.spectrum(op)
-    assert np.max(np.abs(ed._block_spectrum(op) - w)) <= 1e-10
+    assert np.max(np.abs(ed._sector_spectrum(op) - w)) <= 1e-10
     assert _kernel_outcome(lambda: ed.kernel_dimension(op)) == _kernel_outcome(lambda: ed._kernel_count(w, 1e-8))
 
 
@@ -509,6 +512,49 @@ def _lucas_even(n):
 def test_model_i_kernel_dimension_is_the_even_lucas_number(g):
     # model I is the g = 1 singlet chain conjugated by D_g^{(x)N}: its ring kernel is the
     # Temperley-Lieb count L_{2N} = q^N + q^-N at loop weight 3 = q + 1/q, whatever g
-    assert [_lucas_even(n) for n in range(3, 8)] == [18, 47, 123, 322, 843]
-    for n in range(3, 8):
+    assert [_lucas_even(n) for n in range(3, 10)] == [18, 47, 123, 322, 843, 2207, 5778]
+    for n in range(3, 10 if g == 2.5 else 8):
         assert ed.kernel_dimension(ChainOperator(n, models.model_I_hamiltonian(g))) == _lucas_even(n)
+
+
+def test_chunked_sector_stacks_give_the_same_counts(monkeypatch):
+    # a budget 256 or 64 KiB above the labels' estimate, or a one-byte chunk aim (each chunk then
+    # holds at most two of the largest blocks), splits the stacks into chunks of a few matrices;
+    # eigvalsh treats each matrix of a stack alone, so no value can move
+    import tracemalloc
+
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    model_i, model_ii = (ChainOperator(7, h) for h in (models.model_I_hamiltonian(2.5), models.model_II_hamiltonian()))
+    cases = [(model_i, 2**18, ed._CHUNK_BYTES), (model_ii, 2**16, ed._CHUNK_BYTES), (model_i, None, 1)]
+    whole = []
+    for op, _, _ in cases:
+        whole.append((ed._sector_spectrum(op), len(calls)))
+        calls.clear()
+    default_budget = ed._KERNEL_BUDGET
+    tracemalloc.start()
+    try:
+        for (op, room, chunk_bytes), (w, n_calls) in zip(cases, whole):
+            budget = default_budget if room is None else ed._labelling_bytes(op, op.n_sites // 2 + 1) + room
+            monkeypatch.setattr(ed, "_KERNEL_BUDGET", budget)
+            monkeypatch.setattr(ed, "_CHUNK_BYTES", chunk_bytes)
+            tracemalloc.reset_peak()
+            assert np.array_equal(ed._sector_spectrum(op), w)
+            assert tracemalloc.get_traced_memory()[1] <= budget
+            assert len(calls) > n_calls
+            assert ed.kernel_dimension(op) == ed._kernel_count(w, ed._KERNEL_TOL)
+            calls.clear()
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.slow
+def test_kernel_dimension_at_ten_sites():
+    assert ed.kernel_dimension(ChainOperator(10, models.model_I_hamiltonian(2.5))) == _lucas_even(10) == 15127
+    assert ed.kernel_dimension(ChainOperator(10, models.model_II_hamiltonian())) == 1178
