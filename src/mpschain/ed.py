@@ -4,13 +4,13 @@ Dense operators are assembled by scattering the whole local term into each
 window, independently of the matrix-free path in parent.chain_apply, which
 multiplies each window by the term's (S, S) block on its support S (the union
 of its nonzero rows and columns) only, so the two routes check each other.
-Matrix-free operators (Lanczos ground energies, overlaps with the kernel) run
+Ground energies (plain Lanczos) and overlaps with the kernel run
 parent.chain_apply.  Spectra and reports stay dense.  Kernel counts come
 from the same entries held sparse: the nonzero pattern of the chain splits
 into exact diagonal blocks, and the one-site shift, which commutes with the
 periodic chain, splits those into momentum sectors about N times smaller,
-diagonalized one size at a time.  No d^N x d^N matrix is built for them and
-no site cap applies; a byte budget refuses a count before its arrays exist.
+diagonalized one size at a time.  Neither builds a d^N x d^N matrix, and a
+byte budget, not a site cap, refuses either before its arrays exist.
 Basis convention, fixed package-wide: site 1 is the most significant digit and
 the physical order is the family label order (1, 0, -1 for spin-1).
 """
@@ -25,9 +25,7 @@ from .parent import LocalHamiltonian, _local_dim, chain_apply, chain_residual
 
 #: Hard ceiling for dense diagonalization (full spectra, reports).
 DENSE_MAX_SITES = 8
-#: Hard ceiling for matrix-free iterative work.
-ITER_MAX_SITES = 12
-#: Bytes a kernel count may hold at once: its labels and entries, and one chunk of sector stacks.
+#: Bytes a kernel count (labels, entries, one chunk of sector stacks) or a ground energy may hold at once.
 _KERNEL_BUDGET = 2**29
 #: Bytes per entry of a sector matrix while a chunk is summed (two bincounts and one complex stack).
 _STACK_ENTRY_BYTES = 32
@@ -54,7 +52,10 @@ class LanczosConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChainOperator:
-    """H = sum over periodic windows of a local k-site term, on n_sites sites."""
+    """H = sum over periodic windows of a local k-site term, on n_sites sites.
+
+    mode and is_dense() select nothing here; the benchmark passes mode= and reads is_dense().
+    """
 
     n_sites: int
     local: LocalHamiltonian
@@ -75,11 +76,7 @@ class ChainOperator:
         return self.d**self.n_sites
 
     def is_dense(self) -> bool:
-        if self.mode == "dense":
-            return True
-        if self.mode == "matrix-free":
-            return False
-        return self.n_sites <= DENSE_MAX_SITES
+        return self.mode == "dense" or (self.mode == "auto" and self.n_sites <= DENSE_MAX_SITES)
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         return chain_apply(self.local, self.n_sites, state)
@@ -166,10 +163,10 @@ def _labelling_bytes(op: ChainOperator, n_sectors: int) -> int:
     return 8 * (20 * d**n + (10 + 14 * n_sectors) * entries)
 
 
-def _refuse_past_budget(n_sites: int, need: int) -> None:
+def _refuse_past_budget(what: str, n_sites: int, need: int) -> None:
     if need > _KERNEL_BUDGET:
         raise ValueError(
-            f"kernel count at n_sites {n_sites} needs an estimated {need} bytes, "
+            f"{what} at n_sites {n_sites} needs an estimated {need} bytes, "
             f"which exceeds the {_KERNEL_BUDGET} byte budget"
         )
 
@@ -204,7 +201,7 @@ def _sector_spectrum(op: ChainOperator) -> np.ndarray:
     real = h.dtype.kind != "c"
     n_m = n // 2 + 1 if real else n
     held = _labelling_bytes(op, n_m)
-    _refuse_past_budget(n, held)
+    _refuse_past_budget("kernel count", n, held)
     # T^j s keyed by j, n T^j s + j, for every state s: the running minimum
     # over j is the representative and the first shift that reaches it
     scaled = np.arange(0, n * dim, n)
@@ -251,7 +248,7 @@ def _sector_spectrum(op: ChainOperator) -> np.ndarray:
     # workspace) it stays within _CHUNK_BYTES, or within two of the largest blocks when those
     # outgrow it, and always within the room the labels leave
     largest = int(squares.max())
-    _refuse_past_budget(n, held + 2 * _STACK_ENTRY_BYTES * largest)
+    _refuse_past_budget("kernel count", n, held + 2 * _STACK_ENTRY_BYTES * largest)
     step = max(min(_KERNEL_BUDGET - held, _CHUNK_BYTES) // _STACK_ENTRY_BYTES - largest, largest)
     chunk = off[:-1] // step  # 0, 1, ... in steps of one, as no block outgrows a step
     bounds, cuts = [0, int(off[-1])], [0, flat.size]
@@ -301,7 +298,8 @@ def _lanczos_smallest(matvec, dim: int) -> tuple[float, float]:
     or at once when w vanishes (an invariant subspace).  The Ritz value's
     error then falls as the square of the residual.  A fixed-seed start
     vector keeps runs reproducible.  A solve not converged after
-    _LANCZOS_MAX_ITER iterations raises LanczosConvergenceError.
+    _LANCZOS_MAX_ITER iterations raises LanczosConvergenceError.  The inner
+    products are Hermitian (np.vdot), so complex terms solve as real ones do.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -312,7 +310,7 @@ def _lanczos_smallest(matvec, dim: int) -> tuple[float, float]:
     theta_prev = np.inf
     for it in range(_LANCZOS_MAX_ITER):
         w = matvec(q)
-        alphas.append(float(q @ w))
+        alphas.append(float(np.vdot(q, w).real))
         w -= alphas[-1] * q
         if it:
             w -= betas[-1] * q_prev
@@ -334,11 +332,10 @@ def _lanczos_smallest(matvec, dim: int) -> tuple[float, float]:
 
 
 def ground_energy(op: ChainOperator) -> float:
-    """Smallest eigenvalue, dense below the dense cap and by plain Lanczos (_lanczos_smallest) above it."""
-    if op.n_sites > ITER_MAX_SITES:
-        raise ValueError(f"n_sites {op.n_sites} exceeds the iterative cap {ITER_MAX_SITES}")
-    if op.is_dense():
-        return float(np.linalg.eigvalsh(dense_matrix(op))[0])
+    """Smallest eigenvalue by plain Lanczos (_lanczos_smallest) on chain_apply; the dense one is spectrum(op)[0]."""
+    # about 8 d^N entries: three Lanczos vectors, and chain_apply's rotated copies and product
+    itemsize = np.result_type(op.local.matrix.dtype, np.float64).itemsize
+    _refuse_past_budget("ground energy", op.n_sites, 8 * op.dim * itemsize)
     return _lanczos_smallest(op.apply, op.dim)[0]
 
 

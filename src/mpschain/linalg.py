@@ -72,11 +72,18 @@ def null_space(m, tol: float = DEFAULT_NULL_TOL) -> list[np.ndarray]:
     return _null_spaces(_as_matrix(m)[None], tol)[0][0]
 
 
-def _null_spaces(a: np.ndarray, tol: float) -> list[tuple[list[np.ndarray], float]]:
-    """(null_space basis, largest singular value) of each matrix of a (G, rows, cols) stack.
+def _null_spaces(a: np.ndarray, tol: float, basis=list) -> list[tuple[list[np.ndarray], list[float]]]:
+    """(null_space basis, re-check residuals) of each matrix of a (G, rows, cols) stack.
 
-    One stacked SVD: numpy's svd runs the same LAPACK call on each matrix of a
-    stack, so each basis is bit for bit the one of the matrix alone.
+    The rank is decided on the balanced stack (_balanced), so the relative cut
+    holds whatever the scales of the rows and columns.  Where that rank is the
+    plain stack's, the basis is the plain SVD's, passed through basis: numpy's
+    svd runs the same LAPACK call on each matrix of a stack, so each basis is
+    bit for bit the one of the matrix alone.  Elsewhere a mixed scale put rows
+    or columns under the plain cut, and the basis comes from the balanced SVD
+    (_graded_kernel).  Each vector's residual (_residual) is taken on the
+    matrix whose SVD gave it: the plain one, or the balanced one in its own
+    coordinates.
     """
     if not math.isfinite(tol):
         # NaN or inf would call every direction null
@@ -84,12 +91,70 @@ def _null_spaces(a: np.ndarray, tol: float) -> list[tuple[list[np.ndarray], floa
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     _, s, vh = np.linalg.svd(a)
+    b, cols = _balanced(a)
+    sb = np.linalg.svd(b, compute_uv=False)
     out = []
-    for s_k, vh_k in zip(s, vh):
-        smax = s_k[0] if s_k.size else 0.0
-        rank = int(np.sum(s_k > tol * smax))
-        out.append(([phase_fix(vh_k[i].conj()) for i in range(rank, a.shape[-1])], smax))
+    for a_k, s_k, vh_k, b_k, sb_k, cols_k in zip(a, s, vh, b, sb, cols):
+        rank = int(np.sum(sb_k > tol * sb_k[0]))
+        if rank == int(np.sum(s_k > tol * s_k[0])):
+            kernel = basis([phase_fix(vh_k[i].conj()) for i in range(rank, a.shape[-1])])
+            residuals = [_residual(a_k, s_k[0], v) for v in kernel]
+        else:
+            kernel = _graded_kernel(b_k, rank, cols_k)
+            # v in b's coordinates, 2^cols v, brought to a largest |entry| of one: its norm then
+            # neither underflows nor overflows
+            units = [_ldexp(v, cols_k) for v in kernel]
+            residuals = [_residual(b_k, sb_k[0], u / np.abs(u).max()) for u in units]
+        out.append((kernel, residuals))
     return out
+
+
+def _ldexp(a: np.ndarray, e) -> np.ndarray:
+    """a * 2**e, exact down to the normal range, for real and complex a."""
+    if np.iscomplexobj(a):
+        return np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e)
+    return np.ldexp(a, e)
+
+
+def _balanced(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(b, cols): each row of the (..., rows, cols) stack a, then each column, scaled by a power of two.
+
+    Each row's, then each column's, largest |entry| is brought into [1/2, 1),
+    so b = R a 2^-cols with R diagonal and cols <= 0; both scalings are exact
+    in floats (down to the normal range) and keep the rank.  A kernel vector x
+    of a is 2^-cols y for y one of b, and y = 2^cols x.
+    """
+    _, rows = np.frexp(np.abs(a).max(axis=-1, keepdims=True))
+    b = _ldexp(a, -rows)
+    _, cols = np.frexp(np.abs(b).max(axis=-2, keepdims=True))
+    return _ldexp(b, -cols), cols[..., 0, :]
+
+
+def _graded_kernel(b: np.ndarray, rank: int, cols: np.ndarray) -> list[np.ndarray]:
+    """Orthonormal kernel of a from that of its balanced form b = R a 2^-cols (_balanced).
+
+    The kernel of b is scaled back by 2^-cols (shifted so that no factor
+    exceeds one) and orthonormalised by a Householder QR of its coordinates
+    sorted by decreasing size, with column pivoting: graded as they are, a
+    plain QR, or a Gram-Schmidt in either coordinates, loses the small
+    coordinates against the large ones (Cox and Higham, BIT 38 (1998) 34).
+    Each vector is phase-fixed.
+    """
+    if rank == b.shape[1]:
+        return []
+    x = _ldexp(np.linalg.svd(b)[2][rank:].conj(), cols.min() - cols).T
+    order = np.argsort(-np.abs(x).max(axis=1), kind="stable")
+    q = np.empty_like(x)
+    q[order] = scipy.linalg.qr(x[order], mode="economic", pivoting=True)[0]
+    return [phase_fix(q[:, i]) for i in range(q.shape[1])]
+
+
+def _residual(m: np.ndarray, smax: float, v: np.ndarray) -> float:
+    """||m v|| / (smax ||v||), smax the largest singular value of m: inf where ||m v|| overflows, 0 for m = 0."""
+    if smax == 0.0:
+        return 0.0
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(m @ v) / (smax * np.linalg.norm(v)))
 
 
 def eig_all(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -111,13 +111,17 @@ def ground_null_space(mps: MpsFamily, k: int, tol: float = linalg.DEFAULT_NULL_T
 
 
 def _ground_null_spaces(families, k: int, tol: float = linalg.DEFAULT_NULL_TOL) -> list[NullSpaceBasis]:
-    """ground_null_space of each of a sequence of families of one shape, from one stacked word-matrix SVD.
+    """ground_null_space of each of a sequence of families of one shape, from stacked word-matrix SVDs.
 
     Each basis is bit for bit the family's own: the stacked SVD runs the same
     LAPACK call on each word matrix, and the canonical basis is taken per family.
-    Each kernel vector is re-checked against the bound 10 tol smax, smax the
-    largest singular value of that SVD.  A stack raises the first degenerate
-    family's InvalidModelError before any SVD, then the first failed re-check.
+    The rank is decided on the balanced word matrix, each row and column scaled
+    by a power of two (linalg._null_spaces), so entries of order 1 beside
+    entries of order g^k no longer fall under the relative cut; such a kernel
+    comes from the balanced SVD and is not canonicalised.  Each kernel vector
+    is re-checked, on the matrix whose SVD gave it, against the relative bound
+    10 tol.  A stack raises the first degenerate family's InvalidModelError
+    before any SVD, then the first failed re-check.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -126,16 +130,13 @@ def _ground_null_spaces(families, k: int, tol: float = linalg.DEFAULT_NULL_TOL) 
         if not m.any():
             raise InvalidModelError("every k-site word vanishes; the family is degenerate")
     bases = []
-    for m, (kernel, smax) in zip(words, linalg._null_spaces(words, tol)):
-        canon = _canonical_subspace_basis(kernel)
-        for v in canon:
-            with np.errstate(over="ignore"):
-                residual = np.linalg.norm(m @ v)
-            if residual > 10 * tol * smax:
-                raise KernelRecheckError(
-                    f"kernel re-check overflows: |M v| of a {k}-site kernel vector lies beyond the float range"
-                    if residual == np.inf else "kernel re-check failed; tolerance too loose for this family"
-                )
+    for canon, residuals in linalg._null_spaces(words, tol, _canonical_subspace_basis):
+        failed = [r for r in residuals if r > 10 * tol]
+        if failed:
+            raise KernelRecheckError(
+                f"kernel re-check overflows: |M v| of a {k}-site kernel vector lies beyond the float range"
+                if failed[0] == np.inf else "kernel re-check failed; tolerance too loose for this family"
+            )
         bases.append(NullSpaceBasis(k=k, vectors=tuple(canon), tol=tol))
     return bases
 

@@ -555,16 +555,35 @@ def test_correlate_g_sweep_is_refused_by_the_parser(argv, err, capsys, monkeypat
     assert captured.err == f"error: argument --g-sweep: {err}\n"
 
 
-def test_parent_kernel_recheck_failure_is_one_error_line(capsys):
-    # the k = 3 words of g = 1e80 are finite, but the re-check norm |M v| squares past the float range:
-    # numpy warned of the overflow and the error blamed the tolerance; the overflow is named, with no
-    # warning (a warning fails the test)
-    for which in ("I", "II"):
-        assert run("parent", "--which", which, "--g", "1e80", "--k", "3") == cli.EXIT_USAGE
+def test_parent_kernel_recheck_failure_is_one_error_line(capsys, tmp_path):
+    # a family of one large scale (model I at g = 1 times 1e100) keeps the plain SVD's kernel, and the
+    # re-check norm |M v| squares past the float range: numpy warned of the overflow and the error blamed
+    # the tolerance; the overflow is named, with no warning (a warning fails the test)
+    fam = models.model_I(1.0)
+    path = tmp_path / "big.json"
+    write_family(path, MpsFamily(d=3, D=3, labels=fam.labels, matrices={a: 1e100 * m for a, m in fam.matrices.items()}))
+    for k in ("2", "3"):
+        assert run("parent", "--which", "file", "--in", str(path), "--k", k) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: kernel re-check overflows: |M v| of a 3-site kernel vector lies beyond the float range\n")
+            f"error: kernel re-check overflows: |M v| of a {k}-site kernel vector lies beyond the float range\n")
+
+
+@pytest.mark.parametrize("which, g, k, count", [
+    ("I", "1e5", "2", 1), ("I", "1e5", "3", 18), ("I", "1e20", "3", 18), ("II", "1e5", "2", 2), ("II", "1e5", "3", 18),
+    # the words at g = 1e80 are finite, but their kernel came from the plain cut, so the re-check norm
+    # |M v| squared past the float range and the run was refused; the balanced kernel is re-checked
+    # on the balanced matrix
+    ("I", "1e80", "3", 18), ("II", "1e80", "3", 18),
+])
+def test_parent_counts_the_kernel_of_mixed_scale_words(which, g, k, count, capsys):
+    # entries of order 1 beside entries of order g^k: the plain relative cut called small-scale
+    # columns null and printed 4, 22, 26, 6 and 23 for the first five, with exit 0
+    assert run("parent", "--which", which, "--g", g, "--k", k) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == f"kernel dimension at k={k}: {count}\n"
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -879,7 +898,10 @@ VERIFY_PATH_SHA256 = {
     "frustration N=8": (
         ("verify", "--suite", "frustration", "--n-sites", "8"),
         cli.EXIT_OK, "120ea9158cf76cd63afbd1f7436c766f1d07ff070849b5883ef64668f14366c3", ""),
-    # the states leave L2 here (the amplitude cap refuses N = 11): an odd ring and the largest even one
+    # the states leave L2 here (the amplitude cap refuses N = 11): an odd ring and the largest even one.
+    # These two digests hold for the default BLAS thread count: np.linalg.norm splits its dot product
+    # across BLAS threads, and on one thread (OPENBLAS_NUM_THREADS=1) the N = 9, g = 0.1 norm is
+    # 0x1.19730426e0466p+1 where two threads give ...465p+1, which moves the printed residuals
     "frustration N=9, two g": (
         ("verify", "--suite", "frustration", "--n-sites", "9", "--g", "0.1", "--g", "2.5"),
         cli.EXIT_OK, "bb49dcbb37189570da360afb73c0578665b0bcbe9c76684f53921a527bd67239", ""),

@@ -47,11 +47,16 @@ def test_ground_energy_positive_control():
 
 
 def test_lanczos_matches_dense():
-    op_dense = ChainOperator(5, models.model_I_hamiltonian(1.2), mode="dense")
-    op_iter = ChainOperator(5, models.model_I_hamiltonian(1.2), mode="matrix-free")
-    e_dense = ed.ground_energy(op_dense)
-    e_iter = ed.ground_energy(op_iter)
-    assert e_iter == pytest.approx(e_dense, abs=1e-8)
+    op = ChainOperator(5, models.model_I_hamiltonian(1.2))
+    assert ed.ground_energy(op) == pytest.approx(ed.spectrum(op)[0], abs=1e-8)
+
+
+@pytest.mark.parametrize("name, n", [("I_g1.2", 5), ("II", 8), ("complex", 6)])
+def test_every_mode_takes_the_one_lanczos_route(name, n):
+    # mode selected the dense eigvalsh at N <= 8 (auto) or always (dense); it now selects nothing
+    h = models.model_I_hamiltonian(1.2) if name == "I_g1.2" else _LANCZOS_CHAINS[name]()
+    e = ed.ground_energy(ChainOperator(n, h, mode="matrix-free"))
+    assert [ed.ground_energy(ChainOperator(n, h, mode=mode)) for mode in ("dense", "auto")] == [e, e]
 
 
 def test_lanczos_on_larger_ring():
@@ -71,16 +76,25 @@ _LANCZOS_CHAINS = {
     "II": models.model_II_hamiltonian,
     "h1": models.limit_hamiltonian_h1,
     "identity": _identity_local,
+    "complex": lambda: _term_local(_seeded_term(3, 9, complex_=True)),
 }
 
 
-@pytest.mark.parametrize("name, n", [(name, n) for name in _LANCZOS_CHAINS for n in (6, 7, 8)])
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in _LANCZOS_CHAINS for n in (6, 7, 8)]
+    + [("complex", n) for n in (3, 4, 5)]
+    + [pytest.param("complex", 9, marks=pytest.mark.slow)],  # 22 s of complex sector blocks
+)
 def test_matrix_free_ground_energy_matches_the_sector_spectrum(name, n):
     # the translation sectors of the exact blocks give the whole spectrum
-    # without the 3^N x 3^N matrix
+    # without the 3^N x 3^N matrix.  The complex term's Lanczos took real
+    # inner products: -38.97 at N = 5 and -54.50 at N = 9, where the
+    # spectrum starts at -25.93 and -47.007
     op = ChainOperator(n, _LANCZOS_CHAINS[name](), mode="matrix-free")
     e = ed.ground_energy(op)
-    assert abs(e - ed._sector_spectrum(op)[0]) <= 1e-10
+    w0 = ed._sector_spectrum(op)[0]
+    assert abs(e - w0) <= (1e-8 * max(1.0, abs(w0)) if name == "complex" else 1e-10)
     assert ed.ground_energy(op) == e
 
 
@@ -229,9 +243,11 @@ def test_variational_consistency():
     op = ChainOperator(6, h)
     psi = amplitudes_vector(fam, 6)
     rayleigh = psi @ op.apply(psi) / (psi @ psi)
-    e0 = ed.ground_energy(op)
+    # the exact lowest eigenvalue bounds the Rayleigh quotient; a Lanczos value lies above it by about
+    # the square of its stopping residual (1.3e-12 here)
+    e0 = ed.spectrum(op)[0]
     assert e0 <= rayleigh + 1e-12
-    assert abs(e0) <= 1e-8 and abs(rayleigh) <= 1e-8
+    assert abs(e0) <= 1e-8 and abs(rayleigh) <= 1e-8 and abs(ed.ground_energy(op)) <= 1e-8
 
 
 def test_report_payload():
@@ -302,9 +318,9 @@ def test_site_caps_refuse_before_allocating():
     calls = [
         lambda: ed.dense_chain(h.matrix, 2, 9),
         lambda: ed.spectrum(dense),
-        lambda: ed.kernel_dimension(ChainOperator(16, h)),  # past the byte budget, not a site cap
-        lambda: ed.ground_energy(dense),
-        lambda: ed.ground_energy(ChainOperator(13, h, mode="matrix-free")),
+        # past the byte budget, not a site cap
+        lambda: ed.kernel_dimension(ChainOperator(16, h)),
+        lambda: ed.ground_energy(ChainOperator(16, h, mode="matrix-free")),
     ]
     tracemalloc.start()
     try:
@@ -323,6 +339,21 @@ def test_chain_operator_validation():
         ChainOperator(1, models.model_II_hamiltonian())
     with pytest.raises(ValueError):
         ChainOperator(4, models.model_II_hamiltonian(), mode="bogus")
+
+
+def test_ground_energy_guard_counts_eight_vectors_of_the_term_dtype(monkeypatch):
+    # 8 d^N entries of 8 (real) or 16 (complex) bytes against the 512 MiB budget: real d = 3 terms
+    # reach 14 sites, complex ones 13; the solve itself is stubbed, so nothing of that size is made
+    monkeypatch.setattr(ed, "_lanczos_smallest", lambda matvec, dim: (float(dim), 0.0))
+    real, complex_ = models.model_II_hamiltonian(), _LANCZOS_CHAINS["complex"]()
+    assert [ed.ground_energy(ChainOperator(n, h)) for n, h in ((14, real), (13, complex_))] == [3**14, 3**13]
+    for n, h, need in ((15, real, 8 * 3**15 * 8), (14, complex_, 8 * 3**14 * 16)):
+        with pytest.raises(ValueError, match=f"ground energy at n_sites {n} needs an estimated {need} bytes"):
+            ed.ground_energy(ChainOperator(n, h))
+
+
+def _term_local(h, k=2):
+    return LocalHamiltonian(k=k, matrix=h, couplings=(), basis=NullSpaceBasis(k=k, vectors=(), tol=0.0))
 
 
 def _seeded_term(seed, size, complex_=False, symmetric=True):
@@ -347,7 +378,7 @@ def _seeded_term(seed, size, complex_=False, symmetric=True):
 def test_wraparound_embedding_matches_contraction(h, k):
     # the dense builder equals chain_apply column by column, bit for bit, every window included
     d = round(h.shape[0] ** (1 / k))
-    local = LocalHamiltonian(k=k, matrix=h, couplings=(), basis=NullSpaceBasis(k=k, vectors=(), tol=0.0))
+    local = _term_local(h, k)
     for n in range(k, 7):
         columns = [parent.chain_apply(local, n, e) for e in np.eye(d**n)]
         assert np.array_equal(ed.dense_chain(h, k, n), np.stack(columns, axis=1))
@@ -471,8 +502,7 @@ def sparse_terms(draw):
         mask = rng.random((size, size)) < density
         a = draw_matrix((size, size))
         h = (a + a.conj().T) * (mask | mask.T)
-    local = LocalHamiltonian(k=k, matrix=scale * h, couplings=(), basis=NullSpaceBasis(k=k, vectors=(), tol=0.0))
-    return ChainOperator(n, local)
+    return ChainOperator(n, _term_local(scale * h, k))
 
 
 def _kernel_outcome(count):
@@ -497,6 +527,8 @@ def test_block_route_equals_the_dense_spectrum(op):
     assert np.all(labels <= np.arange(op.dim)) and np.all(labels[labels] == labels)  # the smallest state
     w = ed.spectrum(op)
     assert np.max(np.abs(ed._sector_spectrum(op) - w)) <= 1e-10
+    # the Lanczos stop (Ritz residual at most 1e-6 max(1, |theta|)) puts an eigenvalue that close: the lowest
+    assert abs(ed.ground_energy(op) - w[0]) <= 1e-6 * max(1.0, abs(w[0]))
     assert _kernel_outcome(lambda: ed.kernel_dimension(op)) == _kernel_outcome(lambda: ed._kernel_count(w, 1e-8))
 
 
@@ -558,3 +590,9 @@ def test_chunked_sector_stacks_give_the_same_counts(monkeypatch):
 def test_kernel_dimension_at_ten_sites():
     assert ed.kernel_dimension(ChainOperator(10, models.model_I_hamiltonian(2.5))) == _lucas_even(10) == 15127
     assert ed.kernel_dimension(ChainOperator(10, models.model_II_hamiltonian())) == 1178
+
+
+@pytest.mark.slow
+def test_ground_energy_at_thirteen_sites():
+    # past the old 12-site iterative cap, within the byte guard: 8 * 3^13 * 8 bytes is about 102 MB
+    assert abs(ed.ground_energy(ChainOperator(13, models.model_I_hamiltonian(2.5)))) <= 1e-8

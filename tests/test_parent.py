@@ -78,10 +78,9 @@ def test_zero_family_rejected():
 
 def test_failed_kernel_recheck_is_named(monkeypatch):
     # the word (1, 1) = A_1 A_1 is nonzero, so e_0 is no kernel vector of the word matrix
-    # the kernels and their smax come from linalg._null_spaces, one stacked SVD; keep the true smax
-    real = linalg._null_spaces
-    monkeypatch.setattr(linalg, "_null_spaces",
-                        lambda a, tol: [([np.eye(a.shape[-1])[0]], smax) for _, smax in real(a, tol)])
+    # linalg._null_spaces passes the plain kernel through the canonical basis, then takes each
+    # vector's residual on the word matrix; a basis of e_0 alone must fail that re-check
+    monkeypatch.setattr(parent, "_canonical_subspace_basis", lambda vectors: [np.eye(vectors[0].size)[0]])
     with pytest.raises(mpschain.KernelRecheckError, match="kernel re-check failed") as err:
         ground_null_space(models.model_II(1.0), 2)
     assert isinstance(err.value, ArithmeticError)
@@ -307,3 +306,35 @@ def test_parent_chain_annihilates_the_state(case):
     h = local_hamiltonian(ground_null_space(fam, k))
     assert verify_zero_energy(fam, h, 6) <= 1e-10
     assert _json_matrix_bits(h, "matrix") == h.matrix.tobytes()
+
+
+def _exact_word_rank(g, h, k):
+    """Rank of the k-site word matrix of the general family (c = 1) in exact sympy arithmetic."""
+    import sympy
+
+    def unit(i, j):
+        return sympy.Matrix(3, 3, lambda a, b: int((a, b) == (i, j)))
+
+    mats = [unit(0, 1) + unit(1, 2), g * (unit(0, 0) + unit(2, 2)) + h * unit(1, 1), unit(1, 0) + unit(2, 1)]
+    words = [sympy.eye(3)]
+    for _ in range(k):  # the last site varies fastest, as in word_matrix
+        words = [w * a for w in words for a in mats]
+    return sympy.Matrix([list(w) for w in words]).T.rank(simplify=True)
+
+
+@pytest.mark.parametrize("which", ["I", "II"])
+@pytest.mark.parametrize("g", [0.75, 1.5, 1e5, 1e20])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kernel_dimension_equals_the_exact_rank(which, g, k):
+    # each g is a float that sympy holds exactly; model I's h = sqrt(2) g keeps sqrt(2) symbolic.  Under
+    # the plain relative cut the g = 1e5 and 1e20 words, entries of order 1 beside order g^k, lost rank
+    # (models I and II at g = 1e20 counted 2 one-site kernel vectors, where the balanced kernel is empty)
+    import sympy
+
+    exact_g = sympy.Rational(g)
+    h = sympy.sqrt(2) * exact_g if which == "I" else exact_g
+    fam = models.model_families(which, [g])[0]
+    basis = ground_null_space(fam, k)
+    assert basis.dim == 3**k - _exact_word_rank(exact_g, h, k)
+    vecs = np.array(basis.vectors).reshape(basis.dim, 3**k)
+    assert np.allclose(vecs @ vecs.conj().T, np.eye(basis.dim), rtol=0.0, atol=1e-14)
