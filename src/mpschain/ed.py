@@ -52,10 +52,7 @@ class LanczosConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChainOperator:
-    """H = sum over periodic windows of a local k-site term, on n_sites sites.
-
-    mode and is_dense() select nothing here; the benchmark passes mode= and reads is_dense().
-    """
+    """H = sum over periodic windows of a local k-site term, on n_sites sites; only the benchmark reads mode and is_dense()."""
 
     n_sites: int
     local: LocalHamiltonian
@@ -76,7 +73,11 @@ class ChainOperator:
         return self.d**self.n_sites
 
     def is_dense(self) -> bool:
-        return self.mode == "dense" or (self.mode == "auto" and self.n_sites <= DENSE_MAX_SITES)
+        if self.mode == "dense":
+            return True
+        if self.mode == "matrix-free":
+            return False
+        return self.n_sites <= DENSE_MAX_SITES
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         return chain_apply(self.local, self.n_sites, state)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -69,21 +70,46 @@ def null_space(m, tol: float = DEFAULT_NULL_TOL) -> list[np.ndarray]:
     tol times the largest singular value.  Returns an empty list for full
     column rank; for the zero matrix every direction is null.
     """
-    return _null_spaces(_as_matrix(m)[None], tol)[0][0]
+    return _null_spaces(_as_matrix(m)[None], tol)[0].vectors
 
 
-def _null_spaces(a: np.ndarray, tol: float, basis=list) -> list[tuple[list[np.ndarray], list[float]]]:
-    """(null_space basis, re-check residuals) of each matrix of a (G, rows, cols) stack.
+class _Kernel(NamedTuple):
+    """A kernel basis of _null_spaces with the matrix whose SVD gave it, on which it is re-checked.
 
-    The rank is decided on the balanced stack (_balanced), so the relative cut
-    holds whatever the scales of the rows and columns.  Where that rank is the
-    plain stack's, the basis is the plain SVD's, passed through basis: numpy's
-    svd runs the same LAPACK call on each matrix of a stack, so each basis is
-    bit for bit the one of the matrix alone.  Elsewhere a mixed scale put rows
-    or columns under the plain cut, and the basis comes from the balanced SVD
-    (_graded_kernel).  Each vector's residual (_residual) is taken on the
-    matrix whose SVD gave it: the plain one, or the balanced one in its own
-    coordinates.
+    That matrix is a itself (cols None) or its balanced form b = R a 2^-cols
+    (_balanced), whose kernel vectors are 2^cols v; smax is its largest
+    singular value.
+    """
+
+    vectors: list[np.ndarray]
+    matrix: np.ndarray
+    smax: float
+    cols: np.ndarray | None = None
+
+    def residual(self, v: np.ndarray) -> float:
+        """||M u|| / (smax ||u||): u = v, or 2^cols v brought to a largest |entry| of one, so that its
+        norm neither underflows nor overflows.  inf where ||M u|| overflows, 0 for M = 0."""
+        if self.smax == 0.0:
+            return 0.0
+        if self.cols is not None:
+            v = _ldexp(v, self.cols)
+            v = v / np.abs(v).max()
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.matrix @ v) / (self.smax * np.linalg.norm(v)))
+
+
+def _null_spaces(a: np.ndarray, tol: float, noise: np.ndarray | None = None) -> list[_Kernel]:
+    """The null_space basis of each matrix of a (G, rows, cols) stack (_Kernel).
+
+    One stacked SVD: numpy's svd runs the same LAPACK call on each matrix of a
+    stack, so each basis is bit for bit the one of the matrix alone.  Given
+    noise, a mask of the entries of a that lie within their roundoff of zero,
+    the rank is decided instead on the balanced stack (_balanced) of a with
+    those entries zeroed: the relative cut then holds whatever the scales of
+    the rows and columns, and no roundoff is raised to order one.  Where that
+    rank is the plain one the basis stays the plain SVD's.  Elsewhere a mixed
+    scale put rows or columns under the plain cut, or roundoff above it, and
+    the basis comes from the balanced SVD (_graded_kernel).
     """
     if not math.isfinite(tol):
         # NaN or inf would call every direction null
@@ -91,21 +117,17 @@ def _null_spaces(a: np.ndarray, tol: float, basis=list) -> list[tuple[list[np.nd
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     _, s, vh = np.linalg.svd(a)
-    b, cols = _balanced(a)
-    sb = np.linalg.svd(b, compute_uv=False)
     out = []
-    for a_k, s_k, vh_k, b_k, sb_k, cols_k in zip(a, s, vh, b, sb, cols):
+    for a_k, s_k, vh_k in zip(a, s, vh):
+        rank = int(np.sum(s_k > tol * s_k[0]))
+        out.append(_Kernel([phase_fix(vh_k[i].conj()) for i in range(rank, a.shape[-1])], a_k, s_k[0]))
+    if noise is None:
+        return out
+    b, cols = _balanced(np.where(noise, 0, a))
+    for g, (b_k, sb_k, cols_k) in enumerate(zip(b, np.linalg.svd(b, compute_uv=False), cols)):
         rank = int(np.sum(sb_k > tol * sb_k[0]))
-        if rank == int(np.sum(s_k > tol * s_k[0])):
-            kernel = basis([phase_fix(vh_k[i].conj()) for i in range(rank, a.shape[-1])])
-            residuals = [_residual(a_k, s_k[0], v) for v in kernel]
-        else:
-            kernel = _graded_kernel(b_k, rank, cols_k)
-            # v in b's coordinates, 2^cols v, brought to a largest |entry| of one: its norm then
-            # neither underflows nor overflows
-            units = [_ldexp(v, cols_k) for v in kernel]
-            residuals = [_residual(b_k, sb_k[0], u / np.abs(u).max()) for u in units]
-        out.append((kernel, residuals))
+        if a.shape[-1] - rank != len(out[g].vectors):
+            out[g] = _Kernel(_graded_kernel(b_k, rank, cols_k), b_k, sb_k[0], cols_k)
     return out
 
 
@@ -147,14 +169,6 @@ def _graded_kernel(b: np.ndarray, rank: int, cols: np.ndarray) -> list[np.ndarra
     q = np.empty_like(x)
     q[order] = scipy.linalg.qr(x[order], mode="economic", pivoting=True)[0]
     return [phase_fix(q[:, i]) for i in range(q.shape[1])]
-
-
-def _residual(m: np.ndarray, smax: float, v: np.ndarray) -> float:
-    """||m v|| / (smax ||v||), smax the largest singular value of m: inf where ||m v|| overflows, 0 for m = 0."""
-    if smax == 0.0:
-        return 0.0
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(m @ v) / (smax * np.linalg.norm(v)))
 
 
 def eig_all(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -116,29 +116,49 @@ def _ground_null_spaces(families, k: int, tol: float = linalg.DEFAULT_NULL_TOL) 
     Each basis is bit for bit the family's own: the stacked SVD runs the same
     LAPACK call on each word matrix, and the canonical basis is taken per family.
     The rank is decided on the balanced word matrix, each row and column scaled
-    by a power of two (linalg._null_spaces), so entries of order 1 beside
-    entries of order g^k no longer fall under the relative cut; such a kernel
-    comes from the balanced SVD and is not canonicalised.  Each kernel vector
-    is re-checked, on the matrix whose SVD gave it, against the relative bound
-    10 tol.  A stack raises the first degenerate family's InvalidModelError
-    before any SVD, then the first failed re-check.
+    by a power of two and each entry within its roundoff of zero (_word_noise)
+    set to zero (linalg._null_spaces), so entries of order 1 beside entries of
+    order g^k no longer fall under the relative cut, and words that vanish
+    exactly stay null; such a kernel comes from the balanced SVD and is not
+    canonicalised.  Each kernel vector is re-checked, on the matrix whose SVD
+    gave it, against the relative bound 10 tol.  A stack raises the first
+    degenerate family's InvalidModelError before any SVD, then the first
+    failed re-check.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    words = _word_columns(np.array([fam.matrix_stack() for fam in families]), k, "word-matrix")
+    mats = np.array([fam.matrix_stack() for fam in families])
+    words = _word_columns(mats, k, "word-matrix")
     for m in words:
         if not m.any():
             raise InvalidModelError("every k-site word vanishes; the family is degenerate")
     bases = []
-    for canon, residuals in linalg._null_spaces(words, tol, _canonical_subspace_basis):
-        failed = [r for r in residuals if r > 10 * tol]
+    for kernel in linalg._null_spaces(words, tol, _word_noise(mats, words, k)):
+        vectors = _canonical_subspace_basis(kernel.vectors) if kernel.cols is None else kernel.vectors
+        failed = [r for r in map(kernel.residual, vectors) if r > 10 * tol]
         if failed:
             raise KernelRecheckError(
                 f"kernel re-check overflows: |M v| of a {k}-site kernel vector lies beyond the float range"
                 if failed[0] == np.inf else "kernel re-check failed; tolerance too loose for this family"
             )
-        bases.append(NullSpaceBasis(k=k, vectors=tuple(canon), tol=tol))
+        bases.append(NullSpaceBasis(k=k, vectors=tuple(vectors), tol=tol))
     return bases
+
+
+def _word_noise(mats: np.ndarray, words: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the entries of the (G, D^2, d^k) words of a (G, d, D, D) stack that lie within their roundoff of zero.
+
+    A word is formed by k - 1 inexact products of D-term sums (2 D terms for
+    complex words, carried as split parts), so to first order each entry lies
+    within (k - 1) D eps of the exact one, 2 sqrt(2) (k - 1) D eps complex,
+    relative to the same entry of the word of the |A_i| (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 3.5); the mask takes 4 k D eps.
+    The |A_i| are scaled by a power of two per family, their largest entry in
+    [1/2, 1), so that their words never overflow.
+    """
+    _, e = np.frexp(np.abs(mats).max(axis=(1, 2, 3)))
+    bound = _word_columns(np.ldexp(np.abs(mats), -e[:, None, None, None]), k, "word-matrix")
+    return np.ldexp(np.abs(words), -k * e[:, None, None]) <= 4 * k * mats.shape[-1] * np.finfo(float).eps * bound
 
 
 def local_hamiltonian(basis: NullSpaceBasis, couplings=None) -> LocalHamiltonian:

@@ -47,16 +47,11 @@ def test_ground_energy_positive_control():
 
 
 def test_lanczos_matches_dense():
-    op = ChainOperator(5, models.model_I_hamiltonian(1.2))
-    assert ed.ground_energy(op) == pytest.approx(ed.spectrum(op)[0], abs=1e-8)
-
-
-@pytest.mark.parametrize("name, n", [("I_g1.2", 5), ("II", 8), ("complex", 6)])
-def test_every_mode_takes_the_one_lanczos_route(name, n):
-    # mode selected the dense eigvalsh at N <= 8 (auto) or always (dense); it now selects nothing
-    h = models.model_I_hamiltonian(1.2) if name == "I_g1.2" else _LANCZOS_CHAINS[name]()
-    e = ed.ground_energy(ChainOperator(n, h, mode="matrix-free"))
-    assert [ed.ground_energy(ChainOperator(n, h, mode=mode)) for mode in ("dense", "auto")] == [e, e]
+    # every mode runs the one Lanczos route; the dense lowest eigenvalue is the reference
+    h = models.model_I_hamiltonian(1.2)
+    e = ed.ground_energy(ChainOperator(5, h))
+    assert [ed.ground_energy(ChainOperator(5, h, mode=mode)) for mode in ("dense", "matrix-free")] == [e, e]
+    assert e == pytest.approx(ed.spectrum(ChainOperator(5, h))[0], abs=1e-8)
 
 
 def test_lanczos_on_larger_ring():

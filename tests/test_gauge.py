@@ -77,3 +77,20 @@ def test_common_scale_leaves_the_kernels_unchanged(case):
     assert scaled_basis.dim == basis.dim > 0
     want = ed.kernel_dimension(ed.ChainOperator(n_sites, parent.local_hamiltonian(basis)))
     assert ed.kernel_dimension(ed.ChainOperator(n_sites, parent.local_hamiltonian(scaled_basis))) == want
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("k, dim", [(1, 0), (2, 2), (3, 6), (4, 14)])
+def test_gauge_change_keeps_vanishing_words_null(complex_, seed, k, dim):
+    # of the words of sigma+ and sigma-, only the alternating ones survive.  Gauged, the others come
+    # out at roundoff, which the balanced rank cut must not raise to order one (it counted kernels
+    # 0 or 1 at k = 2 and 4 at k = 3)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(_complex(rng, (2, 2)) if complex_ else rng.standard_normal((2, 2)))
+    x = q @ np.diag([1.0, 10.0])
+    x_inv = np.linalg.inv(x)
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]])
+    fam = MpsFamily(d=2, D=2, labels=("+", "-"), matrices={"+": sp, "-": sp.T})
+    gauged = MpsFamily(d=2, D=2, labels=("+", "-"), matrices={"+": x @ sp @ x_inv, "-": x @ sp.T @ x_inv})
+    assert parent.ground_null_space(gauged, k).dim == parent.ground_null_space(fam, k).dim == dim

@@ -78,8 +78,8 @@ def test_zero_family_rejected():
 
 def test_failed_kernel_recheck_is_named(monkeypatch):
     # the word (1, 1) = A_1 A_1 is nonzero, so e_0 is no kernel vector of the word matrix
-    # linalg._null_spaces passes the plain kernel through the canonical basis, then takes each
-    # vector's residual on the word matrix; a basis of e_0 alone must fail that re-check
+    # the plain kernel passes through the canonical basis before each vector is re-checked on the
+    # word matrix; a basis of e_0 alone must fail that re-check
     monkeypatch.setattr(parent, "_canonical_subspace_basis", lambda vectors: [np.eye(vectors[0].size)[0]])
     with pytest.raises(mpschain.KernelRecheckError, match="kernel re-check failed") as err:
         ground_null_space(models.model_II(1.0), 2)

@@ -268,11 +268,12 @@ def test_null_space_of_one_matrix_is_the_stack_of_one():
         want = [linalg.phase_fix(vh[i].conj()) for i in range(rank, shape[1])]
         got = linalg.null_space(m)
         assert len(got) == len(want) and all(_same(a, b) for a, b in zip(got, want))
-    # each re-check residual is ||m v|| / (smax ||v||), on the matrix whose SVD gave the kernel
-    (kernel, residuals), = linalg._null_spaces(m[None], 1e-10)
+    # the re-check runs on the matrix whose SVD gave the kernel: ||m v|| / (smax ||v||)
+    kernel, = linalg._null_spaces(m[None], 1e-10)
     smax = np.linalg.svd(m)[1][0]
-    assert len(residuals) == len(kernel) == 2
-    for v, r in zip(kernel, residuals):
+    assert kernel.smax == smax and kernel.cols is None and len(kernel.vectors) == 2
+    for v in kernel.vectors:
+        r = kernel.residual(v)
         assert r == pytest.approx(np.linalg.norm(m @ v) / smax, rel=1e-12) and r <= 1e-15
 
 
