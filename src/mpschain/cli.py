@@ -213,7 +213,6 @@ def _cmd_correlate(args) -> int:
             raise _UsageError("--g-sweep supports --which I or II")
         _refuse_oversized(args, args.g_sweep[2], 3)  # models I and II have D = 3
         g_values = [float(x) for x in np.linspace(*args.g_sweep)]
-        families = models.model_families(args.which, g_values)
     else:
         fam = _resolve_model(args)
         _refuse_oversized(args, 1, fam.D, fam.matrix_stack().dtype.itemsize)
@@ -222,8 +221,11 @@ def _cmd_correlate(args) -> int:
     if args.mode == "closed":
         if args.which != "I":
             raise _UsageError("--mode closed evaluates the model I closed forms")
+        # the closed forms read g alone: a sweep builds no family
         _write_text(args.out, models.closed_form_sweep_text(g_values))
         return EXIT_OK
+    if args.g_sweep is not None:
+        families = models.model_families(args.which, g_values)
     if args.mode == "ring" and args.n_sites is None:
         raise _UsageError("--mode ring requires --n-sites")
     if args.mode == "ring" and args.which in ("I", "II") and args.n_sites % 2:

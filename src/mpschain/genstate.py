@@ -319,19 +319,14 @@ def _expectations(psi: PsiN, channels, rs=()) -> dict:
         _check_r(n_sites, r)
     top = 3 ** (n_sites - 1)
     m1 = 1 - psi.index // top  # site 1 is the most significant digit
-    # the m values of site r, one row per separation
-    r_place = [3 ** (n_sites - r) for r in rs]
-    if len(rs) > 1:
-        # 1 - q % 3 as four in-place steps, which numpy runs faster than an int64 % on a broadcast q
-        q = psi.index // np.array(r_place, dtype=np.int64)[:, None]
-        mr = q // 3
-        mr *= 3
-        mr -= q
-        mr += 1
-    elif len(rs) == 1:  # the one-r calls: a division by a scalar costs numpy least
-        mr = (1 - psi.index // r_place[0] % 3)[None]
-    else:  # the one-point channels read site 1 alone
-        mr = np.empty((0, psi.index.size), dtype=np.int64)
+    # the m values of site r, one row per separation: 1 - q % 3 as four in-place steps, which numpy
+    # runs faster than an int64 % on a broadcast q
+    r_place = np.array([3 ** (n_sites - r) for r in rs], dtype=np.int64)[:, None]
+    q = psi.index // r_place
+    mr = q // 3
+    mr *= 3
+    mr -= q
+    mr += 1
     w2 = psi.values * psi.values
     norm = psi.norm_sq()
     out = {}
@@ -344,7 +339,7 @@ def _expectations(psi: PsiN, channels, rs=()) -> dict:
             s = np.array([1, -1])
             # axes: s1, sr, separation, string
             moved = (m1 != -s[:, None])[:, None, None] & (mr != -s[:, None, None])
-            shift = s[:, None, None, None] * top + s[:, None, None] * np.array(r_place, dtype=np.int64)[:, None]
+            shift = s[:, None, None, None] * top + s[:, None, None] * r_place
             target = np.where(moved, psi.index + shift, 3**n_sites)
             num = (table[target] @ psi.values).sum(axis=(0, 1))
             out[ch] = [Fraction(x, 2 * norm) for x in num.tolist()]

@@ -76,26 +76,28 @@ def null_space(m, tol: float = DEFAULT_NULL_TOL) -> list[np.ndarray]:
 class _Kernel(NamedTuple):
     """A kernel basis of _null_spaces with the matrix whose SVD gave it, on which it is re-checked.
 
-    That matrix is a itself (cols None) or its balanced form b = R a 2^-cols
+    That matrix M is a itself (cols None) or its balanced form b = R a 2^-cols
     (_balanced), whose kernel vectors are 2^cols v; smax is its largest
-    singular value.
+    singular value.  matrix is M 2^-e, with e taken once per matrix from frexp
+    of max |M| so that its largest |entry| lies in [1/2, 1); a power of two
+    scales exactly, and b has e = 0.
     """
 
     vectors: list[np.ndarray]
     matrix: np.ndarray
     smax: float
     cols: np.ndarray | None = None
+    e: int = 0
 
     def residual(self, v: np.ndarray) -> float:
-        """||M u|| / (smax ||u||): u = v, or 2^cols v brought to a largest |entry| of one, so that its
-        norm neither underflows nor overflows.  inf where ||M u|| overflows, 0 for M = 0."""
+        """||M u|| / (smax ||u||), taken on M 2^-e: u = v, or 2^cols v brought to a largest |entry| of
+        one.  Neither norm can overflow, whatever the scale of M; 0 for M = 0."""
         if self.smax == 0.0:
             return 0.0
         if self.cols is not None:
             v = _ldexp(v, self.cols)
             v = v / np.abs(v).max()
-        with np.errstate(over="ignore"):
-            return float(np.linalg.norm(self.matrix @ v) / (self.smax * np.linalg.norm(v)))
+        return float(np.linalg.norm(self.matrix @ v) / (math.ldexp(self.smax, -self.e) * np.linalg.norm(v)))
 
 
 def _null_spaces(a: np.ndarray, tol: float, noise: np.ndarray | None = None) -> list[_Kernel]:
@@ -117,10 +119,11 @@ def _null_spaces(a: np.ndarray, tol: float, noise: np.ndarray | None = None) -> 
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     _, s, vh = np.linalg.svd(a)
+    _, exps = np.frexp(np.abs(a).max(axis=(-2, -1)))
     out = []
-    for a_k, s_k, vh_k in zip(a, s, vh):
+    for a_k, s_k, vh_k, e in zip(_ldexp(a, -exps[:, None, None]), s, vh, exps.tolist()):
         rank = int(np.sum(s_k > tol * s_k[0]))
-        out.append(_Kernel([phase_fix(vh_k[i].conj()) for i in range(rank, a.shape[-1])], a_k, s_k[0]))
+        out.append(_Kernel([phase_fix(vh_k[i].conj()) for i in range(rank, a.shape[-1])], a_k, s_k[0], None, e))
     if noise is None:
         return out
     b, cols = _balanced(np.where(noise, 0, a))
@@ -183,25 +186,30 @@ def eig_all(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     handling, which costs about as much as geev itself on a 9 x 9 matrix.
     """
     a = np.asarray_chkfinite(_as_square(m))
-    geev, lwork = _geev(a.shape[0], a.dtype, True)
-    if geev.typecode in "cz":
-        w, vl, vr, info = geev(a, lwork=lwork, compute_vl=1, compute_vr=1, overwrite_a=0)
-    else:
-        wr, wi, vl, vr, info = geev(a, lwork=lwork, compute_vl=1, compute_vr=1, overwrite_a=0)
-        w = wr + _I * wi
+    w, vl, vr, info = _geev_run(a, True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal eig algorithm (geev)")
     if info > 0:
         raise np.linalg.LinAlgError(
             f"eig algorithm (geev) did not converge (only eigenvalues with order >= {info} have converged)"
         )
-    if geev.typecode not in "cz" and not np.all(w.imag == 0.0):
+    if vr.dtype.kind == "f" and not np.all(w.imag == 0.0):
         vl, vr = _complex_pairs(w, vl), _complex_pairs(w, vr)
     return w, vl, vr
 
 
-#: scipy.linalg.eig forms w = wr + _I * wi with this complex64 unit
-_I = np.array(1j, dtype="F")
+def _geev_run(a: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(w, vl, vr, info) of the one LAPACK geev call of eig_all (vectors) and spectral_radius (none).
+
+    A real geev's w is assembled as scipy.linalg.eig assembles it, wr + 1j wi;
+    with no vectors, vl and vr are geev's placeholders.
+    """
+    geev, lwork = _geev(a.shape[0], a.dtype, vectors)
+    flag = int(vectors)
+    if geev.typecode in "cz":
+        return geev(a, lwork=lwork, compute_vl=flag, compute_vr=flag, overwrite_a=0)
+    wr, wi, vl, vr, info = geev(a, lwork=lwork, compute_vl=flag, compute_vr=flag, overwrite_a=0)
+    return wr + 1j * wi, vl, vr, info
 
 
 @functools.lru_cache(maxsize=64)
@@ -326,23 +334,20 @@ def spectral_radius(m) -> float:
     non-finite entry, an entry beyond those limits) takes np.linalg.eigvals itself,
     errors included.
     """
-    a = _as_square(m)
-    if not a.any():
-        return 0.0
-    if a.dtype.char in "dD" and _geev_keeps_scale(a):
-        geev, lwork = _geev(a.shape[0], a.dtype, False)
-        if geev.typecode == "z":
-            w, _, _, info = geev(a, lwork=lwork, compute_vl=0, compute_vr=0, overwrite_a=0)
-        else:
-            wr, wi, _, _, info = geev(a, lwork=lwork, compute_vl=0, compute_vr=0, overwrite_a=0)
-            # eigvals' result: the real parts alone when every imaginary part is zero
-            w = wr + 1j * wi if wi.any() else wr
-        if info == 0:
-            return _largest_modulus(w)
-    # a geev failure falls through to eigvals, which raises its own error
-    return _largest_modulus(np.linalg.eigvals(a))
+    return _radius(_as_square(m))
 
 
-def _largest_modulus(w) -> float:
-    """max |w| over an array of eigenvalues: spectral_radius from any eigenvalue run of the matrix."""
-    return float(np.abs(w).max())
+def _radius(a: np.ndarray, w: np.ndarray | None = None) -> float:
+    """spectral_radius of a square a, from w when given: eig_all's eigenvalues of a.
+
+    geev's eigenvalues, w or those of a direct call, are a's own only within its
+    scaling limits (_geev_keeps_scale); outside them, and on a geev failure, the
+    radius comes from np.linalg.eigvals, which raises its own error.
+    """
+    if w is None:
+        if a.dtype.char in "dD" and _geev_keeps_scale(a):
+            w, _, _, info = _geev_run(a, False)
+            w = None if info else w
+    elif not _geev_keeps_scale(a):
+        w = None
+    return float(np.abs(np.linalg.eigvals(a) if w is None else w).max())

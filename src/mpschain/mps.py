@@ -544,16 +544,13 @@ class TransferSpectrum:
         return self._eig
 
     def _rhos(self) -> list[float]:
-        """Spectral radius of each E: max |w| of the eigendecomposition when one was made and its
-        eigenvalues are E's own, else linalg.spectral_radius, which gives the same value bit for bit."""
+        """Spectral radius of each E: linalg.spectral_radius, or the same value bit for bit from the
+        eigendecomposition's eigenvalues when one was made (linalg._radius)."""
         if self._rho is None:
             if self._eig is None:
                 self._rho = list(map(linalg.spectral_radius, self._each(self.e)))
             else:
-                self._rho = [
-                    linalg._largest_modulus(w) if linalg._geev_keeps_scale(e) else linalg.spectral_radius(e)
-                    for e, (w, _, _) in zip(self._each(self.e), self._eig)
-                ]
+                self._rho = [linalg._radius(e, w) for e, (w, _, _) in zip(self._each(self.e), self._eig)]
         return self._rho
 
     @property

@@ -121,9 +121,10 @@ def _ground_null_spaces(families, k: int, tol: float = linalg.DEFAULT_NULL_TOL) 
     order g^k no longer fall under the relative cut, and words that vanish
     exactly stay null; such a kernel comes from the balanced SVD and is not
     canonicalised.  Each kernel vector is re-checked, on the matrix whose SVD
-    gave it, against the relative bound 10 tol.  A stack raises the first
-    degenerate family's InvalidModelError before any SVD, then the first
-    failed re-check.
+    gave it, scaled by a power of two (linalg._Kernel), against the relative
+    bound 10 tol: the count is the same for every scale of the A_i.  A stack
+    raises the first degenerate family's InvalidModelError before any SVD,
+    then the first failed re-check.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -135,12 +136,8 @@ def _ground_null_spaces(families, k: int, tol: float = linalg.DEFAULT_NULL_TOL) 
     bases = []
     for kernel in linalg._null_spaces(words, tol, _word_noise(mats, words, k)):
         vectors = _canonical_subspace_basis(kernel.vectors) if kernel.cols is None else kernel.vectors
-        failed = [r for r in map(kernel.residual, vectors) if r > 10 * tol]
-        if failed:
-            raise KernelRecheckError(
-                f"kernel re-check overflows: |M v| of a {k}-site kernel vector lies beyond the float range"
-                if failed[0] == np.inf else "kernel re-check failed; tolerance too loose for this family"
-            )
+        if any(kernel.residual(v) > 10 * tol for v in vectors):
+            raise KernelRecheckError("kernel re-check failed; tolerance too loose for this family")
         bases.append(NullSpaceBasis(k=k, vectors=tuple(vectors), tol=tol))
     return bases
 

@@ -1,7 +1,8 @@
 """One property over the argv grammar of cli.main: every argv ends in its rows or in one error line.
 
-The argvs cover all five commands with g at zero, tiny, ordinary, huge and non-finite values, and
-sizes small enough that each example stays cheap (verify N <= 6, genstate N <= 2000, parent k <= 4).
+The argvs cover all five commands with g at zero, tiny, ordinary, huge and non-finite values, family
+files of models I and II and a general family scaled by 10^p as a whole or in one letter, and sizes
+small enough that each example stays cheap (verify N <= 6, genstate N <= 2000, parent k <= 4).
 Each run is in process, with every warning an error.  An output path of "." is a directory, which
 every command must refuse to write to.
 """
@@ -12,12 +13,34 @@ import json
 import math
 import warnings
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mpschain import cli
+from mpschain import cli, models
+from mpschain.mps import _json_text, _matrix_to_json
 
 G_VALUES = ["0", "1e-300", "-1e-300", "1e-160", "0.7", "1e30", "1e80", "1e155", "1e160", "inf", "-inf", "nan"]
+
+FILE_FAMILIES = {"I": models.model_I(0.7), "II": models.model_II(1.3), "general": models.general_family(0.8, 1.7, 0.6)}
+FILE_POWERS = (-200, -120, -60, 60, 120, 150, 200)
+# each family with every matrix, or with the one matrix of a letter, scaled by 10^p
+FILES = {f"{name}_{part}_{p}.json": (name, part, p)
+         for name in FILE_FAMILIES for part in ("all", "1", "0", "-1") for p in FILE_POWERS}
+
+
+@pytest.fixture(scope="module")
+def family_dir(tmp_path_factory):
+    """A directory holding every family of FILES, written as `mpschain model --out` writes a family;
+    one whose transfer operator overflows is written too, for the loader to refuse."""
+    root = tmp_path_factory.mktemp("families")
+    for file, (name, part, p) in FILES.items():
+        fam = FILE_FAMILIES[name]
+        doc = fam.to_json_dict()
+        doc["matrices"] = {a: _matrix_to_json(10.0**p * m if part in ("all", a) else m)
+                           for a, m in fam.matrices.items()}
+        (root / file).write_text(_json_text(doc), encoding="utf-8")
+    return root
 
 
 @st.composite
@@ -37,9 +60,11 @@ def argvs(draw) -> list[str]:
         argv.extend([flag, str(draw(values))])
 
     if command in ("model", "parent", "correlate"):
-        which = draw(st.sampled_from(["I", "II", "general"]))
+        which = draw(st.sampled_from(["I", "II", "general"] + (["file"] if command != "model" else [])))
         argv += ["--which", which]
-        if command == "correlate" and draw(st.booleans()):
+        if which == "file":
+            argv += ["--in", "{files}/" + draw(st.sampled_from(list(FILES)))]  # the test fills in family_dir
+        elif command == "correlate" and draw(st.booleans()):
             argv += ["--g-sweep", draw(g), draw(g), str(draw(st.integers(0, 3)))]
         else:
             maybe("--g", g, usually=True)
@@ -136,14 +161,19 @@ def _unflagged_values(out: str) -> list[str | None]:
 @example(argv=["genstate", "--n-sites", "60000", "--zeros", "30000", "--obs", "zz", "--r", "3"])
 @example(argv=["genstate", "--n-sites", "30000", "--zeros", "2", "--obs", "xx", "--r", "3"])
 @example(argv=["genstate", "--n-sites", "2010", "--zeros", "2", "--norm"])
+# family files scaled by 10^120 and 10^150, whole or in one letter; the kernel re-check's norm |M v|
+# once overflowed on the first two, which were refused although their kernels were right
+@example(argv=["parent", "--which", "file", "--in", "{files}/I_all_120.json", "--k", "2"])
+@example(argv=["parent", "--which", "file", "--in", "{files}/general_all_120.json", "--k", "3"])
+@example(argv=["correlate", "--which", "file", "--in", "{files}/II_0_150.json", "--channel", "zz", "--mode", "thermo"])
 # a directory as the family file or the output, and correlate requests past the memory budget
 @example(argv=["correlate", "--which", "file", "--in", ".", "--channel", "zz"])
 @example(argv=["model", "--which", "I", "--g", "1", "--out", "."])
 @example(argv=["parent", "--which", "I", "--g", "1", "--out", "."])
 @example(argv=["correlate", "--which", "I", "--channel", "zz", "--g-sweep", "0", "1", "100000", "--r-max", "100000"])
 @example(argv=["correlate", "--which", "I", "--channel", "zz", "--g-sweep", "0.1", "3", "3000", "--r-max", "3000"])
-def test_every_argv_ends_in_its_rows_or_in_one_error_line(argv):
-    code, out, err = _run(argv)
+def test_every_argv_ends_in_its_rows_or_in_one_error_line(argv, family_dir):
+    code, out, err = _run([a.replace("{files}", str(family_dir)) for a in argv])
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NO_PARENT, cli.EXIT_VERIFY_FAILED)
     if code == cli.EXIT_USAGE:
         assert out == ""

@@ -87,6 +87,25 @@ def test_failed_kernel_recheck_is_named(monkeypatch):
     assert parent.KernelRecheckError is mpschain.KernelRecheckError
 
 
+_PROBE_FAMILIES = {
+    "I g=0.7": models.model_I(0.7), "I g=2.5": models.model_I(2.5), "II g=1.3": models.model_II(1.3),
+    "general (0.8, 1.7, 0.6)": models.general_family(0.8, 1.7, 0.6),
+    "root (1, sqrt 2, 1)": models.general_family(1.0, 2.0**0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", _PROBE_FAMILIES)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_kernel_count_is_invariant_under_scaling_every_matrix(name, k):
+    # c A_i spans the same MPS ray and the same k-site kernel; the re-check squared |M v| unscaled and
+    # refused 18 of these 90 cases (c >= 1e90, k = 2 and 3) with "kernel re-check overflows"
+    fam = _PROBE_FAMILIES[name]
+    want = ground_null_space(fam, k).dim
+    for c in (2.0**-300, 1e-90, 1e-30, 1e30, 1e90, 2.0**300):
+        scaled = MpsFamily(d=fam.d, D=fam.D, labels=fam.labels, matrices={a: c * m for a, m in fam.matrices.items()})
+        assert ground_null_space(scaled, k).dim == want, c
+
+
 def test_canonical_basis_reproducible():
     b1 = ground_null_space(models.model_II(0.9), 2)
     b2 = ground_null_space(models.model_II(0.9), 2)
