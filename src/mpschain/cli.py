@@ -26,6 +26,7 @@ from .mps import (  # noqa: F401
     MpsFamily,
     OscillatoryLimitError,
     TransferSpectrum,
+    _BYTE_BUDGET,
     _json_text,
     ring_one_point,
     ring_two_point,
@@ -182,12 +183,8 @@ def _correlate_rows(args, families, g_values) -> list[tuple[float, list[tuple]]]
     ]
 
 
-#: Most bytes a correlate run may hold, as _refuse_oversized estimates them before any family is built.
-_CORRELATE_BUDGET = 2**30
-
-
 def _refuse_oversized(args, n_families: int, big_d: int, itemsize: int = 8) -> None:
-    """Refuse a correlate run of G families and R separations whose estimated bytes pass the budget.
+    """Refuse a correlate run of G families and R separations whose estimated bytes pass the byte budget.
 
     two_point_sweep holds up to five (G, R, D^2, D^2) stacks at once (two power stacks, and the
     products of the ring chain, or the thermodynamic middles and their products with the
@@ -198,9 +195,9 @@ def _refuse_oversized(args, n_families: int, big_d: int, itemsize: int = 8) -> N
     """
     n_seps = args.r_max - args.r_min + 1 if args.mode != "closed" and args.channel in _TWO_POINT else 1
     need = n_families * (5 * n_seps + 26) * big_d**4 * itemsize
-    if need > _CORRELATE_BUDGET:
+    if need > _BYTE_BUDGET:
         raise _UsageError(f"correlate request too large: G = {n_families} families x R = {n_seps} separations "
-                          f"needs about {need / 2**30:.3g} GiB, past the {_CORRELATE_BUDGET / 2**30:g} GiB budget")
+                          f"needs about {need / 2**30:.3g} GiB, past the {_BYTE_BUDGET / 2**30:g} GiB budget")
 
 
 def _cmd_correlate(args) -> int:

@@ -9,8 +9,8 @@ parent.chain_apply.  Spectra and reports stay dense.  Kernel counts come
 from the same entries held sparse: the nonzero pattern of the chain splits
 into exact diagonal blocks, and the one-site shift, which commutes with the
 periodic chain, splits those into momentum sectors about N times smaller,
-diagonalized one size at a time.  Neither builds a d^N x d^N matrix, and a
-byte budget, not a site cap, refuses either before its arrays exist.
+diagonalized one size at a time.  Neither builds a d^N x d^N matrix.  Every
+route is refused past the one byte budget before its arrays exist.
 Basis convention, fixed package-wide: site 1 is the most significant digit and
 the physical order is the family label order (1, 0, -1 for spin-1).
 """
@@ -21,12 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import mps
 from .parent import LocalHamiltonian, _local_dim, chain_apply, chain_residual
 
-#: Hard ceiling for dense diagonalization (full spectra, reports).
-DENSE_MAX_SITES = 8
-#: Bytes a kernel count (labels, entries, one chunk of sector stacks) or a ground energy may hold at once.
-_KERNEL_BUDGET = 2**29
 #: Bytes per entry of a sector matrix while a chunk is summed (two bincounts and one complex stack).
 _STACK_ENTRY_BYTES = 32
 #: Bytes a chunk of sector stacks aims at, so that a large count peaks near the size of its labels.
@@ -77,15 +74,15 @@ class ChainOperator:
             return True
         if self.mode == "matrix-free":
             return False
-        return self.n_sites <= DENSE_MAX_SITES
+        return _dense_bytes(self.local.matrix, self.d, self.n_sites) <= mps._BYTE_BUDGET
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         return chain_apply(self.local, self.n_sites, state)
 
 
-def _check_dense(n_sites: int) -> None:
-    if n_sites > DENSE_MAX_SITES:
-        raise ValueError(f"n_sites {n_sites} exceeds the dense cap {DENSE_MAX_SITES}")
+def _dense_bytes(h: np.ndarray, d: int, n_sites: int) -> int:
+    """Bytes of the dense d^N x d^N chain of the term h and of the copy eigvalsh makes of it."""
+    return 2 * d ** (2 * n_sites) * np.result_type(h.dtype, np.float64).itemsize
 
 
 def _term_entries(h: np.ndarray, d: int, k: int, n_sites: int):
@@ -118,10 +115,12 @@ def dense_chain(local_matrix: np.ndarray, k: int, n_sites: int) -> np.ndarray:
 
     The nonzero entries of h (x) 1 are taken once; each window relabels their
     basis indices so that its k sites lead, and adds them into the output.
+    A chain whose matrix and eigvalsh's copy would pass the byte budget is
+    refused before either exists.
     """
     h = np.asarray(local_matrix)
     d = _local_dim(h.shape[0], k)
-    _check_dense(n_sites)
+    mps._refuse_past_budget(f"dense chain at n_sites {n_sites}", _dense_bytes(h, d, n_sites))
     out = np.zeros((d**n_sites, d**n_sites), dtype=h.dtype)
     for rows, cols, vals in _window_entries(h, d, k, n_sites):
         out[rows, cols] += vals
@@ -164,14 +163,6 @@ def _labelling_bytes(op: ChainOperator, n_sectors: int) -> int:
     return 8 * (20 * d**n + (10 + 14 * n_sectors) * entries)
 
 
-def _refuse_past_budget(what: str, n_sites: int, need: int) -> None:
-    if need > _KERNEL_BUDGET:
-        raise ValueError(
-            f"{what} at n_sites {n_sites} needs an estimated {need} bytes, "
-            f"which exceeds the {_KERNEL_BUDGET} byte budget"
-        )
-
-
 def _sector_spectrum(op: ChainOperator) -> np.ndarray:
     """Full sorted spectrum from the translation sectors of the exact blocks.
 
@@ -189,7 +180,7 @@ def _sector_spectrum(op: ChainOperator) -> np.ndarray:
     so only m <= N/2 is built and the sectors 0 < m < N/2 count twice; a
     complex term builds all N.  A block of one state is its own eigenvalue.
 
-    Two byte estimates guard the work, each against _KERNEL_BUDGET: the
+    Two byte estimates guard the work, each against the byte budget: the
     labels and entries before any array of d^N states exists, then the
     largest block before any sector stack does.  The blocks are laid out one
     after another and summed in chunks of whole blocks within the room the
@@ -202,7 +193,7 @@ def _sector_spectrum(op: ChainOperator) -> np.ndarray:
     real = h.dtype.kind != "c"
     n_m = n // 2 + 1 if real else n
     held = _labelling_bytes(op, n_m)
-    _refuse_past_budget("kernel count", n, held)
+    mps._refuse_past_budget(f"kernel count at n_sites {n}", held)
     # T^j s keyed by j, n T^j s + j, for every state s: the running minimum
     # over j is the representative and the first shift that reaches it
     scaled = np.arange(0, n * dim, n)
@@ -249,8 +240,8 @@ def _sector_spectrum(op: ChainOperator) -> np.ndarray:
     # workspace) it stays within _CHUNK_BYTES, or within two of the largest blocks when those
     # outgrow it, and always within the room the labels leave
     largest = int(squares.max())
-    _refuse_past_budget("kernel count", n, held + 2 * _STACK_ENTRY_BYTES * largest)
-    step = max(min(_KERNEL_BUDGET - held, _CHUNK_BYTES) // _STACK_ENTRY_BYTES - largest, largest)
+    mps._refuse_past_budget(f"kernel count at n_sites {n}", held + 2 * _STACK_ENTRY_BYTES * largest)
+    step = max(min(mps._BYTE_BUDGET - held, _CHUNK_BYTES) // _STACK_ENTRY_BYTES - largest, largest)
     chunk = off[:-1] // step  # 0, 1, ... in steps of one, as no block outgrows a step
     bounds, cuts = [0, int(off[-1])], [0, flat.size]
     if chunk[-1] > 0:  # entries sorted by place, so each chunk's entries are one slice
@@ -336,7 +327,7 @@ def ground_energy(op: ChainOperator) -> float:
     """Smallest eigenvalue by plain Lanczos (_lanczos_smallest) on chain_apply; the dense one is spectrum(op)[0]."""
     # about 8 d^N entries: three Lanczos vectors, and chain_apply's rotated copies and product
     itemsize = np.result_type(op.local.matrix.dtype, np.float64).itemsize
-    _refuse_past_budget("ground energy", op.n_sites, 8 * op.dim * itemsize)
+    mps._refuse_past_budget(f"ground energy at n_sites {op.n_sites}", 8 * op.dim * itemsize)
     return _lanczos_smallest(op.apply, op.dim)[0]
 
 
@@ -363,9 +354,9 @@ def kernel_dimension(op: ChainOperator) -> int:
     away, otherwise the count is ambiguous and AmbiguousKernelError reports
     the candidate range instead of a silent number.  The spectrum comes from
     the translation sectors of the connected blocks (_sector_spectrum), never
-    from the dense matrix, so no site cap applies: a chain whose labels,
-    entries or largest sector block would pass _KERNEL_BUDGET bytes is
-    refused with a ValueError before the arrays are made.
+    from the dense matrix: a chain whose labels, entries or largest sector
+    block would pass the byte budget is refused with a ValueError before the
+    arrays are made.
     """
     return _kernel_count(_sector_spectrum(op), _KERNEL_TOL)
 

@@ -251,19 +251,15 @@ def dominant_projectors(m) -> list[tuple[complex, np.ndarray]]:
 
     Returns one (eigenvalue, projector) pair per distinct dominant eigenvalue
     (modulus at least (1 - 1e-9) times the largest), built from matched left/right eigenvectors: P = R (L^H R)^{-1} L^H.  The
-    trace of each projector equals the eigenvalue's multiplicity.  Where geev
-    returns the eigenvalues of a rescaled m (_geev_keeps_scale), each eigenvalue
-    is m's own, tr(P m) / tr(P).
+    trace of each projector equals the eigenvalue's multiplicity.  The one-matrix
+    call of _projectors.
     """
     a = _as_square(m)
-    out = _projectors([eig_all(a)])[0]
-    if _geev_keeps_scale(a):
-        return out
-    return [(complex((p @ a).trace() / p.trace()), p) for _, p in out]
+    return _projectors([eig_all(a)], [a])[0]
 
 
-def _projectors(eigs) -> list[list[tuple[complex, np.ndarray]]]:
-    """dominant_projectors from each (w, vl, vr) of a sequence of eig_all calls on matrices of one size.
+def _projectors(eigs, mats) -> list[list[tuple[complex, np.ndarray]]]:
+    """dominant_projectors from each (w, vl, vr) of a sequence of eig_all calls on a sequence of matrices mats.
 
     One list per matrix; TransferSpectrum calls it on the eig_all results it also
     takes rho from.  The dominant groups of all the matrices are bucketed by size
@@ -272,7 +268,9 @@ def _projectors(eigs) -> list[list[tuple[complex, np.ndarray]]]:
     each matrix of a stack, the LAPACK and BLAS call they make for that matrix
     alone, and the stacks keep each group's memory layout, so every projector is
     bit for bit the one a loop over the groups forms.  The first all-zero
-    spectrum raises ZeroSpectrumError before any projector is formed.
+    spectrum raises ZeroSpectrumError before any projector is formed.  Where
+    geev returns the eigenvalues of a rescaled matrix m (_geev_keeps_scale),
+    each eigenvalue is m's own, tr(P m) / tr(P); the projectors are unaffected.
     """
     vals = np.array([w for w, _, _ in eigs])
     mags = np.abs(vals)
@@ -316,9 +314,11 @@ def _projectors(eigs) -> list[list[tuple[complex, np.ndarray]]]:
             ) from exc
         stacks[size, char] = iter(R @ overlap_inv @ Lh)
     out = []
-    for k, family in enumerate(groups):
+    for k, (family, m) in enumerate(zip(groups, mats)):
         projs = [(lam, next(stacks[len(grp), eigs[k][2].dtype.char])) for lam, grp in family]
         projs.sort(key=lambda p: (-p[0].real, -p[0].imag))
+        if not _geev_keeps_scale(m):
+            projs = [(complex((p @ m).trace() / p.trace()), p) for _, p in projs]
         out.append(projs)
     return out
 

@@ -24,6 +24,8 @@ from .spin import SpinObservable
 
 #: Largest d**k any k-site word enumeration builds: amplitudes, word matrices, reduced densities.
 WORD_CAP = 3**10
+#: Most bytes one request may hold, estimated before its arrays exist (_refuse_past_budget).
+_BYTE_BUDGET = 2**30
 
 
 class CapExceededError(ValueError):
@@ -591,7 +593,7 @@ class TransferSpectrum:
     def _dominant(self) -> list:
         """Each family's dominant projectors from its eigendecomposition, made once."""
         if self._projectors is None:
-            self._projectors = linalg._projectors(self._eigensystem())
+            self._projectors = linalg._projectors(self._eigensystem(), self._each(self.e))
         return self._projectors
 
     @property
@@ -701,6 +703,12 @@ def thermo_two_point(mps: MpsFamily, obs1: SpinObservable, obs2: SpinObservable,
 def _check_cap(d: int, k: int, what: str) -> None:
     if d**k > WORD_CAP:
         raise CapExceededError(f"{d}**{k} exceeds the {what} cap {WORD_CAP}")
+
+
+def _refuse_past_budget(what: str, need: int) -> None:
+    """The package's one memory rule: refuse a request whose estimated need of bytes passes _BYTE_BUDGET."""
+    if need > _BYTE_BUDGET:
+        raise ValueError(f"{what} needs an estimated {need} bytes, which exceeds the {_BYTE_BUDGET} byte budget")
 
 
 def _split(m: np.ndarray):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .mps import DegenerateNormError, MpsFamily, TransferSpectrum, amplitudes_vector
-from .mps import _frozen, _matrix_to_json, _word_columns
+from .mps import _check_cap, _frozen, _matrix_to_json, _refuse_past_budget, _word_columns
 
 
 class InvalidModelError(ValueError):
@@ -124,11 +124,16 @@ def _ground_null_spaces(families, k: int, tol: float = linalg.DEFAULT_NULL_TOL) 
     gave it, scaled by a power of two (linalg._Kernel), against the relative
     bound 10 tol: the count is the same for every scale of the A_i.  A stack
     raises the first degenerate family's InvalidModelError before any SVD,
-    then the first failed re-check.
+    then the first failed re-check.  The SVD returns a d^k x d^k right factor
+    per family, so past the word cap, or where those factors pass the byte
+    budget, a stack is refused before its words are formed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     mats = np.array([fam.matrix_stack() for fam in families])
+    d = mats.shape[-3]
+    _check_cap(d, k, "word-matrix")
+    _refuse_past_budget(f"kernel of the {k}-site words", len(mats) * d ** (2 * k) * mats.itemsize)
     words = _word_columns(mats, k, "word-matrix")
     for m in words:
         if not m.any():
@@ -155,7 +160,7 @@ def _word_noise(mats: np.ndarray, words: np.ndarray, k: int) -> np.ndarray:
     """
     _, e = np.frexp(np.abs(mats).max(axis=(1, 2, 3)))
     bound = _word_columns(np.ldexp(np.abs(mats), -e[:, None, None, None]), k, "word-matrix")
-    return np.ldexp(np.abs(words), -k * e[:, None, None]) <= 4 * k * mats.shape[-1] * np.finfo(float).eps * bound
+    return np.ldexp(np.abs(words), -k * e[:, None, None]) < 4 * k * mats.shape[-1] * np.finfo(float).eps * bound
 
 
 def local_hamiltonian(basis: NullSpaceBasis, couplings=None) -> LocalHamiltonian:
@@ -195,16 +200,21 @@ def reduced_density(mps: MpsFamily, k: int, n_sites: int) -> np.ndarray:
     """Reduced density matrix of k consecutive ring sites, unit trace.
 
     rho[I, J] = tr((W_I^* (x) W_J) E^{N-k}) / tr(E^N) with W_I the k-site word.
+    Past the word cap, or where the d^k x d^k rho would pass the byte budget,
+    it is refused before its words are formed.
     """
     if not 1 <= k < n_sites:
         raise ValueError("need 1 <= k < n_sites")
-    words = _word_columns(mps.matrix_stack(), k, "reduced-density").T.reshape(-1, mps.D, mps.D)
+    stack = mps.matrix_stack()
+    _check_cap(mps.d, k, "reduced-density")
+    _refuse_past_budget(f"reduced density of {k} sites", mps.d ** (2 * k) * stack.itemsize)
+    words = _word_columns(stack, k, "reduced-density").T.reshape(-1, mps.D, mps.D)
     env = np.linalg.matrix_power(TransferSpectrum(mps).scaled, n_sites - k).reshape(mps.D, mps.D, mps.D, mps.D)
     rho = np.einsum("Iab,Jcd,bdac->IJ", words.conj(), words, env)
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
         raise DegenerateNormError("reduced density matrix has vanishing trace")
-    rho = rho / tr
+    rho /= tr
     if np.iscomplexobj(rho) and np.max(np.abs(rho.imag)) < 1e-14:
         rho = rho.real
     return rho

@@ -2,7 +2,8 @@
 
 The argvs cover all five commands with g at zero, tiny, ordinary, huge and non-finite values, family
 files of models I and II and a general family scaled by 10^p as a whole or in one letter, and sizes
-small enough that each example stays cheap (verify N <= 6, genstate N <= 2000, parent k <= 4).
+small enough that each example stays cheap (verify N <= 6, genstate N <= 2000, parent k <= 4); the
+pinned examples past those sizes are refused by the byte budget before anything of their size is built.
 Each run is in process, with every warning an error.  An output path of "." is a directory, which
 every command must refuse to write to.
 """
@@ -172,6 +173,11 @@ def _unflagged_values(out: str) -> list[str | None]:
 @example(argv=["parent", "--which", "I", "--g", "1", "--out", "."])
 @example(argv=["correlate", "--which", "I", "--channel", "zz", "--g-sweep", "0", "1", "100000", "--r-max", "100000"])
 @example(argv=["correlate", "--which", "I", "--channel", "zz", "--g-sweep", "0.1", "3", "3000", "--r-max", "3000"])
+# past the byte budget: the 3^9 x 3^9 right factor of the word-matrix SVD, and appendixA's dense 3^10 chain
+@example(argv=["parent", "--which", "I", "--g", "0.7", "--k", "9"])
+@example(argv=["verify", "--suite", "appendixA", "--n-sites", "10"])
+# one letter scaled by 10^120: a word and its roundoff bound both underflowed, and the count read 19
+@example(argv=["parent", "--which", "file", "--in", "{files}/I_1_120.json", "--k", "3"])
 def test_every_argv_ends_in_its_rows_or_in_one_error_line(argv, family_dir):
     code, out, err = _run([a.replace("{files}", str(family_dir)) for a in argv])
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NO_PARENT, cli.EXIT_VERIFY_FAILED)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpschain import ed, genstate, models, parent
+from mpschain import ed, genstate, models, mps, parent
 from mpschain.ed import AmbiguousKernelError, ChainOperator
 from mpschain.mps import amplitudes_vector
 from mpschain.parent import LocalHamiltonian, NullSpaceBasis, local_hamiltonian_from_vectors
@@ -305,28 +305,55 @@ def test_local_dimension_must_be_a_clean_power(call):
         call()
 
 
-def test_site_caps_refuse_before_allocating():
+def test_byte_guard_refuses_every_route_before_allocating(monkeypatch):
+    # one 1 GiB budget (mps._BYTE_BUDGET) guards every route; each refusal below would build
+    # gigabytes past its estimate, and each stays under 1 MiB of traced memory
     import tracemalloc
 
-    h = models.model_II_hamiltonian()
-    dense = ChainOperator(9, h, mode="dense")
-    calls = [
-        lambda: ed.dense_chain(h.matrix, 2, 9),
-        lambda: ed.spectrum(dense),
-        # past the byte budget, not a site cap
-        lambda: ed.kernel_dimension(ChainOperator(16, h)),
-        lambda: ed.ground_energy(ChainOperator(16, h, mode="matrix-free")),
+    real, complex_ = models.model_II_hamiltonian(), _LANCZOS_CHAINS["complex"]()
+    d4 = _term_local(np.eye(16))  # a d = 4 two-site term, which the old 8-site cap admitted at N = 7 and 8
+    fam = models.model_I(0.7)
+    refused = [
+        # dense: 2 d^(2N) itemsize, the matrix and eigvalsh's copy
+        ("dense chain at n_sites 7", 2 * 4**14 * 8, lambda: ed.dense_chain(d4.matrix, 2, 7)),
+        ("dense chain at n_sites 7", 2 * 4**14 * 8, lambda: ed.spectrum(ChainOperator(7, d4))),
+        ("dense chain at n_sites 9", 2 * 3**18 * 8, lambda: ed.report(ChainOperator(9, real))),
+        ("dense chain at n_sites 8", 2 * 3**16 * 16, lambda: ed.spectrum(ChainOperator(8, complex_))),
+        ("dense chain at n_sites 10", 2 * 3**20 * 8, lambda: models.sigma_equivalence_check(10)),
+        # a d^k x d^k reduced density, and the d^k x d^k right factor of the word-matrix SVD
+        ("reduced density of 9 sites", 3**18 * 8, lambda: parent.reduced_density(fam, 9, 12)),
+        ("kernel of the 9-site words", 3**18 * 8, lambda: parent.ground_null_space(fam, 9)),
+        # Lanczos: 8 d^N itemsize; the admitted edges are pinned by the next test
+        ("ground energy at n_sites 16", 8 * 3**16 * 8, lambda: ed.ground_energy(ChainOperator(16, real))),
+        ("ground energy at n_sites 15", 8 * 3**15 * 16, lambda: ed.ground_energy(ChainOperator(15, complex_))),
+        ("kernel count at n_sites 16", None, lambda: ed.kernel_dimension(ChainOperator(16, real))),
     ]
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args, **kwargs):
+        raise Admitted
+
     tracemalloc.start()
     try:
-        for call in calls:
+        for what, need, call in refused:
             tracemalloc.reset_peak()
-            with pytest.raises(ValueError, match="exceeds the"):
+            figure = "[0-9]+" if need is None else str(need)
+            with pytest.raises(ValueError, match=f"^{what} needs an estimated {figure} bytes, which exceeds the 1073741824 "):
                 call()
-            assert tracemalloc.get_traced_memory()[1] < 2**20
+            assert tracemalloc.get_traced_memory()[1] < 2**20, what
+        # admitted on the estimate alone: a real d = 3 chain of 8 sites (688,747,536 B) reaches np.zeros
+        monkeypatch.setattr(np, "zeros", admitted)
+        tracemalloc.reset_peak()
+        with pytest.raises(Admitted):
+            ed.dense_chain(real.matrix, 2, 8)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
-    assert not ChainOperator(9, h).is_dense()
+    assert ed._dense_bytes(real.matrix, 3, 8) == 688_747_536
+    dense = [ChainOperator(n, h).is_dense() for n, h in ((8, real), (9, real), (8, complex_), (6, d4), (7, d4))]
+    assert dense == [True, False, False, True, False]
 
 
 def test_chain_operator_validation():
@@ -337,12 +364,12 @@ def test_chain_operator_validation():
 
 
 def test_ground_energy_guard_counts_eight_vectors_of_the_term_dtype(monkeypatch):
-    # 8 d^N entries of 8 (real) or 16 (complex) bytes against the 512 MiB budget: real d = 3 terms
-    # reach 14 sites, complex ones 13; the solve itself is stubbed, so nothing of that size is made
+    # 8 d^N entries of 8 (real) or 16 (complex) bytes against the 1 GiB budget: real d = 3 terms
+    # reach 15 sites, complex ones 14; the solve itself is stubbed, so nothing of that size is made
     monkeypatch.setattr(ed, "_lanczos_smallest", lambda matvec, dim: (float(dim), 0.0))
     real, complex_ = models.model_II_hamiltonian(), _LANCZOS_CHAINS["complex"]()
-    assert [ed.ground_energy(ChainOperator(n, h)) for n, h in ((14, real), (13, complex_))] == [3**14, 3**13]
-    for n, h, need in ((15, real, 8 * 3**15 * 8), (14, complex_, 8 * 3**14 * 16)):
+    assert [ed.ground_energy(ChainOperator(n, h)) for n, h in ((15, real), (14, complex_))] == [3**15, 3**14]
+    for n, h, need in ((16, real, 8 * 3**16 * 8), (15, complex_, 8 * 3**15 * 16)):
         with pytest.raises(ValueError, match=f"ground energy at n_sites {n} needs an estimated {need} bytes"):
             ed.ground_energy(ChainOperator(n, h))
 
@@ -433,9 +460,9 @@ def test_model_i_kernel_is_the_g1_kernel_rescaled():
         assert max(parent.chain_residual(h, n, d_chain * kernel[:, j]) for j in range(kernel.shape[1])) <= 1e-12
 
 
-def test_h1_kernel_at_the_dense_cap():
-    op = ChainOperator(ed.DENSE_MAX_SITES, models.limit_hamiltonian_h1())
-    assert ed.kernel_dimension(op) == models.adjacency_ground_count(ed.DENSE_MAX_SITES)
+def test_h1_kernel_at_eight_sites():
+    op = ChainOperator(8, models.limit_hamiltonian_h1())
+    assert ed.kernel_dimension(op) == models.adjacency_ground_count(8)
 
 
 def test_kernel_dimension_never_builds_the_full_matrix(monkeypatch):
@@ -564,12 +591,12 @@ def test_chunked_sector_stacks_give_the_same_counts(monkeypatch):
     for op, _, _ in cases:
         whole.append((ed._sector_spectrum(op), len(calls)))
         calls.clear()
-    default_budget = ed._KERNEL_BUDGET
+    default_budget = mps._BYTE_BUDGET
     tracemalloc.start()
     try:
         for (op, room, chunk_bytes), (w, n_calls) in zip(cases, whole):
             budget = default_budget if room is None else ed._labelling_bytes(op, op.n_sites // 2 + 1) + room
-            monkeypatch.setattr(ed, "_KERNEL_BUDGET", budget)
+            monkeypatch.setattr(mps, "_BYTE_BUDGET", budget)
             monkeypatch.setattr(ed, "_CHUNK_BYTES", chunk_bytes)
             tracemalloc.reset_peak()
             assert np.array_equal(ed._sector_spectrum(op), w)

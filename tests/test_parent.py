@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpschain
-from mpschain import linalg, models, parent
-from mpschain.mps import MpsFamily, _json_text, _matrix_from_json, amplitudes_vector
+from mpschain import cli, linalg, models, parent
+from mpschain.mps import MpsFamily, _json_text, _matrix_from_json, _matrix_to_json, amplitudes_vector
 from mpschain.parent import (
     InvalidModelError,
     LocalHamiltonian,
@@ -104,6 +104,22 @@ def test_the_kernel_count_is_invariant_under_scaling_every_matrix(name, k):
     for c in (2.0**-300, 1e-90, 1e-30, 1e30, 1e90, 2.0**300):
         scaled = MpsFamily(d=fam.d, D=fam.D, labels=fam.labels, matrices={a: c * m for a, m in fam.matrices.items()})
         assert ground_null_space(scaled, k).dim == want, c
+
+
+@pytest.mark.parametrize("name", ["I g=0.7", "II g=1.3"])
+@pytest.mark.parametrize("letter", ["1", "-1"])
+@pytest.mark.parametrize("c", [1e120, 1e150])
+def test_a_letter_scaled_family_file_counts_as_the_unscaled_family(name, letter, c, tmp_path, capsys):
+    # one letter times c scales each word column by a power of c, which keeps the rank; a word and its
+    # roundoff bound that both underflowed in _word_noise read 0 <= 0 and were zeroed as noise, so the
+    # CLI printed 19 (model I) and 20 (model II) with exit 0
+    fam = _PROBE_FAMILIES[name]
+    doc = fam.to_json_dict()
+    doc["matrices"] = {a: _matrix_to_json(c * m if a == letter else m) for a, m in fam.matrices.items()}
+    path = tmp_path / "family.json"
+    path.write_text(_json_text(doc), encoding="utf-8")
+    assert cli.main(["parent", "--which", "file", "--in", str(path), "--k", "3"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == f"kernel dimension at k=3: {ground_null_space(fam, 3).dim}\n" == "kernel dimension at k=3: 18\n"
 
 
 def test_canonical_basis_reproducible():

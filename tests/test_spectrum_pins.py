@@ -130,7 +130,9 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-#: The sha256 of each record, recorded before the ring norm was deleted, with these queries.
+#: The sha256 of each record, recorded before the ring norm was deleted, with these queries.  The
+#: ring and thermo records of the BEYOND_GEEV families were re-derived when the projectors took each
+#: eigenvalue as the matrix's own, tr(P E) / tr(P) (linalg._projectors); only their projector line moved.
 PINS = {
     "I g=0.0 ring": "118d2930c385f54abeb91348c00f6a2629c9547c0b0fd5695b7e0fc42e1de4c4",
     "I g=0.0 thermo": "8dbf1408db3ae7ebecd4d4a2cdab5c3e886e8baabe96953a4228bb01532ac4f7",
@@ -198,17 +200,17 @@ PINS = {
     "complex D=4 ring": "1729f82908fabe6290682f5fdef3d2c2a42bbaac2b5fcdd69f409d46c3ef91a4",
     "complex D=4 thermo": "ba94abb0eb8ea469ab09f7593282aacc0e02b23f58e889213bae841a31d51546",
     "complex D=4 module": "5ddb294d7254dcfb259f6655b7fbef4d379446700d49f9128fb7b652a5828dea",
-    "I g=1e150 ring": "0babf65a73589aa870300fc3246c55755c500072e8bce07373a2d7f2e7d33dd6",
-    "I g=1e150 thermo": "f498b3000c117caaee3550f96d7e4b2f13dc5c2fea67d76d1e5f49d30c40d1b2",
+    "I g=1e150 ring": "045d0d28b16e6d1bed4d1f6fad84549878699638947944f348859505057f8c40",
+    "I g=1e150 thermo": "4b19cb42348652d5434c1d69c3459a4b38f1ff8160eb0f692f9fdc65e4297a7f",
     "I g=1e150 module": "793504be22cb4530ce5906a196d6e841cbc0e1abaaee5f916868614f18519d00",
-    "I g=1e70 ring": "0ba19bba51ac23796129159295eab23d71f13edf4f7151765dff2e0d972e9423",
-    "I g=1e70 thermo": "166adc86b0cc5edf79c1730bceb91c90257b3f4e04157a9bc7a03d7db45c0934",
+    "I g=1e70 ring": "bd9eb3a81938ddfb2fda9033a3ea0e11091caac08291e5dba7ab6f40212dea9b",
+    "I g=1e70 thermo": "133de6d5690a97dc50257c6d2c22e5137dc8486451b6f874fd737450d05c0291",
     "I g=1e70 module": "9824e9794bd1c2c7f80eaf3e175d519c6b1598c57accf243fc72c35cc360d9fe",
-    "I g=0.7 x 1e-75 ring": "c916b79f2cb47f6daa4ca0c28207acd9445e5490dc3db326a70bfb68cd386835",
-    "I g=0.7 x 1e-75 thermo": "f8f65fd58deedd175def779af65c4ce75aeb8608e7739586e7c6f60d26c4f4cf",
+    "I g=0.7 x 1e-75 ring": "9fc95b6933044ddf9d7c17939f606dfeadea3d49426dad975d3ae935cf1a5de8",
+    "I g=0.7 x 1e-75 thermo": "8ac3bb12aeb391beb56dd63feee93bbd31066be62205efb2488b7665b65f60c9",
     "I g=0.7 x 1e-75 module": "0b713b5c11d880ec2460779658fab5e4776451e204a6498b60dc11310b893b4a",
-    "complex D=2 x 1e72 ring": "c567923e0f429d8509deefb707210245bb1503bed4177665cfc08952d805d39b",
-    "complex D=2 x 1e72 thermo": "ac9266105afdeb421a5f28f1411f162ac34616f6f9291a8be8b04d3d8a8ac9e1",
+    "complex D=2 x 1e72 ring": "fc34df6fe2f20b621d1be23a5672d9e6e7f528a38f94aba35f013bf58b94c86a",
+    "complex D=2 x 1e72 thermo": "5f8d2d39d5437cdc9850ba99f1ddb52cb5000596b41cffc8756f9c5c3c11cfef",
     "complex D=2 x 1e72 module": "f72c258f236c104f303e6ec3dfd1be4853bddc0d54ec03d3ebfb33377a505037",
     "rotation ring": "31d26ae838183dd2f5688a9c9e6b0335eb609b95db0236b7e51e246dff283b8b",
     "rotation thermo": "6e907a94b63c08a9f38b3017e304640829a96c82572dbd9e7d428419f33694c2",
@@ -257,6 +259,16 @@ def test_beyond_geevs_scaling_limits_rho_comes_from_spectral_radius(name):
     assert not linalg._geev_keeps_scale(s.e)
     s._eigensystem()
     assert s.rho.hex() == linalg.spectral_radius(s.e).hex()
+
+
+@pytest.mark.parametrize("name", BEYOND_GEEV)
+def test_beyond_geevs_scaling_limits_the_projectors_carry_the_matrix_own_eigenvalues(name):
+    # geev's labels were those of a rescaled E (1.4886e138 for model I at g = 1e70, where rho is 2.0e140);
+    # TransferSpectrum and dominant_projectors both relabel through linalg._projectors
+    s = TransferSpectrum(FAMILIES[name])
+    labels = [lam for lam, _ in s.projectors]
+    assert labels == [lam for lam, _ in linalg.dominant_projectors(s.e)]
+    assert max(map(abs, labels)) == pytest.approx(s.rho, rel=1e-12)
 
 
 def test_a_thermodynamic_query_first_takes_rho_from_its_eigendecomposition(monkeypatch):
