@@ -76,58 +76,55 @@ def null_space(m, tol: float = DEFAULT_NULL_TOL) -> list[np.ndarray]:
 class _Kernel(NamedTuple):
     """A kernel basis of _null_spaces with the matrix whose SVD gave it, on which it is re-checked.
 
-    That matrix M is a itself (cols None) or its balanced form b = R a 2^-cols
-    (_balanced), whose kernel vectors are 2^cols v; smax is its largest
-    singular value.  matrix is M 2^-e, with e taken once per matrix from frexp
-    of max |M| so that its largest |entry| lies in [1/2, 1); a power of two
-    scales exactly, and b has e = 0.
+    That matrix M is the plain one (cols None): a 2^c times one power of two, c
+    the column exponents given to _null_spaces (a itself without them); or the
+    balanced form b = R a 2^-bcols of a (_balanced), whose kernel vectors are
+    2^cols v with cols = bcols + c.  smax is its largest singular value.
     """
 
     vectors: list[np.ndarray]
     matrix: np.ndarray
     smax: float
     cols: np.ndarray | None = None
-    e: int = 0
 
     def residual(self, v: np.ndarray) -> float:
-        """||M u|| / (smax ||u||), taken on M 2^-e: u = v, or 2^cols v brought to a largest |entry| of
-        one.  Neither norm can overflow, whatever the scale of M; 0 for M = 0."""
+        """||M u|| / (smax ||u||): u = v, or 2^cols v times the power of two that brings its largest
+        |entry| into [1/2, 1), formed without overflow; 0 for M = 0."""
         if self.smax == 0.0:
             return 0.0
         if self.cols is not None:
-            v = _ldexp(v, self.cols)
-            v = v / np.abs(v).max()
-        return float(np.linalg.norm(self.matrix @ v) / (math.ldexp(self.smax, -self.e) * np.linalg.norm(v)))
+            v = _ldexp(v, self.cols - (self.cols + np.frexp(np.abs(v))[1])[v != 0].max())
+        return float(np.linalg.norm(self.matrix @ v) / (self.smax * np.linalg.norm(v)))
 
 
-def _null_spaces(a: np.ndarray, tol: float, noise: np.ndarray | None = None) -> list[_Kernel]:
-    """The null_space basis of each matrix of a (G, rows, cols) stack (_Kernel).
+def _null_spaces(a: np.ndarray, tol: float, noise: np.ndarray | None = None, cols=None) -> list[_Kernel]:
+    """The null_space basis of each matrix of a (G, rows, n) stack, or of each a 2^cols (_Kernel).
 
     One stacked SVD: numpy's svd runs the same LAPACK call on each matrix of a
-    stack, so each basis is bit for bit the one of the matrix alone.  Given
-    noise, a mask of the entries of a that lie within their roundoff of zero,
-    the rank is decided instead on the balanced stack (_balanced) of a with
-    those entries zeroed: the relative cut then holds whatever the scales of
-    the rows and columns, and no roundoff is raised to order one.  Where that
-    rank is the plain one the basis stays the plain SVD's.  Elsewhere a mixed
-    scale put rows or columns under the plain cut, or roundoff above it, and
-    the basis comes from the balanced SVD (_graded_kernel).
+    stack, so each basis is bit for bit the one of the matrix alone.  Given the
+    (G, n) column exponents cols, it runs on a 2^(cols - max cols), and given
+    also noise, a mask of the entries of a within their roundoff of zero, the
+    rank is decided instead on the balanced stack (_balanced) of a with those
+    entries zeroed, which holds whatever the scales of the rows and columns and
+    raises no roundoff to order one.  Where that rank is the plain one the basis
+    stays the plain SVD's; elsewhere it comes from the balanced SVD, scaled back
+    by its column exponents plus cols (_graded_kernel).
     """
     if not math.isfinite(tol):
         # NaN or inf would call every direction null
         raise ValueError(f"tol must be finite, got {tol}")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    _, s, vh = np.linalg.svd(a)
-    _, exps = np.frexp(np.abs(a).max(axis=(-2, -1)))
+    plain = a if cols is None else _ldexp(a, (cols - cols.max(axis=-1, keepdims=True))[:, None, :])
+    _, s, vh = np.linalg.svd(plain)
     out = []
-    for a_k, s_k, vh_k, e in zip(_ldexp(a, -exps[:, None, None]), s, vh, exps.tolist()):
+    for m_k, s_k, vh_k in zip(plain, s, vh):
         rank = int(np.sum(s_k > tol * s_k[0]))
-        out.append(_Kernel([phase_fix(vh_k[i].conj()) for i in range(rank, a.shape[-1])], a_k, s_k[0], None, e))
+        out.append(_Kernel([phase_fix(vh_k[i].conj()) for i in range(rank, a.shape[-1])], m_k, s_k[0]))
     if noise is None:
         return out
-    b, cols = _balanced(np.where(noise, 0, a))
-    for g, (b_k, sb_k, cols_k) in enumerate(zip(b, np.linalg.svd(b, compute_uv=False), cols)):
+    b, bcols = _balanced(np.where(noise, 0, a))
+    for g, (b_k, sb_k, cols_k) in enumerate(zip(b, np.linalg.svd(b, compute_uv=False), bcols + cols)):
         rank = int(np.sum(sb_k > tol * sb_k[0]))
         if a.shape[-1] - rank != len(out[g].vectors):
             out[g] = _Kernel(_graded_kernel(b_k, rank, cols_k), b_k, sb_k[0], cols_k)
@@ -156,14 +153,14 @@ def _balanced(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _graded_kernel(b: np.ndarray, rank: int, cols: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal kernel of a from that of its balanced form b = R a 2^-cols (_balanced).
+    """Orthonormal kernel of a 2^c from that of the balanced form b = R a 2^-bcols of a (_balanced), cols = bcols + c.
 
-    The kernel of b is scaled back by 2^-cols (shifted so that no factor
-    exceeds one) and orthonormalised by a Householder QR of its coordinates
-    sorted by decreasing size, with column pivoting: graded as they are, a
-    plain QR, or a Gram-Schmidt in either coordinates, loses the small
-    coordinates against the large ones (Cox and Higham, BIT 38 (1998) 34).
-    Each vector is phase-fixed.
+    The kernel of b is scaled back by 2^-cols, shifted by one common power of two
+    so that no factor exceeds one (a shift per vector breaks the re-check), and
+    orthonormalised by a Householder QR of its coordinates sorted by decreasing
+    size, with column pivoting: graded as they are, a plain QR, or a Gram-Schmidt
+    in either coordinates, loses the small coordinates against the large ones
+    (Cox and Higham, BIT 38 (1998) 34).  Each vector is phase-fixed.
     """
     if rank == b.shape[1]:
         return []

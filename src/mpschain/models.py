@@ -18,7 +18,7 @@ from math import inf, isfinite, log, sqrt
 import numpy as np
 
 from . import ed, spin
-from .mps import MpsFamily, _stacked_families, _word_columns
+from .mps import MpsFamily, _refuse_past_budget, _stacked_families, _word_columns
 from .parent import LocalHamiltonian, local_hamiltonian_from_vectors
 
 _LABELS = spin.LABELS
@@ -268,16 +268,17 @@ def _chain_basis(n_sites: int) -> dict[str, np.ndarray]:
 def spin_form_decompose(h: LocalHamiltonian, n_sites: int = 4) -> SpinFormDecomposition:
     """Expand the full periodic chain of h over the spin-operator family.
 
-    The family is {1, sum S_z^2, sum S_z^2 S_z'^2, sum S.S', sum (S.S')^2,
-    sum {S.S', S_z S_z'}, sum S_z S_z'}.  Comparing whole chains (default
-    N = 4) sidesteps the bond-versus-site attribution ambiguity of one-site
-    terms.  A residual above tolerance means "no representation in this
-    operator family" and is reported, not hidden.
+    The family is {1, sum S_z^2, sum S_z^2 S_z'^2, sum S.S', sum (S.S')^2, sum {S.S', S_z S_z'},
+    sum S_z S_z'}.  Comparing whole chains (default N = 4) sidesteps the bond-versus-site
+    attribution ambiguity of one-site terms.  A residual above tolerance means "no representation
+    in this operator family" and is reported, not hidden.  Where the target, the identity, the six
+    chain sums and their (9^N, 7) stack, held at once, pass the byte budget, it is refused first.
     """
     if h.k != 2:
         raise ValueError("spin-form decomposition is defined for two-site terms")
     if n_sites % 2 or n_sites < 4:
         raise ValueError("use an even reference chain of at least 4 sites")
+    _refuse_past_budget(f"spin-form decomposition at n_sites {n_sites}", 9**n_sites * (h.matrix.itemsize + 112))
     target = ed.dense_chain(h.matrix, 2, n_sites).reshape(-1)
     basis = _chain_basis(n_sites)
     b = np.stack([basis[name].reshape(-1) for name in _SPIN_FORM_NAMES], axis=1)

@@ -115,18 +115,18 @@ def _ground_null_spaces(families, k: int, tol: float = linalg.DEFAULT_NULL_TOL) 
 
     Each basis is bit for bit the family's own: the stacked SVD runs the same
     LAPACK call on each word matrix, and the canonical basis is taken per family.
-    The rank is decided on the balanced word matrix, each row and column scaled
-    by a power of two and each entry within its roundoff of zero (_word_noise)
-    set to zero (linalg._null_spaces), so entries of order 1 beside entries of
-    order g^k no longer fall under the relative cut, and words that vanish
-    exactly stay null; such a kernel comes from the balanced SVD and is not
-    canonicalised.  Each kernel vector is re-checked, on the matrix whose SVD
-    gave it, scaled by a power of two (linalg._Kernel), against the relative
-    bound 10 tol: the count is the same for every scale of the A_i.  A stack
-    raises the first degenerate family's InvalidModelError before any SVD,
-    then the first failed re-check.  The SVD returns a d^k x d^k right factor
-    per family, so past the word cap, or where those factors pass the byte
-    budget, a stack is refused before its words are formed.
+    Each letter A_i is scaled once by 2^-e_i, e_i from frexp of its largest
+    |entry|, so no word overflows and word (j_1...j_k) is the true one times
+    2^-(e_j1 + ... + e_jk): a column scaling that keeps the rank, which
+    linalg._null_spaces takes as column exponents.  The rank is decided on the
+    balanced words, each entry within its roundoff of zero (_word_noise) zeroed;
+    such a kernel is not canonicalised.  Each kernel vector is re-checked on the
+    matrix whose SVD gave it (linalg._Kernel) against the relative bound 10 tol:
+    the count is the same for every power-of-two scale of each A_i, or refused by
+    name where the kernel's coordinates span more than the float range.  A stack
+    raises the first degenerate family's InvalidModelError before any SVD, then
+    the first failed re-check.  Past the word cap, or where the d^k x d^k SVD
+    right factors pass the byte budget, a stack is refused before its words are formed.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -134,33 +134,35 @@ def _ground_null_spaces(families, k: int, tol: float = linalg.DEFAULT_NULL_TOL) 
     d = mats.shape[-3]
     _check_cap(d, k, "word-matrix")
     _refuse_past_budget(f"kernel of the {k}-site words", len(mats) * d ** (2 * k) * mats.itemsize)
-    words = _word_columns(mats, k, "word-matrix")
-    for m in words:
-        if not m.any():
-            raise InvalidModelError("every k-site word vanishes; the family is degenerate")
+    _, e = np.frexp(np.abs(mats).max(axis=(-2, -1)))
+    letters = linalg._ldexp(mats, -e[..., None, None])
+    words = _word_columns(letters, k, "word-matrix")
+    if not words.any(axis=(1, 2)).all():
+        raise InvalidModelError("every k-site word vanishes; the family is degenerate")
+    cols = e[:, np.indices((d,) * k).reshape(k, -1)].sum(axis=1)  # word (j_1...j_k) takes e_j1 + ... + e_jk
     bases = []
-    for kernel in linalg._null_spaces(words, tol, _word_noise(mats, words, k)):
+    for kernel in linalg._null_spaces(words, tol, _word_noise(letters, words, k), cols):
         vectors = _canonical_subspace_basis(kernel.vectors) if kernel.cols is None else kernel.vectors
         if any(kernel.residual(v) > 10 * tol for v in vectors):
+            if kernel.cols is not None and np.ptp(kernel.cols) > -np.finfo(float).minexp:
+                raise KernelRecheckError(f"the {k}-site kernel's coordinates span more than the float range")
             raise KernelRecheckError("kernel re-check failed; tolerance too loose for this family")
         bases.append(NullSpaceBasis(k=k, vectors=tuple(vectors), tol=tol))
     return bases
 
 
-def _word_noise(mats: np.ndarray, words: np.ndarray, k: int) -> np.ndarray:
-    """Mask of the entries of the (G, D^2, d^k) words of a (G, d, D, D) stack that lie within their roundoff of zero.
+def _word_noise(letters: np.ndarray, words: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the entries of the (G, D^2, d^k) words of a (G, d, D, D) stack of letters within their roundoff of zero.
 
     A word is formed by k - 1 inexact products of D-term sums (2 D terms for
     complex words, carried as split parts), so to first order each entry lies
     within (k - 1) D eps of the exact one, 2 sqrt(2) (k - 1) D eps complex,
     relative to the same entry of the word of the |A_i| (Higham, Accuracy and
     Stability of Numerical Algorithms, section 3.5); the mask takes 4 k D eps.
-    The |A_i| are scaled by a power of two per family, their largest entry in
-    [1/2, 1), so that their words never overflow.
+    Letters scaled by powers of two (_ground_null_spaces) overflow in neither word.
     """
-    _, e = np.frexp(np.abs(mats).max(axis=(1, 2, 3)))
-    bound = _word_columns(np.ldexp(np.abs(mats), -e[:, None, None, None]), k, "word-matrix")
-    return np.ldexp(np.abs(words), -k * e[:, None, None]) < 4 * k * mats.shape[-1] * np.finfo(float).eps * bound
+    bound = _word_columns(np.abs(letters), k, "word-matrix")
+    return np.abs(words) < 4 * k * letters.shape[-1] * np.finfo(float).eps * bound
 
 
 def local_hamiltonian(basis: NullSpaceBasis, couplings=None) -> LocalHamiltonian:

@@ -30,17 +30,22 @@ FILES = {f"{name}_{part}_{p}.json": (name, part, p)
          for name in FILE_FAMILIES for part in ("all", "1", "0", "-1") for p in FILE_POWERS}
 
 
+def _write_scaled(path, name: str, part: str, p: int) -> None:
+    """FILE_FAMILIES[name] with every matrix (part "all"), or the one matrix of the letter part, scaled
+    by 10^p, written as `mpschain model --out` writes a family."""
+    fam = FILE_FAMILIES[name]
+    doc = fam.to_json_dict()
+    doc["matrices"] = {a: _matrix_to_json(10.0**p * m if part in ("all", a) else m) for a, m in fam.matrices.items()}
+    path.write_text(_json_text(doc), encoding="utf-8")
+
+
 @pytest.fixture(scope="module")
 def family_dir(tmp_path_factory):
-    """A directory holding every family of FILES, written as `mpschain model --out` writes a family;
-    one whose transfer operator overflows is written too, for the loader to refuse."""
+    """A directory holding every family of FILES; one whose transfer operator overflows is written
+    too, for the loader to refuse."""
     root = tmp_path_factory.mktemp("families")
     for file, (name, part, p) in FILES.items():
-        fam = FILE_FAMILIES[name]
-        doc = fam.to_json_dict()
-        doc["matrices"] = {a: _matrix_to_json(10.0**p * m if part in ("all", a) else m)
-                           for a, m in fam.matrices.items()}
-        (root / file).write_text(_json_text(doc), encoding="utf-8")
+        _write_scaled(root / file, name, part, p)
     return root
 
 
@@ -186,3 +191,62 @@ def test_every_argv_ends_in_its_rows_or_in_one_error_line(argv, family_dir):
         assert err.endswith("\n") and err.count("\n") == 1 and err.startswith(("error:", "usage:")), err
     if code == cli.EXIT_OK and argv[0] in ("correlate", "genstate", "verify"):
         assert all(_finite(v) for v in _unflagged_values(out)), out
+
+
+_LOADER_REFUSAL = "error: transfer operator overflows: sum_i |A_i[a,b]|^2 lies beyond the float range\n"
+
+
+def _scaled_kernel_counts(root, powers) -> dict[tuple[str, str, int, int], tuple[int, str, str]]:
+    """`parent --which file --k k` for k = 1..4 on each family of FILE_FAMILIES scaled by 10^p, whole or
+    in one letter, for p in powers: the run of each (name, part, p, k).
+
+    Each run prints the unscaled family's output, or is refused by the loader (a transfer operator
+    past the float range) or because the kernel's coordinates span more than the float range, the one
+    refusal of the kernel: a scale of the matrices changes no kernel dimension."""
+    def parent_run(path, k):
+        return _run(["parent", "--which", "file", "--in", str(path), "--k", str(k)])
+
+    runs = {}
+    for name in FILE_FAMILIES:
+        _write_scaled(root / "unscaled.json", name, "all", 0)
+        want = {k: parent_run(root / "unscaled.json", k) for k in range(1, 5)}
+        for part in ("all", "1", "0", "-1"):
+            for p in powers:
+                _write_scaled(root / "scaled.json", name, part, p)
+                for k in range(1, 5):
+                    got = parent_run(root / "scaled.json", k)
+                    span = f"error: the {k}-site kernel's coordinates span more than the float range\n"
+                    assert got == want[k] or got[:2] == (cli.EXIT_USAGE, "") and got[2] in (_LOADER_REFUSAL, span), \
+                        (name, part, p, k, got)
+                    runs[name, part, p, k] = got
+    return runs
+
+
+def test_scaled_family_files_count_as_the_unscaled_family_or_are_refused_by_name(tmp_path):
+    # each letter is scaled once by a power of two before its words are formed.  Words that underflowed
+    # to exact zeros read as kernel directions: the four rows below printed 2/19, 2/19, 2/19 and 3/20 at
+    # k = 2/3 with exit 0, where the true counts are 1/18, 1/18, 2/18 and 2/18.  The kernels of all but
+    # model II's letter 0 at k = 2 have coordinates 10^(k |p|) >= 10^360 apart, which no float vector
+    # holds, and are refused by name
+    runs = _scaled_kernel_counts(tmp_path, FILE_POWERS)
+    span = "error: the {}-site kernel's coordinates span more than the float range\n"
+    rows = {("I", "1", -200): (None, None), ("I", "-1", -200): (None, None), ("II", "0", -120): (2, None),
+            ("II", "1", -200): (None, None)}
+    for (name, part, p), counts in rows.items():
+        for k, count in zip((2, 3), counts):
+            want = (cli.EXIT_USAGE, "", span.format(k)) if count is None else (cli.EXIT_OK, f"kernel dimension at k={k}: {count}\n", "")
+            assert runs[name, part, p, k] == want
+
+
+@pytest.mark.slow
+def test_family_files_scaled_by_every_tenth_power_count_as_the_unscaled_family_or_are_refused_by_name(tmp_path):
+    # 2928 argvs: p = -300..300 in steps of 10; 299 of them printed a wrong count with exit 0, and 291
+    # were refused as vanishing or overflowing words or by a failed re-check.  The kernel's refusal comes only where the word
+    # exponents of one letter at 10^p span k |p| >= 320 decades (about 1064 bits)
+    runs = _scaled_kernel_counts(tmp_path, range(-300, 301, 10))
+    tally = {"unscaled": 0, "loader": 0, "span": 0}
+    for (name, part, p, k), (code, out, err) in runs.items():
+        kind = "unscaled" if out else "loader" if err == _LOADER_REFUSAL else "span"
+        tally[kind] += 1
+        assert kind != "span" or k * abs(p) >= 320, (name, part, p, k)
+    assert tally == {"unscaled": 1679, "loader": 720, "span": 529}

@@ -320,6 +320,9 @@ def test_byte_guard_refuses_every_route_before_allocating(monkeypatch):
         ("dense chain at n_sites 9", 2 * 3**18 * 8, lambda: ed.report(ChainOperator(9, real))),
         ("dense chain at n_sites 8", 2 * 3**16 * 16, lambda: ed.spectrum(ChainOperator(8, complex_))),
         ("dense chain at n_sites 10", 2 * 3**20 * 8, lambda: models.sigma_equivalence_check(10)),
+        # the target, the identity, six chain sums and their (9^N, 7) stack, held at once; each dense
+        # chain alone passed the guard at N = 8, and the whole needed ~5.2 GB
+        ("spin-form decomposition at n_sites 8", 9**8 * 15 * 8, lambda: models.spin_form_decompose(real, 8)),
         # a d^k x d^k reduced density, and the d^k x d^k right factor of the word-matrix SVD
         ("reduced density of 9 sites", 3**18 * 8, lambda: parent.reduced_density(fam, 9, 12)),
         ("kernel of the 9-site words", 3**18 * 8, lambda: parent.ground_null_space(fam, 9)),

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from math import isfinite, log, sqrt
 
@@ -222,6 +223,15 @@ def test_spin_form_model_ii():
     scale, dev = models.scale_match(dec.coefficients, models.spin_form_reference("II"))
     assert scale == pytest.approx(2.0, abs=1e-10)
     assert dev <= 1e-10
+
+
+@pytest.mark.parametrize("n_sites, digest", [(4, "083f02bd1d991823"), (6, "7de9b9a3d52807f3")])
+def test_spin_form_below_the_byte_budget_is_unchanged(n_sites, digest):
+    # the estimate of the whole decomposition's need (refused at N = 8) changes no admitted result:
+    # sha256 of every coefficient and the residual by float.hex, as before the estimate
+    dec = models.spin_form_decompose(models.model_II_hamiltonian(), n_sites=n_sites)
+    text = " ".join(float(v).hex() for v in [*dec.coefficients.values(), dec.residual])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_spin_form_model_i_g0():

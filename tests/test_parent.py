@@ -106,6 +106,33 @@ def test_the_kernel_count_is_invariant_under_scaling_every_matrix(name, k):
         assert ground_null_space(scaled, k).dim == want, c
 
 
+@pytest.mark.parametrize("name", _PROBE_FAMILIES)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_the_kernel_is_invariant_under_scaling_each_letter_by_its_own_power_of_two(name, k):
+    # 2^p_i A_i scales word (j_1...j_k) by 2^(p_j1 + ... + p_jk), a column scaling that keeps the rank;
+    # each letter is scaled once by a power of two before its words are formed, so the count is the
+    # family's own wherever the word exponents span k max|p_i - p_j| < 1000 bits, and past that it is
+    # that count or the kernel's named refusal.  With one p for every letter the vectors are bit for bit
+    fam = _PROBE_FAMILIES[name]
+    want = ground_null_space(fam, k)
+    rng = np.random.default_rng(36 + k)
+    width = min(1000 // k, 600)  # p_i within width - 1 of each other: k max|p_i - p_j| < 1000
+    draws = [rng.integers(-300, 301, fam.d) for _ in range(6)]
+    draws += [rng.integers(-300, 301 - width) + rng.integers(0, width, fam.d) for _ in range(6)]
+    draws += [np.full(fam.d, q) for q in (-300, -77, 300)]
+    for p in draws:
+        scaled = MpsFamily(d=fam.d, D=fam.D, labels=fam.labels,
+                           matrices={a: np.ldexp(m, int(p_i)) for (a, m), p_i in zip(fam.matrices.items(), p)})
+        try:
+            got = ground_null_space(scaled, k)
+        except mpschain.KernelRecheckError as exc:
+            assert k * np.ptp(p) >= 1000 and str(exc) == f"the {k}-site kernel's coordinates span more than the float range"
+            continue
+        assert got.dim == want.dim, p
+        if np.ptp(p) == 0:
+            assert [x.hex() for v in got.vectors for x in v.tolist()] == [x.hex() for v in want.vectors for x in v.tolist()]
+
+
 @pytest.mark.parametrize("name", ["I g=0.7", "II g=1.3"])
 @pytest.mark.parametrize("letter", ["1", "-1"])
 @pytest.mark.parametrize("c", [1e120, 1e150])
