@@ -5,12 +5,14 @@ window, independently of the matrix-free path in parent.chain_apply, which
 multiplies each window by the term's (S, S) block on its support S (the union
 of its nonzero rows and columns) only, so the two routes check each other.
 Ground energies (plain Lanczos) and overlaps with the kernel run
-parent.chain_apply.  Spectra and reports stay dense.  Kernel counts come
-from the same entries held sparse: the nonzero pattern of the chain splits
-into exact diagonal blocks, and the one-site shift, which commutes with the
-periodic chain, splits those into momentum sectors about N times smaller,
-diagonalized one size at a time.  Neither builds a d^N x d^N matrix.  Every
-route is refused past the one byte budget before its arrays exist.
+parent.chain_apply.  Spectra, reports and kernel counts come from the same
+entries held sparse: the nonzero pattern of the chain splits into exact
+diagonal blocks, and the one-site shift, which commutes with the periodic
+chain, splits those into momentum sectors about N times smaller,
+diagonalized one size at a time.  Neither route builds a d^N x d^N matrix;
+only dense_chain (and dense_matrix) does, for the tests and the checks that
+compare dense constructions.  Every route is refused past the one byte budget
+before its arrays exist.
 Basis convention, fixed package-wide: site 1 is the most significant digit and
 the physical order is the family label order (1, 0, -1 for spin-1).
 """
@@ -49,7 +51,11 @@ class LanczosConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChainOperator:
-    """H = sum over periodic windows of a local k-site term, on n_sites sites; only the benchmark reads mode and is_dense()."""
+    """H = sum over periodic windows of a local k-site term, on n_sites sites.
+
+    Every call runs one route whatever mode says; only the benchmark reads
+    mode and is_dense() (whether dense_chain would pass the byte budget).
+    """
 
     n_sites: int
     local: LocalHamiltonian
@@ -152,7 +158,7 @@ def _components(rows: np.ndarray, cols: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _labelling_bytes(op: ChainOperator, n_sectors: int) -> int:
-    """Upper estimate of the bytes _sector_spectrum holds before its sector stacks.
+    """Upper estimate of the bytes spectrum holds before its sector stacks.
 
     Per state: twenty arrays of orbit labels, sector states and their
     temporaries.  Per entry of the term on the first window: ten arrays.
@@ -163,7 +169,7 @@ def _labelling_bytes(op: ChainOperator, n_sectors: int) -> int:
     return 8 * (20 * d**n + (10 + 14 * n_sectors) * entries)
 
 
-def _sector_spectrum(op: ChainOperator) -> np.ndarray:
+def spectrum(op: ChainOperator) -> np.ndarray:
     """Full sorted spectrum from the translation sectors of the exact blocks.
 
     The one-site shift T (the last site moved first) commutes with the
@@ -182,10 +188,11 @@ def _sector_spectrum(op: ChainOperator) -> np.ndarray:
 
     Two byte estimates guard the work, each against the byte budget: the
     labels and entries before any array of d^N states exists, then the
-    largest block before any sector stack does.  The blocks are laid out one
-    after another and summed in chunks of whole blocks within the room the
-    labels leave (one chunk when all fit); eigvalsh treats each matrix of a
-    stack on its own, so chunking leaves every value unchanged.
+    largest block before any sector stack does; past either, the chain is
+    refused with a ValueError ("spectrum at n_sites N").  The blocks are
+    laid out one after another and summed in chunks of whole blocks within
+    the room the labels leave (one chunk when all fit); eigvalsh treats each
+    matrix of a stack on its own, so chunking leaves every value unchanged.
     """
     h = op.local.matrix
     d, k, n = op.d, op.local.k, op.n_sites
@@ -193,7 +200,7 @@ def _sector_spectrum(op: ChainOperator) -> np.ndarray:
     real = h.dtype.kind != "c"
     n_m = n // 2 + 1 if real else n
     held = _labelling_bytes(op, n_m)
-    mps._refuse_past_budget(f"kernel count at n_sites {n}", held)
+    mps._refuse_past_budget(f"spectrum at n_sites {n}", held)
     # T^j s keyed by j, n T^j s + j, for every state s: the running minimum
     # over j is the representative and the first shift that reaches it
     scaled = np.arange(0, n * dim, n)
@@ -240,7 +247,7 @@ def _sector_spectrum(op: ChainOperator) -> np.ndarray:
     # workspace) it stays within _CHUNK_BYTES, or within two of the largest blocks when those
     # outgrow it, and always within the room the labels leave
     largest = int(squares.max())
-    mps._refuse_past_budget(f"kernel count at n_sites {n}", held + 2 * _STACK_ENTRY_BYTES * largest)
+    mps._refuse_past_budget(f"spectrum at n_sites {n}", held + 2 * _STACK_ENTRY_BYTES * largest)
     step = max(min(mps._BYTE_BUDGET - held, _CHUNK_BYTES) // _STACK_ENTRY_BYTES - largest, largest)
     chunk = off[:-1] // step  # 0, 1, ... in steps of one, as no block outgrows a step
     bounds, cuts = [0, int(off[-1])], [0, flat.size]
@@ -324,16 +331,11 @@ def _lanczos_smallest(matvec, dim: int) -> tuple[float, float]:
 
 
 def ground_energy(op: ChainOperator) -> float:
-    """Smallest eigenvalue by plain Lanczos (_lanczos_smallest) on chain_apply; the dense one is spectrum(op)[0]."""
+    """Smallest eigenvalue by plain Lanczos (_lanczos_smallest) on chain_apply; the sector one is spectrum(op)[0]."""
     # about 8 d^N entries: three Lanczos vectors, and chain_apply's rotated copies and product
     itemsize = np.result_type(op.local.matrix.dtype, np.float64).itemsize
     mps._refuse_past_budget(f"ground energy at n_sites {op.n_sites}", 8 * op.dim * itemsize)
     return _lanczos_smallest(op.apply, op.dim)[0]
-
-
-def spectrum(op: ChainOperator) -> np.ndarray:
-    """Full sorted spectrum (dense path only)."""
-    return np.sort(np.linalg.eigvalsh(dense_matrix(op)))
 
 
 def _kernel_count(w: np.ndarray, tol: float) -> int:
@@ -352,13 +354,10 @@ def kernel_dimension(op: ChainOperator) -> int:
 
     The first eigenvalue above the count must be at least 100 * _KERNEL_TOL
     away, otherwise the count is ambiguous and AmbiguousKernelError reports
-    the candidate range instead of a silent number.  The spectrum comes from
-    the translation sectors of the connected blocks (_sector_spectrum), never
-    from the dense matrix: a chain whose labels, entries or largest sector
-    block would pass the byte budget is refused with a ValueError before the
-    arrays are made.
+    the candidate range instead of a silent number.  The spectrum is
+    spectrum(op), from the translation sectors of the connected blocks.
     """
-    return _kernel_count(_sector_spectrum(op), _KERNEL_TOL)
+    return _kernel_count(spectrum(op), _KERNEL_TOL)
 
 
 def overlap_with_kernel(op: ChainOperator, state: np.ndarray) -> float:
@@ -374,7 +373,7 @@ def overlap_with_kernel(op: ChainOperator, state: np.ndarray) -> float:
 
 
 def report(op: ChainOperator) -> dict:
-    """Spectrum/degeneracy summary as a JSON-ready dictionary; the kernel counted as in kernel_dimension."""
+    """Spectrum/degeneracy summary (JSON-ready) from one spectrum(op); the kernel counted as in kernel_dimension."""
     w = spectrum(op)
     try:
         kdim: int | list[int] = _kernel_count(w, _KERNEL_TOL)

@@ -404,8 +404,9 @@ def sigma_equivalence_check(n_sites: int) -> SigmaEquivalenceReport:
     """Iso-spectrality of the sigma = +1 and sigma = -1 model II chains.
 
     Checks the local identity h(-1) = (1 (x) R_z(pi)) h(+1) (1 (x) R_z(pi))^-1
-    and compares the two full sorted spectra; needs an even ring so the
-    alternating rotation on odd sites closes.
+    and compares the full sorted spectra of the two dense chains (dense_matrix,
+    each diagonalized whole); needs an even ring so the alternating rotation
+    on odd sites closes.
     """
     if n_sites % 2:
         raise ValueError("n_sites must be even for the alternating-rotation argument")
@@ -413,8 +414,8 @@ def sigma_equivalence_check(n_sites: int) -> SigmaEquivalenceReport:
     h_minus = model_II_hamiltonian(-1)
     conj = np.kron(spin.ID3, rz_pi())
     local_res = float(np.max(np.abs(h_minus.matrix - conj @ h_plus.matrix @ np.linalg.inv(conj))))
-    spec_plus = ed.spectrum(ed.ChainOperator(n_sites, h_plus))
-    spec_minus = ed.spectrum(ed.ChainOperator(n_sites, h_minus))
+    spec_plus, spec_minus = (np.sort(np.linalg.eigvalsh(ed.dense_matrix(ed.ChainOperator(n_sites, h))))
+                             for h in (h_plus, h_minus))
     return SigmaEquivalenceReport(
         n_sites=n_sites,
         local_conjugation_residual=local_res,

@@ -14,7 +14,7 @@ STDOUT_SHA256 = {
     "02_parent_hamiltonians.py": "bf47e16d54b772603df3688052fa8a1c8c808112de06b841c96e60d65b7cb5d4",
     "03_model_i_correlators.py": "d6a3235193d0f5315fd016c1b38b92f365d9353b916e95165e9f22a7deb4c829",
     "04_degenerate_ground_states.py": "946787c28db101b18dd37de199b181cff2a019a725a9482edf2ddfb00b692c09",
-    "05_symmetry_and_ed_checks.py": "22e2ea66d07d89cb98856b09e3f314ba8c3496916af5b87bbf6df9a1c84c9c04",
+    "05_symmetry_and_ed_checks.py": "e5a454b73f2545b1e2429e30db75bf5f65cfe01c7f33cfe3ec743da9002a3c24",
 }
 
 

@@ -47,7 +47,7 @@ def test_ground_energy_positive_control():
 
 
 def test_lanczos_matches_dense():
-    # every mode runs the one Lanczos route; the dense lowest eigenvalue is the reference
+    # every mode runs the one Lanczos route; the full spectrum's lowest eigenvalue is the reference
     h = models.model_I_hamiltonian(1.2)
     e = ed.ground_energy(ChainOperator(5, h))
     assert [ed.ground_energy(ChainOperator(5, h, mode=mode)) for mode in ("dense", "matrix-free")] == [e, e]
@@ -88,7 +88,7 @@ def test_matrix_free_ground_energy_matches_the_sector_spectrum(name, n):
     # spectrum starts at -25.93 and -47.007
     op = ChainOperator(n, _LANCZOS_CHAINS[name](), mode="matrix-free")
     e = ed.ground_energy(op)
-    w0 = ed._sector_spectrum(op)[0]
+    w0 = ed.spectrum(op)[0]
     assert abs(e - w0) <= (1e-8 * max(1.0, abs(w0)) if name == "complex" else 1e-10)
     assert ed.ground_energy(op) == e
 
@@ -258,16 +258,21 @@ def test_report_payload():
 
 
 def test_report_diagonalizes_once(monkeypatch):
+    # one sector spectrum per report and no dense chain; the sector route itself makes one
+    # eigvalsh call per block-size stack, so eigvalsh calls are not the count
     calls = []
-    eigvalsh = np.linalg.eigvalsh
 
-    def counting(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(ed, name, wrapper)
+
+    counting("spectrum", ed.spectrum)
+    counting("dense_chain", ed.dense_chain)
     ed.report(ChainOperator(4, models.model_II_hamiltonian()))
-    assert len(calls) == 1
+    assert calls == ["spectrum"]
 
 
 def _soft_gap_local():
@@ -316,9 +321,6 @@ def test_byte_guard_refuses_every_route_before_allocating(monkeypatch):
     refused = [
         # dense: 2 d^(2N) itemsize, the matrix and eigvalsh's copy
         ("dense chain at n_sites 7", 2 * 4**14 * 8, lambda: ed.dense_chain(d4.matrix, 2, 7)),
-        ("dense chain at n_sites 7", 2 * 4**14 * 8, lambda: ed.spectrum(ChainOperator(7, d4))),
-        ("dense chain at n_sites 9", 2 * 3**18 * 8, lambda: ed.report(ChainOperator(9, real))),
-        ("dense chain at n_sites 8", 2 * 3**16 * 16, lambda: ed.spectrum(ChainOperator(8, complex_))),
         ("dense chain at n_sites 10", 2 * 3**20 * 8, lambda: models.sigma_equivalence_check(10)),
         # the target, the identity, six chain sums and their (9^N, 7) stack, held at once; each dense
         # chain alone passed the guard at N = 8, and the whole needed ~5.2 GB
@@ -329,7 +331,10 @@ def test_byte_guard_refuses_every_route_before_allocating(monkeypatch):
         # Lanczos: 8 d^N itemsize; the admitted edges are pinned by the next test
         ("ground energy at n_sites 16", 8 * 3**16 * 8, lambda: ed.ground_energy(ChainOperator(16, real))),
         ("ground energy at n_sites 15", 8 * 3**15 * 16, lambda: ed.ground_energy(ChainOperator(15, complex_))),
-        ("kernel count at n_sites 16", None, lambda: ed.kernel_dimension(ChainOperator(16, real))),
+        # the sector route's labels and entries, for every call that takes the spectrum
+        ("spectrum at n_sites 16", None, lambda: ed.kernel_dimension(ChainOperator(16, real))),
+        ("spectrum at n_sites 16", None, lambda: ed.spectrum(ChainOperator(16, real))),
+        ("spectrum at n_sites 16", None, lambda: ed.report(ChainOperator(16, real))),
     ]
 
     class Admitted(Exception):
@@ -357,6 +362,9 @@ def test_byte_guard_refuses_every_route_before_allocating(monkeypatch):
     assert ed._dense_bytes(real.matrix, 3, 8) == 688_747_536
     dense = [ChainOperator(n, h).is_dense() for n, h in ((8, real), (9, real), (8, complex_), (6, d4), (7, d4))]
     assert dense == [True, False, False, True, False]
+    # the spectrum takes no dense chain: the d = 4 identity term at N = 7 answers exactly
+    w = ed.spectrum(ChainOperator(7, d4))
+    assert w.shape == (4**7,) and np.all(w == 7.0)
 
 
 def test_chain_operator_validation():
@@ -550,8 +558,8 @@ def test_block_route_equals_the_dense_spectrum(op):
     assert np.unique(labels).size == n_components
     assert np.unique(np.stack([labels, theirs]), axis=1).shape[1] == n_components
     assert np.all(labels <= np.arange(op.dim)) and np.all(labels[labels] == labels)  # the smallest state
-    w = ed.spectrum(op)
-    assert np.max(np.abs(ed._sector_spectrum(op) - w)) <= 1e-10
+    w = np.sort(np.linalg.eigvalsh(dense))
+    assert np.max(np.abs(ed.spectrum(op) - w)) <= 1e-10
     # the Lanczos stop (Ritz residual at most 1e-6 max(1, |theta|)) puts an eigenvalue that close: the lowest
     assert abs(ed.ground_energy(op) - w[0]) <= 1e-6 * max(1.0, abs(w[0]))
     assert _kernel_outcome(lambda: ed.kernel_dimension(op)) == _kernel_outcome(lambda: ed._kernel_count(w, 1e-8))
@@ -592,7 +600,7 @@ def test_chunked_sector_stacks_give_the_same_counts(monkeypatch):
     cases = [(model_i, 2**18, ed._CHUNK_BYTES), (model_ii, 2**16, ed._CHUNK_BYTES), (model_i, None, 1)]
     whole = []
     for op, _, _ in cases:
-        whole.append((ed._sector_spectrum(op), len(calls)))
+        whole.append((ed.spectrum(op), len(calls)))
         calls.clear()
     default_budget = mps._BYTE_BUDGET
     tracemalloc.start()
@@ -602,7 +610,7 @@ def test_chunked_sector_stacks_give_the_same_counts(monkeypatch):
             monkeypatch.setattr(mps, "_BYTE_BUDGET", budget)
             monkeypatch.setattr(ed, "_CHUNK_BYTES", chunk_bytes)
             tracemalloc.reset_peak()
-            assert np.array_equal(ed._sector_spectrum(op), w)
+            assert np.array_equal(ed.spectrum(op), w)
             assert tracemalloc.get_traced_memory()[1] <= budget
             assert len(calls) > n_calls
             assert ed.kernel_dimension(op) == ed._kernel_count(w, ed._KERNEL_TOL)
