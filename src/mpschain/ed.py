@@ -19,6 +19,7 @@ the physical order is the family label order (1, 0, -1 for spin-1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,9 +300,18 @@ def _lanczos_smallest(matvec, dim: int) -> tuple[float, float]:
     vector keeps runs reproducible.  A solve not converged after
     _LANCZOS_MAX_ITER iterations raises LanczosConvergenceError.  The inner
     products are Hermitian (np.vdot), so complex terms solve as real ones do.
-    """
-    from scipy.linalg import eigh_tridiagonal
 
+    Each Ritz step makes the two LAPACK calls of
+    scipy.linalg.eigh_tridiagonal(select="i", select_range=(0, 0)), so theta
+    and s_j are its bits: stebz bisects for the lowest eigenvalue of T (block
+    order "B", as stein wants) and stein takes its eigenvector by inverse
+    iteration.  Both are looked up once per solve; the first step, a 1 x 1 T,
+    is theta = alpha_0 and s = 1.  A nonzero LAPACK info raises LinAlgError,
+    and a non-finite alpha or beta a ValueError.
+    """
+    from scipy.linalg import LinAlgError, get_lapack_funcs
+
+    stebz, stein = get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
     q = np.random.default_rng(1234).standard_normal(dim)
     q /= np.linalg.norm(q)
     alphas: list[float] = []
@@ -314,9 +324,19 @@ def _lanczos_smallest(matvec, dim: int) -> tuple[float, float]:
         if it:
             w -= betas[-1] * q_prev
         b = float(np.linalg.norm(w))
-        thetas, s = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
-        theta = float(thetas[0])
-        residual = b * abs(float(s[-1, 0]))
+        if not (math.isfinite(alphas[-1]) and math.isfinite(b)):
+            raise ValueError(f"Lanczos step {it} is not finite: alpha {alphas[-1]}, beta {b}")
+        if it:
+            # the lowest eigenvalue by index (range 2, il = iu = 1), tolerance eps |T|
+            m, thetas, iblock, isplit, info = stebz(alphas, betas, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+            if not info:
+                s, info = stein(alphas, betas, thetas[:m], iblock, isplit)
+            if info:
+                raise LinAlgError(f"tridiagonal Ritz step {it} failed (LAPACK info={info})")
+            theta, last = float(thetas[0]), float(s[-1, 0])
+        else:
+            theta, last = alphas[0], 1.0
+        residual = b * abs(last)
         increment = abs(theta - theta_prev)
         if b < 1e-13 or (it >= 3 and residual <= 1e-6 * max(1.0, abs(theta))):
             return theta, residual

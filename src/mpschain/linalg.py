@@ -252,22 +252,24 @@ def dominant_projectors(m) -> list[tuple[complex, np.ndarray]]:
     call of _projectors.
     """
     a = _as_square(m)
-    return _projectors([eig_all(a)], [a])[0]
+    return _projectors([eig_all(a)], [None if _geev_keeps_scale(a) else a])[0]
 
 
-def _projectors(eigs, mats) -> list[list[tuple[complex, np.ndarray]]]:
-    """dominant_projectors from each (w, vl, vr) of a sequence of eig_all calls on a sequence of matrices mats.
+def _projectors(eigs, rescaled) -> list[list[tuple[complex, np.ndarray]]]:
+    """dominant_projectors from each (w, vl, vr) of a sequence of eig_all calls.
 
-    One list per matrix; TransferSpectrum calls it on the eig_all results it also
+    One list per call; TransferSpectrum calls it on the eig_all results it also
     takes rho from.  The dominant groups of all the matrices are bucketed by size
     and eigenvector dtype, and each bucket takes one stacked L^H R, one batched
     inverse and one stacked R (L^H R)^{-1} L^H.  numpy's inv and matmul make, for
     each matrix of a stack, the LAPACK and BLAS call they make for that matrix
     alone, and the stacks keep each group's memory layout, so every projector is
     bit for bit the one a loop over the groups forms.  The first all-zero
-    spectrum raises ZeroSpectrumError before any projector is formed.  Where
-    geev returns the eigenvalues of a rescaled matrix m (_geev_keeps_scale),
-    each eigenvalue is m's own, tr(P m) / tr(P); the projectors are unaffected.
+    spectrum raises ZeroSpectrumError before any projector is formed.
+    rescaled holds, per call, its matrix m where geev returned the eigenvalues
+    of a rescaled m (_geev_keeps_scale is False), and None elsewhere; for such
+    an m each eigenvalue is m's own, tr(P m) / tr(P), and the projectors are
+    unaffected.
     """
     vals = np.array([w for w, _, _ in eigs])
     mags = np.abs(vals)
@@ -311,10 +313,10 @@ def _projectors(eigs, mats) -> list[list[tuple[complex, np.ndarray]]]:
             ) from exc
         stacks[size, char] = iter(R @ overlap_inv @ Lh)
     out = []
-    for k, (family, m) in enumerate(zip(groups, mats)):
+    for k, (family, m) in enumerate(zip(groups, rescaled)):
         projs = [(lam, next(stacks[len(grp), eigs[k][2].dtype.char])) for lam, grp in family]
         projs.sort(key=lambda p: (-p[0].real, -p[0].imag))
-        if not _geev_keeps_scale(m):
+        if m is not None:
             projs = [(complex((p @ m).trace() / p.trace()), p) for _, p in projs]
         out.append(projs)
     return out
@@ -329,22 +331,11 @@ def spectral_radius(m) -> float:
     np.abs(np.linalg.eigvals(m)).max() bit for bit (tests/test_linalg.py compares
     them) without numpy's per-call overhead.  Every other matrix (another dtype, a
     non-finite entry, an entry beyond those limits) takes np.linalg.eigvals itself,
-    errors included.
+    errors included, and so does a matrix on which geev fails.
     """
-    return _radius(_as_square(m))
-
-
-def _radius(a: np.ndarray, w: np.ndarray | None = None) -> float:
-    """spectral_radius of a square a, from w when given: eig_all's eigenvalues of a.
-
-    geev's eigenvalues, w or those of a direct call, are a's own only within its
-    scaling limits (_geev_keeps_scale); outside them, and on a geev failure, the
-    radius comes from np.linalg.eigvals, which raises its own error.
-    """
-    if w is None:
-        if a.dtype.char in "dD" and _geev_keeps_scale(a):
-            w, _, _, info = _geev_run(a, False)
-            w = None if info else w
-    elif not _geev_keeps_scale(a):
-        w = None
+    a = _as_square(m)
+    w = None
+    if a.dtype.char in "dD" and _geev_keeps_scale(a):
+        w, _, _, info = _geev_run(a, False)
+        w = None if info else w
     return float(np.abs(np.linalg.eigvals(a) if w is None else w).max())

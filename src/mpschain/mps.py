@@ -518,6 +518,7 @@ class TransferSpectrum:
         self._dressed: dict[tuple, np.ndarray] = {}
         # made on first use and kept: plain attributes, as cached_property locks on every first access
         self._eig: list | None = None
+        self._rescaled: list | None = None
         self._rho: list[float] | None = None
         self._ladder: _PowerLadder | None = None
         self._projectors: list | None = None
@@ -539,20 +540,26 @@ class TransferSpectrum:
         """Each family's (w, vl, vr) from linalg.eig_all, made once.
 
         A thermodynamic query makes them before it needs rho, so that one
-        eigendecomposition gives both rho and the projectors.
+        eigendecomposition gives both rho and the projectors.  With them, one
+        check per family of geev's scaling limits (linalg._geev_keeps_scale)
+        finds the E whose eigenvalues w are a rescaled E's; rho and the
+        projectors both read it.
         """
         if self._eig is None:
-            self._eig = list(map(linalg.eig_all, self._each(self.e)))
+            each = self._each(self.e)
+            self._eig = list(map(linalg.eig_all, each))
+            self._rescaled = [None if linalg._geev_keeps_scale(e) else e for e in each]
         return self._eig
 
     def _rhos(self) -> list[float]:
         """Spectral radius of each E: linalg.spectral_radius, or the same value bit for bit from the
-        eigendecomposition's eigenvalues when one was made (linalg._radius)."""
+        eigendecomposition's eigenvalues when one was made (np.linalg.eigvals where geev rescaled E)."""
         if self._rho is None:
             if self._eig is None:
                 self._rho = list(map(linalg.spectral_radius, self._each(self.e)))
             else:
-                self._rho = [linalg._radius(e, w) for e, (w, _, _) in zip(self._each(self.e), self._eig)]
+                self._rho = [float(np.abs(w if m is None else np.linalg.eigvals(m)).max())
+                             for (w, _, _), m in zip(self._eig, self._rescaled)]
         return self._rho
 
     @property
@@ -593,7 +600,7 @@ class TransferSpectrum:
     def _dominant(self) -> list:
         """Each family's dominant projectors from its eigendecomposition, made once."""
         if self._projectors is None:
-            self._projectors = linalg._projectors(self._eigensystem(), self._each(self.e))
+            self._projectors = linalg._projectors(self._eigensystem(), self._rescaled)
         return self._projectors
 
     @property

@@ -274,10 +274,15 @@ def _chain_apply(matrix: np.ndarray, k: int, n_sites: int, states: np.ndarray) -
     size d^k <= 9 (the models') that is the full product bit for bit.  BLAS
     groups the sums of a 27 x 27 term, and a complex one-entry product, by
     the product's shape, so those can move in the last bits.  When s would
-    pass (N - k) // 2, the states and the output are both rotated so that
-    window leads; the output is rotated back once at the end.  Windows are
-    added in the fixed order l = 0..N-1, so every entry sums its terms in
-    that order, and each row is bit for bit the one-state result.  The input
+    pass top = max((N - k) // 2, min((N - 1) // 2, N - k - 1)), the states
+    and the output are both rotated so that window leads; the output is
+    rotated back once at the end.  From N = 2k on, two frames of top + 1
+    windows cover the chain, so an apply makes at most three full-vector
+    transposes.  The N - k - 1 cap keeps at least d columns in every
+    product: a window at s = N - k would be a one-column product, which BLAS
+    sums in another order.  Windows are added in the fixed order
+    l = 0..N-1, so every entry sums its terms in that order, and each row is
+    bit for bit the one-state result.  The input
     is never written to.  A state entry whose window index lies outside S in
     every window is never multiplied, so a non-finite one no longer spreads
     NaN (0 * inf) as the full product did; _chain_residuals refuses
@@ -293,10 +298,11 @@ def _chain_apply(matrix: np.ndarray, k: int, n_sites: int, states: np.ndarray) -
     # a per-row term meets the window blocks through a length-one axis
     term = (matrix if matrix.ndim == 2 else matrix[:, None])[..., support, :][..., support]
     out = np.zeros(psi.shape, dtype=np.result_type(psi, matrix))
+    top = max((n_sites - k) // 2, min((n_sites - 1) // 2, n_sites - k - 1))
     lead = 0
     for site in range(n_sites):
         s = site - lead
-        if s > (n_sites - k) // 2:
+        if s > top:
             psi, out = _rotate(psi, s, d), _rotate(out, s, d)
             lead, s = site, 0
         shape = (psi.shape[0], d**s, d**k, -1)

@@ -58,6 +58,23 @@ def test_random_spin_half_terms_match_the_moveaxis_contraction_bit_for_bit(k):
             assert np.array_equal(parent.chain_apply(h, n, state), _moveaxis_reference(h, n, state)), (seed, n)
 
 
+@pytest.mark.parametrize("d, k", [(3, 2), (2, 3)])
+def test_an_apply_takes_two_frames_and_three_transposes(monkeypatch, d, k):
+    # the state and the output rotated once each, the output back once; odd N (and k = 3 at
+    # even N) took a third frame and five transposes.  At N = 5, k = 3 the N - k - 1 cap keeps
+    # three frames, as a window at s = N - k would be a one-column product
+    real, calls = parent._rotate, []
+    monkeypatch.setattr(parent, "_rotate", lambda *args: calls.append(None) or real(*args))
+    h = _random_term(17, d, k)
+    rng = np.random.default_rng(d * 10 + k)
+    for n in range(k + 2, 14):
+        state = rng.standard_normal(d**n)
+        calls.clear()
+        out = parent.chain_apply(h, n, state)
+        assert len(calls) == (3 if n >= 2 * k else 5), n
+        assert np.array_equal(out, _moveaxis_reference(h, n, state)), n
+
+
 def _states(kind: str, dim: int) -> np.ndarray:
     rng = np.random.default_rng(dim)
     if kind == "float":

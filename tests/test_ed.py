@@ -161,6 +161,93 @@ def test_lanczos_matvec_counts_are_pinned(name, matvecs):
     assert len(calls) == matvecs
 
 
+def _eigh_tridiagonal_lanczos(matvec, dim: int) -> tuple[float, float]:
+    """The Lanczos loop whose Ritz step called scipy.linalg.eigh_tridiagonal(select="i") on every iteration."""
+    from scipy.linalg import eigh_tridiagonal
+
+    q = np.random.default_rng(1234).standard_normal(dim)
+    q /= np.linalg.norm(q)
+    alphas: list[float] = []
+    betas: list[float] = []
+    for it in range(ed._LANCZOS_MAX_ITER):
+        w = matvec(q)
+        alphas.append(float(np.vdot(q, w).real))
+        w -= alphas[-1] * q
+        if it:
+            w -= betas[-1] * q_prev
+        b = float(np.linalg.norm(w))
+        thetas, s = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
+        theta = float(thetas[0])
+        residual = b * abs(float(s[-1, 0]))
+        if b < 1e-13 or (it >= 3 and residual <= 1e-6 * max(1.0, abs(theta))):
+            return theta, residual
+        betas.append(b)
+        w /= b
+        q_prev, q = q, w
+    raise AssertionError("the reference loop did not converge")
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in ("I_g0.3", "I_g1", "I_g2.5", "II", "h1") for n in (6, 7, 8, 9)]
+    + [("complex", n) for n in (3, 4, 5)],
+)
+def test_the_lapack_ritz_step_is_eigh_tridiagonal_bit_for_bit(name, n):
+    # stebz and stein called directly give the Ritz value and vector eigh_tridiagonal gave
+    op = ChainOperator(n, _LANCZOS_CHAINS[name]())
+    runs = []
+    for solve in (ed._lanczos_smallest, _eigh_tridiagonal_lanczos):
+        calls = []
+
+        def matvec(v):
+            calls.append(None)
+            return op.apply(v)
+
+        theta, residual = solve(matvec, op.dim)
+        runs.append((theta.hex(), residual.hex(), len(calls)))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("routine", ["stebz", "stein"])
+def test_a_failed_lapack_ritz_step_raises(monkeypatch, routine):
+    import scipy.linalg
+
+    real = scipy.linalg.get_lapack_funcs
+
+    def failing_funcs(names, arrays=(), dtype=None, ilp64=False):
+        funcs = list(real(names, arrays, dtype, ilp64))
+        at, lapack = names.index(routine), funcs[names.index(routine)]
+        funcs[at] = lambda *args: (*lapack(*args)[:-1], 1)
+        return funcs
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", failing_funcs)
+    op = ChainOperator(6, models.model_II_hamiltonian())
+    with pytest.raises(np.linalg.LinAlgError, match=r"Ritz step 1 failed \(LAPACK info=1\)"):
+        ed._lanczos_smallest(op.apply, op.dim)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_lanczos_step_raises(bad):
+    # eigh_tridiagonal refused non-finite entries of T; the direct LAPACK calls are not handed them
+    with pytest.raises(ValueError, match="not finite"):
+        ed._lanczos_smallest(lambda v: np.full_like(v, bad), 9)
+
+
+@pytest.mark.parametrize("name, n, matvecs", [("I_g2.5", 10, 71), ("h1", 11, 11)])
+def test_the_oracle_solves_matvec_counts_are_pinned(name, n, matvecs):
+    # the two ground-energy solves of the benchmark's oracle pass, counted at the
+    # eigh_tridiagonal loop; the frame rule and the Ritz step keep them
+    op = ChainOperator(n, _LANCZOS_CHAINS[name]())
+    calls = []
+
+    def matvec(v):
+        calls.append(None)
+        return op.apply(v)
+
+    ed._lanczos_smallest(matvec, op.dim)
+    assert len(calls) == matvecs
+
+
 def test_kernel_dimension_h1_equals_transfer_count():
     for n in (4, 6, 9):
         op = ChainOperator(n, models.limit_hamiltonian_h1())

@@ -516,3 +516,16 @@ def test_stacked_projectors_raise_a_zero_spectrum_before_a_singular_overlap(monk
     with pytest.raises(linalg.ZeroSpectrumError) as exc:
         TransferSpectrum(stack).projectors
     assert str(exc.value) == "all-zero spectrum: no dominant eigenvalue"
+
+
+@pytest.mark.parametrize("g_values", [(0.7,), (0.3, 1e70, 2.5)], ids=["one", "stack"])
+def test_a_cold_thermodynamic_query_checks_geevs_scaling_limits_once_per_family(monkeypatch, g_values):
+    # rho and the projectors read one check per family; each made its own before
+    fams = [models.model_I(g) for g in g_values]
+    want = [TransferSpectrum(fam).thermo_one_point(spin.sz2()) for fam in fams]
+    real, calls = linalg._geev_keeps_scale, []
+    monkeypatch.setattr(linalg, "_geev_keeps_scale", lambda m: calls.append(None) or real(m))
+    s = TransferSpectrum(fams[0] if len(fams) == 1 else fams)
+    got = s.thermo_one_point(spin.sz2())
+    assert len(calls) == len(fams)
+    assert _text(got) == _text(want[0] if len(fams) == 1 else want)

@@ -43,10 +43,11 @@ def _chain_apply_reference(matrix: np.ndarray, k: int, n_sites: int, psi: np.nda
     """The one-state chain_apply."""
     d = _local_dim(matrix.shape[0], k)
     out = np.zeros(psi.shape, dtype=np.result_type(psi, matrix))
+    top = max((n_sites - k) // 2, min((n_sites - 1) // 2, n_sites - k - 1))
     lead = 0
     for site in range(n_sites):
         s = site - lead
-        if s > (n_sites - k) // 2:
+        if s > top:
             psi, out = _rotate_reference(psi, s, d), _rotate_reference(out, s, d)
             lead, s = site, 0
         shape = (d**k, -1) if s == 0 else (d**s, d**k, -1)
