@@ -20,7 +20,7 @@ the physical order is the family label order (1, 0, -1 for spin-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,11 +56,15 @@ class ChainOperator:
 
     Every call runs one route whatever mode says; only the benchmark reads
     mode and is_dense() (whether dense_chain would pass the byte budget).
+    apply is chain_apply, on the chain kernel the local term keeps for this
+    length.  The operator keeps the unit start vector of its ground-energy
+    solves (_start_vector), drawn on the first solve.
     """
 
     n_sites: int
     local: LocalHamiltonian
     mode: str = "auto"  # dense | matrix-free | auto
+    _start: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_sites < self.local.k:
@@ -85,6 +89,12 @@ class ChainOperator:
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         return chain_apply(self.local, self.n_sites, state)
+
+    def _start_vector(self) -> np.ndarray:
+        """The Lanczos start vector _unit_start(dim), drawn on the first call and kept."""
+        if self._start is None:
+            object.__setattr__(self, "_start", _unit_start(self.dim))
+        return self._start
 
 
 def _dense_bytes(h: np.ndarray, d: int, n_sites: int) -> int:
@@ -286,7 +296,14 @@ def dense_matrix(op: ChainOperator) -> np.ndarray:
     return dense_chain(op.local.matrix, op.local.k, op.n_sites)
 
 
-def _lanczos_smallest(matvec, dim: int) -> tuple[float, float]:
+def _unit_start(dim: int) -> np.ndarray:
+    """The fixed-seed Lanczos start vector: default_rng(1234).standard_normal(dim), normalised, read-only."""
+    q = np.random.default_rng(1234).standard_normal(dim)
+    q /= np.linalg.norm(q)
+    return mps._frozen(q)
+
+
+def _lanczos_smallest(matvec, dim: int, start: np.ndarray | None = None) -> tuple[float, float]:
     """Smallest eigenvalue and its Ritz residual, by plain Lanczos.
 
     The three-term recurrence runs without reorthogonalization, so a solve
@@ -296,10 +313,15 @@ def _lanczos_smallest(matvec, dim: int) -> tuple[float, float]:
     eigenvector of the tridiagonal T, stays a valid stop: the solve returns
     once it is at most 1e-6 max(1, |theta|), from the fourth iteration on,
     or at once when w vanishes (an invariant subspace).  The Ritz value's
-    error then falls as the square of the residual.  A fixed-seed start
-    vector keeps runs reproducible.  A solve not converged after
-    _LANCZOS_MAX_ITER iterations raises LanczosConvergenceError.  The inner
-    products are Hermitian (np.vdot), so complex terms solve as real ones do.
+    error then falls as the square of the residual.  The start is the unit
+    vector start, by default the fixed-seed _unit_start(dim), so runs are
+    reproducible; the solve never writes to it, so a kept (read-only) start
+    serves every solve.  A solve not converged after _LANCZOS_MAX_ITER
+    iterations raises LanczosConvergenceError.  The inner products are
+    Hermitian (np.vdot), so complex terms solve as real ones do.  They and the
+    norms are single BLAS calls, which OpenBLAS splits across its threads past
+    ~10^4 entries, so beyond 2^13 entries the last bits of a solve can follow the
+    BLAS thread count; below it they do not.
 
     Each Ritz step makes the two LAPACK calls of
     scipy.linalg.eigh_tridiagonal(select="i", select_range=(0, 0)), so theta
@@ -312,8 +334,7 @@ def _lanczos_smallest(matvec, dim: int) -> tuple[float, float]:
     from scipy.linalg import LinAlgError, get_lapack_funcs
 
     stebz, stein = get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
-    q = np.random.default_rng(1234).standard_normal(dim)
-    q /= np.linalg.norm(q)
+    q = _unit_start(dim) if start is None else start
     alphas: list[float] = []
     betas: list[float] = []
     theta_prev = np.inf
@@ -351,11 +372,17 @@ def _lanczos_smallest(matvec, dim: int) -> tuple[float, float]:
 
 
 def ground_energy(op: ChainOperator) -> float:
-    """Smallest eigenvalue by plain Lanczos (_lanczos_smallest) on chain_apply; the sector one is spectrum(op)[0]."""
+    """Smallest eigenvalue by plain Lanczos (_lanczos_smallest) on chain_apply; the sector one is spectrum(op)[0].
+
+    The solve starts from the operator's kept start vector, drawn once the
+    byte guard has passed, so a second solve on one operator draws none and
+    gives the same bits as the first.  Beyond 2^13 entries those bits can follow
+    the BLAS thread count (_lanczos_smallest).
+    """
     # about 8 d^N entries: three Lanczos vectors, and chain_apply's rotated copies and product
     itemsize = np.result_type(op.local.matrix.dtype, np.float64).itemsize
     mps._refuse_past_budget(f"ground energy at n_sites {op.n_sites}", 8 * op.dim * itemsize)
-    return _lanczos_smallest(op.apply, op.dim)[0]
+    return _lanczos_smallest(op.apply, op.dim, op._start_vector())[0]
 
 
 def _kernel_count(w: np.ndarray, tol: float) -> int:

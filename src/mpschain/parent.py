@@ -8,6 +8,7 @@ the ring, give a positive Hamiltonian that annihilates the MPS exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,19 +45,38 @@ class NullSpaceBasis:
 
 @dataclass(frozen=True)
 class LocalHamiltonian:
-    """k-site operator sum_a J_a |conj(e_a)><conj(e_a)| over the kernel basis e_a, positive couplings."""
+    """k-site operator sum_a J_a |conj(e_a)><conj(e_a)| over the kernel basis e_a, positive couplings.
+
+    The matrix must be square of size d^k with finite entries; any other is refused at
+    construction with a ValueError that names the fault.  The term keeps the chain kernel of each
+    chain length it is applied at (_kernel), derived on first use.
+    """
 
     k: int
     matrix: np.ndarray = field(repr=False)
     couplings: tuple[float, ...]
     basis: NullSpaceBasis
+    _kernels: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen(np.asarray(self.matrix).copy()))
+        matrix = np.asarray(self.matrix)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError(f"local term must be a square matrix, got shape {matrix.shape}")
+        _local_dim(matrix.shape[0], self.k)
+        if not np.isfinite(matrix).all():
+            raise ValueError("local term holds a non-finite entry")
+        object.__setattr__(self, "matrix", _frozen(matrix.copy()))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    def _kernel(self, n_sites: int) -> "_ChainKernel":
+        """The chain kernel of this term on n_sites sites: derived on the first call, kept after."""
+        kernel = self._kernels.get(n_sites)
+        if kernel is None:
+            kernel = self._kernels[n_sites] = _ChainKernel(self.matrix, self.k, n_sites)
+        return kernel
 
     def to_json_dict(self) -> dict:
         return {
@@ -224,6 +244,8 @@ def reduced_density(mps: MpsFamily, k: int, n_sites: int) -> np.ndarray:
 
 def _local_dim(size: int, k: int) -> int:
     """The physical dimension d of a k-site operator of size d^k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     d = round(size ** (1.0 / k))
     if d**k != size:
         raise ValueError("local dimension is not a clean k-th root of the operator size")
@@ -237,8 +259,9 @@ def _rotate(x: np.ndarray, m: int, d: int) -> np.ndarray:
 
 
 def chain_apply(h: LocalHamiltonian, n_sites: int, state: np.ndarray) -> np.ndarray:
-    """Apply H = sum_l h_{l..l+k-1} (periodic windows) to a d^N vector, matrix-free: _chain_apply of one state."""
-    return _chain_apply(h.matrix, h.k, n_sites, np.asarray(state)[None])[0]
+    """Apply H = sum_l h_{l..l+k-1} (periodic windows) to a d^N vector, matrix-free: the term's kept
+    chain kernel (LocalHamiltonian._kernel) applied to one state."""
+    return h._kernel(n_sites).apply(np.asarray(state)[None])[0]
 
 
 def _support(matrix: np.ndarray, n_sites: int, k: int):
@@ -257,15 +280,19 @@ def _support(matrix: np.ndarray, n_sites: int, k: int):
     return np.array(idx)
 
 
-def _chain_apply(matrix: np.ndarray, k: int, n_sites: int, states: np.ndarray) -> np.ndarray:
-    """H applied to each row of a (G, d^N) stack of states; matrix is one (d^k, d^k) local term for
+class _ChainKernel:
+    """H applied to each row of a (G, d^N) stack of states; the term is one (d^k, d^k) local term for
     every row, or a (G, d^k, d^k) stack with one per row.
+
+    The kernel holds what every apply of one term on one chain length reads: d, the term's support
+    and its block, the term's dtype and the window plan below.  It is derived once per (term, N): a
+    LocalHamiltonian keeps one per chain length (_kernel), and _chain_apply derives one per call.
 
     The states stay flat and are read in a frame: their sites rotated so that
     chain site `lead` comes first.  The window at site l sits at frame
     position s = l - lead and is the contiguous view (G, d^s, d^k, rest) of
     the stack.  The local term acts on its support S only (_support, found
-    once per call): the (S, S) block of the term multiplies the S rows of that
+    once per kernel): the (S, S) block of the term multiplies the S rows of that
     view from the left in one stacked matmul, which multiplies each row's
     (|S|, rest) blocks as the product for that row alone does, and the
     product is added into the S rows of the same view of the output.  The
@@ -285,54 +312,96 @@ def _chain_apply(matrix: np.ndarray, k: int, n_sites: int, states: np.ndarray) -
     bit for bit the one-state result.  The input
     is never written to.  A state entry whose window index lies outside S in
     every window is never multiplied, so a non-finite one no longer spreads
-    NaN (0 * inf) as the full product did; _chain_residuals refuses
+    NaN (0 * inf) as the full product did; _residuals refuses
     non-finite states anyway.
     """
-    if n_sites < k:
-        raise ValueError(f"n_sites must be >= k = {k}")
-    d = _local_dim(matrix.shape[-1], k)
-    if states.shape[1:] != (d**n_sites,):
-        raise ValueError(f"state must have length {d**n_sites}, got {states.shape[1:]}")
-    psi = states
-    support = _support(matrix, n_sites, k)
-    # a per-row term meets the window blocks through a length-one axis
-    term = (matrix if matrix.ndim == 2 else matrix[:, None])[..., support, :][..., support]
-    out = np.zeros(psi.shape, dtype=np.result_type(psi, matrix))
-    top = max((n_sites - k) // 2, min((n_sites - 1) // 2, n_sites - k - 1))
-    lead = 0
-    for site in range(n_sites):
-        s = site - lead
-        if s > top:
-            psi, out = _rotate(psi, s, d), _rotate(out, s, d)
-            lead, s = site, 0
-        shape = (psi.shape[0], d**s, d**k, -1)
-        out.reshape(shape)[:, :, support] += np.matmul(term, psi.reshape(shape)[:, :, support])
-    return _rotate(out, n_sites - lead, d).reshape(psi.shape[0], -1) if lead else out
+
+    def __init__(self, matrix: np.ndarray, k: int, n_sites: int):
+        if n_sites < k:
+            raise ValueError(f"n_sites must be >= k = {k}")
+        self.d = d = _local_dim(matrix.shape[-1], k)
+        self.dim = d**n_sites
+        self.support = support = _support(matrix, n_sites, k)
+        # a per-row term meets the window blocks through a length-one axis
+        self.term = (matrix if matrix.ndim == 2 else matrix[:, None])[..., support, :][..., support]
+        self.dtype = matrix.dtype
+        top = max((n_sites - k) // 2, min((n_sites - 1) // 2, n_sites - k - 1))
+        # per window, in the order l = 0..N-1: the rotation that makes it lead a new frame (0: none)
+        # and its (d^s, d^k, rest) block shape in its frame
+        self.windows, lead = [], 0
+        for site in range(n_sites):
+            s, shift = site - lead, 0
+            if s > top:
+                shift, lead, s = s, site, 0
+            self.windows.append((shift, (d**s, d**k, d ** (n_sites - k - s))))
+        self.back = n_sites - lead if lead else 0
+
+    def apply(self, states: np.ndarray) -> np.ndarray:
+        if states.shape[1:] != (self.dim,):
+            raise ValueError(f"state must have length {self.dim}, got {states.shape[1:]}")
+        d, support, term, g = self.d, self.support, self.term, states.shape[0]
+        psi = states
+        out = np.zeros(psi.shape, dtype=np.result_type(psi.dtype, self.dtype))
+        for shift, block in self.windows:
+            if shift:
+                psi, out = _rotate(psi, shift, d), _rotate(out, shift, d)
+            shape = (g, *block)
+            out.reshape(shape)[:, :, support] += np.matmul(term, psi.reshape(shape)[:, :, support])
+        return _rotate(out, self.back, d).reshape(g, -1) if self.back else out
+
+
+def _chain_apply(matrix: np.ndarray, k: int, n_sites: int, states: np.ndarray) -> np.ndarray:
+    """H applied to each row of a (G, d^N) stack of states by a _ChainKernel derived for this call."""
+    return _ChainKernel(matrix, k, n_sites).apply(states)
 
 
 def chain_residual(h: LocalHamiltonian, n_sites: int, state: np.ndarray) -> float:
     """Residual ||H state|| / ||state|| of the periodic chain; zero means state is in the kernel.
 
-    The one-state call of _chain_residuals.
+    The one-state call of _residuals, on the term's kept chain kernel.
     """
-    return _chain_residuals(h.matrix, h.k, n_sites, np.asarray(state)[None])[0]
+    return _residuals(lambda states: h._kernel(n_sites).apply(states), np.asarray(state)[None])[0]
 
 
 def _chain_residuals(matrix: np.ndarray, k: int, n_sites: int, states: np.ndarray) -> list[float]:
-    """chain_residual of each row of a (G, d^N) stack of states, with one local term or one per row (_chain_apply).
+    """chain_residual of each row of a (G, d^N) stack of states, with one local term or one per row (_chain_apply)."""
+    return _residuals(lambda states: _chain_apply(matrix, k, n_sites, states), states)
 
-    Each norm is the 1-D np.linalg.norm of its row, as for one state (a norm along an axis
-    sums in another order).  A zero row, or one whose norm overflows or is NaN, raises
+
+#: Entries per chunk of a residual norm; OpenBLAS takes a dot product of at most ~10^4 entries on one thread.
+_NORM_CHUNK = 2**13
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x|| of a 1-D array, the square root of its chunks' dot products summed in order.
+
+    The chunks hold _NORM_CHUNK entries each (the last one the rest), the real parts of a complex x
+    first, then its imaginary parts.  A single dot product of more entries is split across BLAS
+    threads, so its last bits followed the thread count; the chunked sum has the same bits at every
+    thread count.  Up to _NORM_CHUNK entries it is np.linalg.norm bit for bit.
+    """
+    x = x.astype(np.result_type(x.dtype, float), copy=False)
+    total = 0.0
+    for part in (x.real, x.imag) if np.iscomplexobj(x) else (x,):
+        for i in range(0, part.size, _NORM_CHUNK):
+            chunk = part[i:i + _NORM_CHUNK]
+            total += float(chunk.dot(chunk))
+    return math.sqrt(total)
+
+
+def _residuals(apply, states: np.ndarray) -> list[float]:
+    """||H psi|| / ||psi|| of each row psi of a (G, d^N) stack, apply(states) giving the H psi.
+
+    Each norm is _norm of its row.  A zero row, or one whose norm overflows or is NaN, raises
     DegenerateNormError before H is applied: an infinite norm would read every residual as 0.
     """
     with np.errstate(over="ignore"):
-        norms = [np.linalg.norm(psi) for psi in states]
+        norms = [_norm(psi) for psi in states]
     if 0.0 in norms:
         raise DegenerateNormError("zero state has no chain residual")
     if not np.isfinite(norms).all():
         raise DegenerateNormError("state norm is not finite (overflow or NaN): no chain residual")
-    applied = _chain_apply(matrix, k, n_sites, states)
-    return [float(np.linalg.norm(h_psi) / nrm) for h_psi, nrm in zip(applied, norms)]
+    return [_norm(h_psi) / nrm for h_psi, nrm in zip(apply(states), norms)]
 
 
 def verify_zero_energy(mps: MpsFamily, h: LocalHamiltonian, n_sites: int) -> float:

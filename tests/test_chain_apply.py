@@ -202,3 +202,33 @@ def test_a_non_finite_entry_outside_every_support_no_longer_spreads_nan():
     finite = state.copy()
     finite[0] = 0.0
     assert np.array_equal(parent.chain_apply(h, n, state), parent.chain_apply(h, n, finite))
+
+
+#: chain_residual of a fixed-seed state at N = 10 and 11, past the ~10^4 entries from which OpenBLAS
+#: splits one dot product across threads: the residual norms sum chunks of at most 2^13 entries in a
+#: fixed order, so these hold at every BLAS thread count.
+_RESIDUAL_PINS = {
+    ("I_g2.5", 10): "0x1.878d3c4f8f20cp+0",
+    ("I_g2.5", 11): "0x1.a5857370bc655p+0",
+    ("II", 10): "0x1.4df0103dfd287p+1",
+    ("II", 11): "0x1.69e935b0b9dffp+1",
+    ("h1", 10): "0x1.a59c9cf26e522p+0",
+    ("h1", 11): "0x1.c25633b8c6546p+0",
+}
+
+
+@pytest.mark.parametrize("name, n", list(_RESIDUAL_PINS))
+def test_large_chain_residuals_are_pinned(name, n):
+    state = np.random.default_rng(n).standard_normal(3**n)
+    assert parent.chain_residual(_MODELS[name](), n, state).hex() == _RESIDUAL_PINS[name, n]
+
+
+@pytest.mark.parametrize("size", [1, 2**13 - 1, 2**13, 2**13 + 1, 3**10])
+@pytest.mark.parametrize("kind", ["float", "complex", "int"])
+def test_the_chunked_norm_is_the_numpy_norm_up_to_one_chunk(kind, size):
+    # one chunk is np.linalg.norm bit for bit; more sum their dot products in order
+    x = _states(kind, size)
+    if size <= 2**13:
+        assert parent._norm(x) == np.linalg.norm(x)
+    else:
+        assert parent._norm(x) == pytest.approx(np.linalg.norm(x), rel=1e-14)

@@ -920,15 +920,15 @@ VERIFY_PATH_SHA256 = {
         ("verify", "--suite", "frustration", "--n-sites", "8"),
         cli.EXIT_OK, "120ea9158cf76cd63afbd1f7436c766f1d07ff070849b5883ef64668f14366c3", ""),
     # the states leave L2 here (the amplitude cap refuses N = 11): an odd ring and the largest even one.
-    # These two digests hold for the default BLAS thread count: np.linalg.norm splits its dot product
-    # across BLAS threads, and on one thread (OPENBLAS_NUM_THREADS=1) the N = 9, g = 0.1 norm is
-    # 0x1.19730426e0466p+1 where two threads give ...465p+1, which moves the printed residuals
+    # Their norms sum dot products of at most 2^13 entries in a fixed order (parent._norm), so these two
+    # digests hold at every BLAS thread count; one np.linalg.norm of the whole state was split across
+    # BLAS threads and gave other bytes on one thread than on two
     "frustration N=9, two g": (
         ("verify", "--suite", "frustration", "--n-sites", "9", "--g", "0.1", "--g", "2.5"),
-        cli.EXIT_OK, "bb49dcbb37189570da360afb73c0578665b0bcbe9c76684f53921a527bd67239", ""),
+        cli.EXIT_OK, "d032a6bbb5050582b43ed7a17e4ec439417faa146c5227471d005b2b5689516a", ""),
     "frustration N=10": (
         ("verify", "--suite", "frustration", "--n-sites", "10"),
-        cli.EXIT_OK, "68b9f2cafa974b48b218c42fe44c0a2efe08b1b6414e5e9570f476ffa45e0d72", ""),
+        cli.EXIT_OK, "758b00dae55af48b16b59ced2f5e30d9ec1086cbf7278bb839d52c3f0b335d78", ""),
     "genstate N=5": (
         ("verify", "--suite", "genstate", "--n-sites", "5"),
         cli.EXIT_USAGE, hashlib.sha256(b"").hexdigest(),
@@ -946,6 +946,23 @@ def test_verify_paths_are_byte_stable(case, capsys):
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
     assert captured.err == err
+
+
+@pytest.mark.parametrize("case", ["frustration N=9, two g", "frustration N=10"])
+def test_verify_paths_past_the_blas_threading_cut_print_the_same_bytes_on_one_and_two_threads(case):
+    # a dot product of more than ~10^4 entries is split across OpenBLAS threads; the residual norms
+    # are summed from chunks below that cut, so the thread count moves no printed byte
+    argv, code, digest, _ = VERIFY_PATH_SHA256[case]
+    src = str(Path(mpschain.__file__).resolve().parent.parent)
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "mpschain", *argv], capture_output=True, env=env, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == digest
 
 
 @pytest.mark.parametrize("suite, err", [

@@ -248,6 +248,126 @@ def test_the_oracle_solves_matvec_counts_are_pinned(name, n, matvecs):
     assert len(calls) == matvecs
 
 
+#: (float.hex, matvecs) of ground_energy for every _LANCZOS_CHAINS term, recorded before each term
+#: kept its chain kernel and each operator its start vector.  No state here passes 3^8 entries,
+#: below the cut past which OpenBLAS splits a dot product across threads, so the pins hold at any
+#: BLAS thread count.
+_GROUND_ENERGY_PINS = {
+    ("I_g0.3", 3): ("0x1.d8ea3fee393b4p-52", 5),
+    ("I_g0.3", 4): ("0x1.b8e5dd77e73b5p-40", 10),
+    ("I_g0.3", 5): ("0x1.1f83cb6d7ca4dp-46", 23),
+    ("I_g0.3", 6): ("0x1.b1b5b9329de56p-39", 49),
+    ("I_g0.3", 7): ("0x1.20c29c451f43ep-35", 55),
+    ("I_g0.3", 8): ("0x1.950718775565ep-35", 102),
+    ("I_g1", 3): ("-0x1.3ffc5ba96c3d7p-54", 3),
+    ("I_g1", 4): ("-0x1.75689721e4082p-54", 6),
+    ("I_g1", 5): ("0x1.a8ed51a913d46p-43", 14),
+    ("I_g1", 6): ("0x1.869e53077c5fep-44", 18),
+    ("I_g1", 7): ("0x1.8c0b93ad7f506p-41", 23),
+    ("I_g1", 8): ("0x1.92326130750aep-43", 26),
+    ("I_g2.5", 3): ("-0x1.825065e139f5ap-54", 5),
+    ("I_g2.5", 4): ("-0x1.675524cf3b208p-56", 12),
+    ("I_g2.5", 5): ("0x1.b8ae252e44211p-43", 20),
+    ("I_g2.5", 6): ("0x1.33ed2859b5332p-40", 32),
+    ("I_g2.5", 7): ("0x1.651b1bd02ade6p-40", 37),
+    ("I_g2.5", 8): ("0x1.2b73c4f179430p-40", 53),
+    ("II", 3): ("0x1.1e210cbd6ebe2p-52", 4),
+    ("II", 4): ("0x1.4f23984b25b7cp-54", 10),
+    ("II", 5): ("0x1.6fd17c1e29fd4p-42", 26),
+    ("II", 6): ("0x1.1b0ed2c562736p-42", 47),
+    ("II", 7): ("0x1.871a9b0a82485p-40", 78),
+    ("II", 8): ("0x1.023c830815710p-39", 113),
+    ("h1", 3): ("-0x1.421c6c40bc968p-56", 3),
+    ("h1", 4): ("-0x1.15de071e5b1a4p-54", 4),
+    ("h1", 5): ("-0x1.212bc92c46294p-54", 5),
+    ("h1", 6): ("-0x1.7bb41dd7acc8fp-52", 6),
+    ("h1", 7): ("-0x1.c62743976aa9ap-52", 7),
+    ("h1", 8): ("0x1.235345377d830p-55", 8),
+    ("identity", 3): ("0x1.8000000000001p+1", 1),
+    ("identity", 4): ("0x1.0000000000001p+2", 1),
+    ("identity", 5): ("0x1.3fffffffffffep+2", 1),
+    ("identity", 6): ("0x1.8000000000000p+2", 1),
+    ("identity", 7): ("0x1.c000000000002p+2", 1),
+    ("identity", 8): ("0x1.0000000000001p+3", 1),
+    ("complex", 3): ("-0x1.0a9ad9e179b09p+4", 21),
+    ("complex", 4): ("-0x1.476c0a9c4d397p+4", 36),
+    ("complex", 5): ("-0x1.9ee251b78d27ep+4", 46),
+    ("complex", 6): ("-0x1.f71aca6061ceap+4", 65),
+}
+
+
+@pytest.mark.parametrize("name, n", list(_GROUND_ENERGY_PINS))
+def test_ground_energies_keep_their_bits_and_matvec_counts(monkeypatch, name, n):
+    # a first and a second solve on one operator, then a solve on a fresh equal operator
+    real, calls = ed.chain_apply, []
+    monkeypatch.setattr(ed, "chain_apply", lambda *args: calls.append(None) or real(*args))
+    op = ChainOperator(n, _LANCZOS_CHAINS[name]())
+    runs = []
+    for solved in (op, op, ChainOperator(n, _LANCZOS_CHAINS[name]())):
+        calls.clear()
+        runs.append((ed.ground_energy(solved).hex(), len(calls)))
+    assert runs == [_GROUND_ENERGY_PINS[name, n]] * 3
+
+
+def test_each_chain_kernel_is_derived_once_per_term_and_length(monkeypatch):
+    # the support (and with it the kernel) is derived on the first apply of a term at a length and
+    # kept on the term; every matvec enters chain_apply once
+    real_support, derived = parent._support, []
+    monkeypatch.setattr(parent, "_support", lambda m, n, k: derived.append(n) or real_support(m, n, k))
+    real_apply, applies = ed.chain_apply, []
+    monkeypatch.setattr(ed, "chain_apply", lambda *args: applies.append(None) or real_apply(*args))
+    real_solve, matvecs = ed._lanczos_smallest, []
+
+    def solve(matvec, dim, start):
+        return real_solve(lambda v: matvecs.append(None) or matvec(v), dim, start)
+
+    monkeypatch.setattr(ed, "_lanczos_smallest", solve)
+    h = models.model_II_hamiltonian()
+    op = ChainOperator(8, h)
+    for _ in range(2):
+        ed.ground_energy(op)
+    fam = models.model_II(1.3)
+    assert ed.overlap_with_kernel(op, amplitudes_vector(fam, 8)) <= 1e-10
+    assert parent.verify_zero_energy(fam, h, 8) <= 1e-10
+    assert derived == [8]
+    assert len(applies) == len(matvecs) == 2 * 113
+    # another length derives its own kernel, once
+    for _ in range(2):
+        ed.ground_energy(ChainOperator(7, h))
+        parent.chain_residual(h, 7, amplitudes_vector(fam, 7))
+    assert derived == [8, 7] and sorted(h._kernels) == [7, 8]
+    # the stacked kernel verify calls derives one per call, and keeps none
+    for _ in range(2):
+        parent._chain_apply(h.matrix, 2, 6, np.ones((2, 3**6)))
+    assert derived == [8, 7, 6, 6] and sorted(h._kernels) == [7, 8]
+
+
+def test_the_start_vector_is_kept_read_only_per_operator_once_the_byte_guard_passes():
+    import tracemalloc
+
+    op = ChainOperator(8, models.model_II_hamiltonian())
+    assert op._start is None
+    e = ed.ground_energy(op)
+    fresh = np.random.default_rng(1234).standard_normal(op.dim)
+    fresh /= np.linalg.norm(fresh)
+    start = op._start
+    assert not start.flags.writeable and np.array_equal(start, fresh)
+    # a second solve draws nothing and keeps the first solve's allocation bound
+    tracemalloc.start()
+    try:
+        assert ed.ground_energy(op) == e
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * op.dim * 8
+    assert op._start is start and op == ChainOperator(8, op.local)
+    # a solve the byte guard refuses draws none
+    refused = ChainOperator(16, op.local)
+    with pytest.raises(ValueError, match="^ground energy at n_sites 16 needs"):
+        ed.ground_energy(refused)
+    assert refused._start is None
+
+
 def test_kernel_dimension_h1_equals_transfer_count():
     for n in (4, 6, 9):
         op = ChainOperator(n, models.limit_hamiltonian_h1())
@@ -379,15 +499,11 @@ def test_report_kernel_dim_matches_kernel_dimension():
     assert ed.report(op)["kernel_dim"] == [err.value.low, err.value.high]
 
 
-_NOT_A_POWER = LocalHamiltonian(k=2, matrix=np.eye(10), couplings=tuple([1.0] * 10),
-                                basis=NullSpaceBasis(k=2, vectors=(), tol=0.0))
-
-
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: parent.chain_apply(_NOT_A_POWER, 4, np.ones(10**2)),
-        lambda: ChainOperator(4, _NOT_A_POWER).d,
+        lambda: parent.chain_apply(_term_local(np.eye(10)), 4, np.ones(10**2)),
+        lambda: ChainOperator(4, _term_local(np.eye(10))).d,
         lambda: ed.dense_chain(np.eye(10), 2, 4),
     ],
     ids=["chain_apply", "ChainOperator.d", "dense_chain"],
@@ -395,6 +511,41 @@ _NOT_A_POWER = LocalHamiltonian(k=2, matrix=np.eye(10), couplings=tuple([1.0] * 
 def test_local_dimension_must_be_a_clean_power(call):
     with pytest.raises(ValueError, match="local dimension"):
         call()
+
+
+def _with_entry(value):
+    h = models.model_II_hamiltonian().matrix.astype(type(value))
+    h[4, 4] = value
+    return h
+
+
+#: Local terms the LocalHamiltonian refuses, each with the words of its refusal.  At the parent a
+#: term of size 10 or a non-square one constructed and failed only at its first use, and a
+#: non-finite one reached LAPACK ("Eigenvalues did not converge") or the first Lanczos step.
+_MALFORMED = {
+    "size 10": (np.eye(10), "local dimension is not a clean k-th root"),
+    "k = 0": (np.eye(1), "k must be >= 1"),
+    "not square": (np.ones((9, 3)), r"local term must be a square matrix, got shape \(9, 3\)"),
+    "a vector": (np.ones(9), r"local term must be a square matrix, got shape \(9,\)"),
+    "nan": (_with_entry(np.nan), "local term holds a non-finite entry"),
+    "inf": (_with_entry(np.inf), "local term holds a non-finite entry"),
+    "complex nan": (_with_entry(complex(0.0, np.nan)), "local term holds a non-finite entry"),
+}
+
+_ROUTES = {
+    "ChainOperator": lambda make: ChainOperator(4, make()),
+    "spectrum": lambda make: ed.spectrum(ChainOperator(4, make())),
+    "ground_energy": lambda make: ed.ground_energy(ChainOperator(4, make())),
+    "chain_apply": lambda make: parent.chain_apply(make(), 4, np.ones(81)),
+}
+
+
+@pytest.mark.parametrize("route", list(_ROUTES))
+@pytest.mark.parametrize("fault", list(_MALFORMED))
+def test_a_malformed_term_is_refused_by_name_at_construction(fault, route):
+    matrix, message = _MALFORMED[fault]
+    with pytest.raises(ValueError, match=message):
+        _ROUTES[route](lambda: _term_local(matrix, k=0 if fault == "k = 0" else 2))
 
 
 def test_byte_guard_refuses_every_route_before_allocating(monkeypatch):
@@ -463,8 +614,10 @@ def test_chain_operator_validation():
 
 def test_ground_energy_guard_counts_eight_vectors_of_the_term_dtype(monkeypatch):
     # 8 d^N entries of 8 (real) or 16 (complex) bytes against the 1 GiB budget: real d = 3 terms
-    # reach 15 sites, complex ones 14; the solve itself is stubbed, so nothing of that size is made
-    monkeypatch.setattr(ed, "_lanczos_smallest", lambda matvec, dim: (float(dim), 0.0))
+    # reach 15 sites, complex ones 14; the solve and its start vector are stubbed, so nothing of that
+    # size is made
+    monkeypatch.setattr(ed, "_unit_start", lambda dim: None)
+    monkeypatch.setattr(ed, "_lanczos_smallest", lambda matvec, dim, start: (float(dim), 0.0))
     real, complex_ = models.model_II_hamiltonian(), _LANCZOS_CHAINS["complex"]()
     assert [ed.ground_energy(ChainOperator(n, h)) for n, h in ((15, real), (14, complex_))] == [3**15, 3**14]
     for n, h, need in ((16, real, 8 * 3**16 * 8), (15, complex_, 8 * 3**15 * 16)):
